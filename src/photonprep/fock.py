@@ -2,13 +2,15 @@
 
 The transition amplitude between Fock states under a mode unitary is the
 permanent of a row/column-repeated submatrix, normalized by the square
-roots of the occupation factorials. The permanent itself uses the
-Gray-code Ryser formula; an O(n!) expansion is kept as an independent
+roots of the occupation factorials. The permanent itself is Ryser's
+formula evaluated for all column subsets at once, as one matrix product
+with a cached subset table; an O(n!) expansion is kept as an independent
 test oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -19,8 +21,24 @@ from .exceptions import DimensionMismatch, PhotonNumberMismatch, TooLarge
 PERMANENT_LIMIT = 14
 
 
+@functools.lru_cache(maxsize=PERMANENT_LIMIT)
+def _ryser_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(2^n x n) indicator matrix of all column subsets, and the Ryser sign
+    (-1)^(n - |S|) of each subset. Built on first use of each size."""
+    subsets = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    signs = 1.0 - 2.0 * ((n - subsets.sum(axis=1)) % 2)
+    subsets = subsets.astype(complex)  # matches M, so no cast per call
+    subsets.setflags(write=False)
+    signs.setflags(write=False)
+    return subsets, signs
+
+
 def permanent(M: np.ndarray) -> complex:
-    """Permanent of a square matrix via Ryser's formula with Gray-code updates."""
+    """Permanent of a square matrix via Ryser's formula.
+
+    Per(M) = sum_S (-1)^(n-|S|) prod_i sum_{j in S} M_ij over column subsets
+    S; the empty subset contributes a zero product.
+    """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
@@ -29,24 +47,8 @@ def permanent(M: np.ndarray) -> complex:
         return 1.0 + 0.0j
     if n > PERMANENT_LIMIT:
         raise TooLarge(f"permanent limited to {PERMANENT_LIMIT}x{PERMANENT_LIMIT}")
-
-    # Ryser: Per(M) = (-1)^n sum_{S != {}} (-1)^{|S|} prod_i sum_{j in S} M_ij.
-    # Gray-code enumeration updates the row sums by one column per step.
-    row_sums = np.zeros(n, dtype=complex)
-    total = 0.0 + 0.0j
-    gray = 0
-    for k in range(1, 1 << n):
-        new_gray = k ^ (k >> 1)
-        j = (gray ^ new_gray).bit_length() - 1
-        if new_gray & (1 << j):
-            row_sums += M[:, j]
-        else:
-            row_sums -= M[:, j]
-        gray = new_gray
-        bits = gray.bit_count()
-        term = np.prod(row_sums)
-        total += term if (n - bits) % 2 == 0 else -term
-    return complex(total)
+    subsets, signs = _ryser_tables(n)
+    return complex(signs @ (subsets @ M.T).prod(axis=1))
 
 
 def permanent_naive(M: np.ndarray) -> complex:

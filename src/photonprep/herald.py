@@ -10,6 +10,7 @@ pre-embedding and the final circuit is checked by the Fock oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -46,7 +47,8 @@ def default_herald_rows(n: int) -> HeraldRows:
     return [(np.full(n, 1.0 / math.sqrt(n - 2), dtype=complex), n - 2)]
 
 
-def _expanded_herald_rows(herald_rows: HeraldRows, n: int) -> list[np.ndarray]:
+def _expanded_herald_rows(herald_rows: HeraldRows, n: int) -> np.ndarray:
+    """The (n - 2) x n herald matrix H: each row repeated by its multiplicity."""
     rows = []
     for vec, mult in herald_rows:
         vec = np.asarray(vec, dtype=complex)
@@ -57,21 +59,21 @@ def _expanded_herald_rows(herald_rows: HeraldRows, n: int) -> list[np.ndarray]:
         raise MultiplicityMismatch(
             f"herald multiplicities sum to {len(rows)}, expected {n - 2}"
         )
-    return rows
-
-
-def _bilinear_permanent(x: np.ndarray, y: np.ndarray, herald: list[np.ndarray]) -> complex:
-    return fock.permanent(np.vstack([x, y, *herald]) if herald else np.vstack([x, y]))
+    return np.array(rows, dtype=complex).reshape(n - 2, n)
 
 
 def herald_bilinear_matrix(herald_rows: HeraldRows, n: int) -> np.ndarray:
-    """Matrix F of the bilinear form (x, y) -> Per(x, y, herald rows)."""
-    herald = _expanded_herald_rows(herald_rows, n)
-    eye = np.eye(n, dtype=complex)
-    F = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            F[i, j] = F[j, i] = _bilinear_permanent(eye[i], eye[j], herald)
+    """Matrix F of the bilinear form (x, y) -> Per(x, y, herald rows).
+
+    Laplace expansion along the two unit-vector rows e_a, e_b gives
+    F_ab = Per(H without columns a and b) for a != b, and F_aa = 0 since no
+    permutation picks column a twice; H is the (n - 2) x n herald matrix.
+    That is n(n-1)/2 permanents of size n - 2.
+    """
+    H = _expanded_herald_rows(herald_rows, n)
+    F = np.zeros((n, n), dtype=complex)
+    for a, b in itertools.combinations(range(n), 2):
+        F[a, b] = F[b, a] = fock.permanent(np.delete(H, (a, b), axis=1))
     return F
 
 
@@ -93,21 +95,22 @@ def synthesize_herald(
     if n < rank:
         raise InfeasibleRank(f"{n} photons cannot prepare a rank-{rank} state")
 
-    if herald_rows is None:
-        herald_rows = default_herald_rows(n)
-    else:
+    user_rows = herald_rows is not None
+    if user_rows:
         herald_rows = [(np.asarray(v, dtype=complex), int(s)) for v, s in herald_rows]
-        F_user = herald_bilinear_matrix(herald_rows, n)
-        if numerical_rank(F_user, tol) < n:
-            # the theorem guarantees the flat witness works; degenerate user
-            # choices fall back to it
-            herald_rows = default_herald_rows(n)
+    else:
+        herald_rows = default_herald_rows(n)
+    F = herald_bilinear_matrix(herald_rows, n)
+    if user_rows and numerical_rank(F, tol) < n:
+        # the theorem guarantees the flat witness works; degenerate user
+        # choices fall back to it
+        herald_rows = default_herald_rows(n)
+        F = herald_bilinear_matrix(herald_rows, n)
     herald = _expanded_herald_rows(herald_rows, n)
     signal = tuple(int(s) for _, s in herald_rows)
     h = len(signal)
     m = state_out.modes
 
-    F = herald_bilinear_matrix(herald_rows, n)
     fac_f = takagi(F)
     if numerical_rank(np.diag(fac_f.diagonal), tol) < n:
         raise VerificationFailure("herald bilinear form lost rank unexpectedly")
@@ -128,7 +131,7 @@ def synthesize_herald(
     identity_error = 0.0
     for i in range(m):
         for j in range(i, m):
-            per = _bilinear_permanent(diag_rows[i], diag_rows[j], herald)
+            per = fock.permanent(np.vstack([diag_rows[i], diag_rows[j], herald]))
             expect = np.sqrt(2.0 * signal_fact) * d[i] if i == j else 0.0
             identity_error = max(identity_error, abs(per - expect))
     if identity_error > IDENTITY_TOL:

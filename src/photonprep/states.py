@@ -27,6 +27,8 @@ class TwoPhotonState:
         S = np.asarray(self.S, dtype=complex)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError(f"state matrix must be square, got {S.shape}")
+        if not np.isfinite(S).all():
+            raise ValueError("state matrix has non-finite entries")
         if np.linalg.norm(S - S.T) > 1e-8 * max(1.0, np.linalg.norm(S)):
             raise NotSymmetric("state matrix is not symmetric")
         S = (S + S.T) / 2.0  # kill roundoff drift
@@ -60,6 +62,8 @@ class QuditTarget:
         C = np.asarray(self.C, dtype=complex)
         if C.ndim != 2 or C.shape[0] < 1 or C.shape[1] < 1:
             raise ValueError(f"target must be a nonempty matrix, got {C.shape}")
+        if not np.isfinite(C).all():
+            raise ValueError("target matrix has non-finite entries")
         if abs(np.linalg.norm(C) - 1.0) > 1e-6:
             raise ValueError("target state must have unit Frobenius norm")
         C.setflags(write=False)
@@ -77,6 +81,8 @@ class QuditTarget:
 def normalize(S: np.ndarray) -> TwoPhotonState:
     """Scale a symmetric matrix so that 2 Tr(S^† S) = 1."""
     S = np.asarray(S, dtype=complex)
+    if not np.isfinite(S).all():
+        raise ValueError("cannot normalize a matrix with non-finite entries")
     S = (S + S.T) / 2.0
     weight = 2.0 * np.trace(S.conj().T @ S).real
     if weight <= 1e-28:

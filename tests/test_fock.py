@@ -1,8 +1,15 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import photonprep
 from photonprep import (
     DimensionMismatch,
     PhotonNumberMismatch,
@@ -44,6 +51,60 @@ class TestPermanent:
         fast = permanent(M)
         slow = permanent_naive(M)
         assert abs(fast - slow) <= 1e-9 * max(1.0, abs(slow))
+
+
+def _matrix_of_kind(rng, n, kind):
+    if kind == "complex":
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "real":
+        return rng.standard_normal((n, n))
+    if kind == "rank1":
+        u, v = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        return np.outer(u, v)
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    M[:, rng.integers(n)] = 0.0
+    return M
+
+
+class TestRyserKernel:
+    @pytest.mark.parametrize("kind", ["complex", "real", "rank1", "zero_column"])
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_naive_every_size(self, rng, n, kind):
+        M = _matrix_of_kind(rng, n, kind) if n else np.zeros((0, 0))
+        fast, slow = permanent(M), permanent_naive(M)
+        if kind == "zero_column" and n:
+            # the naive sum is exactly zero; Ryser's signed sum cancels to
+            # roundoff of its terms, each bounded by the product of row 1-norms
+            assert slow == 0
+            assert abs(fast) <= 1e-13 * np.prod(np.abs(M).sum(axis=1))
+        else:
+            assert abs(fast - slow) <= 1e-11 * abs(slow)
+
+    @pytest.mark.parametrize("n", [10, 14])
+    def test_all_ones_is_factorial(self, n):
+        exact = math.factorial(n)
+        assert abs(permanent(np.ones((n, n))) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("n", [1, 5, 14])
+    def test_permuted_diagonal(self, rng, n):
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        M = np.eye(n)[rng.permutation(n)] @ np.diag(d)
+        exact = np.prod(d)
+        assert abs(permanent(M) - exact) <= 1e-12 * abs(exact)
+
+    def test_import_builds_no_table(self):
+        code = (
+            "import numpy, photonprep\n"
+            "from photonprep import fock\n"
+            "print(fock._ryser_tables.cache_info().currsize)\n"
+            "photonprep.permanent(numpy.eye(3))\n"
+            "print(fock._ryser_tables.cache_info().currsize)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(photonprep.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["0", "1"]
 
 
 class TestAmplitude:

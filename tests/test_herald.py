@@ -12,8 +12,10 @@ from photonprep import (
     normalize,
     numerical_rank,
     permanent,
+    permanent_naive,
     synthesize_herald,
 )
+from photonprep import herald as herald_module
 from photonprep.herald import default_herald_rows
 from photonprep.result import HeraldPattern
 from photonprep.random_states import random_state_of_rank
@@ -23,6 +25,19 @@ BELL = normalize(
         [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex
     )
 )
+
+
+def _count_bilinear_calls(monkeypatch):
+    """Record each call synthesize_herald makes to herald_bilinear_matrix."""
+    calls = []
+    original = herald_module.herald_bilinear_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(herald_module, "herald_bilinear_matrix", counting)
+    return calls
 
 
 class TestBilinearMatrix:
@@ -41,6 +56,30 @@ class TestBilinearMatrix:
         F = herald_bilinear_matrix([(np.ones(4), 2)], 4)
         assert np.allclose(F, F.T)
         assert numerical_rank(F) == 4
+
+    @pytest.mark.parametrize(
+        "n, multiplicities",
+        [(2, ()), (3, (1,)), (4, (2,)), (5, (2, 1)), (6, (1, 3)), (7, (2, 3))],
+    )
+    def test_minors_match_definition(self, rng, n, multiplicities):
+        rows = [
+            (rng.standard_normal(n) + 1j * rng.standard_normal(n), mult)
+            for mult in multiplicities
+        ]
+        H = [vec for vec, mult in rows for _ in range(mult)]
+        eye = np.eye(n)
+        definition = np.array(
+            [[permanent_naive(np.vstack([eye[a], eye[b], *H])) for b in range(n)] for a in range(n)]
+        )
+        F = herald_bilinear_matrix(rows, n)
+        assert np.allclose(F, definition, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_flat_witness_closed_form(self, n):
+        F = herald_bilinear_matrix(default_herald_rows(n), n)
+        k = n - 2
+        expected = math.factorial(k) * k ** (-k / 2) * (np.ones((n, n)) - np.eye(n))
+        assert np.allclose(F, expected, rtol=1e-12, atol=0)
 
     def test_multiplicity_mismatch(self):
         with pytest.raises(MultiplicityMismatch):
@@ -96,11 +135,28 @@ class TestSynthesize:
         assert result.herald.signal == (2,)
         assert result.details["oracle_report"].fidelity_vs_target > 1 - 1e-9
 
-    def test_degenerate_user_rows_fall_back(self, rng):
+    def test_degenerate_user_rows_fall_back(self, rng, monkeypatch):
+        calls = _count_bilinear_calls(monkeypatch)
         target = random_state_of_rank(rng, 4, 3)
         # a zero herald row makes the bilinear form rank-deficient
         result = synthesize_herald(target, 3, herald_rows=[(np.zeros(3), 1)])
         assert result.details["oracle_report"].fidelity_vs_target > 1 - 1e-9
+        ((vec, mult),) = result.details["herald_rows"]
+        assert mult == 1
+        assert np.allclose(vec, 1.0)
+        assert len(calls) == 2
+
+    def test_full_rank_user_rows_kept(self, rng, monkeypatch):
+        target = random_state_of_rank(rng, 5, 4)
+        row = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        assert numerical_rank(herald_bilinear_matrix([(row, 2)], 4)) == 4
+        calls = _count_bilinear_calls(monkeypatch)
+        result = synthesize_herald(target, 4, herald_rows=[(row, 2)])
+        assert result.details["oracle_report"].fidelity_vs_target > 1 - 1e-9
+        ((vec, mult),) = result.details["herald_rows"]
+        assert mult == 2
+        assert np.array_equal(vec, row)
+        assert len(calls) == 1
 
     def test_proof_identity_pre_embedding(self, rng):
         target = random_state_of_rank(rng, 4, 3)

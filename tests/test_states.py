@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from photonprep import (
     QuditTarget,
+    TwoPhotonState,
     ZeroState,
     evolve_two_photon,
     from_qudit_target,
@@ -89,6 +90,24 @@ class TestNormalize:
         gen = np.random.default_rng(seed)
         state = normalize(random_complex_symmetric(gen, m))
         assert 2 * np.trace(state.S.conj().T @ state.S).real == pytest.approx(1.0)
+
+
+NON_FINITE = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+
+
+class TestNonFinite:
+    def test_two_photon_state_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            TwoPhotonState(NON_FINITE)
+
+    def test_qudit_target_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            QuditTarget(NON_FINITE)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_normalize_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            normalize(np.array([[bad, 0], [0, 1]], dtype=complex))
 
 
 class TestStateRank:
