@@ -26,7 +26,6 @@ from .linalg import (
     TakagiFactorization,
     UnitaryExtension,
     numerical_rank,
-    svd,
     takagi,
     unitary_extension,
 )
@@ -50,7 +49,6 @@ from .verify import (
     extract_heralded,
     extract_postselected,
     states_equal_up_to_phase,
-    success_probability_postselect,
 )
 
 __version__ = "0.1.0"
@@ -75,8 +73,6 @@ __all__ = [
     "single_photons_state",
     "state_rank",
     "states_equal_up_to_phase",
-    "success_probability_postselect",
-    "svd",
     "synthesize_herald",
     "synthesize_postselect",
     "takagi",

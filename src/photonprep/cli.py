@@ -25,6 +25,7 @@ from .exceptions import (
     ZeroState,
 )
 from .linalg import numerical_rank, takagi
+from .result import HeraldPattern, SynthesisResult
 from .states import QuditTarget, TwoPhotonState, normalize
 
 EXIT_OK = 0
@@ -119,14 +120,12 @@ def cmd_verify(args) -> int:
         state_in = normalize(decoded["input_state"])
         report = verify.extract_postselected(U, state_in, d1, d2, target=target)
         ok = report.fidelity_vs_target > 1.0 - tol
-        p_s = verify.success_probability_postselect(U, state_in, d1, d2)
+        p_s = report.probability
     elif kind == "herald":
         target = decoded["target"]
         m = decoded.get("payload_modes", target.shape[0])
         pattern = decoded["herald"]
         if pattern is None:
-            from .result import HeraldPattern
-
             pattern = HeraldPattern(signal=())
         report = verify.extract_heralded(
             U, decoded["photons"], pattern, m, target=target
@@ -134,8 +133,6 @@ def cmd_verify(args) -> int:
         ok = report.fidelity_vs_target > 1.0 - tol
         p_s = report.probability
     else:  # cnz
-        from .result import SynthesisResult
-
         result = SynthesisResult(
             unitary=U,
             aux_modes=decoded["aux_modes"],

@@ -25,7 +25,6 @@ from .linalg import RANK_TOL, numerical_rank, takagi, unitary_extension
 from .result import HeraldPattern, SynthesisResult
 from .states import TwoPhotonState, state_rank
 
-VERIFY_TOL = 1e-9
 IDENTITY_TOL = 1e-9
 
 # herald rows are (vector in C^n, photon multiplicity) pairs, one per herald mode
@@ -54,6 +53,8 @@ def _expanded_herald_rows(herald_rows: HeraldRows, n: int) -> np.ndarray:
         vec = np.asarray(vec, dtype=complex)
         if vec.shape != (n,):
             raise MultiplicityMismatch(f"herald row has shape {vec.shape}, expected ({n},)")
+        if mult < 0:
+            raise MultiplicityMismatch(f"herald multiplicity {mult} is negative")
         rows.extend([vec] * int(mult))
     if len(rows) != n - 2:
         raise MultiplicityMismatch(
@@ -128,9 +129,10 @@ def synthesize_herald(
             * fac_f.V[:, i]
         )
 
+    # rows at and above the rank are zero, so only pairs below it are checked
     identity_error = 0.0
-    for i in range(m):
-        for j in range(i, m):
+    for i in range(rank):
+        for j in range(i, rank):
             per = fock.permanent(np.vstack([diag_rows[i], diag_rows[j], herald]))
             expect = np.sqrt(2.0 * signal_fact) * d[i] if i == j else 0.0
             identity_error = max(identity_error, abs(per - expect))
@@ -147,7 +149,7 @@ def synthesize_herald(
     pattern = HeraldPattern(signal=signal)
 
     report = verify.extract_heralded(U, n, pattern, m, target=state_out.S)
-    if not report.fidelity_vs_target > 1.0 - VERIFY_TOL:
+    if not report.fidelity_vs_target > 1.0 - verify.VERIFY_TOL:
         raise VerificationFailure(
             f"oracle fidelity {report.fidelity_vs_target} below tolerance"
         )

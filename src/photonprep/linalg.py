@@ -1,4 +1,4 @@
-"""Dense complex linear algebra: SVD, Takagi factorization, unitary dilation, rank.
+"""Dense complex linear algebra: Takagi factorization, unitary dilation, rank.
 
 All routines work on plain ``numpy`` arrays of dtype complex128. Diagonal
 factors are always returned sorted in descending order so downstream
@@ -10,31 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import ConvergenceFailure, NotSymmetric, ZeroMatrix
 
-UNITARITY_TOL = 1e-10
 RANK_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
-
-
-def svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition ``M = U @ diag(sigma) @ V.conj().T``.
-
-    Returns (U, sigma, V) with the singular values sorted descending.
-    Raises ConvergenceFailure if the LAPACK kernel does not converge.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.size == 0:
-        raise ValueError("empty matrix")
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix contains non-finite entries")
-    try:
-        u, sigma, vh = np.linalg.svd(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    return u, sigma, vh.conj().T
 
 
 @dataclass(frozen=True)
@@ -52,43 +32,48 @@ class TakagiFactorization:
 def takagi(S: np.ndarray, tol: float = SYMMETRY_TOL) -> TakagiFactorization:
     """Takagi (Autonne) factorization of a complex symmetric matrix.
 
-    Computed from the SVD with a block-wise phase correction, so degenerate
-    singular-value clusters are handled. The diagonal entries are the
-    singular values of S, sorted descending.
+    With S = A + iB, the real symmetric embedding E = [[A, B], [B, -A]] has
+    eigenvalues +-sigma_i, the singular values of S. An eigenvector [x; y]
+    of E for +sigma gives u = x + iy with S conj(u) = sigma u, and the +sigma
+    and -sigma eigenspaces are orthogonal, so the top half of E's spectrum
+    yields orthonormal Takagi vectors even inside degenerate clusters. Near
+    sigma = 0 the two halves mix: vectors whose sigma is below a rounding-level
+    cut are dropped (their diagonal entry set to 0) and replaced by a QR
+    completion of the kept ones. The diagonal is sorted descending.
     """
     S = np.asarray(S, dtype=complex)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {S.shape}")
+    if S.size == 0:
+        raise ValueError("empty matrix")
+    if not np.all(np.isfinite(S)):
+        raise ValueError("matrix contains non-finite entries")
     if np.linalg.norm(S - S.T) >= max(tol, tol * np.linalg.norm(S)):
         raise NotSymmetric(f"asymmetry {np.linalg.norm(S - S.T):.3e} exceeds {tol}")
     S = (S + S.T) / 2.0
+    m = S.shape[0]
 
-    u, sigma, v = svd(S)
-    # Z = U^† conj(V) is unitary, commutes block-wise with diag(sigma), and is
-    # symmetric on each degenerate cluster; its symmetric square root gives the
-    # phase correction W with S = (U W) diag(sigma) (U W)^T.
-    z = u.conj().T @ v.conj()
+    A, B = S.real, S.imag
+    try:
+        eigenvalues, vectors = np.linalg.eigh(np.block([[A, B], [B, -A]]))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+    sigma = eigenvalues[::-1][:m]  # the +sigma half, descending
+    top = vectors[:, ::-1][:, :m]
+    u = top[:m] + 1j * top[m:]
+    # The cut sits at rounding level, not at RANK_TOL: dropping singular
+    # values near RANK_TOL * sigma_1 would cost reconstruction accuracy.
+    kept = int(np.count_nonzero(sigma > 8 * m * np.finfo(float).eps * sigma[0]))
+    q, r = np.linalg.qr(u[:, :kept], mode="complete")
+    phases = np.diagonal(r) / np.abs(np.diagonal(r))
+    q[:, :kept] *= phases
+    diagonal = np.zeros(m)
+    diagonal[:kept] = sigma[:kept]
 
-    n = len(sigma)
-    scale = sigma[0] if n and sigma[0] > 0 else 1.0
-    clusters: list[list[int]] = []
-    for i in range(n):
-        if clusters and sigma[clusters[-1][-1]] - sigma[i] < 1e-8 * scale:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-
-    w = np.zeros_like(z)
-    for idx in clusters:
-        block = z[np.ix_(idx, idx)]
-        block = (block + block.T) / 2.0
-        root = scipy.linalg.sqrtm(block)
-        w[np.ix_(idx, idx)] = (root + root.T) / 2.0
-
-    takagi_u = u @ w  # S = takagi_u diag(sigma) takagi_u^T
-    factor = TakagiFactorization(V=takagi_u.conj(), diagonal=sigma)
-    if np.linalg.norm(factor.V.T @ S @ factor.V - factor.D) > 1e-8 * max(1.0, scale):
-        raise ConvergenceFailure("Takagi phase correction failed to reconstruct")
+    factor = TakagiFactorization(V=q.conj(), diagonal=diagonal)
+    scale = max(1.0, diagonal[0])
+    if np.linalg.norm(factor.V.T @ S @ factor.V - factor.D) > 1e-8 * scale:
+        raise ConvergenceFailure("Takagi factorization failed to reconstruct")
     return factor
 
 
@@ -133,8 +118,9 @@ def unitary_extension(A: np.ndarray) -> UnitaryExtension:
     bottom_defect[:r, :r] = np.diag(defect)
     K = np.block([[core_s, top_defect], [bottom_defect, -core_s.T]])
 
-    left = scipy.linalg.block_diag(v1, v2h.conj().T)
-    right = scipy.linalg.block_diag(v2h, v1.conj().T)
+    zeros = np.zeros((m1, m2))
+    left = np.block([[v1, zeros], [zeros.T, v2h.conj().T]])
+    right = np.block([[v2h, zeros.T], [zeros, v1.conj().T]])
     U = left @ K @ right
     return UnitaryExtension(U=U, sigma1=sigma1, N=m1 + m2)
 
@@ -148,10 +134,3 @@ def numerical_rank(M: np.ndarray, tol: float = RANK_TOL) -> int:
     if sigma[0] <= 0.0:
         return 0
     return int(np.count_nonzero(sigma > tol * sigma[0]))
-
-
-def is_unitary(U: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        return False
-    return bool(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0])) < tol * U.shape[0])

@@ -19,8 +19,6 @@ from .linalg import RANK_TOL, numerical_rank, takagi, unitary_extension
 from .result import SynthesisResult
 from .states import QuditTarget, TwoPhotonState, normalize, state_rank
 
-VERIFY_TOL = 1e-9
-
 
 def feasible_postselect(
     state_in: TwoPhotonState, target: QuditTarget, tol: float = RANK_TOL
@@ -113,12 +111,11 @@ def synthesize_postselect(
     U = ext.U
 
     report = verify.extract_postselected(U, s_in_p, d1, d2, target=target.C)
-    if not report.fidelity_vs_target > 1.0 - VERIFY_TOL:
+    if not report.fidelity_vs_target > 1.0 - verify.VERIFY_TOL:
         raise VerificationFailure(
             f"oracle fidelity {report.fidelity_vs_target} below tolerance"
         )
-    p_s = verify.success_probability_postselect(U, s_in_p, d1, d2)
-    if not p_s > 0.0:
+    if not report.probability > 0.0:
         raise VerificationFailure("vanishing success probability on a feasible target")
 
     # off-diagonal block of U^T S~_in U equals alpha * C
@@ -127,7 +124,7 @@ def synthesize_postselect(
         unitary=U,
         aux_modes=ext.N - (d1 + d2),
         scale_alpha=alpha,
-        success_probability=p_s,
+        success_probability=report.probability,
         herald=None,
         details={
             "intermediate_state": s_ps_p.S,

@@ -18,6 +18,8 @@ from .exceptions import DimensionMismatch, SignalMismatch, ZeroState
 from .result import HeraldPattern
 from .states import TwoPhotonState, normalize
 
+VERIFY_TOL = 1e-9  # oracle fidelity must exceed 1 - VERIFY_TOL
+
 
 @dataclass(frozen=True)
 class ExtractionReport:
@@ -33,6 +35,8 @@ def fidelity(S1: np.ndarray, S2: np.ndarray) -> float:
     """|<S1, S2>_F| / (||S1||_F ||S2||_F); overlap of the two-photon states."""
     S1 = np.asarray(S1, dtype=complex)
     S2 = np.asarray(S2, dtype=complex)
+    if S1.shape != S2.shape:
+        raise DimensionMismatch(f"shapes {S1.shape} vs {S2.shape}")
     n1 = np.linalg.norm(S1)
     n2 = np.linalg.norm(S2)
     if n1 == 0.0 or n2 == 0.0:
@@ -93,19 +97,6 @@ def extract_postselected(
         fidelity_vs_target=fid,
         global_phase=phase,
     )
-
-
-def success_probability_postselect(
-    U: np.ndarray, state_in: TwoPhotonState, d1: int, d2: int
-) -> float:
-    """Probability that the two photons land in distinct computational registers."""
-    U = np.asarray(U, dtype=complex)
-    if U.shape[0] < d1 + d2:
-        raise DimensionMismatch("unitary smaller than the computational registers")
-    S_out = fock.evolve_two_photon(U, _padded_state_matrix(state_in, U.shape[0]))
-    block = S_out[:d1, d1 : d1 + d2]
-    # coefficient of a_i^† a_{d1+j}^† is 2 S_ij (i, d1+j always distinct)
-    return float(np.sum(np.abs(2.0 * block) ** 2))
 
 
 def extract_heralded(

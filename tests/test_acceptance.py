@@ -25,10 +25,7 @@ BUDGETS = {
 @pytest.mark.parametrize("name,func", selftest.CRITERIA, ids=[n for n, _ in selftest.CRITERIA])
 def test_criterion(name, func):
     start = time.monotonic()
-    if name in ("cz-recovery", "cnz-family"):
-        passed, detail = func()
-    else:
-        passed, detail = func(selftest.DEFAULT_SEED)
+    passed, detail = func(selftest.DEFAULT_SEED)
     elapsed = time.monotonic() - start
     print(f"[{'PASS' if passed else 'FAIL'}] {name} ({elapsed:.2f}s): {detail}")
     assert passed, detail

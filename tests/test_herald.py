@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -85,6 +86,13 @@ class TestBilinearMatrix:
         with pytest.raises(MultiplicityMismatch):
             herald_bilinear_matrix([(np.ones(4), 1)], 4)
 
+    def test_negative_multiplicity(self):
+        rows = [(np.ones(4), 2), (np.arange(4), -1)]
+        with pytest.raises(MultiplicityMismatch):
+            herald_bilinear_matrix(rows, 4)
+        with pytest.raises(MultiplicityMismatch):
+            synthesize_herald(BELL, 4, herald_rows=rows)
+
 
 class TestFeasibility:
     def test_bell_needs_four_photons(self):
@@ -158,6 +166,21 @@ class TestSynthesize:
         assert np.array_equal(vec, row)
         assert len(calls) == 1
 
+    def test_identity_check_skips_zero_rows(self, rng, monkeypatch):
+        """Diagonal rows at and above the rank are zero; only the rank(rank+1)/2
+        pairs below it need a permanent."""
+        calls = []
+
+        def counting(M):
+            calls.append(M.shape[0])
+            return permanent(M)
+
+        monkeypatch.setattr(herald_module, "fock", SimpleNamespace(permanent=counting))
+        target = random_state_of_rank(rng, 6, 3)
+        result = synthesize_herald(target, 3)
+        assert result.details["oracle_report"].fidelity_vs_target > 1 - 1e-9
+        assert calls.count(3) == 3 * 4 // 2
+
     def test_proof_identity_pre_embedding(self, rng):
         target = random_state_of_rank(rng, 4, 3)
         result = synthesize_herald(target, 3)
@@ -175,17 +198,26 @@ class TestSynthesize:
                 expected = np.sqrt(2 * s_fact) * d[i] if i == j else 0.0
                 assert abs(per - expected) < 1e-9
 
-    def test_wrong_signal_query_loses_weight(self, rng):
-        target = random_state_of_rank(rng, 3, 3)
-        result = synthesize_herald(target, 3)
-        m = target.S.shape[0]
-        good = extract_heralded(result.unitary, 3, result.herald, m, target=target.S)
-        # query the photon on an auxiliary mode instead of the herald mode
-        wrong = extract_heralded(
-            result.unitary, 3, HeraldPattern(signal=(1,)), m + 1, target=None
-        )
-        assert good.probability == pytest.approx(result.success_probability)
-        assert wrong.probability < good.probability
+    def test_wrong_signal_query_loses_weight(self):
+        """Querying the herald photon on an auxiliary mode loses the target.
+
+        How much probability leaks there depends on the Takagi basis of the
+        flat witness's degenerate form, so only basis-free facts are checked.
+        """
+        for seed in range(8):
+            target = random_state_of_rank(np.random.default_rng(seed), 3, 3)
+            result = synthesize_herald(target, 3)
+            m = target.modes
+            good = extract_heralded(result.unitary, 3, result.herald, m, target=target.S)
+            wrong = extract_heralded(
+                result.unitary,
+                3,
+                HeraldPattern(signal=(1,)),
+                m + 1,
+                target=target.padded(m + 1).S,
+            )
+            assert good.probability == pytest.approx(result.success_probability)
+            assert wrong.fidelity_vs_target < 0.9
 
 
 def test_default_rows_structure():

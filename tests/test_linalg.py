@@ -1,51 +1,77 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import photonprep
 from photonprep import (
     NotSymmetric,
     ZeroMatrix,
     numerical_rank,
-    svd,
     takagi,
     unitary_extension,
 )
+from photonprep.linalg import RANK_TOL
 from photonprep.random_states import random_complex_symmetric, random_unitary
 
 
-class TestSvd:
-    def test_identity(self):
-        u, sigma, v = svd(np.eye(3))
-        assert np.allclose(sigma, 1.0)
-        assert np.allclose(u @ np.diag(sigma) @ v.conj().T, np.eye(3))
+@st.composite
+def adversarial_spectra(draw):
+    """(seed, singular values) with near-equal clusters, exact zeros and
+    values at the rank threshold, at overall scales 1e-8 ... 1e3."""
+    m = draw(st.integers(1, 16))
+    base = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3))
+    gap = st.sampled_from([0.0, 1e-15, 1e-12, 1e-10, 2e-8, 1e-7, 1e-5])
+    sigma = np.sort([base[i % len(base)] * (1.0 - draw(gap)) for i in range(m)])[::-1]
+    zeros = draw(st.integers(0, m - 1))
+    near = draw(st.integers(0, m - 1 - zeros))
+    top = sigma[0]
+    for i in range(m - zeros - near, m - zeros):
+        sigma[i] = top * RANK_TOL * draw(st.floats(0.1, 10.0))
+    sigma[m - zeros :] = 0.0
+    scale = 10.0 ** draw(st.integers(-8, 3))
+    return draw(st.integers(0, 2**32 - 1)), scale * np.sort(sigma)[::-1]
 
-    def test_already_diagonal(self):
-        u, sigma, v = svd(np.diag([3.0, 0.0]))
-        assert np.allclose(sigma, [3.0, 0.0])
 
-    def test_reconstruction_5x3(self, rng):
-        M = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        u, sigma, v = svd(M)
-        full = np.zeros((5, 3))
-        full[:3, :3] = np.diag(sigma)
-        assert np.linalg.norm(u @ full @ v.conj().T - M) < 1e-10
-        assert np.all(np.diff(sigma) <= 0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            svd(np.zeros((0, 0)))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            svd(np.array([[np.nan]]))
+def _with_spectrum(seed, sigma):
+    U = random_unitary(np.random.default_rng(seed), len(sigma))
+    return U @ np.diag(sigma) @ U.T
 
 
 class TestTakagi:
+    def test_identity(self):
+        fac = takagi(np.eye(3))
+        assert np.allclose(fac.diagonal, 1.0)
+        assert np.linalg.norm(fac.V.T @ fac.V - np.eye(3)) < 1e-12
+
     def test_already_diagonal(self):
         fac = takagi(np.diag([0.3, 0.2]).astype(complex))
         assert np.allclose(fac.diagonal, [0.3, 0.2])
         assert np.allclose(np.abs(fac.V), np.eye(2))
+
+    def test_rank_deficient_diagonal(self):
+        fac = takagi(np.diag([3.0, 0.0]))
+        assert np.array_equal(fac.diagonal, [3.0, 0.0])
+        assert np.linalg.norm(fac.V.conj().T @ fac.V - np.eye(2)) < 1e-12
+        assert np.linalg.norm(fac.V.T @ np.diag([3.0, 0.0]) @ fac.V - fac.D) < 1e-12
+
+    def test_zero_matrix(self):
+        fac = takagi(np.zeros((3, 3)))
+        assert np.array_equal(fac.diagonal, np.zeros(3))
+        assert np.linalg.norm(fac.V.conj().T @ fac.V - np.eye(3)) < 1e-12
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            takagi(np.zeros((0, 0)))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            takagi(np.array([[np.nan]]))
 
     def test_antidiagonal_half(self):
         S = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
@@ -77,6 +103,29 @@ class TestTakagi:
         assert np.linalg.norm(fac.V.T @ S @ fac.V - fac.D) < 1e-9
         assert np.all(fac.diagonal >= -1e-12)
         assert np.all(np.diff(fac.diagonal) <= 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=adversarial_spectra())
+    def test_adversarial_spectra_meet_gates(self, case):
+        seed, sigma = case
+        m = len(sigma)
+        S = _with_spectrum(seed, sigma)
+        fac = takagi(S)
+        gate = 1e-10 * max(1.0, sigma[0])
+        assert np.linalg.norm(fac.V.T @ S @ fac.V - fac.D) <= gate
+        assert np.linalg.norm(fac.V.conj().T @ fac.V - np.eye(m)) <= 1e-10
+        assert np.allclose(fac.diagonal, sigma, rtol=0, atol=gate)
+        assert np.all(fac.diagonal >= 0) and np.all(np.diff(fac.diagonal) <= 0)
+
+    def test_two_close_pairs(self):
+        """Two singular-value pairs 2e-8 apart: a near-degenerate case that
+        cluster-based phase repair fails on."""
+        sigma = np.array([1.0, 1.0 - 2e-8, 0.5, 0.5 - 2e-8])
+        for seed in range(50):
+            S = _with_spectrum(seed, sigma)
+            fac = takagi(S)
+            assert np.linalg.norm(fac.V.T @ S @ fac.V - fac.D) <= 1e-10
+            assert np.linalg.norm(fac.V.conj().T @ fac.V - np.eye(4)) <= 1e-10
 
 
 class TestUnitaryExtension:
@@ -129,3 +178,12 @@ class TestNumericalRank:
             u = random_unitary(rng, 5)
             v = random_unitary(rng, 5)
             assert numerical_rank(u @ M @ v) == rank
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, photonprep\nprint(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(photonprep.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -13,7 +13,6 @@ from photonprep import (
     rescaling_lambda,
     single_photons_state,
     state_rank,
-    success_probability_postselect,
     synthesize_postselect,
 )
 from photonprep.random_states import random_state_of_rank, random_target_of_rank
@@ -127,9 +126,9 @@ class TestSynthesize:
         if rank_c <= rank_in:
             result = synthesize_postselect(state, target)
             assert result.details["oracle_report"].fidelity_vs_target > 1 - 1e-9
-            direct = success_probability_postselect(
+            direct = extract_postselected(
                 result.unitary, state.padded(result.unitary.shape[0]), d1, d2
-            )
+            ).probability
             assert direct == pytest.approx(result.success_probability, abs=1e-12)
         else:
             with pytest.raises(InfeasibleRank):

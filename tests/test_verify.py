@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from photonprep import (
+    DimensionMismatch,
     QuditTarget,
     amplitude,
     extract_heralded,
@@ -9,7 +10,6 @@ from photonprep import (
     from_qudit_target,
     normalize,
     states_equal_up_to_phase,
-    success_probability_postselect,
     synthesize_herald,
 )
 from photonprep.fock import occupation_basis
@@ -68,6 +68,11 @@ class TestExtractPostselected:
         assert report.probability == pytest.approx(1.0)
         assert report.fidelity_vs_target == pytest.approx(1.0)
 
+    def test_rejects_misshaped_target(self):
+        state = from_qudit_target(QuditTarget(np.eye(2, dtype=complex) / np.sqrt(2)))
+        with pytest.raises(DimensionMismatch):
+            extract_postselected(np.eye(4, dtype=complex), state, 2, 2, np.eye(3))
+
     def test_probability_bounded(self, rng):
         state = random_state_of_rank(rng, 4, 2)
         for _ in range(10):
@@ -79,7 +84,7 @@ class TestExtractPostselected:
         # swap the computational modes with auxiliaries: nothing stays
         U = np.eye(4, dtype=complex)[[2, 3, 0, 1]]
         state = single_photons_state(2).padded(4)
-        assert success_probability_postselect(U, state, 1, 1) == pytest.approx(0.0)
+        assert extract_postselected(U, state, 1, 1).probability == pytest.approx(0.0)
 
     def test_agrees_with_amplitude_pathway(self, rng):
         """Matrix conjugation vs per-outcome permanent amplitudes."""
@@ -87,7 +92,7 @@ class TestExtractPostselected:
         state = normalize(random_complex_symmetric(rng, m))
         U = random_unitary(rng, m)
         d1 = d2 = 2
-        conjugated = success_probability_postselect(U, state, d1, d2)
+        conjugated = extract_postselected(U, state, d1, d2).probability
 
         def input_coeff(occ):
             i, j = [idx for idx in range(m) for _ in range(occ[idx])]
@@ -115,6 +120,13 @@ class TestExtractHeralded:
         )
         assert np.allclose(report.extracted, state.S)
         assert report.probability == pytest.approx(1.0)
+
+    def test_rejects_misshaped_target(self):
+        state = single_photons_state(2)
+        with pytest.raises(DimensionMismatch):
+            extract_heralded(
+                np.eye(2, dtype=complex), 2, HeraldPattern(signal=()), 2, target=np.eye(4)
+            )
 
     def test_synthesized_rank3(self, rng):
         target = random_state_of_rank(rng, 4, 3)
