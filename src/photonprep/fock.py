@@ -4,8 +4,10 @@ The transition amplitude between Fock states under a mode unitary is the
 permanent of a row/column-repeated submatrix, normalized by the square
 roots of the occupation factorials. The permanent itself is Ryser's
 formula evaluated for all column subsets at once, as one matrix product
-with a cached subset table; an O(n!) expansion is kept as an independent
-test oracle.
+with a cached subset table. `permanent` takes a single matrix or a stack
+of same-size matrices, and `amplitude` broadcasts over stacks of
+occupation vectors, so a whole truth table or heralded output space is one
+call. An O(n!) expansion is kept as an independent test oracle.
 """
 
 from __future__ import annotations
@@ -20,35 +22,58 @@ from .exceptions import DimensionMismatch, PhotonNumberMismatch, TooLarge
 
 PERMANENT_LIMIT = 14
 
+_FACTORIALS = np.array([math.factorial(i) for i in range(PERMANENT_LIMIT + 1)], dtype=float)
+
+# Complex elements of Ryser's (matrices * n) x 2^n row-sum table evaluated
+# at once (4 MB); longer stacks are split along their leading axis. Larger
+# budgets ran no faster, since the table then falls out of cache.
+_CHUNK_ELEMENTS = 1 << 18
+
+
+def _chunks(count: int, n: int):
+    """Slices of a stack of `count` n x n matrices, each small enough that
+    its row-sum table stays within _CHUNK_ELEMENTS."""
+    step = max(1, _CHUNK_ELEMENTS // (max(n, 1) << n))
+    return (slice(start, start + step) for start in range(0, count, step))
+
 
 @functools.lru_cache(maxsize=PERMANENT_LIMIT)
 def _ryser_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(2^n x n) indicator matrix of all column subsets, and the Ryser sign
-    (-1)^(n - |S|) of each subset. Built on first use of each size."""
-    subsets = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-    signs = 1.0 - 2.0 * ((n - subsets.sum(axis=1)) % 2)
+    """(n x 2^n) indicator matrix of all column subsets, one subset per
+    column, and the Ryser sign (-1)^(n - |S|) of each subset. Built on first
+    use of each size."""
+    subsets = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
+    signs = (1.0 - 2.0 * ((n - subsets.sum(axis=0)) % 2)).astype(complex)
     subsets = subsets.astype(complex)  # matches M, so no cast per call
     subsets.setflags(write=False)
     signs.setflags(write=False)
     return subsets, signs
 
 
-def permanent(M: np.ndarray) -> complex:
-    """Permanent of a square matrix via Ryser's formula.
+def permanent(M: np.ndarray) -> complex | np.ndarray:
+    """Permanent of a square matrix, or of each matrix in a (..., n, n) stack,
+    via Ryser's formula.
 
     Per(M) = sum_S (-1)^(n-|S|) prod_i sum_{j in S} M_ij over column subsets
-    S; the empty subset contributes a zero product.
+    S; the empty subset contributes a zero product. The row sums of every
+    matrix in the stack are one product of its rows with the subset table.
+    A 2-D input returns a complex number, a stack an array of its leading
+    shape.
     """
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    n = M.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {M.shape}")
+    n = M.shape[-1]
     if n > PERMANENT_LIMIT:
         raise TooLarge(f"permanent limited to {PERMANENT_LIMIT}x{PERMANENT_LIMIT}")
-    subsets, signs = _ryser_tables(n)
-    return complex(signs @ (subsets @ M.T).prod(axis=1))
+    out = np.ones(M.shape[:-2], dtype=complex)
+    if n:
+        subsets, signs = _ryser_tables(n)
+        flat, per = M.reshape(-1, n, n), out.reshape(-1)
+        for part in _chunks(len(flat), n):
+            sums = (flat[part].reshape(-1, n) @ subsets).reshape(-1, n, 1 << n)
+            per[part] = sums.prod(axis=1) @ signs
+    return complex(out) if out.ndim == 0 else out
 
 
 def permanent_naive(M: np.ndarray) -> complex:
@@ -66,28 +91,50 @@ def permanent_naive(M: np.ndarray) -> complex:
     return complex(total)
 
 
-def amplitude(U: np.ndarray, k, ell) -> complex:
+def amplitude(U: np.ndarray, k, ell) -> complex | np.ndarray:
     """Transition amplitude <k| induced-U |ell> for occupation vectors k, ell.
 
     Builds the submatrix by repeating row i of U k_i times and column j
     ell_j times, then divides the permanent by sqrt(prod k_i! ell_j!).
+    k and ell may be stacks (..., m) whose leading shapes broadcast; every
+    entry must then carry the same photon number, and the result is an
+    array of the broadcast leading shape. A pair of vectors returns a
+    complex number.
     """
     U = np.asarray(U, dtype=complex)
     k = np.asarray(k, dtype=int)
     ell = np.asarray(ell, dtype=int)
-    if U.shape[0] != U.shape[1] or len(k) != U.shape[0] or len(ell) != U.shape[0]:
+    m = U.shape[0]
+    if U.shape != (m, m) or k.shape[-1:] != (m,) or ell.shape[-1:] != (m,):
         raise DimensionMismatch("occupation vectors must match the unitary dimension")
+    try:
+        shape = np.broadcast_shapes(k.shape[:-1], ell.shape[:-1])
+    except ValueError as exc:
+        raise DimensionMismatch(f"occupation stacks do not broadcast: {exc}") from exc
+    k = np.broadcast_to(k, shape + (m,)).reshape(-1, m)
+    ell = np.broadcast_to(ell, shape + (m,)).reshape(-1, m)
     if np.any(k < 0) or np.any(ell < 0):
         raise ValueError("occupations must be nonnegative")
-    n = int(k.sum())
-    if n != int(ell.sum()):
-        raise PhotonNumberMismatch(f"{k.sum()} output photons vs {ell.sum()} input")
+    k_photons, ell_photons = k.sum(axis=1), ell.sum(axis=1)
+    if np.any(k_photons != ell_photons):
+        i = int(np.argmax(k_photons != ell_photons))
+        raise PhotonNumberMismatch(f"{k_photons[i]} output photons vs {ell_photons[i]} input")
+    n = int(k_photons[0]) if len(k) else 0
+    if np.any(k_photons != n):
+        raise PhotonNumberMismatch(f"a batch mixes photon numbers {np.unique(k_photons).tolist()}")
     if n > PERMANENT_LIMIT:
         raise TooLarge(f"photon number {n} beyond the permanent limit")
-    sub = np.repeat(np.repeat(U, k, axis=0), ell, axis=1)
-    norm = math.prod(math.factorial(int(x)) for x in k)
-    norm *= math.prod(math.factorial(int(x)) for x in ell)
-    return permanent(sub) / math.sqrt(norm)
+    out = np.empty(len(k), dtype=complex)
+    for part in _chunks(len(k), n):
+        count = len(k[part])
+        # every entry holds n photons, so the repeated mode indices split evenly
+        modes = np.tile(np.arange(m), count)
+        rows = np.repeat(modes, k[part].reshape(-1)).reshape(count, n, 1)
+        cols = np.repeat(modes, ell[part].reshape(-1)).reshape(count, 1, n)
+        out[part] = permanent(U[rows, cols])
+    out /= np.sqrt(_FACTORIALS[k].prod(axis=1) * _FACTORIALS[ell].prod(axis=1))
+    out = out.reshape(shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 def evolve_two_photon(U: np.ndarray, S: np.ndarray) -> np.ndarray:

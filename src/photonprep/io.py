@@ -7,6 +7,7 @@ it from scratch: the target, the kind, and kind-specific fields.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any
 
@@ -23,11 +24,24 @@ def matrix_to_doc(M: np.ndarray, label: str | None = None) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "rows": M.shape[0],
         "cols": M.shape[1],
-        "data": [[float(z.real), float(z.imag)] for z in M.ravel()],
+        "data": np.stack([M.real, M.imag], -1).reshape(-1, 2).tolist(),
     }
     if label is not None:
         doc["label"] = label
     return doc
+
+
+def _is_number_type(t: type) -> bool:
+    # JSON true/false decode to bool, a subclass of int; they are not numbers here
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def _is_pair(pair: Any) -> bool:
+    return (
+        isinstance(pair, list)
+        and len(pair) == 2
+        and all(_is_number_type(type(v)) for v in pair)
+    )
 
 
 def matrix_from_doc(doc: Any, field: str = "matrix") -> np.ndarray:
@@ -37,25 +51,21 @@ def matrix_from_doc(doc: Any, field: str = "matrix") -> np.ndarray:
         if key not in doc:
             raise DocumentError(f"{field}.{key}: missing", f"{field}.{key}")
     rows, cols = doc["rows"], doc["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in (rows, cols)):
         raise DocumentError(f"{field}.rows/cols: must be positive integers", field)
     data = doc["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
         raise DocumentError(
             f"{field}.data: expected {rows * cols} entries", f"{field}.data"
         )
-    entries = []
-    for idx, pair in enumerate(data):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) for v in pair)
-        ):
-            raise DocumentError(
-                f"{field}.data[{idx}]: expected [re, im]", f"{field}.data"
-            )
-        entries.append(complex(pair[0], pair[1]))
-    M = np.array(entries, dtype=complex).reshape(rows, cols)
+    # each distinct type is checked once; only a malformed document is
+    # scanned entry by entry, to name its first bad entry
+    pairs = all(issubclass(t, list) for t in set(map(type, data))) and set(map(len, data)) == {2}
+    values = list(itertools.chain.from_iterable(data)) if pairs else []
+    if not (pairs and all(map(_is_number_type, set(map(type, values))))):
+        idx = next(i for i, pair in enumerate(data) if not _is_pair(pair))
+        raise DocumentError(f"{field}.data[{idx}]: expected [re, im]", f"{field}.data")
+    M = np.array(values, dtype=float).view(complex).reshape(rows, cols)
     if not np.all(np.isfinite(M)):
         raise DocumentError(f"{field}.data: non-finite entry", f"{field}.data")
     return M

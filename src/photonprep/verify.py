@@ -126,17 +126,13 @@ def extract_heralded(
     base_out = np.zeros(N, dtype=int)
     base_out[m : m + h] = pattern.signal
 
+    # |1_i 1_j> carries 2 T_ij, |2_i> carries sqrt(2) T_ii
+    i, j = np.triu_indices(m)
+    unit = np.eye(m, N, dtype=int)
+    k_out = base_out + unit[i] + unit[j]
+    amps = fock.amplitude(U, k_out, ell_in) / np.where(i == j, np.sqrt(2.0), 2.0)
     T = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i, m):
-            k_out = base_out.copy()
-            k_out[i] += 1
-            k_out[j] += 1
-            amp = fock.amplitude(U, k_out, ell_in)
-            if i == j:
-                T[i, i] = amp / np.sqrt(2.0)
-            else:
-                T[i, j] = T[j, i] = amp / 2.0
+    T[i, j] = T[j, i] = amps
 
     probability = float(2.0 * np.trace(T.conj().T @ T).real)
     phase = 1.0 + 0.0j

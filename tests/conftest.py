@@ -1,7 +1,26 @@
+import math
+
 import numpy as np
 import pytest
+
+from photonprep import permanent_naive
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def _definition_amplitude(U, k, ell) -> complex:
+    """<k| U |ell> from the definition: the O(n!) permanent of U with row i
+    repeated k_i times and column j repeated ell_j times, over
+    sqrt(prod k_i! ell_j!). One pair of occupation vectors per call."""
+    rows = np.repeat(np.arange(len(k)), k)
+    cols = np.repeat(np.arange(len(ell)), ell)
+    norm = math.prod(math.factorial(int(x)) for x in (*k, *ell))
+    return permanent_naive(np.asarray(U)[np.ix_(rows, cols)]) / math.sqrt(norm)
+
+
+@pytest.fixture
+def definition_amplitude():
+    return _definition_amplitude

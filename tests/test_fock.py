@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photonprep
+from photonprep import fock
 from photonprep import (
     DimensionMismatch,
     PhotonNumberMismatch,
@@ -105,6 +106,134 @@ class TestRyserKernel:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.split() == ["0", "1"]
+
+
+class TestStackedPermanent:
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_naive_every_size(self, rng, n):
+        # one matrix of each kind, as a (4, n, n) and a (2, 2, n, n) stack
+        kinds = ["complex", "real", "rank1", "zero_column"]
+        stack = np.array([_matrix_of_kind(rng, n, kind) if n else np.zeros((0, 0)) for kind in kinds])
+        slow = np.array([permanent_naive(M) for M in stack])
+        bound = np.array([1e-11 * abs(s) for s in slow])
+        if n:
+            # a zero column sums to exactly zero naively, to roundoff in Ryser
+            assert slow[3] == 0
+            bound[3] = 1e-13 * np.prod(np.abs(stack[3]).sum(axis=1))
+        flat = permanent(stack)
+        assert isinstance(flat, np.ndarray) and flat.shape == (4,)
+        assert np.all(np.abs(flat - slow) <= bound)
+        grid = permanent(stack[[[0, 1], [3, 2]]])
+        assert grid.shape == (2, 2)
+        assert np.all(np.abs(grid - slow[[[0, 1], [3, 2]]]) <= bound[[[0, 1], [3, 2]]])
+
+    def test_matrix_returns_complex_stack_returns_array(self, rng):
+        M = _matrix_of_kind(rng, 3, "complex")
+        assert type(permanent(M)) is complex
+        one = permanent(M[None])
+        assert one.shape == (1,) and one[0] == pytest.approx(permanent(M), abs=1e-14)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 4, 4), (0, 0, 0)])
+    def test_empty_batch(self, shape):
+        out = permanent(np.zeros(shape))
+        assert out.shape == shape[:-2] and out.dtype == complex
+
+    def test_stack_of_empty_matrices(self):
+        assert np.array_equal(permanent(np.zeros((3, 0, 0))), np.ones(3))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError):
+            permanent(np.zeros(shape))
+
+    def test_too_large_stack(self):
+        with pytest.raises(TooLarge):
+            permanent(np.zeros((2, 15, 15)))
+
+    def test_batch_larger_than_one_chunk(self, rng):
+        # permuted diagonals have the exact permanent prod(d)
+        n, count = 10, 250
+        assert fock._CHUNK_ELEMENTS // (n << n) < count // 2
+        d = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+        stack = np.array([np.eye(n)[rng.permutation(n)] for _ in range(count)]) * d[:, None, :]
+        exact = d.prod(axis=1)
+        assert np.all(np.abs(permanent(stack) - exact) <= 1e-12 * np.abs(exact))
+
+
+class TestBatchedAmplitude:
+    def test_matches_definition_with_bunching(self, rng, definition_amplitude):
+        # 3 photons in 4 modes: every pair of the 20 occupations, k_i up to 3
+        m, n = 4, 3
+        U = random_unitary(rng, m)
+        basis = np.array(list(occupation_basis(m, n)))
+        table = amplitude(U, basis[:, None, :], basis[None, :, :])
+        assert table.shape == (len(basis), len(basis))
+        expected = [[definition_amplitude(U, k, ell) for ell in basis] for k in basis]
+        assert np.max(np.abs(table - expected)) <= 1e-12
+
+    def test_matches_scalar_calls(self, rng):
+        U = random_unitary(rng, 5)
+        ks = np.array([[2, 0, 1, 0, 0], [0, 0, 0, 3, 0], [1, 1, 1, 0, 0]])
+        ell = np.array([0, 1, 1, 0, 1])
+        batch = amplitude(U, ks, ell)
+        assert batch.shape == (3,)
+        # a batched product may round differently in the last bits
+        assert np.max(np.abs(batch - [amplitude(U, k, ell) for k in ks])) <= 1e-14
+        assert type(amplitude(U, ks[0], ell)) is complex
+
+    def test_batch_larger_than_one_chunk(self, rng):
+        # 8 photons in 4 modes: 165 outputs, more than one chunk of 8x8
+        # permanents; the induced map is unitary, so their weights sum to 1
+        m, n = 4, 8
+        U = random_unitary(rng, m)
+        basis = np.array(list(occupation_basis(m, n)))
+        assert fock._CHUNK_ELEMENTS // (n << n) < len(basis)
+        ell = (3, 1, 0, 4)
+        batch = amplitude(U, basis, ell)
+        assert np.sum(np.abs(batch) ** 2) == pytest.approx(1.0, abs=1e-10)
+        single = [amplitude(U, k, ell) for k in basis]
+        assert np.max(np.abs(batch - single)) <= 1e-12
+
+    def test_leading_shapes_broadcast(self, rng):
+        U = random_unitary(rng, 3)
+        ks = np.array(list(occupation_basis(3, 2)))
+        out = amplitude(U, ks[:, None, None, :], ks[None, None, :, :])
+        assert out.shape == (len(ks), 1, len(ks))
+
+    def test_empty_batch(self):
+        out = amplitude(np.eye(3), np.zeros((0, 3), dtype=int), (1, 0, 0))
+        assert out.shape == (0,)
+
+    def test_vacuum(self):
+        assert amplitude(np.eye(3), np.zeros((2, 3), dtype=int), (0, 0, 0)).tolist() == [1, 1]
+
+    def test_mixed_photon_numbers(self):
+        # each entry conserves photons, but the batch mixes 1 and 2
+        with pytest.raises(PhotonNumberMismatch):
+            amplitude(np.eye(2), [(1, 0), (1, 1)], [(0, 1), (2, 0)])
+
+    def test_one_entry_mismatched(self):
+        with pytest.raises(PhotonNumberMismatch):
+            amplitude(np.eye(3), [(1, 1, 0), (1, 0, 0)], (0, 1, 1))
+
+    def test_negative_entry(self):
+        with pytest.raises(ValueError):
+            amplitude(np.eye(3), [(1, 1, 0), (2, 1, -1)], (0, 1, 1))
+
+    @pytest.mark.parametrize("k, ell", [([(1, 1)], (1, 1, 0)), ([(1, 1, 0, 0)], (1, 1, 0)), ((1, 1, 0), [(1, 1)])])
+    def test_wrong_last_axis(self, k, ell):
+        with pytest.raises(DimensionMismatch):
+            amplitude(np.eye(3), k, ell)
+
+    def test_leading_shapes_do_not_broadcast(self):
+        with pytest.raises(DimensionMismatch):
+            amplitude(np.eye(2), [(1, 0)] * 2, [(0, 1)] * 3)
+
+    def test_too_many_photons(self):
+        m = 15
+        k = np.ones((2, m), dtype=int)
+        with pytest.raises(TooLarge):
+            amplitude(np.eye(m), k, k)
 
 
 class TestAmplitude:

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from photonprep import build_cnz, cnz_success_probability, verify_cnz
-from photonprep.gates import _sigma_max, cnz_alpha
+from photonprep import build_cnz, cnz_success_probability, fock, verify_cnz
+from photonprep.gates import _sigma_max, cnz_alpha, logical_occupation
 from photonprep.result import SynthesisResult
 
 
@@ -85,3 +87,67 @@ class TestBuildAndVerify:
             success_probability=result.success_probability,
         )
         assert not verify_cnz(tampered, 2, np.pi, tol=1e-9)
+
+
+def _definition_table(U, n, definition_amplitude):
+    """<y| U |x> over the dual-rail basis, one naive permanent per entry."""
+    N = U.shape[0]
+
+    def occupation(bits):
+        occ = np.zeros(N, dtype=int)
+        for i, bit in enumerate(bits):
+            occ[i if bit else n + i] = 1  # |1> rail i, |0> rail n + i
+        return occ
+
+    basis = list(itertools.product((0, 1), repeat=n))
+    return np.array(
+        [[definition_amplitude(U, occupation(y), occupation(x)) for x in basis] for y in basis]
+    )
+
+
+def _gate_table(p_s, n, phi):
+    expected = np.sqrt(p_s) * np.eye(2**n, dtype=complex)
+    expected[-1, -1] *= np.exp(1j * phi)
+    return expected
+
+
+class TestOracleIndependence:
+    @pytest.mark.parametrize("tamper", [False, True])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_verify_cnz_agrees_with_definition(self, n, tamper, definition_amplitude):
+        phi = 2 * np.pi / 3
+        result, _ = build_cnz(n, phi)
+        U = result.unitary.copy()
+        if tamper:
+            U[n, 0] += 1e-4  # mixes a |1> rail into a |0> rail
+        circuit = SynthesisResult(
+            unitary=U, aux_modes=result.aux_modes, scale_alpha=result.scale_alpha,
+            success_probability=result.success_probability,
+        )
+        table = _definition_table(U, n, definition_amplitude)
+        deviation = np.max(np.abs(table - _gate_table(result.success_probability, n, phi)))
+        verdict = bool(deviation <= 1e-9)
+        assert verdict is not tamper
+        assert verify_cnz(circuit, n, phi) is verdict
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_cross_basis_leak_detected(self, n, monkeypatch):
+        """A leak into one off-diagonal entry, the diagonal left exact, fails."""
+        phi = np.pi
+        result, _ = build_cnz(n, phi)
+        exact = fock.amplitude
+
+        def leaky(U, k, ell):
+            table = exact(U, k, ell)
+            table[1, 2] += 1e-6
+            return table
+
+        monkeypatch.setattr(fock, "amplitude", leaky)
+        bits = list(itertools.product((0, 1), repeat=n))
+        occ = logical_occupation(bits, n, result.unitary.shape[0])
+        table = leaky(result.unitary, occ[:, None], occ[None])
+        expected = _gate_table(result.success_probability, n, phi)
+        assert np.max(np.abs(np.diag(table) - np.diag(expected))) <= 1e-9
+        assert not verify_cnz(result, n, phi)
+        monkeypatch.undo()
+        assert verify_cnz(result, n, phi)

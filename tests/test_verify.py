@@ -113,6 +113,36 @@ class TestExtractPostselected:
 
 
 class TestExtractHeralded:
+    @pytest.mark.parametrize("circuit", ["synthesized", "random"])
+    def test_agrees_with_definition(self, rng, circuit, definition_amplitude):
+        # 4 payload modes, 4 photons, 2 of them heralded in mode 4
+        m, n = 4, 4
+        target = random_state_of_rank(rng, m, 3)
+        pattern = HeraldPattern(signal=(2,))
+        if circuit == "synthesized":
+            result = synthesize_herald(target, n)
+            assert result.herald == pattern
+            U = result.unitary
+        else:
+            U = random_unitary(rng, 9)
+        ell = np.zeros(U.shape[0], dtype=int)
+        ell[:n] = 1
+        T = np.zeros((m, m), dtype=complex)
+        for i in range(m):
+            for j in range(i, m):
+                k = np.zeros(U.shape[0], dtype=int)
+                k[m] = 2
+                k[i] += 1
+                k[j] += 1
+                amp = definition_amplitude(U, k, ell)
+                T[i, j] = T[j, i] = amp / np.sqrt(2) if i == j else amp / 2
+        report = extract_heralded(U, n, pattern, m, target=target.S)
+        assert report.probability == pytest.approx(2 * np.sum(np.abs(T) ** 2), rel=1e-12)
+        assert np.max(np.abs(report.extracted - normalize(T).S)) <= 1e-12
+        assert report.fidelity_vs_target == pytest.approx(
+            abs(np.vdot(T, target.S)) / (np.linalg.norm(T) * np.linalg.norm(target.S)), abs=1e-12
+        )
+
     def test_trivial_two_mode_identity(self):
         state = single_photons_state(2)
         report = extract_heralded(
