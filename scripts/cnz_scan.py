@@ -24,6 +24,7 @@ def main() -> None:
     )
     args = parser.parse_args()
 
+    failures = 0
     for n in args.photons:
         print(f"# C^{n - 1}Z on {n} photons")
         print(f"{'phi/pi':>8} {'p_s':>12} {'verified':>9}")
@@ -34,8 +35,11 @@ def main() -> None:
             if args.verify:
                 result, _ = build_cnz(n, phi)
                 status = "ok" if verify_cnz(result, n, phi) else "FAIL"
+                failures += status == "FAIL"
             print(f"{phi / math.pi:8.4f} {p_s:12.6f} {status:>9}")
         print()
+    if failures:
+        raise SystemExit(f"{failures} point(s) failed the oracle check")
 
 
 if __name__ == "__main__":

@@ -143,10 +143,12 @@ def evolve_two_photon(U: np.ndarray, S: np.ndarray) -> np.ndarray:
     Convention: U maps input mode j (column j) to the output modes (rows),
     matching `amplitude`, where output occupations repeat rows. Under that
     map a_p^† a_q^† picks up u_ip u_jq, i.e. S conjugates as U S U^T.
+    U may be k x m against an m x m S: k of the output rows of a larger
+    unitary give the k x k top-left block of the full evolution.
     """
     U = np.asarray(U, dtype=complex)
     S = np.asarray(S, dtype=complex)
-    if U.shape != S.shape or U.shape[0] != U.shape[1]:
+    if U.ndim != 2 or S.ndim != 2 or S.shape[0] != S.shape[1] or U.shape[1] != S.shape[0]:
         raise DimensionMismatch(f"shapes {U.shape} and {S.shape} are incompatible")
     out = U @ S @ U.T
     return (out + out.T) / 2.0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -42,6 +43,16 @@ def _is_pair(pair: Any) -> bool:
         and len(pair) == 2
         and all(_is_number_type(type(v)) for v in pair)
     )
+
+
+def _probability_from_doc(value: Any) -> float:
+    """A probability field: a finite JSON number (not a boolean) in [0, 1]."""
+    if not (_is_number_type(type(value)) and math.isfinite(value) and 0.0 <= value <= 1.0):
+        raise DocumentError(
+            f"success_probability: expected a finite number in [0, 1], got {value!r}",
+            "success_probability",
+        )
+    return float(value)
 
 
 def matrix_from_doc(doc: Any, field: str = "matrix") -> np.ndarray:
@@ -112,7 +123,7 @@ def synthesis_from_doc(doc: Any) -> dict[str, Any]:
         "kind": kind,
         "unitary": unitary,
         "aux_modes": doc.get("aux_modes", 0),
-        "success_probability": doc.get("success_probability"),
+        "success_probability": _probability_from_doc(doc.get("success_probability")),
         "target": matrix_from_doc(doc.get("target"), "target"),
     }
     herald = doc.get("herald")

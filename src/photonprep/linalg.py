@@ -92,11 +92,13 @@ def unitary_extension(A: np.ndarray) -> UnitaryExtension:
     Built in the singular basis of the contraction B = A / sigma1: with
     B = V1 S V2^†, the core
 
-        K = [[S, sqrt(I - S S^T)], [sqrt(I - S^T S), -S^T]]
+        K = [[S, D1], [D2, -S^T]],  D1 = sqrt(I - S S^T),  D2 = sqrt(I - S^T S)
 
     is unitary entry-by-entry (all blocks diagonal), and
-    U = diag(V1, V2) K diag(V2^†, V1^†) has top-left block B. The size is
-    exactly m1 + m2, which meets the N <= m1 + m2 bound.
+    U = diag(V1, V2) K diag(V2^†, V1^†) has top-left block B. U is assembled
+    block by block, [[V1 S V2^†, V1 D1 V1^†], [V2 D2 V2^†, -V2 S^T V1^†]],
+    with each diagonal applied by broadcasting. The size is exactly m1 + m2,
+    which meets the N <= m1 + m2 bound.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2:
@@ -109,19 +111,18 @@ def unitary_extension(A: np.ndarray) -> UnitaryExtension:
     s = s / sigma1  # s[0] becomes exactly 1
     r = len(s)
     defect = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
+    # rows beyond the singular support pass through: their defect entry is 1
+    defect1 = np.ones(m1)
+    defect1[:r] = defect
+    defect2 = np.ones(m2)
+    defect2[:r] = defect
+    v1h, v2 = v1.conj().T, v2h.conj().T
 
-    core_s = np.zeros((m1, m2))
-    core_s[:r, :r] = np.diag(s)
-    top_defect = np.eye(m1)  # rows beyond the singular support pass through
-    top_defect[:r, :r] = np.diag(defect)
-    bottom_defect = np.eye(m2)
-    bottom_defect[:r, :r] = np.diag(defect)
-    K = np.block([[core_s, top_defect], [bottom_defect, -core_s.T]])
-
-    zeros = np.zeros((m1, m2))
-    left = np.block([[v1, zeros], [zeros.T, v2h.conj().T]])
-    right = np.block([[v2h, zeros.T], [zeros, v1.conj().T]])
-    U = left @ K @ right
+    U = np.empty((m1 + m2, m1 + m2), dtype=complex)
+    U[:m1, :m2] = (v1[:, :r] * s) @ v2h[:r]
+    U[:m1, m2:] = (v1 * defect1) @ v1h
+    U[m1:, :m2] = (v2 * defect2) @ v2h
+    U[m1:, m2:] = -(v2[:, :r] * s) @ v1h[:r]
     return UnitaryExtension(U=U, sigma1=sigma1, N=m1 + m2)
 
 

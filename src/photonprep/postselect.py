@@ -15,7 +15,7 @@ import numpy as np
 
 from . import verify
 from .exceptions import InfeasibleRank, SupportMismatch, VerificationFailure
-from .linalg import RANK_TOL, numerical_rank, takagi, unitary_extension
+from .linalg import RANK_TOL, TakagiFactorization, numerical_rank, takagi, unitary_extension
 from .result import SynthesisResult
 from .states import QuditTarget, TwoPhotonState, normalize, state_rank
 
@@ -27,25 +27,46 @@ def feasible_postselect(
     return numerical_rank(target.C, tol) <= state_rank(state_in, tol)
 
 
-def build_sps(target: QuditTarget) -> TwoPhotonState:
-    """Intermediate state with C off-diagonal and rank equal to rank(C).
+def build_sps(target: QuditTarget) -> tuple[TwoPhotonState, TakagiFactorization]:
+    """Intermediate state with C off-diagonal and rank equal to rank(C),
+    together with its Takagi factorization.
 
-    With the SVD C = V1 Sigma V2^†, the diagonal blocks
-    A = V1 Sigma_sq V1^T and B = conj(V2) Sigma_sq V2^† make the full block
-    matrix [[A, C], [C^T, B]] symmetric with no rank beyond C's.
+    With the SVD C = V1 Sigma V2^† over the first p = min(d1, d2) columns,
+    W = [V1; conj(V2)] / sqrt(2) has orthonormal columns, and
+
+        S = W diag(2 sigma) W^T = [[V1 Sigma V1^T, C], [C^T, conj(V2) Sigma V2^†]]
+
+    is symmetric with no rank beyond C's. Its Takagi vectors are conj(W),
+    completed to a unitary by conj of [V1; -conj(V2)] / sqrt(2) and of the
+    remaining columns of V1 and of conj(V2), each padded with zeros; the
+    completion columns get diagonal 0. No second factorization is needed.
     """
     d1, d2 = target.d1, target.d2
-    v1, sigma, v2 = np.linalg.svd(target.C)
-    v2 = v2.conj().T
-    r = len(sigma)
-    sq1 = np.zeros((d1, d1))
-    sq2 = np.zeros((d2, d2))
-    sq1[:r, :r] = np.diag(sigma)
-    sq2[:r, :r] = np.diag(sigma)
-    A = v1 @ sq1 @ v1.T
-    B = v2.conj() @ sq2 @ v2.conj().T
-    S = np.block([[A, target.C], [target.C.T, B]])
-    return normalize(S)
+    v1, sigma, v2h = np.linalg.svd(target.C)
+    v2c = v2h.T  # conj(V2)
+    p = len(sigma)
+    Q = np.zeros((d1 + d2, d1 + d2), dtype=complex)
+    Q[:d1, :p] = Q[:d1, p : 2 * p] = v1[:, :p] / np.sqrt(2.0)
+    Q[d1:, :p] = v2c[:, :p] / np.sqrt(2.0)
+    Q[d1:, p : 2 * p] = -Q[d1:, :p]
+    Q[:d1, 2 * p : d1 + p] = v1[:, p:]
+    Q[d1:, d1 + p :] = v2c[:, p:]
+    W = Q[:, :p]
+    state = normalize((W * (2.0 * sigma)) @ W.T)
+    # normalize divides by sqrt(2 ||S||_F^2) = sqrt(8 sum sigma^2)
+    diagonal = np.zeros(d1 + d2)
+    diagonal[:p] = sigma / np.sqrt(2.0 * np.sum(sigma**2))
+    return state, TakagiFactorization(V=Q.conj(), diagonal=diagonal)
+
+
+def _padded(factor: TakagiFactorization, modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Takagi vectors and diagonal of the same matrix zero-padded to `modes`."""
+    m = len(factor.diagonal)
+    V = np.eye(modes, dtype=complex)
+    V[:m, :m] = factor.V
+    diagonal = np.zeros(modes)
+    diagonal[:m] = factor.diagonal
+    return V, diagonal
 
 
 def rescaling_lambda(
@@ -83,25 +104,27 @@ def synthesize_postselect(
     independent oracle. Raises InfeasibleRank when the rank rule forbids
     the preparation.
     """
-    if not feasible_postselect(state_in, target, tol):
-        raise InfeasibleRank(
-            f"rank(C) = {numerical_rank(target.C, tol)} exceeds "
-            f"rank(S_in) = {state_rank(state_in, tol)}"
-        )
+    # one Takagi factorization of S_in gives both its rank and the rescaling
+    fac_in = takagi(state_in.S)
+    rank_in = int(np.count_nonzero(fac_in.diagonal > tol * fac_in.diagonal[0]))
+    rank_c = numerical_rank(target.C, tol)
+    if rank_c > rank_in:
+        raise InfeasibleRank(f"rank(C) = {rank_c} exceeds rank(S_in) = {rank_in}")
     d1, d2 = target.d1, target.d2
-    s_ps = build_sps(target)
-    dim = max(state_in.modes, s_ps.modes)
-    s_in_p = state_in.padded(dim)
-    s_ps_p = s_ps.padded(dim)
-
-    fac_in = takagi(s_in_p.S)
-    fac_ps = takagi(s_ps_p.S)
-    lam = rescaling_lambda(fac_in.diagonal, fac_ps.diagonal, tol)
+    s_ps, fac_ps = build_sps(target)
+    m_in, m_ps = state_in.modes, s_ps.modes
+    dim = max(m_in, m_ps)
+    v_in, d_in = _padded(fac_in, dim)
+    v_ps, d_ps = _padded(fac_ps, dim)
+    lam = rescaling_lambda(d_in, d_ps, tol)
 
     # M S_in M^T = S_ps with M = conj(V_ps) diag(lam) V_in^T, matching the
     # evolution convention S -> U S U^T
-    M = fac_ps.V.conj() @ np.diag(lam) @ fac_in.V.T
-    residual = np.linalg.norm(M @ s_in_p.S @ M.T - s_ps_p.S)
+    M = (v_ps.conj() * lam) @ v_in.T
+    s_ps_p = np.zeros((dim, dim), dtype=complex)
+    s_ps_p[:m_ps, :m_ps] = s_ps.S
+    # the padded input modes carry no amplitude, so only M's first m_in columns act
+    residual = np.linalg.norm(M[:, :m_in] @ state_in.S @ M[:, :m_in].T - s_ps_p)
     if residual > 1e-8:
         raise VerificationFailure(
             f"rescaled mode map misses the intermediate state by {residual:.3e}"
@@ -110,7 +133,7 @@ def synthesize_postselect(
     ext = unitary_extension(M)
     U = ext.U
 
-    report = verify.extract_postselected(U, s_in_p, d1, d2, target=target.C)
+    report = verify.extract_postselected(U, state_in, d1, d2, target=target.C)
     if not report.fidelity_vs_target > 1.0 - verify.VERIFY_TOL:
         raise VerificationFailure(
             f"oracle fidelity {report.fidelity_vs_target} below tolerance"
@@ -127,7 +150,7 @@ def synthesize_postselect(
         success_probability=report.probability,
         herald=None,
         details={
-            "intermediate_state": s_ps_p.S,
+            "intermediate_state": s_ps_p,
             "rescaling": lam,
             "mode_map": M,
             "sigma1": ext.sigma1,

@@ -57,12 +57,6 @@ def states_equal_up_to_phase(
     return bool(np.linalg.norm(S1 - phase * S2) < tol), complex(phase)
 
 
-def _padded_state_matrix(state: TwoPhotonState, modes: int) -> np.ndarray:
-    if state.modes > modes:
-        raise DimensionMismatch("state has more modes than the unitary")
-    return state.padded(modes).S
-
-
 def extract_postselected(
     U: np.ndarray,
     state_in: TwoPhotonState,
@@ -75,11 +69,18 @@ def extract_postselected(
     The extracted matrix is twice the off-diagonal d1 x d2 block of the
     evolved state matrix (the C block); the probability is the squared
     weight of all outcomes with one photon in each computational register.
+    An input over fewer modes than U is zero-padded, and zero-padded modes
+    contribute nothing, so only the first d1 + d2 rows and the first
+    state_in.modes columns of U enter the evolution.
     """
     U = np.asarray(U, dtype=complex)
+    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+        raise DimensionMismatch(f"expected a square unitary, got shape {U.shape}")
     if U.shape[0] < d1 + d2:
         raise DimensionMismatch("unitary smaller than the computational registers")
-    S_out = fock.evolve_two_photon(U, _padded_state_matrix(state_in, U.shape[0]))
+    if state_in.modes > U.shape[0]:
+        raise DimensionMismatch("state has more modes than the unitary")
+    S_out = fock.evolve_two_photon(U[: d1 + d2, : state_in.modes], state_in.S)
     block = S_out[:d1, d1 : d1 + d2]
     extracted = 2.0 * block
     probability = float(np.sum(np.abs(extracted) ** 2))

@@ -63,6 +63,28 @@ class TestGateCnz:
         assert doc["verified"] is True
 
 
+class TestVerifyRejectsBadProbability:
+    @pytest.fixture
+    def cz_doc(self, tmp_path, capsys):
+        out = tmp_path / "cz.json"
+        args = ["gate-cnz", "--n", "2", "--phi", "3.141592653589793", "--output", str(out)]
+        assert main(args) == 0
+        capsys.readouterr()
+        return out
+
+    @pytest.mark.parametrize("value", ["0.111", True, float("nan"), 1.5, -0.1])
+    def test_malformed_input_exit_code(self, cz_doc, capsys, value):
+        doc = json.loads(cz_doc.read_text())
+        doc["success_probability"] = value
+        cz_doc.write_text(json.dumps(doc))
+        assert main(["verify", "--input", str(cz_doc)]) == 2
+        assert "success_probability" in capsys.readouterr().err
+
+    def test_unedited_document_verifies(self, cz_doc, capsys):
+        assert main(["verify", "--input", str(cz_doc)]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
 class TestSynthHerald:
     def test_infeasible_rank_exit_code(self, tmp_path, capsys):
         state = random_state_of_rank(np.random.default_rng(7), 4, 3)

@@ -289,6 +289,29 @@ class TestEvolveTwoPhoton:
         with pytest.raises(DimensionMismatch):
             evolve_two_photon(np.eye(3), np.eye(2))
 
+    @pytest.mark.parametrize("k", [1, 2, 4, 5])
+    def test_rows_are_top_left_block(self, rng, k):
+        U = random_unitary(rng, 5)
+        S = random_complex_symmetric(rng, 5)
+        full = evolve_two_photon(U, S)
+        assert np.allclose(evolve_two_photon(U[:k], S), full[:k, :k], rtol=0, atol=1e-14)
+
+    def test_columns_beyond_the_state_see_zero_padding(self, rng):
+        U = random_unitary(rng, 6)
+        S = random_complex_symmetric(rng, 4)
+        padded = np.zeros((6, 6), dtype=complex)
+        padded[:4, :4] = S
+        full = evolve_two_photon(U, padded)
+        assert np.allclose(evolve_two_photon(U[:3, :4], S), full[:3, :3], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "u_shape, s_shape",
+        [((3, 4), (3, 3)), ((4, 3), (4, 4)), ((2, 3), (3, 4)), ((3,), (3, 3)), ((3, 3), (3,))],
+    )
+    def test_mismatched_shapes_raise(self, u_shape, s_shape):
+        with pytest.raises(DimensionMismatch):
+            evolve_two_photon(np.ones(u_shape), np.ones(s_shape))
+
 
 def test_amplitude_agrees_with_matrix_conjugation(rng):
     """Two independent pathways to the evolved two-photon coefficients."""

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from photonprep.exceptions import DocumentError
-from photonprep.io import matrix_from_doc, matrix_to_doc
+from photonprep import build_cnz
+from photonprep.io import matrix_from_doc, matrix_to_doc, synthesis_from_doc, synthesis_to_doc
 
 
 def _doc(data, rows=1, cols=2):
@@ -102,3 +103,30 @@ class TestRoundTrip:
     def test_integer_components(self):
         back = matrix_from_doc(_doc([[1, 0], [0, -2]]))
         assert back.tolist() == [[1 + 0j, -2j]]
+
+
+class TestSuccessProbability:
+    @pytest.fixture
+    def doc(self):
+        result, _ = build_cnz(2, np.pi)
+        return synthesis_to_doc(result, "cnz", np.eye(4), n=2, phi=np.pi)
+
+    @pytest.mark.parametrize(
+        "value", ["0.111", None, True, False, [0.1], float("nan"), float("inf"), 1.5, -0.1]
+    )
+    def test_rejects(self, doc, value):
+        doc["success_probability"] = value
+        with pytest.raises(DocumentError) as err:
+            synthesis_from_doc(doc)
+        assert err.value.field == "success_probability"
+
+    def test_rejects_missing(self, doc):
+        del doc["success_probability"]
+        with pytest.raises(DocumentError):
+            synthesis_from_doc(doc)
+
+    @pytest.mark.parametrize("value", [0, 1, 0.0, 1.0, 1 / 9])
+    def test_accepts_closed_interval(self, doc, value):
+        doc["success_probability"] = value
+        decoded = synthesis_from_doc(doc)["success_probability"]
+        assert type(decoded) is float and decoded == value

@@ -150,6 +150,36 @@ class TestUnitaryExtension:
         with pytest.raises(ZeroMatrix):
             unitary_extension(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        "m1, m2, rank", [(4, 6, 1), (6, 4, 1), (5, 5, 2), (3, 7, 2), (1, 3, 1)]
+    )
+    def test_rank_deficient(self, rng, m1, m2, rank):
+        """Rows and columns beyond the singular support pass through the
+        identity blocks of the dilation."""
+        a = rng.standard_normal((m1, rank)) + 1j * rng.standard_normal((m1, rank))
+        b = rng.standard_normal((rank, m2)) + 1j * rng.standard_normal((rank, m2))
+        A = a @ b
+        ext = unitary_extension(A)
+        assert ext.N == m1 + m2
+        assert np.linalg.norm(ext.U.conj().T @ ext.U - np.eye(ext.N)) <= 1e-10
+        assert np.linalg.norm(ext.U[:m1, :m2] - A / ext.sigma1) <= 1e-10
+
+    def test_matches_block_diagonal_factors(self, rng):
+        """U = diag(V1, V2) K diag(V2^†, V1^†), with the core K built densely."""
+        A = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        ext = unitary_extension(A)
+        v1, s, v2h = np.linalg.svd(A)
+        s = s / s[0]
+        S = np.zeros((3, 5))
+        S[:3, :3] = np.diag(s)
+        D1 = np.diag(np.sqrt(np.clip(1 - s**2, 0, None)))
+        D2 = np.eye(5)
+        D2[:3, :3] = D1
+        K = np.block([[S, D1], [D2, -S.T]])
+        left = np.block([[v1, np.zeros((3, 5))], [np.zeros((5, 3)), v2h.conj().T]])
+        right = np.block([[v2h, np.zeros((5, 3))], [np.zeros((3, 5)), v1.conj().T]])
+        assert np.linalg.norm(ext.U - left @ K @ right) <= 1e-12
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m1=st.integers(1, 6), m2=st.integers(1, 6))
     def test_contract_property(self, seed, m1, m2):

@@ -9,13 +9,16 @@ from photonprep import (
     extract_postselected,
     from_qudit_target,
     normalize,
+    permanent_naive,
     states_equal_up_to_phase,
     synthesize_herald,
+    synthesize_postselect,
 )
 from photonprep.fock import occupation_basis
 from photonprep.random_states import (
     random_complex_symmetric,
     random_state_of_rank,
+    random_target_of_rank,
     random_unitary,
 )
 from photonprep.result import HeraldPattern
@@ -110,6 +113,55 @@ class TestExtractPostselected:
                 )
                 direct += abs(amp) ** 2
         assert direct == pytest.approx(conjugated, abs=1e-10)
+
+
+def definition_c_block(U, S, d1, d2):
+    """Post-selected block from two-photon permanents, one output pair at a
+    time: C_out[i, j] = sum_{p <= q} w_pq Per(U[[i, d1 + j]][:, [p, q]]) with
+    w_pq = 2 S_pq off the diagonal and S_pp on it (a_p^† a_q^† is spread
+    over S_pq and S_qp). Never forms U S U^T."""
+    m = S.shape[0]
+    C = np.zeros((d1, d2), dtype=complex)
+    for i in range(d1):
+        for j in range(d2):
+            rows = U[[i, d1 + j]]
+            for p in range(m):
+                for q in range(p, m):
+                    w = S[p, p] if p == q else 2.0 * S[p, q]
+                    C[i, j] += w * permanent_naive(rows[:, [p, q]])
+    return C
+
+
+class TestExtractPostselectedDefinition:
+    def test_synthesized_circuit_wider_than_input(self, rng):
+        state = random_state_of_rank(rng, 3, 2)
+        target = random_target_of_rank(rng, 2, 3, 2)
+        result = synthesize_postselect(state, target)
+        U = result.unitary
+        assert U.shape[0] > state.modes
+        report = extract_postselected(U, state, 2, 3, target=target.C)
+        expected = definition_c_block(U, state.S, 2, 3)
+        assert np.linalg.norm(report.extracted - expected) < 1e-12
+        assert report.probability == pytest.approx(np.sum(np.abs(expected) ** 2), abs=1e-12)
+        assert report.fidelity_vs_target > 1 - 1e-9
+
+    def test_random_unitary_padded_or_not(self, rng):
+        state = normalize(random_complex_symmetric(rng, 3))
+        U = random_unitary(rng, 6)
+        expected = definition_c_block(U, state.S, 2, 2)
+        for s in (state, state.padded(4), state.padded(6)):
+            extracted = extract_postselected(U, s, 2, 2).extracted
+            assert np.linalg.norm(extracted - expected) < 1e-12
+
+    def test_rejects_state_wider_than_unitary(self, rng):
+        state = normalize(random_complex_symmetric(rng, 5))
+        with pytest.raises(DimensionMismatch):
+            extract_postselected(random_unitary(rng, 4), state, 1, 1)
+
+    def test_rejects_non_square_unitary(self, rng):
+        state = normalize(random_complex_symmetric(rng, 3))
+        with pytest.raises(DimensionMismatch):
+            extract_postselected(random_unitary(rng, 6)[:4], state, 2, 2)
 
 
 class TestExtractHeralded:
