@@ -123,7 +123,8 @@ def criterion_theorem2_iff(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
 
 
 def criterion_proof_identity(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
-    """Pre-embedding rows obey Per(l_i, l_j, l_s) = sqrt(2 s!) D_ii delta_ij."""
+    """Pre-embedding rows obey Per(l_i, l_j, l_s) = sqrt(2 s!) D_ii delta_ij,
+    to IDENTITY_TOL relative to sqrt(2 s!) D_00."""
     rng = np.random.default_rng(seed + 2)
     worst = 0.0
     for rank in (2, 3, 4):
@@ -132,7 +133,9 @@ def criterion_proof_identity(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
             state = random_state_of_rank(rng, m, rank)
             result = herald.synthesize_herald(state, rank)
             worst = max(worst, result.details["identity_error"])
-    return worst < 1e-9, f"max identity error {worst:.3e}"
+    tol = herald.IDENTITY_TOL
+    margin = f"{tol / worst:.1e}x" if worst > 0 else "exact"
+    return worst <= tol, f"max relative identity error {worst:.3e} <= {tol:.0e} (margin {margin})"
 
 
 def criterion_linalg(seed: int = DEFAULT_SEED) -> tuple[bool, str]:

@@ -74,7 +74,7 @@ class TestRyserKernel:
         M = _matrix_of_kind(rng, n, kind) if n else np.zeros((0, 0))
         fast, slow = permanent(M), permanent_naive(M)
         if kind == "zero_column" and n:
-            # the naive sum is exactly zero; Ryser's signed sum cancels to
+            # the naive sum is exactly zero; Glynn's signed sum cancels to
             # roundoff of its terms, each bounded by the product of row 1-norms
             assert slow == 0
             assert abs(fast) <= 1e-13 * np.prod(np.abs(M).sum(axis=1))
@@ -97,9 +97,9 @@ class TestRyserKernel:
         code = (
             "import numpy, photonprep\n"
             "from photonprep import fock\n"
-            "print(fock._ryser_tables.cache_info().currsize)\n"
+            "print(fock._glynn_tables.cache_info().currsize)\n"
             "photonprep.permanent(numpy.eye(3))\n"
-            "print(fock._ryser_tables.cache_info().currsize)\n"
+            "print(fock._glynn_tables.cache_info().currsize)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(photonprep.__file__).parents[1])}
         out = subprocess.run(
@@ -117,7 +117,7 @@ class TestStackedPermanent:
         slow = np.array([permanent_naive(M) for M in stack])
         bound = np.array([1e-11 * abs(s) for s in slow])
         if n:
-            # a zero column sums to exactly zero naively, to roundoff in Ryser
+            # a zero column sums to exactly zero naively, to roundoff in Glynn
             assert slow[3] == 0
             bound[3] = 1e-13 * np.prod(np.abs(stack[3]).sum(axis=1))
         flat = permanent(stack)
@@ -126,6 +126,17 @@ class TestStackedPermanent:
         grid = permanent(stack[[[0, 1], [3, 2]]])
         assert grid.shape == (2, 2)
         assert np.all(np.abs(grid - slow[[[0, 1], [3, 2]]]) <= bound[[[0, 1], [3, 2]]])
+
+    def test_flat_rows_to_rounding(self, rng):
+        """Two rows a * 1 over twelve flat rows 1/sqrt(12), the flat-witness
+        pair of a 14-photon herald: Per = a^2 14! / 12^6, read to near
+        rounding although the matrix is as flat as the limit allows."""
+        n = fock.PERMANENT_LIMIT
+        a = rng.uniform(0.05, 3.0, 50)
+        stack = np.full((50, n, n), 1 / np.sqrt(n - 2), dtype=complex)
+        stack[:, :2] = a[:, None, None]
+        exact = a**2 * math.factorial(n) / (n - 2) ** ((n - 2) / 2)
+        assert np.max(np.abs(permanent(stack) - exact) / exact) <= 1e-12
 
     def test_matrix_returns_complex_stack_returns_array(self, rng):
         M = _matrix_of_kind(rng, 3, "complex")

@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -19,7 +20,7 @@ from photonprep import (
 from photonprep import herald as herald_module
 from photonprep.herald import default_herald_rows
 from photonprep.result import HeraldPattern
-from photonprep.random_states import random_state_of_rank
+from photonprep.random_states import random_state_of_rank, random_unitary
 
 BELL = normalize(
     np.array(
@@ -39,6 +40,19 @@ def _count_bilinear_calls(monkeypatch):
 
     monkeypatch.setattr(herald_module, "herald_bilinear_matrix", counting)
     return calls
+
+
+def _count_permanent_calls(monkeypatch):
+    """Record the argument shape of each permanent herald.py evaluates; the
+    oracle's permanents in verify are not counted."""
+    shapes = []
+
+    def counting(M):
+        shapes.append(np.shape(M))
+        return permanent(M)
+
+    monkeypatch.setattr(herald_module, "fock", SimpleNamespace(permanent=counting))
+    return shapes
 
 
 class TestBilinearMatrix:
@@ -82,6 +96,30 @@ class TestBilinearMatrix:
         expected = math.factorial(k) * k ** (-k / 2) * (np.ones((n, n)) - np.eye(n))
         assert np.allclose(F, expected, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("zeros", [0, 1, 2])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_single_row_product_formula(self, rng, n, zeros):
+        """One distinct row h: F_ab = (n-2)! prod_{k not in {a,b}} h_k, against
+        the definition's Laplace minors Per(H without columns a, b), also where
+        h has zero entries."""
+        h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        h[rng.permutation(n)[:zeros]] = 0.0
+        H = np.tile(h, (n - 2, 1))
+        definition = np.zeros((n, n), dtype=complex)
+        for a, b in itertools.combinations(range(n), 2):
+            definition[a, b] = definition[b, a] = permanent_naive(np.delete(H, (a, b), axis=1))
+        F = herald_bilinear_matrix([(h, n - 2)], n)
+        assert np.allclose(F, definition, rtol=1e-12, atol=1e-12 * np.max(np.abs(definition)))
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_flat_witness_takagi_factors(self, n):
+        F = herald_bilinear_matrix(default_herald_rows(n), n)
+        fac = herald_module._flat_takagi(n)
+        c = math.factorial(n - 2) * (n - 2) ** (-(n - 2) / 2)
+        assert fac.diagonal[0] == pytest.approx(c * (n - 1), rel=1e-15)
+        assert np.linalg.norm(fac.V.T @ F @ fac.V - fac.D) <= 1e-12 * c * (n - 1)
+        assert np.linalg.norm(fac.V.conj().T @ fac.V - np.eye(n)) <= 1e-12
+
     def test_multiplicity_mismatch(self):
         with pytest.raises(MultiplicityMismatch):
             herald_bilinear_matrix([(np.ones(4), 1)], 4)
@@ -92,6 +130,21 @@ class TestBilinearMatrix:
             herald_bilinear_matrix(rows, 4)
         with pytest.raises(MultiplicityMismatch):
             synthesize_herald(BELL, 4, herald_rows=rows)
+
+    def test_non_finite_row_rejected(self):
+        row = np.ones(4, dtype=complex)
+        row[1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            synthesize_herald(BELL, 4, herald_rows=[(row, 2)])
+
+    def test_fractional_multiplicity_rejected(self):
+        with pytest.raises(MultiplicityMismatch, match="not an integer"):
+            synthesize_herald(BELL, 4, herald_rows=[(np.ones(4), 2.9)])
+
+    def test_boolean_multiplicity_rejected(self, rng):
+        target = random_state_of_rank(rng, 4, 3)
+        with pytest.raises(MultiplicityMismatch, match="not an integer"):
+            synthesize_herald(target, 3, herald_rows=[(np.ones(3), True)])
 
 
 class TestFeasibility:
@@ -144,15 +197,21 @@ class TestSynthesize:
         assert result.details["oracle_report"].fidelity_vs_target > 1 - 1e-9
 
     def test_degenerate_user_rows_fall_back(self, rng, monkeypatch):
+        """A degenerate multi-row herald is tried once through the minors; the
+        fallback builds the flat witness's form in closed form."""
         calls = _count_bilinear_calls(monkeypatch)
-        target = random_state_of_rank(rng, 4, 3)
-        # a zero herald row makes the bilinear form rank-deficient
-        result = synthesize_herald(target, 3, herald_rows=[(np.zeros(3), 1)])
+        sizes = _count_permanent_calls(monkeypatch)
+        target = random_state_of_rank(rng, 5, 4)
+        # a zero herald row zeroes every minor, so the bilinear form vanishes
+        rows = [(np.zeros(4), 1), (np.ones(4), 1)]
+        result = synthesize_herald(target, 4, herald_rows=rows)
         assert result.details["oracle_report"].fidelity_vs_target > 1 - 1e-9
         ((vec, mult),) = result.details["herald_rows"]
-        assert mult == 1
-        assert np.allclose(vec, 1.0)
+        assert mult == 2
+        assert np.allclose(vec, 1 / np.sqrt(2))
         assert len(calls) == 2
+        # one stack of 2x2 minors for the user rows, one identity stack of 4x4
+        assert [shape[1:] for shape in sizes] == [(2, 2), (4, 4)]
 
     def test_full_rank_user_rows_kept(self, rng, monkeypatch):
         target = random_state_of_rank(rng, 5, 4)
@@ -168,18 +227,54 @@ class TestSynthesize:
 
     def test_identity_check_skips_zero_rows(self, rng, monkeypatch):
         """Diagonal rows at and above the rank are zero; only the rank(rank+1)/2
-        pairs below it need a permanent."""
-        calls = []
-
-        def counting(M):
-            calls.append(M.shape[0])
-            return permanent(M)
-
-        monkeypatch.setattr(herald_module, "fock", SimpleNamespace(permanent=counting))
+        pairs below it are checked, as one stack of n x n permanents."""
+        sizes = _count_permanent_calls(monkeypatch)
         target = random_state_of_rank(rng, 6, 3)
         result = synthesize_herald(target, 3)
         assert result.details["oracle_report"].fidelity_vs_target > 1 - 1e-9
-        assert calls.count(3) == 3 * 4 // 2
+        assert sizes == [(3 * 4 // 2, 3, 3)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+    def test_closed_form_matches_factored_form(self, rng, n, monkeypatch):
+        """The default path takes the flat witness's Takagi factors in closed
+        form; passing the same rows explicitly factorizes F. Both must give
+        the same herald probability, since A A^dagger of the embedded rows does
+        not depend on the basis inside F's degenerate eigenspace."""
+        calls = []
+        original = herald_module.takagi
+
+        def counting(S, *args, **kwargs):
+            calls.append(np.shape(S))
+            return original(S, *args, **kwargs)
+
+        monkeypatch.setattr(herald_module, "takagi", counting)
+        target = random_state_of_rank(rng, n + 1, n)
+        closed = synthesize_herald(target, n)
+        assert len(calls) == 1
+        factored = synthesize_herald(target, n, herald_rows=default_herald_rows(n))
+        assert len(calls) == 3
+        for result in (closed, factored):
+            assert result.details["oracle_report"].fidelity_vs_target > 1 - 1e-9
+            assert result.success_probability > 0
+        assert closed.success_probability == pytest.approx(factored.success_probability, rel=1e-12)
+
+    @pytest.mark.parametrize("spectrum", ["random", "clustered"])
+    @pytest.mark.parametrize("rank", [11, 12, 13, 14])
+    def test_targets_up_to_the_permanent_limit(self, rng, rank, spectrum):
+        """n = rank up to PERMANENT_LIMIT, held to the README fidelity gate;
+        the identity gate is relative to its scale sqrt(2 s!) d_0."""
+        if spectrum == "random":
+            target = random_state_of_rank(rng, rank, rank)
+        else:
+            # two tight clusters of Takagi values over two more modes than the rank
+            d = np.repeat([1.0, 0.3], [rank // 2, rank - rank // 2])
+            d = np.concatenate([d * (1 + 1e-12 * rng.standard_normal(rank)), [0.0, 0.0]])
+            V = random_unitary(rng, rank + 2)
+            target = normalize(V @ np.diag(d) @ V.T)
+        result = synthesize_herald(target, rank)
+        assert result.details["identity_error"] <= herald_module.IDENTITY_TOL
+        assert result.details["oracle_report"].fidelity_vs_target > 1 - 1e-9
+        assert result.success_probability > 0
 
     def test_proof_identity_pre_embedding(self, rng):
         target = random_state_of_rank(rng, 4, 3)
