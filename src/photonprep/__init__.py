@@ -48,7 +48,6 @@ from .verify import (
     ExtractionReport,
     extract_heralded,
     extract_postselected,
-    states_equal_up_to_phase,
 )
 
 __version__ = "0.1.0"
@@ -72,7 +71,6 @@ __all__ = [
     "rescaling_lambda",
     "single_photons_state",
     "state_rank",
-    "states_equal_up_to_phase",
     "synthesize_herald",
     "synthesize_postselect",
     "takagi",

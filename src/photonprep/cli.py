@@ -4,6 +4,8 @@ One verb per construction: ``rank``, ``takagi``, ``synth-postselect``,
 ``synth-herald``, ``gate-cnz``, ``verify``, ``selftest``. All inputs and
 outputs are the JSON documents from :mod:`photonprep.io`; results go to
 stdout (valid JSON) unless ``--output`` is given, diagnostics to stderr.
+No verb takes a tolerance: every threshold is fixed in
+:mod:`photonprep.tolerances`, the same as in the library.
 
 Exit codes: 0 success, 1 infeasible, 2 input error, 3 verification failure.
 """
@@ -27,6 +29,7 @@ from .exceptions import (
 from .linalg import numerical_rank, takagi
 from .result import HeraldPattern, SynthesisResult
 from .states import QuditTarget, TwoPhotonState, normalize
+from .tolerances import VERIFY_TOL
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -56,7 +59,7 @@ def _load_target(path: str) -> QuditTarget:
 
 def cmd_rank(args) -> int:
     M = _load_matrix(args.state, "state")
-    print(numerical_rank(M, args.tol))
+    print(numerical_rank(M))
     return EXIT_OK
 
 
@@ -72,7 +75,7 @@ def cmd_takagi(args) -> int:
 def cmd_synth_postselect(args) -> int:
     state_in = _load_state(args.state)
     target = _load_target(args.target)
-    result = postselect.synthesize_postselect(state_in, target, tol=args.tol)
+    result = postselect.synthesize_postselect(state_in, target)
     doc = io.synthesis_to_doc(
         result,
         "postselect",
@@ -85,7 +88,7 @@ def cmd_synth_postselect(args) -> int:
 
 def cmd_synth_herald(args) -> int:
     state_out = _load_state(args.target)
-    result = herald.synthesize_herald(state_out, args.photons, tol=args.tol)
+    result = herald.synthesize_herald(state_out, args.photons)
     doc = io.synthesis_to_doc(
         result,
         "herald",
@@ -99,7 +102,7 @@ def cmd_synth_herald(args) -> int:
 
 def cmd_gate_cnz(args) -> int:
     result, spec = gates.build_cnz(args.n, args.phi)
-    if not gates.verify_cnz(result, args.n, args.phi, tol=args.tol):
+    if not gates.verify_cnz(result, args.n, args.phi):
         raise VerificationFailure("constructed gate failed the oracle check")
     target = np.eye(2**args.n, dtype=complex)
     target[-1, -1] = np.exp(1j * args.phi)
@@ -113,13 +116,12 @@ def cmd_verify(args) -> int:
     decoded = io.synthesis_from_doc(io.load_json(args.input))
     kind = decoded["kind"]
     U = decoded["unitary"]
-    tol = args.tol
     if kind == "postselect":
         target = decoded["target"]
         d1, d2 = target.shape
         state_in = normalize(decoded["input_state"])
         report = verify.extract_postselected(U, state_in, d1, d2, target=target)
-        ok = report.fidelity_vs_target > 1.0 - tol
+        ok = report.fidelity_vs_target > 1.0 - VERIFY_TOL
         p_s = report.probability
     elif kind == "herald":
         target = decoded["target"]
@@ -130,7 +132,7 @@ def cmd_verify(args) -> int:
         report = verify.extract_heralded(
             U, decoded["photons"], pattern, m, target=target
         )
-        ok = report.fidelity_vs_target > 1.0 - tol
+        ok = report.fidelity_vs_target > 1.0 - VERIFY_TOL
         p_s = report.probability
     else:  # cnz
         result = SynthesisResult(
@@ -139,7 +141,7 @@ def cmd_verify(args) -> int:
             scale_alpha=1.0,
             success_probability=decoded["success_probability"],
         )
-        ok = gates.verify_cnz(result, decoded["n"], decoded["phi"], tol=tol)
+        ok = gates.verify_cnz(result, decoded["n"], decoded["phi"])
         p_s = decoded["success_probability"]
         report = None
     out = {
@@ -181,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("rank", help="rank of a state matrix")

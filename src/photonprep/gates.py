@@ -17,6 +17,7 @@ import numpy as np
 from . import fock
 from .linalg import unitary_extension
 from .result import SynthesisResult
+from .tolerances import CNZ_AMPLITUDE_TOL, CNZ_ZERO_BASE
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ def cnz_alpha(n: int, phi: float) -> complex:
     if n < 2:
         raise ValueError("need at least two qubits")
     base = 2.0 * np.sin(phi / 2.0)
-    if base < 1e-12:  # phi at (or within roundoff of) 0 or 2*pi
+    if base < CNZ_ZERO_BASE:  # phi at (or within roundoff of) 0 or 2*pi
         return 0.0 + 0.0j
     return complex(base ** (1.0 / n) * np.exp(1j * (phi + np.pi) / (2.0 * n)))
 
@@ -92,15 +93,16 @@ def logical_occupation(x, n: int, total_modes: int) -> np.ndarray:
     return occ
 
 
-def verify_cnz(result: SynthesisResult, n: int, phi: float, tol: float = 1e-9) -> bool:
+def verify_cnz(result: SynthesisResult, n: int, phi: float) -> bool:
     """Oracle check of the gate action on the full computational basis.
 
     The 2^n x 2^n table of amplitudes <y| U |x> must equal sqrt(p_s) on the
-    diagonal (times e^{i phi} on |1...1>) and vanish off it.
+    diagonal (times e^{i phi} on |1...1>) and vanish off it, each amplitude
+    to CNZ_AMPLITUDE_TOL.
     """
     U = result.unitary
     occ = logical_occupation(list(itertools.product((0, 1), repeat=n)), n, U.shape[0])
     table = fock.amplitude(U, occ[:, None, :], occ[None, :, :])
     expected = np.sqrt(result.success_probability) * np.eye(2**n, dtype=complex)
     expected[-1, -1] *= np.exp(1j * phi)
-    return bool(np.all(np.abs(table - expected) <= tol))
+    return bool(np.all(np.abs(table - expected) <= CNZ_AMPLITUDE_TOL))

@@ -30,23 +30,20 @@ from .exceptions import (
     MultiplicityMismatch,
     VerificationFailure,
 )
-from .linalg import RANK_TOL, TakagiFactorization, numerical_rank, takagi, unitary_extension
+from .linalg import TakagiFactorization, numerical_rank, takagi, unitary_extension
 from .result import HeraldPattern, SynthesisResult
 from .states import TwoPhotonState, state_rank
-
-# largest |Per(row_i, row_j, H) - sqrt(2 s!) d_i delta_ij| over the pairs,
-# relative to the identity's scale sqrt(2 s!) d_0
-IDENTITY_TOL = 1e-9
+from .tolerances import IDENTITY_TOL, VERIFY_TOL
 
 # herald rows are (vector in C^n, photon multiplicity) pairs, one per herald mode
 HeraldRows = list[tuple[np.ndarray, int]]
 
 
-def feasible_herald(state_out: TwoPhotonState, n: int, tol: float = RANK_TOL) -> bool:
+def feasible_herald(state_out: TwoPhotonState, n: int) -> bool:
     """Rank rule: n single photons suffice iff n >= rank(S_out)."""
     if n < 2:
         raise ValueError("at least two photons are required")
-    return n >= state_rank(state_out, tol)
+    return n >= state_rank(state_out)
 
 
 def default_herald_rows(n: int) -> HeraldRows:
@@ -60,7 +57,8 @@ def default_herald_rows(n: int) -> HeraldRows:
 def _checked_rows(herald_rows: HeraldRows, n: int) -> HeraldRows:
     """Herald rows as (complex vector, int multiplicity) pairs. Rows must be
     finite vectors in C^n; multiplicities must be nonnegative integers (not
-    booleans) that sum to n - 2."""
+    booleans) that sum to n - 2. Rows of multiplicity 0 are dropped: a herald
+    mode that expects vacuum adds nothing."""
     checked = []
     for vec, mult in herald_rows:
         vec = np.asarray(vec, dtype=complex)
@@ -72,7 +70,8 @@ def _checked_rows(herald_rows: HeraldRows, n: int) -> HeraldRows:
             raise MultiplicityMismatch(f"herald multiplicity {mult!r} is not an integer")
         if mult < 0:
             raise MultiplicityMismatch(f"herald multiplicity {mult} is negative")
-        checked.append((vec, int(mult)))
+        if mult:
+            checked.append((vec, int(mult)))
     total = sum(mult for _, mult in checked)
     if total != n - 2:
         raise MultiplicityMismatch(f"herald multiplicities sum to {total}, expected {n - 2}")
@@ -98,7 +97,7 @@ def herald_bilinear_matrix(herald_rows: HeraldRows, n: int) -> np.ndarray:
     and n = 2, where F = J - I. Several distinct rows evaluate the
     n(n-1)/2 minors of size n - 2 as one stack of permanents.
     """
-    rows = [(vec, mult) for vec, mult in _checked_rows(herald_rows, n) if mult]
+    rows = _checked_rows(herald_rows, n)
     diag = np.arange(n)
     if len(rows) <= 1:
         h = rows[0][0] if rows else np.ones(n, dtype=complex)
@@ -139,7 +138,6 @@ def synthesize_herald(
     state_out: TwoPhotonState,
     n: int,
     herald_rows: HeraldRows | None = None,
-    tol: float = RANK_TOL,
 ) -> SynthesisResult:
     """Construct a heralded circuit preparing the target from n single photons.
 
@@ -150,7 +148,7 @@ def synthesize_herald(
     """
     if n < 2:
         raise ValueError("at least two photons are required")
-    rank = state_rank(state_out, tol)
+    rank = state_rank(state_out)
     if n < rank:
         raise InfeasibleRank(f"{n} photons cannot prepare a rank-{rank} state")
 
@@ -158,9 +156,9 @@ def synthesize_herald(
     if herald_rows is not None:
         herald_rows = _checked_rows(herald_rows, n)
         F = herald_bilinear_matrix(herald_rows, n)
-        if numerical_rank(F, tol) == n:
+        if numerical_rank(F) == n:
             fac_f = takagi(F)
-            if numerical_rank(np.diag(fac_f.diagonal), tol) < n:
+            if numerical_rank(np.diag(fac_f.diagonal)) < n:
                 raise VerificationFailure("herald bilinear form lost rank unexpectedly")
     if fac_f is None:
         # the default, and the fallback for degenerate user rows: the theorem
@@ -205,7 +203,7 @@ def synthesize_herald(
     pattern = HeraldPattern(signal=signal)
 
     report = verify.extract_heralded(U, n, pattern, m, target=state_out.S)
-    if not report.fidelity_vs_target > 1.0 - verify.VERIFY_TOL:
+    if not report.fidelity_vs_target > 1.0 - VERIFY_TOL:
         raise VerificationFailure(
             f"oracle fidelity {report.fidelity_vs_target} below tolerance"
         )

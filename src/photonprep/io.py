@@ -16,6 +16,7 @@ import numpy as np
 
 from .exceptions import DocumentError
 from .result import HeraldPattern, SynthesisResult
+from .tolerances import DOCUMENT_UNITARITY_TOL
 
 KINDS = ("postselect", "herald", "cnz")
 
@@ -43,6 +44,17 @@ def _is_pair(pair: Any) -> bool:
         and len(pair) == 2
         and all(_is_number_type(type(v)) for v in pair)
     )
+
+
+def _is_int_at_least(value: Any, minimum: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _int_from_doc(value: Any, field: str, minimum: int) -> int:
+    """An integer field: a JSON integer (not a boolean) of at least `minimum`."""
+    if not _is_int_at_least(value, minimum):
+        raise DocumentError(f"{field}: expected an integer >= {minimum}, got {value!r}", field)
+    return value
 
 
 def _probability_from_doc(value: Any) -> float:
@@ -117,12 +129,13 @@ def synthesis_from_doc(doc: Any) -> dict[str, Any]:
     if kind not in KINDS:
         raise DocumentError(f"kind: expected one of {KINDS}", "kind")
     unitary = matrix_from_doc(doc.get("unitary"), "unitary")
-    if np.linalg.norm(unitary.conj().T @ unitary - np.eye(unitary.shape[0])) > 1e-8:
+    defect = np.linalg.norm(unitary.conj().T @ unitary - np.eye(unitary.shape[0]))
+    if defect > DOCUMENT_UNITARITY_TOL:
         raise DocumentError("unitary: matrix is not unitary", "unitary")
     out: dict[str, Any] = {
         "kind": kind,
         "unitary": unitary,
-        "aux_modes": doc.get("aux_modes", 0),
+        "aux_modes": _int_from_doc(doc.get("aux_modes", 0), "aux_modes", 0),
         "success_probability": _probability_from_doc(doc.get("success_probability")),
         "target": matrix_from_doc(doc.get("target"), "target"),
     }
@@ -130,21 +143,29 @@ def synthesis_from_doc(doc: Any) -> dict[str, Any]:
     if herald is not None:
         if not isinstance(herald, dict) or "signal" not in herald:
             raise DocumentError("herald.signal: missing", "herald.signal")
-        out["herald"] = HeraldPattern(signal=tuple(int(s) for s in herald["signal"]))
+        signal = herald["signal"]
+        # empty for two photons, which need no herald
+        if not (isinstance(signal, list) and all(_is_int_at_least(s, 1) for s in signal)):
+            raise DocumentError(
+                f"herald.signal: expected a list of positive integers, got {signal!r}",
+                "herald.signal",
+            )
+        out["herald"] = HeraldPattern(signal=tuple(signal))
     else:
         out["herald"] = None
-    for key in ("input_state", ):
-        if key in doc and doc[key] is not None:
-            out[key] = matrix_from_doc(doc[key], key)
-    for key in ("n", "phi", "photons", "payload_modes"):
+    if doc.get("input_state") is not None:
+        out["input_state"] = matrix_from_doc(doc["input_state"], "input_state")
+    for key, minimum in (("n", 2), ("photons", 2), ("payload_modes", 1)):
         if key in doc:
-            out[key] = doc[key]
+            out[key] = _int_from_doc(doc[key], key, minimum)
+    if "phi" in doc:
+        out["phi"] = doc["phi"]
     if kind == "postselect" and "input_state" not in out:
         raise DocumentError("input_state: required for postselect documents", "input_state")
-    if kind == "herald" and not isinstance(out.get("photons"), int):
+    if kind == "herald" and "photons" not in out:
         raise DocumentError("photons: required for herald documents", "photons")
     if kind == "cnz":
-        if not isinstance(out.get("n"), int) or not isinstance(out.get("phi"), (int, float)):
+        if "n" not in out or not isinstance(out.get("phi"), (int, float)):
             raise DocumentError("n/phi: required for cnz documents", "n")
     return out
 

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceFailure, NotSymmetric, ZeroMatrix
-
-RANK_TOL = 1e-10
-SYMMETRY_TOL = 1e-10
+from .tolerances import RANK_TOL, SYMMETRY_TOL, TAKAGI_CUT, TAKAGI_RECONSTRUCTION_TOL
 
 
 @dataclass(frozen=True)
@@ -29,7 +27,7 @@ class TakagiFactorization:
         return np.diag(self.diagonal).astype(complex)
 
 
-def takagi(S: np.ndarray, tol: float = SYMMETRY_TOL) -> TakagiFactorization:
+def takagi(S: np.ndarray) -> TakagiFactorization:
     """Takagi (Autonne) factorization of a complex symmetric matrix.
 
     With S = A + iB, the real symmetric embedding E = [[A, B], [B, -A]] has
@@ -48,8 +46,9 @@ def takagi(S: np.ndarray, tol: float = SYMMETRY_TOL) -> TakagiFactorization:
         raise ValueError("empty matrix")
     if not np.all(np.isfinite(S)):
         raise ValueError("matrix contains non-finite entries")
-    if np.linalg.norm(S - S.T) >= max(tol, tol * np.linalg.norm(S)):
-        raise NotSymmetric(f"asymmetry {np.linalg.norm(S - S.T):.3e} exceeds {tol}")
+    asymmetry = np.linalg.norm(S - S.T)
+    if asymmetry >= SYMMETRY_TOL * max(1.0, np.linalg.norm(S)):
+        raise NotSymmetric(f"asymmetry {asymmetry:.3e} exceeds {SYMMETRY_TOL} x max(1, ||S||)")
     S = (S + S.T) / 2.0
     m = S.shape[0]
 
@@ -61,9 +60,7 @@ def takagi(S: np.ndarray, tol: float = SYMMETRY_TOL) -> TakagiFactorization:
     sigma = eigenvalues[::-1][:m]  # the +sigma half, descending
     top = vectors[:, ::-1][:, :m]
     u = top[:m] + 1j * top[m:]
-    # The cut sits at rounding level, not at RANK_TOL: dropping singular
-    # values near RANK_TOL * sigma_1 would cost reconstruction accuracy.
-    kept = int(np.count_nonzero(sigma > 8 * m * np.finfo(float).eps * sigma[0]))
+    kept = int(np.count_nonzero(sigma > TAKAGI_CUT * m * sigma[0]))
     q, r = np.linalg.qr(u[:, :kept], mode="complete")
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     q[:, :kept] *= phases
@@ -72,7 +69,7 @@ def takagi(S: np.ndarray, tol: float = SYMMETRY_TOL) -> TakagiFactorization:
 
     factor = TakagiFactorization(V=q.conj(), diagonal=diagonal)
     scale = max(1.0, diagonal[0])
-    if np.linalg.norm(factor.V.T @ S @ factor.V - factor.D) > 1e-8 * scale:
+    if np.linalg.norm(factor.V.T @ S @ factor.V - factor.D) > TAKAGI_RECONSTRUCTION_TOL * scale:
         raise ConvergenceFailure("Takagi factorization failed to reconstruct")
     return factor
 
@@ -126,12 +123,12 @@ def unitary_extension(A: np.ndarray) -> UnitaryExtension:
     return UnitaryExtension(U=U, sigma1=sigma1, N=m1 + m2)
 
 
-def numerical_rank(M: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Number of singular values above ``tol * sigma_max``; 0 for the zero matrix."""
+def numerical_rank(M: np.ndarray) -> int:
+    """Number of singular values above ``RANK_TOL * sigma_max``; 0 for the zero matrix."""
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return 0
     sigma = np.linalg.svd(M, compute_uv=False)
     if sigma[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(sigma > tol * sigma[0]))
+    return int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))

@@ -15,16 +15,15 @@ import numpy as np
 
 from . import verify
 from .exceptions import InfeasibleRank, SupportMismatch, VerificationFailure
-from .linalg import RANK_TOL, TakagiFactorization, numerical_rank, takagi, unitary_extension
+from .linalg import TakagiFactorization, numerical_rank, takagi, unitary_extension
 from .result import SynthesisResult
 from .states import QuditTarget, TwoPhotonState, normalize, state_rank
+from .tolerances import MODE_MAP_TOL, RANK_TOL, VERIFY_TOL
 
 
-def feasible_postselect(
-    state_in: TwoPhotonState, target: QuditTarget, tol: float = RANK_TOL
-) -> bool:
+def feasible_postselect(state_in: TwoPhotonState, target: QuditTarget) -> bool:
     """Rank rule: the target is reachable iff rank(C) <= rank(S_in)."""
-    return numerical_rank(target.C, tol) <= state_rank(state_in, tol)
+    return numerical_rank(target.C) <= state_rank(state_in)
 
 
 def build_sps(target: QuditTarget) -> tuple[TwoPhotonState, TakagiFactorization]:
@@ -69,9 +68,7 @@ def _padded(factor: TakagiFactorization, modes: int) -> tuple[np.ndarray, np.nda
     return V, diagonal
 
 
-def rescaling_lambda(
-    d_in: np.ndarray, d_ps: np.ndarray, tol: float = RANK_TOL
-) -> np.ndarray:
+def rescaling_lambda(d_in: np.ndarray, d_ps: np.ndarray) -> np.ndarray:
     """Entrywise diagonal rescaling lam with d_ps = lam * d_in * lam.
 
     Both diagonals must be sorted descending; the target support must sit
@@ -85,18 +82,16 @@ def rescaling_lambda(
     scale_ps = d_ps[0] if d_ps.size and d_ps[0] > 0 else 1.0
     lam = np.zeros_like(d_in)
     for i in range(len(d_in)):
-        if d_in[i] > tol * scale_in:
+        if d_in[i] > RANK_TOL * scale_in:
             lam[i] = np.sqrt(d_ps[i] / d_in[i])
-        elif d_ps[i] > tol * scale_ps:
+        elif d_ps[i] > RANK_TOL * scale_ps:
             raise SupportMismatch(
                 f"target diagonal entry {i} has weight but the source does not"
             )
     return lam
 
 
-def synthesize_postselect(
-    state_in: TwoPhotonState, target: QuditTarget, tol: float = RANK_TOL
-) -> SynthesisResult:
+def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> SynthesisResult:
     """Construct a unitary preparing the target C from the input state.
 
     Returns a circuit over 2 * max(m, d1 + d2) modes whose post-selected
@@ -106,8 +101,8 @@ def synthesize_postselect(
     """
     # one Takagi factorization of S_in gives both its rank and the rescaling
     fac_in = takagi(state_in.S)
-    rank_in = int(np.count_nonzero(fac_in.diagonal > tol * fac_in.diagonal[0]))
-    rank_c = numerical_rank(target.C, tol)
+    rank_in = int(np.count_nonzero(fac_in.diagonal > RANK_TOL * fac_in.diagonal[0]))
+    rank_c = numerical_rank(target.C)
     if rank_c > rank_in:
         raise InfeasibleRank(f"rank(C) = {rank_c} exceeds rank(S_in) = {rank_in}")
     d1, d2 = target.d1, target.d2
@@ -116,7 +111,7 @@ def synthesize_postselect(
     dim = max(m_in, m_ps)
     v_in, d_in = _padded(fac_in, dim)
     v_ps, d_ps = _padded(fac_ps, dim)
-    lam = rescaling_lambda(d_in, d_ps, tol)
+    lam = rescaling_lambda(d_in, d_ps)
 
     # M S_in M^T = S_ps with M = conj(V_ps) diag(lam) V_in^T, matching the
     # evolution convention S -> U S U^T
@@ -125,7 +120,7 @@ def synthesize_postselect(
     s_ps_p[:m_ps, :m_ps] = s_ps.S
     # the padded input modes carry no amplitude, so only M's first m_in columns act
     residual = np.linalg.norm(M[:, :m_in] @ state_in.S @ M[:, :m_in].T - s_ps_p)
-    if residual > 1e-8:
+    if residual > MODE_MAP_TOL:
         raise VerificationFailure(
             f"rescaled mode map misses the intermediate state by {residual:.3e}"
         )
@@ -134,7 +129,7 @@ def synthesize_postselect(
     U = ext.U
 
     report = verify.extract_postselected(U, state_in, d1, d2, target=target.C)
-    if not report.fidelity_vs_target > 1.0 - verify.VERIFY_TOL:
+    if not report.fidelity_vs_target > 1.0 - VERIFY_TOL:
         raise VerificationFailure(
             f"oracle fidelity {report.fidelity_vs_target} below tolerance"
         )

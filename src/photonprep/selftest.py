@@ -18,6 +18,7 @@ from .random_states import (
     random_unitary,
 )
 from .states import normalize, state_rank
+from .tolerances import IDENTITY_TOL, VERIFY_TOL
 
 DEFAULT_SEED = 20240901
 
@@ -29,7 +30,7 @@ def criterion_cz_recovery(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """
     result, spec = gates.build_cnz(2, np.pi)
     ok_p = abs(spec.p_s - 1.0 / 9.0) < 1e-9
-    ok_v = gates.verify_cnz(result, 2, np.pi, tol=1e-9)
+    ok_v = gates.verify_cnz(result, 2, np.pi)
     return ok_p and ok_v, f"p_s={spec.p_s:.12f} verified={ok_v}"
 
 
@@ -42,7 +43,7 @@ def criterion_cnz_family(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     for n in (3, 4):
         for phi in (np.pi / 4, np.pi / 2, np.pi):
             result, spec = gates.build_cnz(n, phi)
-            if not gates.verify_cnz(result, n, phi, tol=1e-9):
+            if not gates.verify_cnz(result, n, phi):
                 failures.append(f"verify n={n} phi={phi:.3f}")
             if abs(spec.p_s - gates.cnz_success_probability(n, phi)) > 1e-10:
                 failures.append(f"p_s n={n} phi={phi:.3f}")
@@ -80,7 +81,7 @@ def criterion_theorem1_iff(seed: int = DEFAULT_SEED, trials: int = 200) -> tuple
             failures.append(f"trial {trial}: infeasible case accepted")
             continue
         report = result.details["oracle_report"]
-        if not report.fidelity_vs_target > 1.0 - 1e-9:
+        if not report.fidelity_vs_target > 1.0 - VERIFY_TOL:
             failures.append(f"trial {trial}: fidelity {report.fidelity_vs_target}")
         if not result.success_probability > 0.0:
             failures.append(f"trial {trial}: p_s = 0")
@@ -109,7 +110,7 @@ def criterion_theorem2_iff(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
             failures.append(f"case {idx}: feasible case rejected")
             continue
         report = result.details["oracle_report"]
-        if not report.fidelity_vs_target > 1.0 - 1e-9:
+        if not report.fidelity_vs_target > 1.0 - VERIFY_TOL:
             failures.append(f"case {idx}: fidelity {report.fidelity_vs_target}")
         if rank == 4 and result.herald.signal != (2,):
             failures.append(f"case {idx}: unexpected signal {result.herald.signal}")
@@ -133,7 +134,7 @@ def criterion_proof_identity(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
             state = random_state_of_rank(rng, m, rank)
             result = herald.synthesize_herald(state, rank)
             worst = max(worst, result.details["identity_error"])
-    tol = herald.IDENTITY_TOL
+    tol = IDENTITY_TOL
     margin = f"{tol / worst:.1e}x" if worst > 0 else "exact"
     return worst <= tol, f"max relative identity error {worst:.3e} <= {tol:.0e} (margin {margin})"
 
@@ -206,7 +207,7 @@ def criterion_invariance(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
         for trial in range(100):
             U = random_unitary(rng, state.modes)
             evolved = fock.evolve_two_photon(U, state.S)
-            if linalg.numerical_rank(evolved, 1e-10) != rank:
+            if linalg.numerical_rank(evolved) != rank:
                 failures.append(f"state {s_idx} trial {trial}: rank drift")
             weight = 2.0 * np.trace(evolved.conj().T @ evolved).real
             if abs(weight - 1.0) > 1e-9:

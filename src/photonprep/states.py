@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotSymmetric, ZeroState
-from .linalg import RANK_TOL, numerical_rank
-
-NORMALIZATION_TOL = 1e-8
+from .linalg import numerical_rank
+from .tolerances import NORMALIZATION_TOL, STATE_SYMMETRY_TOL, TARGET_NORM_TOL, ZERO_WEIGHT
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,7 @@ class TwoPhotonState:
             raise ValueError(f"state matrix must be square, got {S.shape}")
         if not np.isfinite(S).all():
             raise ValueError("state matrix has non-finite entries")
-        if np.linalg.norm(S - S.T) > 1e-8 * max(1.0, np.linalg.norm(S)):
+        if np.linalg.norm(S - S.T) > STATE_SYMMETRY_TOL * max(1.0, np.linalg.norm(S)):
             raise NotSymmetric("state matrix is not symmetric")
         S = (S + S.T) / 2.0  # kill roundoff drift
         if abs(2.0 * np.trace(S.conj().T @ S).real - 1.0) > NORMALIZATION_TOL:
@@ -64,7 +63,7 @@ class QuditTarget:
             raise ValueError(f"target must be a nonempty matrix, got {C.shape}")
         if not np.isfinite(C).all():
             raise ValueError("target matrix has non-finite entries")
-        if abs(np.linalg.norm(C) - 1.0) > 1e-6:
+        if abs(np.linalg.norm(C) - 1.0) > TARGET_NORM_TOL:
             raise ValueError("target state must have unit Frobenius norm")
         C.setflags(write=False)
         object.__setattr__(self, "C", C)
@@ -85,7 +84,7 @@ def normalize(S: np.ndarray) -> TwoPhotonState:
         raise ValueError("cannot normalize a matrix with non-finite entries")
     S = (S + S.T) / 2.0
     weight = 2.0 * np.trace(S.conj().T @ S).real
-    if weight <= 1e-28:
+    if weight <= ZERO_WEIGHT:
         raise ZeroState("cannot normalize a zero state matrix")
     return TwoPhotonState(S / np.sqrt(weight))
 
@@ -111,6 +110,6 @@ def single_photons_state(m: int) -> TwoPhotonState:
     return TwoPhotonState(S)
 
 
-def state_rank(state: TwoPhotonState, tol: float = RANK_TOL) -> int:
+def state_rank(state: TwoPhotonState) -> int:
     """Rank of the state matrix; invariant under linear optics."""
-    return numerical_rank(state.S, tol)
+    return numerical_rank(state.S)

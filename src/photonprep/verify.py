@@ -18,8 +18,6 @@ from .exceptions import DimensionMismatch, SignalMismatch, ZeroState
 from .result import HeraldPattern
 from .states import TwoPhotonState, normalize
 
-VERIFY_TOL = 1e-9  # oracle fidelity must exceed 1 - VERIFY_TOL
-
 
 @dataclass(frozen=True)
 class ExtractionReport:
@@ -28,7 +26,6 @@ class ExtractionReport:
     extracted: np.ndarray
     probability: float
     fidelity_vs_target: float
-    global_phase: complex
 
 
 def fidelity(S1: np.ndarray, S2: np.ndarray) -> float:
@@ -42,19 +39,6 @@ def fidelity(S1: np.ndarray, S2: np.ndarray) -> float:
     if n1 == 0.0 or n2 == 0.0:
         return 0.0
     return float(abs(np.vdot(S1, S2)) / (n1 * n2))
-
-
-def states_equal_up_to_phase(
-    S1: np.ndarray, S2: np.ndarray, tol: float = 1e-9
-) -> tuple[bool, complex]:
-    """Whether S1 = c * S2 for a unit-modulus c; returns the best such c."""
-    S1 = np.asarray(S1, dtype=complex)
-    S2 = np.asarray(S2, dtype=complex)
-    if S1.shape != S2.shape:
-        raise DimensionMismatch(f"shapes {S1.shape} vs {S2.shape}")
-    overlap = np.vdot(S2, S1)  # phase minimizing ||S1 - c S2||_F
-    phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0 + 0.0j
-    return bool(np.linalg.norm(S1 - phase * S2) < tol), complex(phase)
 
 
 def extract_postselected(
@@ -85,19 +69,7 @@ def extract_postselected(
     extracted = 2.0 * block
     probability = float(np.sum(np.abs(extracted) ** 2))
     fid = fidelity(extracted, target) if target is not None else float("nan")
-    phase = 1.0 + 0.0j
-    if target is not None and np.linalg.norm(extracted) > 0:
-        _, phase = states_equal_up_to_phase(
-            extracted / np.linalg.norm(extracted),
-            np.asarray(target, dtype=complex) / np.linalg.norm(target),
-            tol=np.inf,
-        )
-    return ExtractionReport(
-        extracted=extracted,
-        probability=probability,
-        fidelity_vs_target=fid,
-        global_phase=phase,
-    )
+    return ExtractionReport(extracted=extracted, probability=probability, fidelity_vs_target=fid)
 
 
 def extract_heralded(
@@ -136,23 +108,9 @@ def extract_heralded(
     T[i, j] = T[j, i] = amps
 
     probability = float(2.0 * np.trace(T.conj().T @ T).real)
-    phase = 1.0 + 0.0j
-    fid = float("nan")
-    if target is not None:
-        fid = fidelity(T, target)
-        if np.linalg.norm(T) > 0:
-            _, phase = states_equal_up_to_phase(
-                T / np.linalg.norm(T),
-                np.asarray(target, dtype=complex) / np.linalg.norm(target),
-                tol=np.inf,
-            )
+    fid = fidelity(T, target) if target is not None else float("nan")
     try:
         extracted = normalize(T).S
     except ZeroState:
         extracted = T
-    return ExtractionReport(
-        extracted=extracted,
-        probability=probability,
-        fidelity_vs_target=fid,
-        global_phase=phase,
-    )
+    return ExtractionReport(extracted=extracted, probability=probability, fidelity_vs_target=fid)

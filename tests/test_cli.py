@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from photonprep import QuditTarget, from_qudit_target
+from photonprep import QuditTarget, from_qudit_target, normalize, state_rank
 from photonprep.cli import main
 from photonprep.io import matrix_to_doc
 from photonprep.random_states import random_state_of_rank
@@ -109,6 +109,46 @@ class TestSynthHerald:
         )
 
 
+class TestVerifyRejectsMalformedHeraldDocument:
+    @pytest.fixture
+    def bell_doc(self, bell_state_file, tmp_path, capsys):
+        out = tmp_path / "herald.json"
+        args = ["synth-herald", "--target", bell_state_file, "--photons", "4", "--output", str(out)]
+        assert main(args) == 0
+        capsys.readouterr()
+        return out
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("signal", [2.7]),
+            ("signal", "2"),
+            ("signal", [True, True]),
+            ("signal", 5),
+            ("payload_modes", "4"),
+            ("payload_modes", 4.5),
+            ("payload_modes", True),
+        ],
+    )
+    def test_malformed_input_exit_code(self, bell_doc, capsys, field, value):
+        doc = json.loads(bell_doc.read_text())
+        if field == "signal":
+            doc["herald"]["signal"] = value
+        else:
+            doc[field] = value
+        bell_doc.write_text(json.dumps(doc))
+        assert main(["verify", "--input", str(bell_doc)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_two_photon_document_has_empty_signal(self, tmp_path, capsys):
+        state = random_state_of_rank(np.random.default_rng(3), 3, 2)
+        path = write_matrix(tmp_path / "rank2.json", state.S)
+        out = tmp_path / "herald2.json"
+        assert main(["synth-herald", "--target", path, "--photons", "2", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["herald"]["signal"] == []
+        assert main(["verify", "--input", str(out)]) == 0
+
+
 class TestSynthPostselect:
     def test_bell_from_single_photons(self, tmp_path, capsys):
         state = tmp_path / "in.json"
@@ -155,3 +195,41 @@ class TestSelftest:
         main(["selftest", "--seed", "99"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestOneRankRule:
+    """The CLI decides rank with the library's RANK_TOL: a Takagi value of
+    5e-10 relative to the largest counts."""
+
+    @pytest.fixture
+    def near_threshold_file(self, tmp_path):
+        state = normalize(np.diag([1.0, 1.0, 5e-10]).astype(complex))
+        assert state_rank(state) == 3
+        return write_matrix(tmp_path / "near.json", state.S)
+
+    def test_rank_matches_library(self, near_threshold_file, capsys):
+        assert main(["rank", "--state", near_threshold_file]) == 0
+        assert capsys.readouterr().out.strip() == "3"
+
+    def test_herald_infeasible_like_library(self, near_threshold_file, capsys):
+        assert main(["synth-herald", "--target", near_threshold_file, "--photons", "2"]) == 1
+        assert "rank-3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--state", "s.json"],
+        ["takagi", "--input", "s.json"],
+        ["synth-postselect", "--state", "s.json", "--target", "t.json"],
+        ["synth-herald", "--target", "t.json", "--photons", "4"],
+        ["gate-cnz", "--n", "2", "--phi", "1.0"],
+        ["verify", "--input", "d.json"],
+        ["selftest"],
+    ],
+)
+def test_no_verb_takes_a_tolerance(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err

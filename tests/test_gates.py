@@ -55,18 +55,18 @@ class TestBuildAndVerify:
     def test_cz_amplitudes(self):
         result, spec = build_cnz(2, np.pi)
         assert spec.p_s == pytest.approx(1 / 9, abs=1e-12)
-        assert verify_cnz(result, 2, np.pi, tol=1e-9)
+        assert verify_cnz(result, 2, np.pi)
 
     def test_identity_phase(self):
         result, spec = build_cnz(3, 0.0)
         assert spec.p_s == pytest.approx(1.0)
-        assert verify_cnz(result, 3, 0.0, tol=1e-9)
+        assert verify_cnz(result, 3, 0.0)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("phi", [np.pi / 4, np.pi / 2, np.pi, 3 * np.pi / 2])
     def test_family_verifies(self, n, phi):
         result, spec = build_cnz(n, phi)
-        assert verify_cnz(result, n, phi, tol=1e-9)
+        assert verify_cnz(result, n, phi)
         assert spec.p_s == pytest.approx(cnz_success_probability(n, phi), abs=1e-12)
 
     def test_unitary_and_mode_count(self):
@@ -86,7 +86,7 @@ class TestBuildAndVerify:
             scale_alpha=result.scale_alpha,
             success_probability=result.success_probability,
         )
-        assert not verify_cnz(tampered, 2, np.pi, tol=1e-9)
+        assert not verify_cnz(tampered, 2, np.pi)
 
 
 def _definition_table(U, n, definition_amplitude):

@@ -21,6 +21,7 @@ from photonprep import herald as herald_module
 from photonprep.herald import default_herald_rows
 from photonprep.result import HeraldPattern
 from photonprep.random_states import random_state_of_rank, random_unitary
+from photonprep.tolerances import IDENTITY_TOL
 
 BELL = normalize(
     np.array(
@@ -130,6 +131,16 @@ class TestBilinearMatrix:
             herald_bilinear_matrix(rows, 4)
         with pytest.raises(MultiplicityMismatch):
             synthesize_herald(BELL, 4, herald_rows=rows)
+
+    def test_zero_multiplicity_rows_dropped(self, rng):
+        """A herald mode that expects vacuum adds nothing: the row is dropped."""
+        target = random_state_of_rank(rng, 5, 4)
+        alone = synthesize_herald(target, 4, herald_rows=[(np.ones(4), 2)])
+        result = synthesize_herald(
+            target, 4, herald_rows=[(np.ones(4), 2), (np.arange(4), 0)]
+        )
+        assert result.herald.signal == (2,)
+        assert result.success_probability == alone.success_probability
 
     def test_non_finite_row_rejected(self):
         row = np.ones(4, dtype=complex)
@@ -272,7 +283,7 @@ class TestSynthesize:
             V = random_unitary(rng, rank + 2)
             target = normalize(V @ np.diag(d) @ V.T)
         result = synthesize_herald(target, rank)
-        assert result.details["identity_error"] <= herald_module.IDENTITY_TOL
+        assert result.details["identity_error"] <= IDENTITY_TOL
         assert result.details["oracle_report"].fidelity_vs_target > 1 - 1e-9
         assert result.success_probability > 0
 

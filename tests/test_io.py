@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from photonprep.exceptions import DocumentError
-from photonprep import build_cnz
+from photonprep import build_cnz, normalize, synthesize_herald
 from photonprep.io import matrix_from_doc, matrix_to_doc, synthesis_from_doc, synthesis_to_doc
 
 
@@ -130,3 +130,47 @@ class TestSuccessProbability:
         doc["success_probability"] = value
         decoded = synthesis_from_doc(doc)["success_probability"]
         assert type(decoded) is float and decoded == value
+
+
+class TestIntegerFields:
+    @pytest.fixture
+    def herald_doc(self):
+        state = normalize(np.eye(4, dtype=complex))
+        result = synthesize_herald(state, 4)
+        return synthesis_to_doc(result, "herald", state.S, photons=4, payload_modes=4)
+
+    @pytest.fixture
+    def cnz_doc(self):
+        result, _ = build_cnz(2, np.pi)
+        return synthesis_to_doc(result, "cnz", np.eye(4), n=2, phi=np.pi)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("photons", True), ("photons", 1), ("payload_modes", 0), ("aux_modes", -1),
+         ("aux_modes", "0"), ("aux_modes", 1.5)],
+    )
+    def test_herald_rejects(self, herald_doc, field, value):
+        herald_doc[field] = value
+        with pytest.raises(DocumentError) as err:
+            synthesis_from_doc(herald_doc)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("signal", [[0], [2, -1], None])
+    def test_signal_rejects(self, herald_doc, signal):
+        herald_doc["herald"]["signal"] = signal
+        with pytest.raises(DocumentError) as err:
+            synthesis_from_doc(herald_doc)
+        assert err.value.field == "herald.signal"
+
+    @pytest.mark.parametrize("value", [True, 1])
+    def test_cnz_rejects_n(self, cnz_doc, value):
+        cnz_doc["n"] = value
+        with pytest.raises(DocumentError) as err:
+            synthesis_from_doc(cnz_doc)
+        assert err.value.field == "n"
+
+    def test_accepts_written_documents(self, herald_doc, cnz_doc):
+        decoded = synthesis_from_doc(herald_doc)
+        assert (decoded["photons"], decoded["payload_modes"]) == (4, 4)
+        assert decoded["herald"].signal == (2,)
+        assert synthesis_from_doc(cnz_doc)["n"] == 2

@@ -16,8 +16,8 @@ from photonprep import (
     takagi,
     unitary_extension,
 )
-from photonprep.linalg import RANK_TOL
 from photonprep.random_states import random_complex_symmetric, random_unitary
+from photonprep.tolerances import RANK_TOL
 
 
 @st.composite

@@ -19,8 +19,8 @@ from photonprep import (
 )
 from photonprep.verify import fidelity
 from photonprep.exceptions import VerificationFailure
-from photonprep.linalg import RANK_TOL
 from photonprep.random_states import random_state_of_rank, random_target_of_rank
+from photonprep.tolerances import RANK_TOL
 
 NEAR = RANK_TOL * (1 + 1e-3)  # just above the rank threshold, relative to sigma_1
 BELOW = RANK_TOL * (1 - 1e-3)  # just below it

@@ -10,7 +10,6 @@ from photonprep import (
     from_qudit_target,
     normalize,
     permanent_naive,
-    states_equal_up_to_phase,
     synthesize_herald,
     synthesize_postselect,
 )
@@ -23,43 +22,6 @@ from photonprep.random_states import (
 )
 from photonprep.result import HeraldPattern
 from photonprep.states import single_photons_state
-
-
-class TestStatesEqualUpToPhase:
-    def test_reflexive(self, rng):
-        S = random_complex_symmetric(rng, 3)
-        equal, phase = states_equal_up_to_phase(S, S)
-        assert equal
-        assert phase == pytest.approx(1.0)
-
-    def test_phase_factor(self, rng):
-        S = random_complex_symmetric(rng, 3)
-        equal, phase = states_equal_up_to_phase(S, np.exp(1j * np.pi / 3) * S)
-        assert equal
-        assert phase == pytest.approx(np.exp(-1j * np.pi / 3))
-
-    def test_perturbation_detected(self, rng):
-        S = normalize(random_complex_symmetric(rng, 3)).S
-        other = S.copy()
-        other[0, 0] += 0.1
-        other = normalize(other).S
-        equal, _ = states_equal_up_to_phase(S, other, tol=1e-6)
-        assert not equal
-
-    def test_symmetry(self, rng):
-        S1 = normalize(random_complex_symmetric(rng, 4)).S
-        S2 = np.exp(0.7j) * S1
-        eq12, p12 = states_equal_up_to_phase(S1, S2)
-        eq21, p21 = states_equal_up_to_phase(S2, S1)
-        assert eq12 and eq21
-        assert p12 == pytest.approx(np.conj(p21))
-
-    def test_invariant_under_conjugation(self, rng):
-        S1 = normalize(random_complex_symmetric(rng, 4)).S
-        S2 = np.exp(0.3j) * S1
-        U = random_unitary(rng, 4)
-        eq, _ = states_equal_up_to_phase(U.T @ S1 @ U, U.T @ S2 @ U)
-        assert eq
 
 
 class TestExtractPostselected:
