@@ -35,7 +35,6 @@ from .postselect import (
     rescaling_lambda,
     synthesize_postselect,
 )
-from .result import HeraldPattern, SynthesisResult
 from .states import (
     QuditTarget,
     TwoPhotonState,
@@ -46,6 +45,8 @@ from .states import (
 )
 from .verify import (
     ExtractionReport,
+    HeraldPattern,
+    SynthesisResult,
     extract_heralded,
     extract_postselected,
 )

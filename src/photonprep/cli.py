@@ -27,9 +27,8 @@ from .exceptions import (
     ZeroState,
 )
 from .linalg import numerical_rank, takagi
-from .result import HeraldPattern, SynthesisResult
+from .verify import HeraldPattern, SynthesisResult
 from .states import QuditTarget, TwoPhotonState, normalize
-from .tolerances import VERIFY_TOL
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -101,13 +100,12 @@ def cmd_synth_herald(args) -> int:
 
 
 def cmd_gate_cnz(args) -> int:
-    result, spec = gates.build_cnz(args.n, args.phi)
+    result, _ = gates.build_cnz(args.n, args.phi)
     if not gates.verify_cnz(result, args.n, args.phi):
         raise VerificationFailure("constructed gate failed the oracle check")
     target = np.eye(2**args.n, dtype=complex)
     target[-1, -1] = np.exp(1j * args.phi)
     doc = io.synthesis_to_doc(result, "cnz", target, n=args.n, phi=args.phi)
-    doc["alpha"] = io.complex_to_pair(spec.alpha)
     io.dump_json(doc, args.output)
     return EXIT_OK
 
@@ -116,25 +114,9 @@ def cmd_verify(args) -> int:
     decoded = io.synthesis_from_doc(io.load_json(args.input))
     kind = decoded["kind"]
     U = decoded["unitary"]
-    if kind == "postselect":
-        target = decoded["target"]
-        d1, d2 = target.shape
-        state_in = normalize(decoded["input_state"])
-        report = verify.extract_postselected(U, state_in, d1, d2, target=target)
-        ok = report.fidelity_vs_target > 1.0 - VERIFY_TOL
-        p_s = report.probability
-    elif kind == "herald":
-        target = decoded["target"]
-        m = decoded.get("payload_modes", target.shape[0])
-        pattern = decoded["herald"]
-        if pattern is None:
-            pattern = HeraldPattern(signal=())
-        report = verify.extract_heralded(
-            U, decoded["photons"], pattern, m, target=target
-        )
-        ok = report.fidelity_vs_target > 1.0 - VERIFY_TOL
-        p_s = report.probability
-    else:  # cnz
+    target = decoded["target"]
+    out = {"kind": kind}
+    if kind == "cnz":
         result = SynthesisResult(
             unitary=U,
             aux_modes=decoded["aux_modes"],
@@ -142,15 +124,19 @@ def cmd_verify(args) -> int:
             success_probability=decoded["success_probability"],
         )
         ok = gates.verify_cnz(result, decoded["n"], decoded["phi"])
-        p_s = decoded["success_probability"]
-        report = None
-    out = {
-        "kind": kind,
-        "verified": bool(ok),
-        "success_probability": float(p_s),
-    }
-    if report is not None:
-        out["fidelity"] = float(report.fidelity_vs_target)
+        out.update(verified=ok, success_probability=decoded["success_probability"])
+    else:
+        if kind == "postselect":
+            d1, d2 = target.shape
+            state_in = normalize(decoded["input_state"])
+            report = verify.extract_postselected(U, state_in, d1, d2, target=target)
+        else:  # herald
+            m = decoded.get("payload_modes", target.shape[0])
+            pattern = decoded["herald"] or HeraldPattern(signal=())
+            report = verify.extract_heralded(U, decoded["photons"], pattern, m, target=target)
+        ok = report.verified
+        out.update(verified=ok, success_probability=report.probability)
+        out["fidelity"] = report.fidelity_vs_target
     io.dump_json(out, args.output)
     return EXIT_OK if ok else EXIT_VERIFY
 

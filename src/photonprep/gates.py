@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fock
 from .linalg import unitary_extension
-from .result import SynthesisResult
+from .verify import SynthesisResult
 from .tolerances import CNZ_AMPLITUDE_TOL, CNZ_ZERO_BASE
 
 
@@ -78,7 +78,6 @@ def build_cnz(n: int, phi: float) -> tuple[SynthesisResult, CnZSpec]:
         scale_alpha=damping,
         success_probability=p_s,
         herald=None,
-        details={"A_block": A_block, "B_block": B_block, "sigma1": ext.sigma1},
     )
     return result, spec
 

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
+import sys
 from typing import Any
 
 import numpy as np
 
 from .exceptions import DocumentError
-from .result import HeraldPattern, SynthesisResult
+from .verify import HeraldPattern, SynthesisResult
 from .tolerances import DOCUMENT_UNITARITY_TOL
 
 KINDS = ("postselect", "herald", "cnz")
@@ -36,6 +36,11 @@ def matrix_to_doc(M: np.ndarray, label: str | None = None) -> dict[str, Any]:
 def _is_number_type(t: type) -> bool:
     # JSON true/false decode to bool, a subclass of int; they are not numbers here
     return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def _is_finite_number(value: Any) -> bool:
+    # int-float comparison is exact, so NaN, infinities and integers beyond the float range fail
+    return _is_number_type(type(value)) and abs(value) <= sys.float_info.max
 
 
 def _is_pair(pair: Any) -> bool:
@@ -59,7 +64,7 @@ def _int_from_doc(value: Any, field: str, minimum: int) -> int:
 
 def _probability_from_doc(value: Any) -> float:
     """A probability field: a finite JSON number (not a boolean) in [0, 1]."""
-    if not (_is_number_type(type(value)) and math.isfinite(value) and 0.0 <= value <= 1.0):
+    if not (_is_finite_number(value) and 0.0 <= value <= 1.0):
         raise DocumentError(
             f"success_probability: expected a finite number in [0, 1], got {value!r}",
             "success_probability",
@@ -94,11 +99,6 @@ def matrix_from_doc(doc: Any, field: str = "matrix") -> np.ndarray:
     return M
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
 def synthesis_to_doc(
     result: SynthesisResult, kind: str, target: np.ndarray, **extras: Any
 ) -> dict[str, Any]:
@@ -108,7 +108,6 @@ def synthesis_to_doc(
         "kind": kind,
         "unitary": matrix_to_doc(result.unitary),
         "aux_modes": result.aux_modes,
-        "alpha": complex_to_pair(result.scale_alpha),
         "success_probability": float(result.success_probability),
         "target": matrix_to_doc(target),
         "herald": (
@@ -159,13 +158,16 @@ def synthesis_from_doc(doc: Any) -> dict[str, Any]:
         if key in doc:
             out[key] = _int_from_doc(doc[key], key, minimum)
     if "phi" in doc:
-        out["phi"] = doc["phi"]
+        phi = doc["phi"]
+        if not _is_finite_number(phi):
+            raise DocumentError(f"phi: expected a finite number, got {phi!r}", "phi")
+        out["phi"] = phi
     if kind == "postselect" and "input_state" not in out:
         raise DocumentError("input_state: required for postselect documents", "input_state")
     if kind == "herald" and "photons" not in out:
         raise DocumentError("photons: required for herald documents", "photons")
     if kind == "cnz":
-        if "n" not in out or not isinstance(out.get("phi"), (int, float)):
+        if "n" not in out or "phi" not in out:
             raise DocumentError("n/phi: required for cnz documents", "n")
     return out
 

@@ -123,12 +123,17 @@ def unitary_extension(A: np.ndarray) -> UnitaryExtension:
     return UnitaryExtension(U=U, sigma1=sigma1, N=m1 + m2)
 
 
+def _above_rank_tol(values: np.ndarray) -> np.ndarray:
+    """The rank rule on a list of nonnegative (singular or Takagi) values: the
+    mask of those above ``RANK_TOL`` times the largest. All False when none
+    is positive."""
+    values = np.asarray(values, dtype=float)
+    return values > RANK_TOL * np.max(values, initial=0.0)
+
+
 def numerical_rank(M: np.ndarray) -> int:
     """Number of singular values above ``RANK_TOL * sigma_max``; 0 for the zero matrix."""
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return 0
-    sigma = np.linalg.svd(M, compute_uv=False)
-    if sigma[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))
+    return int(np.count_nonzero(_above_rank_tol(np.linalg.svd(M, compute_uv=False))))

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import verify
 from .exceptions import InfeasibleRank, SupportMismatch, VerificationFailure
-from .linalg import TakagiFactorization, numerical_rank, takagi, unitary_extension
-from .result import SynthesisResult
+from .linalg import TakagiFactorization, _above_rank_tol, numerical_rank, takagi, unitary_extension
 from .states import QuditTarget, TwoPhotonState, normalize, state_rank
-from .tolerances import MODE_MAP_TOL, RANK_TOL, VERIFY_TOL
+from .tolerances import MODE_MAP_TOL
+from .verify import SynthesisResult
 
 
 def feasible_postselect(state_in: TwoPhotonState, target: QuditTarget) -> bool:
@@ -78,16 +78,14 @@ def rescaling_lambda(d_in: np.ndarray, d_ps: np.ndarray) -> np.ndarray:
     d_ps = np.asarray(d_ps, dtype=float)
     if d_in.shape != d_ps.shape:
         raise ValueError("diagonals must have equal length")
-    scale_in = d_in[0] if d_in.size and d_in[0] > 0 else 1.0
-    scale_ps = d_ps[0] if d_ps.size and d_ps[0] > 0 else 1.0
+    kept = _above_rank_tol(d_in)
+    lost = _above_rank_tol(d_ps) & ~kept
+    if lost.any():
+        raise SupportMismatch(
+            f"target diagonal entry {np.argmax(lost)} has weight but the source does not"
+        )
     lam = np.zeros_like(d_in)
-    for i in range(len(d_in)):
-        if d_in[i] > RANK_TOL * scale_in:
-            lam[i] = np.sqrt(d_ps[i] / d_in[i])
-        elif d_ps[i] > RANK_TOL * scale_ps:
-            raise SupportMismatch(
-                f"target diagonal entry {i} has weight but the source does not"
-            )
+    lam[kept] = np.sqrt(d_ps[kept] / d_in[kept])
     return lam
 
 
@@ -101,7 +99,7 @@ def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> Synt
     """
     # one Takagi factorization of S_in gives both its rank and the rescaling
     fac_in = takagi(state_in.S)
-    rank_in = int(np.count_nonzero(fac_in.diagonal > RANK_TOL * fac_in.diagonal[0]))
+    rank_in = int(np.count_nonzero(_above_rank_tol(fac_in.diagonal)))
     rank_c = numerical_rank(target.C)
     if rank_c > rank_in:
         raise InfeasibleRank(f"rank(C) = {rank_c} exceeds rank(S_in) = {rank_in}")
@@ -129,10 +127,8 @@ def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> Synt
     U = ext.U
 
     report = verify.extract_postselected(U, state_in, d1, d2, target=target.C)
-    if not report.fidelity_vs_target > 1.0 - VERIFY_TOL:
-        raise VerificationFailure(
-            f"oracle fidelity {report.fidelity_vs_target} below tolerance"
-        )
+    if not report.verified:
+        raise VerificationFailure(f"oracle fidelity {report.fidelity_vs_target} below tolerance")
     if not report.probability > 0.0:
         raise VerificationFailure("vanishing success probability on a feasible target")
 
@@ -144,12 +140,5 @@ def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> Synt
         scale_alpha=alpha,
         success_probability=report.probability,
         herald=None,
-        details={
-            "intermediate_state": s_ps_p,
-            "rescaling": lam,
-            "mode_map": M,
-            "sigma1": ext.sigma1,
-            "input_modes": state_in.modes,
-            "oracle_report": report,
-        },
+        report=report,
     )

@@ -7,6 +7,8 @@ both call into here so there is a single source of truth.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import fock, gates, herald, linalg, postselect
@@ -18,7 +20,8 @@ from .random_states import (
     random_unitary,
 )
 from .states import normalize, state_rank
-from .tolerances import IDENTITY_TOL, VERIFY_TOL
+from .tolerances import IDENTITY_TOL
+from .verify import SynthesisResult
 
 DEFAULT_SEED = 20240901
 
@@ -80,9 +83,8 @@ def criterion_theorem1_iff(seed: int = DEFAULT_SEED, trials: int = 200) -> tuple
         if not feasible:
             failures.append(f"trial {trial}: infeasible case accepted")
             continue
-        report = result.details["oracle_report"]
-        if not report.fidelity_vs_target > 1.0 - VERIFY_TOL:
-            failures.append(f"trial {trial}: fidelity {report.fidelity_vs_target}")
+        if not result.report.verified:
+            failures.append(f"trial {trial}: fidelity {result.report.fidelity_vs_target}")
         if not result.success_probability > 0.0:
             failures.append(f"trial {trial}: p_s = 0")
     return not failures, "; ".join(failures[:5]) or f"{trials} trials consistent"
@@ -109,9 +111,8 @@ def criterion_theorem2_iff(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
         except InfeasibleRank:
             failures.append(f"case {idx}: feasible case rejected")
             continue
-        report = result.details["oracle_report"]
-        if not report.fidelity_vs_target > 1.0 - VERIFY_TOL:
-            failures.append(f"case {idx}: fidelity {report.fidelity_vs_target}")
+        if not result.report.verified:
+            failures.append(f"case {idx}: fidelity {result.report.fidelity_vs_target}")
         if rank == 4 and result.herald.signal != (2,):
             failures.append(f"case {idx}: unexpected signal {result.herald.signal}")
         if rank > 2:
@@ -123,9 +124,28 @@ def criterion_theorem2_iff(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     return not failures, "; ".join(failures[:5]) or f"{len(cases)} cases consistent"
 
 
+def _circuit_identity_error(result: SynthesisResult, S: np.ndarray) -> float:
+    """Largest error of Per(A_a, A_b, H) = sqrt(2 s!) S_ab over payload pairs
+    a <= b, relative to sqrt(2 s!) d_0 (d_0 the largest singular value of S),
+    read off the returned circuit alone: A = U[:m + h, :n] / scale_alpha holds
+    the m payload and h herald rows, and H repeats each herald row by its
+    signal entry. The payload rows are a Takagi rotation of rows obeying
+    Per(row_i, row_j, H) = sqrt(2 s!) d_i delta_ij, hence the identity for S.
+    """
+    signal = result.herald.signal
+    m, n = S.shape[0], sum(signal) + 2
+    A = result.unitary[: m + len(signal), :n] / result.scale_alpha
+    H = np.repeat(A[m:], signal, axis=0)
+    a, b = np.triu_indices(m)
+    pairs = np.concatenate([A[a, None], A[b, None], np.broadcast_to(H, (len(a), n - 2, n))], axis=1)
+    scale = math.sqrt(2.0 * math.prod(math.factorial(s) for s in signal))
+    error = np.max(np.abs(fock.permanent(pairs) - scale * S[a, b]))
+    return float(error / (scale * np.linalg.norm(S, 2)))
+
+
 def criterion_proof_identity(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
-    """Pre-embedding rows obey Per(l_i, l_j, l_s) = sqrt(2 s!) D_ii delta_ij,
-    to IDENTITY_TOL relative to sqrt(2 s!) D_00."""
+    """The returned circuits obey Per(A_a, A_b, H) = sqrt(2 s!) S_ab, to
+    IDENTITY_TOL relative to sqrt(2 s!) d_0; see _circuit_identity_error."""
     rng = np.random.default_rng(seed + 2)
     worst = 0.0
     for rank in (2, 3, 4):
@@ -133,7 +153,7 @@ def criterion_proof_identity(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
             m = int(rng.integers(rank, 7))
             state = random_state_of_rank(rng, m, rank)
             result = herald.synthesize_herald(state, rank)
-            worst = max(worst, result.details["identity_error"])
+            worst = max(worst, _circuit_identity_error(result, state.S))
     tol = IDENTITY_TOL
     margin = f"{tol / worst:.1e}x" if worst > 0 else "exact"
     return worst <= tol, f"max relative identity error {worst:.3e} <= {tol:.0e} (margin {margin})"

@@ -30,8 +30,9 @@ IDENTITY_TOL               1e-9   x sqrt(2 s!) d_0   herald: largest error of th
                                                      sqrt(2 s!) d_i delta_ij
 MODE_MAP_TOL               1e-8   absolute           postselect: ||M S_in M^T - S_ps||_F of the
                                                      rescaled mode map within it
-VERIFY_TOL                 1e-9   absolute           oracle fidelity must exceed 1 - VERIFY_TOL
-                                                     (both synthesizers, CLI verify)
+VERIFY_TOL                 1e-9   absolute           ExtractionReport.verified: oracle fidelity
+                                                     must exceed 1 - VERIFY_TOL (both
+                                                     synthesizers, CLI verify, selftest)
 CNZ_AMPLITUDE_TOL          1e-9   absolute           verify_cnz: every truth-table amplitude
                                                      within it of the ideal gate's
 CNZ_ZERO_BASE              1e-12  absolute           cnz_alpha: a base 2 sin(phi / 2) below it

@@ -1,4 +1,5 @@
-"""Independent verification oracle for synthesized circuits.
+"""Independent verification oracle for synthesized circuits, and the
+result types the synthesizers return.
 
 Everything here goes through the permanent-based Fock amplitudes or the
 matrix conjugation rule, never through a synthesizer's own bookkeeping.
@@ -9,14 +10,38 @@ S_ij + S_ji = 2 S_ij, and the coefficient of |2_i> is sqrt(2) S_ii.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
 from .exceptions import DimensionMismatch, SignalMismatch, ZeroState
-from .result import HeraldPattern
 from .states import TwoPhotonState, normalize
+from .tolerances import VERIFY_TOL
+
+
+@dataclass(frozen=True)
+class HeraldPattern:
+    """Photon-count signal on dedicated herald modes; sums to n - 2."""
+
+    signal: tuple[int, ...]
+
+    def __post_init__(self):
+        signal = tuple(self.signal)
+        if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) for s in signal):
+            raise ValueError("herald signal entries must be integers")
+        if any(s < 1 for s in signal):
+            raise ValueError("herald signal entries must be positive")
+        object.__setattr__(self, "signal", tuple(int(s) for s in signal))
+
+    @property
+    def herald_modes(self) -> int:
+        return len(self.signal)
+
+    @property
+    def total(self) -> int:
+        return sum(self.signal)
 
 
 @dataclass(frozen=True)
@@ -26,6 +51,31 @@ class ExtractionReport:
     extracted: np.ndarray
     probability: float
     fidelity_vs_target: float
+
+    @property
+    def verified(self) -> bool:
+        """The oracle verdict: fidelity above 1 - VERIFY_TOL (False for NaN,
+        the fidelity of a report without a target)."""
+        return bool(self.fidelity_vs_target > 1.0 - VERIFY_TOL)
+
+
+@dataclass(frozen=True)
+class SynthesisResult:
+    """Interferometer produced by a synthesizer.
+
+    ``unitary`` acts on all modes (payload, herald if any, then vacuum
+    auxiliaries). ``scale_alpha`` is the positive rescaling absorbed by the
+    unitary embedding. ``report`` is the oracle report on the final circuit
+    that both synthesizers gate on; ``build_cnz`` and decoded documents
+    leave it None.
+    """
+
+    unitary: np.ndarray
+    aux_modes: int
+    scale_alpha: float
+    success_probability: float
+    herald: HeraldPattern | None = None
+    report: ExtractionReport | None = None
 
 
 def fidelity(S1: np.ndarray, S2: np.ndarray) -> float:

@@ -63,15 +63,16 @@ class TestGateCnz:
         assert doc["verified"] is True
 
 
-class TestVerifyRejectsBadProbability:
-    @pytest.fixture
-    def cz_doc(self, tmp_path, capsys):
-        out = tmp_path / "cz.json"
-        args = ["gate-cnz", "--n", "2", "--phi", "3.141592653589793", "--output", str(out)]
-        assert main(args) == 0
-        capsys.readouterr()
-        return out
+@pytest.fixture
+def cz_doc(tmp_path, capsys):
+    out = tmp_path / "cz.json"
+    args = ["gate-cnz", "--n", "2", "--phi", "3.141592653589793", "--output", str(out)]
+    assert main(args) == 0
+    capsys.readouterr()
+    return out
 
+
+class TestVerifyRejectsBadProbability:
     @pytest.mark.parametrize("value", ["0.111", True, float("nan"), 1.5, -0.1])
     def test_malformed_input_exit_code(self, cz_doc, capsys, value):
         doc = json.loads(cz_doc.read_text())
@@ -81,6 +82,25 @@ class TestVerifyRejectsBadProbability:
         assert "success_probability" in capsys.readouterr().err
 
     def test_unedited_document_verifies(self, cz_doc, capsys):
+        assert main(["verify", "--input", str(cz_doc)]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+class TestVerifyPhi:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
+    def test_malformed_input_exit_code(self, cz_doc, capsys, value):
+        doc = json.loads(cz_doc.read_text())
+        doc["phi"] = value
+        cz_doc.write_text(json.dumps(doc))
+        assert main(["verify", "--input", str(cz_doc)]) == 2
+        assert "phi" in capsys.readouterr().err
+
+    def test_document_with_legacy_alpha_verifies(self, cz_doc, capsys):
+        """Documents written before the alpha field was dropped still verify."""
+        doc = json.loads(cz_doc.read_text())
+        assert "alpha" not in doc
+        doc["alpha"] = [0.0, 1.4142135623730951]
+        cz_doc.write_text(json.dumps(doc))
         assert main(["verify", "--input", str(cz_doc)]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
 

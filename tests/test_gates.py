@@ -5,7 +5,7 @@ import pytest
 
 from photonprep import build_cnz, cnz_success_probability, fock, verify_cnz
 from photonprep.gates import _sigma_max, cnz_alpha, logical_occupation
-from photonprep.result import SynthesisResult
+from photonprep.verify import SynthesisResult
 
 
 class TestSuccessProbability:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from types import SimpleNamespace
@@ -19,9 +20,10 @@ from photonprep import (
 )
 from photonprep import herald as herald_module
 from photonprep.herald import default_herald_rows
-from photonprep.result import HeraldPattern
 from photonprep.random_states import random_state_of_rank, random_unitary
+from photonprep.selftest import _circuit_identity_error
 from photonprep.tolerances import IDENTITY_TOL
+from photonprep.verify import HeraldPattern
 
 BELL = normalize(
     np.array(
@@ -175,13 +177,13 @@ class TestSynthesize:
         target = normalize(np.diag([0.6, 0.4]).astype(complex))
         result = synthesize_herald(target, 2)
         assert result.herald.signal == ()
-        report = result.details["oracle_report"]
+        report = result.report
         assert report.fidelity_vs_target > 1 - 1e-9
 
     def test_bell_pair_four_photons(self):
         result = synthesize_herald(BELL, 4)
         assert result.herald.signal == (2,)
-        report = result.details["oracle_report"]
+        report = result.report
         assert report.fidelity_vs_target > 1 - 1e-9
         assert result.success_probability > 0
 
@@ -195,7 +197,7 @@ class TestSynthesize:
             m = int(rng.integers(rank, 7))
             target = random_state_of_rank(rng, m, rank)
             result = synthesize_herald(target, rank)
-            report = result.details["oracle_report"]
+            report = result.report
             assert report.fidelity_vs_target > 1 - 1e-9
             if rank > 2:
                 with pytest.raises(InfeasibleRank):
@@ -205,7 +207,7 @@ class TestSynthesize:
         target = random_state_of_rank(rng, 3, 2)
         result = synthesize_herald(target, 4)
         assert result.herald.signal == (2,)
-        assert result.details["oracle_report"].fidelity_vs_target > 1 - 1e-9
+        assert result.report.fidelity_vs_target > 1 - 1e-9
 
     def test_degenerate_user_rows_fall_back(self, rng, monkeypatch):
         """A degenerate multi-row herald is tried once through the minors; the
@@ -216,10 +218,10 @@ class TestSynthesize:
         # a zero herald row zeroes every minor, so the bilinear form vanishes
         rows = [(np.zeros(4), 1), (np.ones(4), 1)]
         result = synthesize_herald(target, 4, herald_rows=rows)
-        assert result.details["oracle_report"].fidelity_vs_target > 1 - 1e-9
-        ((vec, mult),) = result.details["herald_rows"]
-        assert mult == 2
-        assert np.allclose(vec, 1 / np.sqrt(2))
+        assert result.report.fidelity_vs_target > 1 - 1e-9
+        assert result.herald.signal == (2,)
+        m = target.modes
+        assert np.allclose(result.unitary[m, :4] / result.scale_alpha, 1 / np.sqrt(2))
         assert len(calls) == 2
         # one stack of 2x2 minors for the user rows, one identity stack of 4x4
         assert [shape[1:] for shape in sizes] == [(2, 2), (4, 4)]
@@ -230,10 +232,10 @@ class TestSynthesize:
         assert numerical_rank(herald_bilinear_matrix([(row, 2)], 4)) == 4
         calls = _count_bilinear_calls(monkeypatch)
         result = synthesize_herald(target, 4, herald_rows=[(row, 2)])
-        assert result.details["oracle_report"].fidelity_vs_target > 1 - 1e-9
-        ((vec, mult),) = result.details["herald_rows"]
-        assert mult == 2
-        assert np.array_equal(vec, row)
+        assert result.report.fidelity_vs_target > 1 - 1e-9
+        assert result.herald.signal == (2,)
+        m = target.modes
+        assert np.allclose(result.unitary[m, :4] / result.scale_alpha, row, rtol=1e-12, atol=1e-12)
         assert len(calls) == 1
 
     def test_identity_check_skips_zero_rows(self, rng, monkeypatch):
@@ -242,7 +244,7 @@ class TestSynthesize:
         sizes = _count_permanent_calls(monkeypatch)
         target = random_state_of_rank(rng, 6, 3)
         result = synthesize_herald(target, 3)
-        assert result.details["oracle_report"].fidelity_vs_target > 1 - 1e-9
+        assert result.report.fidelity_vs_target > 1 - 1e-9
         assert sizes == [(3 * 4 // 2, 3, 3)]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
@@ -265,7 +267,7 @@ class TestSynthesize:
         factored = synthesize_herald(target, n, herald_rows=default_herald_rows(n))
         assert len(calls) == 3
         for result in (closed, factored):
-            assert result.details["oracle_report"].fidelity_vs_target > 1 - 1e-9
+            assert result.report.fidelity_vs_target > 1 - 1e-9
             assert result.success_probability > 0
         assert closed.success_probability == pytest.approx(factored.success_probability, rel=1e-12)
 
@@ -283,26 +285,41 @@ class TestSynthesize:
             V = random_unitary(rng, rank + 2)
             target = normalize(V @ np.diag(d) @ V.T)
         result = synthesize_herald(target, rank)
-        assert result.details["identity_error"] <= IDENTITY_TOL
-        assert result.details["oracle_report"].fidelity_vs_target > 1 - 1e-9
+        assert _circuit_identity_error(result, target.S) <= IDENTITY_TOL
+        assert result.report.fidelity_vs_target > 1 - 1e-9
         assert result.success_probability > 0
 
     def test_proof_identity_pre_embedding(self, rng):
+        """Per(A_a, A_b, H) = sqrt(2 s!) S_ab on the rows read off the circuit,
+        A = U[:m + h, :n] / scale_alpha, at definition level."""
         target = random_state_of_rank(rng, 4, 3)
         result = synthesize_herald(target, 3)
-        rows = result.details["diagonal_rows"]
-        d = result.details["takagi_diagonal"]
-        herald = [
-            vec for vec, mult in result.details["herald_rows"] for _ in range(mult)
-        ]
-        s_fact = math.prod(
-            math.factorial(s) for s in result.herald.signal
-        )
-        for i in range(rows.shape[0]):
-            for j in range(rows.shape[0]):
-                per = permanent(np.vstack([rows[i], rows[j], *herald]))
-                expected = np.sqrt(2 * s_fact) * d[i] if i == j else 0.0
-                assert abs(per - expected) < 1e-9
+        m, signal = target.modes, result.herald.signal
+        A = result.unitary[: m + len(signal), :3] / result.scale_alpha
+        H = np.repeat(A[m:], signal, axis=0)
+        scale = np.sqrt(2 * math.prod(math.factorial(s) for s in signal))
+        for a in range(m):
+            for b in range(m):
+                per = permanent_naive(np.vstack([A[a], A[b], H]))
+                assert abs(per - scale * target.S[a, b]) < 1e-9
+
+    def test_identity_helper_catches_a_perturbed_circuit(self, rng):
+        target = random_state_of_rank(rng, 5, 4)
+        result = synthesize_herald(target, 4)
+        assert _circuit_identity_error(result, target.S) <= IDENTITY_TOL
+        U = result.unitary.copy()
+        U[1, 2] += 1e-6
+        tampered = dataclasses.replace(result, unitary=U)
+        assert _circuit_identity_error(tampered, target.S) > IDENTITY_TOL
+
+    def test_report_is_the_oracle_on_the_circuit(self, rng):
+        target = random_state_of_rank(rng, 5, 4)
+        result = synthesize_herald(target, 4)
+        fresh = extract_heralded(result.unitary, 4, result.herald, target.modes, target=target.S)
+        assert np.array_equal(result.report.extracted, fresh.extracted)
+        assert result.report.probability == fresh.probability == result.success_probability
+        assert result.report.fidelity_vs_target == fresh.fidelity_vs_target
+        assert result.report.verified
 
     def test_wrong_signal_query_loses_weight(self):
         """Querying the herald photon on an auxiliary mode loses the target.

@@ -112,7 +112,7 @@ class TestSuccessProbability:
         return synthesis_to_doc(result, "cnz", np.eye(4), n=2, phi=np.pi)
 
     @pytest.mark.parametrize(
-        "value", ["0.111", None, True, False, [0.1], float("nan"), float("inf"), 1.5, -0.1]
+        "value", ["0.111", None, True, False, [0.1], float("nan"), float("inf"), 1.5, -0.1, 10**400]
     )
     def test_rejects(self, doc, value):
         doc["success_probability"] = value
@@ -174,3 +174,27 @@ class TestIntegerFields:
         assert (decoded["photons"], decoded["payload_modes"]) == (4, 4)
         assert decoded["herald"].signal == (2,)
         assert synthesis_from_doc(cnz_doc)["n"] == 2
+
+
+class TestPhi:
+    @pytest.fixture
+    def doc(self):
+        result, _ = build_cnz(2, np.pi)
+        return synthesis_to_doc(result, "cnz", np.eye(4), n=2, phi=np.pi)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400, True, False, "3.14", None])
+    def test_rejects(self, doc, value):
+        doc["phi"] = value
+        with pytest.raises(DocumentError) as err:
+            synthesis_from_doc(doc)
+        assert err.value.field == "phi"
+
+    def test_rejects_missing(self, doc):
+        del doc["phi"]
+        with pytest.raises(DocumentError):
+            synthesis_from_doc(doc)
+
+    @pytest.mark.parametrize("value", [0, 3, 0.5, np.pi])
+    def test_accepts_finite_numbers(self, doc, value):
+        doc["phi"] = value
+        assert synthesis_from_doc(doc)["phi"] == value

@@ -152,6 +152,10 @@ class TestRescalingLambda:
         with pytest.raises(SupportMismatch):
             rescaling_lambda(np.array([0.5, 0.0]), np.array([0.4, 0.3]))
 
+    def test_support_mismatch_names_the_first_entry(self):
+        with pytest.raises(SupportMismatch, match="target diagonal entry 1 has weight"):
+            rescaling_lambda(np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.3, 0.2]))
+
     def test_reconstructs_target_diagonal(self, rng):
         d_in = np.sort(rng.uniform(0.1, 1.0, 5))[::-1]
         d_ps = np.sort(rng.uniform(0.1, 1.0, 5))[::-1]
@@ -171,8 +175,18 @@ class TestSynthesize:
     def test_rank_one_target(self, rng):
         target = random_target_of_rank(rng, 2, 3, 1)
         result = synthesize_postselect(single_photons_state(2), target)
-        report = result.details["oracle_report"]
+        report = result.report
         assert report.fidelity_vs_target > 1 - 1e-9
+
+    def test_report_is_the_oracle_on_the_circuit(self, rng):
+        state = random_state_of_rank(rng, 4, 3)
+        target = random_target_of_rank(rng, 2, 3, 2)
+        result = synthesize_postselect(state, target)
+        fresh = extract_postselected(result.unitary, state, 2, 3, target=target.C)
+        assert np.array_equal(result.report.extracted, fresh.extracted)
+        assert result.report.probability == fresh.probability == result.success_probability
+        assert result.report.fidelity_vs_target == fresh.fidelity_vs_target
+        assert result.report.verified
 
     def test_qutrit_bell_infeasible(self):
         with pytest.raises(InfeasibleRank):
@@ -206,7 +220,7 @@ class TestSynthesize:
         target = random_target_of_rank(gen, d1, d2, rank_c)
         if rank_c <= rank_in:
             result = synthesize_postselect(state, target)
-            assert result.details["oracle_report"].fidelity_vs_target > 1 - 1e-9
+            assert result.report.fidelity_vs_target > 1 - 1e-9
             direct = extract_postselected(
                 result.unitary, state.padded(result.unitary.shape[0]), d1, d2
             ).probability

@@ -20,8 +20,29 @@ from photonprep.random_states import (
     random_target_of_rank,
     random_unitary,
 )
-from photonprep.result import HeraldPattern
 from photonprep.states import single_photons_state
+from photonprep.verify import ExtractionReport, HeraldPattern
+
+
+class TestHeraldPattern:
+    @pytest.mark.parametrize("signal", [(2.7,), (2.0,), (True,), (0,), (2, -1)])
+    def test_rejects_non_integers_and_non_positive(self, signal):
+        with pytest.raises(ValueError):
+            HeraldPattern(signal=signal)
+
+    def test_accepts_numpy_integers(self):
+        pattern = HeraldPattern(signal=(np.int64(2), 1))
+        assert pattern.signal == (2, 1)
+        assert all(type(s) is int for s in pattern.signal)
+
+
+class TestVerdict:
+    @pytest.mark.parametrize(
+        "fidelity, verified", [(1.0, True), (1 - 1e-10, True), (1 - 1e-8, False), (float("nan"), False)]
+    )
+    def test_fidelity_threshold(self, fidelity, verified):
+        report = ExtractionReport(extracted=np.zeros((1, 1)), probability=1.0, fidelity_vs_target=fidelity)
+        assert report.verified is verified
 
 
 class TestExtractPostselected:
