@@ -19,7 +19,7 @@ from .exceptions import (
     ZeroMatrix,
     ZeroState,
 )
-from .fock import amplitude, evolve_two_photon, permanent, permanent_naive
+from .fock import amplitude, evolve_two_photon, permanent
 from .gates import CnZSpec, build_cnz, cnz_success_probability, verify_cnz
 from .herald import feasible_herald, herald_bilinear_matrix, synthesize_herald
 from .linalg import (
@@ -68,7 +68,6 @@ __all__ = [
     "normalize",
     "numerical_rank",
     "permanent",
-    "permanent_naive",
     "rescaling_lambda",
     "single_photons_state",
     "state_rank",

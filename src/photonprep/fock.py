@@ -115,10 +115,14 @@ def amplitude(U: np.ndarray, k, ell) -> complex | np.ndarray:
         shape = np.broadcast_shapes(k.shape[:-1], ell.shape[:-1])
     except ValueError as exc:
         raise DimensionMismatch(f"occupation stacks do not broadcast: {exc}") from exc
-    k = np.broadcast_to(k, shape + (m,)).reshape(-1, m)
-    ell = np.broadcast_to(ell, shape + (m,)).reshape(-1, m)
     if np.any(k < 0) or np.any(ell < 0):
         raise ValueError("occupations must be nonnegative")
+    # checked on the unbroadcast stacks, before the (possibly huge) broadcast copy
+    photons = max(k.sum(axis=-1).max(initial=0), ell.sum(axis=-1).max(initial=0))
+    if photons > PERMANENT_LIMIT:
+        raise TooLarge(f"photon number {photons} beyond the permanent limit")
+    k = np.broadcast_to(k, shape + (m,)).reshape(-1, m)
+    ell = np.broadcast_to(ell, shape + (m,)).reshape(-1, m)
     k_photons, ell_photons = k.sum(axis=1), ell.sum(axis=1)
     if np.any(k_photons != ell_photons):
         i = int(np.argmax(k_photons != ell_photons))
@@ -126,8 +130,6 @@ def amplitude(U: np.ndarray, k, ell) -> complex | np.ndarray:
     n = int(k_photons[0]) if len(k) else 0
     if np.any(k_photons != n):
         raise PhotonNumberMismatch(f"a batch mixes photon numbers {np.unique(k_photons).tolist()}")
-    if n > PERMANENT_LIMIT:
-        raise TooLarge(f"photon number {n} beyond the permanent limit")
     out = np.empty(len(k), dtype=complex)
     for part in _chunks(len(k), n):
         count = len(k[part])

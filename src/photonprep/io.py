@@ -128,6 +128,8 @@ def synthesis_from_doc(doc: Any) -> dict[str, Any]:
     if kind not in KINDS:
         raise DocumentError(f"kind: expected one of {KINDS}", "kind")
     unitary = matrix_from_doc(doc.get("unitary"), "unitary")
+    if unitary.shape[0] != unitary.shape[1]:
+        raise DocumentError(f"unitary: expected a square matrix, got {unitary.shape}", "unitary")
     defect = np.linalg.norm(unitary.conj().T @ unitary - np.eye(unitary.shape[0]))
     if defect > DOCUMENT_UNITARITY_TOL:
         raise DocumentError("unitary: matrix is not unitary", "unitary")

@@ -132,12 +132,10 @@ def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> Synt
     if not report.probability > 0.0:
         raise VerificationFailure("vanishing success probability on a feasible target")
 
-    # off-diagonal block of U^T S~_in U equals alpha * C
-    alpha = float(np.linalg.norm(report.extracted) / 2.0)
     return SynthesisResult(
         unitary=U,
         aux_modes=ext.N - (d1 + d2),
-        scale_alpha=alpha,
+        scale_alpha=1.0 / ext.sigma1,
         success_probability=report.probability,
         herald=None,
         report=report,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from photonprep import permanent_naive
+from photonprep.fock import permanent_naive
 
 
 @pytest.fixture

@@ -105,6 +105,15 @@ class TestVerifyPhi:
         assert json.loads(capsys.readouterr().out)["verified"] is True
 
 
+def test_verify_rejects_a_non_square_unitary(cz_doc, capsys):
+    doc = json.loads(cz_doc.read_text())
+    unitary = doc["unitary"]
+    doc["unitary"] = {**unitary, "rows": unitary["rows"] - 1, "data": unitary["data"][: -unitary["cols"]]}
+    cz_doc.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(cz_doc)]) == 2
+    assert "unitary: expected a square matrix" in capsys.readouterr().err
+
+
 class TestSynthHerald:
     def test_infeasible_rank_exit_code(self, tmp_path, capsys):
         state = random_state_of_rank(np.random.default_rng(7), 4, 3)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,8 @@ from photonprep import (
     evolve_two_photon,
     normalize,
     permanent,
-    permanent_naive,
 )
-from photonprep.fock import occupation_basis
+from photonprep.fock import occupation_basis, permanent_naive
 from photonprep.random_states import random_complex_symmetric, random_unitary
 
 SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -245,6 +245,24 @@ class TestBatchedAmplitude:
         k = np.ones((2, m), dtype=int)
         with pytest.raises(TooLarge):
             amplitude(np.eye(m), k, k)
+
+    def test_too_many_photons_caught_before_the_broadcast(self):
+        """A 256 x 256 table of 15-photon pairs over 60 modes would broadcast
+        to two 31 MB occupation stacks; the limit is checked on the stacks as
+        given."""
+        k = np.zeros((256, 1, 60), dtype=int)
+        k[..., 0] = 15
+        ell = np.zeros((1, 256, 60), dtype=int)
+        ell[..., 1] = 15
+        U = np.eye(60)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                amplitude(U, k, ell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestAmplitude:

@@ -9,17 +9,21 @@ import pytest
 from photonprep import (
     InfeasibleRank,
     MultiplicityMismatch,
+    TooLarge,
+    VerificationFailure,
     extract_heralded,
     feasible_herald,
     herald_bilinear_matrix,
     normalize,
     numerical_rank,
     permanent,
-    permanent_naive,
     synthesize_herald,
 )
+from photonprep import fock
 from photonprep import herald as herald_module
+from photonprep.fock import permanent_naive
 from photonprep.herald import default_herald_rows
+from photonprep.linalg import TakagiFactorization
 from photonprep.random_states import random_state_of_rank, random_unitary
 from photonprep.selftest import _circuit_identity_error
 from photonprep.tolerances import IDENTITY_TOL
@@ -54,8 +58,17 @@ def _count_permanent_calls(monkeypatch):
         shapes.append(np.shape(M))
         return permanent(M)
 
-    monkeypatch.setattr(herald_module, "fock", SimpleNamespace(permanent=counting))
+    monkeypatch.setattr(herald_module, "fock", SimpleNamespace(**{**vars(fock), "permanent": counting}))
     return shapes
+
+
+def _form_from_definition(rows, n):
+    """F_ab = Per(e_a, e_b, H) with the O(n!) permanent."""
+    H = [vec for vec, mult in rows for _ in range(mult)]
+    eye = np.eye(n)
+    return np.array(
+        [[permanent_naive(np.vstack([eye[a], eye[b], *H])) for b in range(n)] for a in range(n)]
+    )
 
 
 class TestBilinearMatrix:
@@ -80,24 +93,39 @@ class TestBilinearMatrix:
         [(2, ()), (3, (1,)), (4, (2,)), (5, (2, 1)), (6, (1, 3)), (7, (2, 3))],
     )
     def test_minors_match_definition(self, rng, n, multiplicities):
+        """Random rows, and the same rows with two zero entries each and the
+        first vector repeated as the last herald mode."""
         rows = [
             (rng.standard_normal(n) + 1j * rng.standard_normal(n), mult)
             for mult in multiplicities
         ]
-        H = [vec for vec, mult in rows for _ in range(mult)]
-        eye = np.eye(n)
-        definition = np.array(
-            [[permanent_naive(np.vstack([eye[a], eye[b], *H])) for b in range(n)] for a in range(n)]
-        )
-        F = herald_bilinear_matrix(rows, n)
-        assert np.allclose(F, definition, rtol=1e-12, atol=1e-12)
+        sparse = [(vec.copy(), mult) for vec, mult in rows]
+        for vec, _ in sparse:
+            vec[rng.permutation(n)[:2]] = 0.0
+        if len(sparse) > 1:
+            sparse[-1] = (sparse[0][0], sparse[-1][1])
+        for case in (rows, sparse):
+            F = herald_bilinear_matrix(case, n)
+            assert np.allclose(F, _form_from_definition(case, n), rtol=1e-12, atol=1e-12)
+            assert np.all(np.diagonal(F) == 0)
 
-    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("n", range(2, 15))
     def test_flat_witness_closed_form(self, n):
+        """The Glynn contraction of the flat row gives c (J - I) up to the
+        permanent limit."""
         F = herald_bilinear_matrix(default_herald_rows(n), n)
         k = n - 2
-        expected = math.factorial(k) * k ** (-k / 2) * (np.ones((n, n)) - np.eye(n))
-        assert np.allclose(F, expected, rtol=1e-12, atol=0)
+        c = math.factorial(k) * k ** (-k / 2)
+        assert np.max(np.abs(F - c * (np.ones((n, n)) - np.eye(n)))) <= 1e-13 * c
+
+    def test_too_large_before_any_sign_table(self, rng, monkeypatch):
+        built = []
+        monkeypatch.setattr(fock, "_glynn_tables", built.append)
+        with pytest.raises(TooLarge):
+            herald_bilinear_matrix(default_herald_rows(15), 15)
+        with pytest.raises(TooLarge):
+            synthesize_herald(random_state_of_rank(rng, 4, 3), 15)
+        assert built == []
 
     @pytest.mark.parametrize("zeros", [0, 1, 2])
     @pytest.mark.parametrize("n", range(2, 9))
@@ -210,8 +238,9 @@ class TestSynthesize:
         assert result.report.fidelity_vs_target > 1 - 1e-9
 
     def test_degenerate_user_rows_fall_back(self, rng, monkeypatch):
-        """A degenerate multi-row herald is tried once through the minors; the
-        fallback builds the flat witness's form in closed form."""
+        """A degenerate multi-row herald's form is built once and rejected;
+        the fallback builds the flat witness's form. Neither evaluates a
+        permanent."""
         calls = _count_bilinear_calls(monkeypatch)
         sizes = _count_permanent_calls(monkeypatch)
         target = random_state_of_rank(rng, 5, 4)
@@ -223,8 +252,28 @@ class TestSynthesize:
         m = target.modes
         assert np.allclose(result.unitary[m, :4] / result.scale_alpha, 1 / np.sqrt(2))
         assert len(calls) == 2
-        # one stack of 2x2 minors for the user rows, one identity stack of 4x4
-        assert [shape[1:] for shape in sizes] == [(2, 2), (4, 4)]
+        assert sizes == []
+
+    def test_rank_deficient_user_form_falls_back_without_an_svd(self, rng, monkeypatch):
+        """A row with a zero entry k leaves F nonzero only in row and column k
+        (rank 2); that rank is read off F's Takagi diagonal, not an SVD."""
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording(M, *args, **kwargs):
+            shapes.append(np.shape(M))
+            return svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        target = random_state_of_rank(rng, 6, 4)
+        row = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        row[0] = 0.0
+        result = synthesize_herald(target, 5, herald_rows=[(row, 3)])
+        assert result.report.verified
+        assert result.herald.signal == (3,)
+        m = target.modes
+        assert np.allclose(result.unitary[m, :5] / result.scale_alpha, 1 / np.sqrt(3))
+        assert (5, 5) not in shapes
 
     def test_full_rank_user_rows_kept(self, rng, monkeypatch):
         target = random_state_of_rank(rng, 5, 4)
@@ -239,13 +288,41 @@ class TestSynthesize:
         assert len(calls) == 1
 
     def test_identity_check_skips_zero_rows(self, rng, monkeypatch):
-        """Diagonal rows at and above the rank are zero; only the rank(rank+1)/2
-        pairs below it are checked, as one stack of n x n permanents."""
+        """Diagonal rows at and above the rank are zero; the identity on the
+        rows below it is read off F as one matrix product, so herald.py
+        evaluates no permanent."""
         sizes = _count_permanent_calls(monkeypatch)
         target = random_state_of_rank(rng, 6, 3)
         result = synthesize_herald(target, 3)
         assert result.report.fidelity_vs_target > 1 - 1e-9
-        assert sizes == [(3 * 4 // 2, 3, 3)]
+        assert sizes == []
+
+    def test_identity_gate_catches_a_perturbed_takagi_vector(self, rng, monkeypatch):
+        flat = herald_module._flat_takagi
+
+        def perturbed(n):
+            fac = flat(n)
+            V = fac.V.copy()
+            V[1, 2] += 1e-6
+            return TakagiFactorization(V=V, diagonal=fac.diagonal)
+
+        monkeypatch.setattr(herald_module, "_flat_takagi", perturbed)
+        with pytest.raises(VerificationFailure, match="permanent identity"):
+            synthesize_herald(random_state_of_rank(rng, 5, 4), 4)
+
+    def test_identity_gate_catches_a_perturbed_form(self, rng, monkeypatch):
+        """The gate reads the F built from the herald rows, so a 1e-6 relative
+        change of one of its entries (kept symmetric) fails it."""
+        original = herald_module.herald_bilinear_matrix
+
+        def perturbed(rows, n):
+            F = original(rows, n)
+            F[0, 1] = F[1, 0] = F[0, 1] * (1 + 1e-6)
+            return F
+
+        monkeypatch.setattr(herald_module, "herald_bilinear_matrix", perturbed)
+        with pytest.raises(VerificationFailure, match="permanent identity"):
+            synthesize_herald(random_state_of_rank(rng, 5, 4), 4)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
     def test_closed_form_matches_factored_form(self, rng, n, monkeypatch):

@@ -198,3 +198,12 @@ class TestPhi:
     def test_accepts_finite_numbers(self, doc, value):
         doc["phi"] = value
         assert synthesis_from_doc(doc)["phi"] == value
+
+
+def test_non_square_unitary_is_a_document_error():
+    result, _ = build_cnz(2, np.pi)
+    doc = synthesis_to_doc(result, "cnz", np.eye(4), n=2, phi=np.pi)
+    doc["unitary"] = matrix_to_doc(result.unitary[:-1])
+    with pytest.raises(DocumentError, match="expected a square matrix") as err:
+        synthesis_from_doc(doc)
+    assert err.value.field == "unitary"

@@ -203,11 +203,18 @@ class TestSynthesize:
         assert result.aux_modes == N - 6
 
     def test_success_probability_matches_alpha(self):
-        result = synthesize_postselect(single_photons_state(4), bell_target(2))
-        # block = alpha * C with ||C|| = 1, so p_s = 4 alpha^2
-        assert result.success_probability == pytest.approx(
-            4 * result.scale_alpha**2, abs=1e-12
-        )
+        """U's top-left block is scale_alpha times the mode map M, and
+        M S_in M^T is the intermediate state build_sps(target), zero-padded."""
+        state, target = single_photons_state(4), bell_target(2)
+        result = synthesize_postselect(state, target)
+        s_ps, _ = build_sps(target)
+        dim = max(state.modes, s_ps.modes)
+        B = result.unitary[:dim, : state.modes] / result.scale_alpha
+        padded = np.zeros((dim, dim), dtype=complex)
+        padded[: s_ps.modes, : s_ps.modes] = s_ps.S
+        assert np.linalg.norm(B @ state.S @ B.T - padded) <= 1e-8
+        # the C block of the output is alpha^2 C / sqrt(8) for ||C|| = 1
+        assert result.success_probability == pytest.approx(result.scale_alpha**4 / 2, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_iff_random(self, seed):

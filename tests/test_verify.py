@@ -9,11 +9,10 @@ from photonprep import (
     extract_postselected,
     from_qudit_target,
     normalize,
-    permanent_naive,
     synthesize_herald,
     synthesize_postselect,
 )
-from photonprep.fock import occupation_basis
+from photonprep.fock import occupation_basis, permanent_naive
 from photonprep.random_states import (
     random_complex_symmetric,
     random_state_of_rank,
