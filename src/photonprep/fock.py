@@ -22,6 +22,11 @@ from .exceptions import DimensionMismatch, PhotonNumberMismatch, TooLarge
 
 PERMANENT_LIMIT = 14
 
+# Integers in one broadcast occupation stack of `amplitude` (512 MB as int64):
+# the 2^10 x 2^10 truth table of a 10-qubit gate over 40 modes fits, the
+# 2^11 x 2^11 one over 44 modes does not.
+OCCUPATION_LIMIT = 1 << 26
+
 _FACTORIALS = np.array([math.factorial(i) for i in range(PERMANENT_LIMIT + 1)], dtype=float)
 
 # Complex elements of Glynn's (matrices * n) x 2^(n-1) row-sum table
@@ -121,6 +126,8 @@ def amplitude(U: np.ndarray, k, ell) -> complex | np.ndarray:
     photons = max(k.sum(axis=-1).max(initial=0), ell.sum(axis=-1).max(initial=0))
     if photons > PERMANENT_LIMIT:
         raise TooLarge(f"photon number {photons} beyond the permanent limit")
+    if math.prod(shape) * m > OCCUPATION_LIMIT:
+        raise TooLarge(f"occupation stack {shape + (m,)} beyond {OCCUPATION_LIMIT} entries")
     k = np.broadcast_to(k, shape + (m,)).reshape(-1, m)
     ell = np.broadcast_to(ell, shape + (m,)).reshape(-1, m)
     k_photons, ell_photons = k.sum(axis=1), ell.sum(axis=1)

@@ -70,7 +70,7 @@ def build_cnz(n: int, phi: float) -> tuple[SynthesisResult, CnZSpec]:
             [np.zeros((n, n), dtype=complex), B_block],
         ]
     )
-    ext = unitary_extension(M)  # sigma1 = 1 by the damping choice
+    ext = unitary_extension(*np.linalg.svd(M))  # sigma1 = 1 by the damping choice
     spec = CnZSpec(n=n, phi=float(phi), alpha=alpha, p_s=p_s)
     result = SynthesisResult(
         unitary=ext.U,

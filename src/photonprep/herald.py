@@ -183,7 +183,7 @@ def synthesize_herald(
     # conjugate back from the diagonal state to S_out, then stack herald rows
     payload_rows = fac_out.V.conj() @ diag_rows
     A = np.vstack([payload_rows] + [vec for vec, _ in herald_rows]) if h else payload_rows
-    ext = unitary_extension(A)
+    ext = unitary_extension(*np.linalg.svd(A))
     U = ext.U
     pattern = HeraldPattern(signal=signal)
 

@@ -83,29 +83,36 @@ class UnitaryExtension:
     N: int
 
 
-def unitary_extension(A: np.ndarray) -> UnitaryExtension:
-    """Embed ``A / sigma1`` as the top-left block of a unitary.
+def unitary_extension(v1: np.ndarray, s: np.ndarray, v2h: np.ndarray) -> UnitaryExtension:
+    """Embed ``A / sigma1`` as the top-left block of a unitary, given A by its
+    singular factors: A = (v1[:, :r] * s) @ v2h[:r] with r = len(s) and
+    sigma1 = max(s).
 
-    Built in the singular basis of the contraction B = A / sigma1: with
-    B = V1 S V2^†, the core
+    The caller guarantees that v1 (m1 x m1) and v2h (m2 x m2) are unitary and
+    that s holds r <= min(m1, m2) real, finite, nonnegative values, in any
+    order; a caller holding only the matrix passes ``*np.linalg.svd(A)``.
+    With B = A / sigma1 = V1 S V2^†, the core
 
         K = [[S, D1], [D2, -S^T]],  D1 = sqrt(I - S S^T),  D2 = sqrt(I - S^T S)
 
-    is unitary entry-by-entry (all blocks diagonal), and
+    is unitary entry-by-entry for any order of s (all blocks diagonal), and
     U = diag(V1, V2) K diag(V2^†, V1^†) has top-left block B. U is assembled
     block by block, [[V1 S V2^†, V1 D1 V1^†], [V2 D2 V2^†, -V2 S^T V1^†]],
     with each diagonal applied by broadcasting. The size is exactly m1 + m2,
     which meets the N <= m1 + m2 bound.
     """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2:
-        raise ValueError("expected a matrix")
-    m1, m2 = A.shape
-    v1, s, v2h = np.linalg.svd(A)
-    sigma1 = float(s[0])
+    v1 = np.asarray(v1, dtype=complex)
+    v2h = np.asarray(v2h, dtype=complex)
+    s = np.asarray(s, dtype=float)
+    if v1.ndim != 2 or v2h.ndim != 2 or v1.shape[0] != v1.shape[1] or v2h.shape[0] != v2h.shape[1]:
+        raise ValueError(f"expected square factors, got shapes {v1.shape} and {v2h.shape}")
+    m1, m2 = len(v1), len(v2h)
+    if s.ndim != 1 or len(s) > min(m1, m2):
+        raise ValueError(f"expected at most {min(m1, m2)} singular values, got shape {s.shape}")
+    sigma1 = float(np.max(s, initial=0.0))
     if sigma1 <= 0.0:
         raise ZeroMatrix("cannot extend the zero matrix")
-    s = s / sigma1  # s[0] becomes exactly 1
+    s = s / sigma1  # the largest becomes exactly 1
     r = len(s)
     defect = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
     # rows beyond the singular support pass through: their defect entry is 1

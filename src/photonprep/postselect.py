@@ -123,7 +123,8 @@ def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> Synt
             f"rescaled mode map misses the intermediate state by {residual:.3e}"
         )
 
-    ext = unitary_extension(M)
+    # M is already factored: V_ps and V_in are unitary, lam its singular values
+    ext = unitary_extension(v_ps.conj(), lam, v_in.T)
     U = ext.U
 
     report = verify.extract_postselected(U, state_in, d1, d2, target=target.C)

@@ -62,6 +62,10 @@ class TestGateCnz:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verified"] is True
 
+    def test_oversized_gate_is_an_input_error(self, capsys):
+        assert main(["gate-cnz", "--n", "13", "--phi", "1.0"]) == 2
+        assert "occupation stack" in capsys.readouterr().err
+
 
 @pytest.fixture
 def cz_doc(tmp_path, capsys):

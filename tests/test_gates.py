@@ -1,9 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from photonprep import build_cnz, cnz_success_probability, fock, verify_cnz
+from photonprep import TooLarge, build_cnz, cnz_success_probability, fock, verify_cnz
 from photonprep.gates import _sigma_max, cnz_alpha, logical_occupation
 from photonprep.verify import SynthesisResult
 
@@ -75,6 +76,20 @@ class TestBuildAndVerify:
         assert U.shape == (12, 12)
         assert np.linalg.norm(U.conj().T @ U - np.eye(12)) < 1e-10
         assert result.aux_modes == 6
+
+    def test_oversized_truth_table_refused_before_the_broadcast(self):
+        """At n = 11 the table's occupation stacks would broadcast to
+        (2048, 2048, 44) integers, beyond fock.OCCUPATION_LIMIT; n = 13 would
+        have asked for 26 GiB."""
+        result, _ = build_cnz(11, 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                verify_cnz(result, 11, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_tampering_detected(self):
         result, _ = build_cnz(2, np.pi)

@@ -130,25 +130,25 @@ class TestTakagi:
 
 class TestUnitaryExtension:
     def test_already_unitary(self):
-        ext = unitary_extension(np.eye(2, dtype=complex))
+        ext = unitary_extension(*np.linalg.svd(np.eye(2, dtype=complex)))
         assert ext.sigma1 == pytest.approx(1.0)
         assert np.allclose(ext.U[:2, :2], np.eye(2))
 
     def test_scalar(self):
-        ext = unitary_extension(np.array([[0.6]]))
+        ext = unitary_extension(*np.linalg.svd(np.array([[0.6]])))
         assert ext.sigma1 == pytest.approx(0.6)
         assert np.allclose(ext.U, [[1, 0], [0, -1]])
 
     def test_rectangular(self, rng):
         A = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        ext = unitary_extension(A)
+        ext = unitary_extension(*np.linalg.svd(A))
         assert ext.N <= 8
         assert np.linalg.norm(ext.U.conj().T @ ext.U - np.eye(ext.N)) < 1e-10
         assert np.linalg.norm(ext.U[:3, :5] - A / ext.sigma1) < 1e-10
 
     def test_rejects_zero(self):
         with pytest.raises(ZeroMatrix):
-            unitary_extension(np.zeros((2, 2)))
+            unitary_extension(*np.linalg.svd(np.zeros((2, 2))))
 
     @pytest.mark.parametrize(
         "m1, m2, rank", [(4, 6, 1), (6, 4, 1), (5, 5, 2), (3, 7, 2), (1, 3, 1)]
@@ -159,7 +159,7 @@ class TestUnitaryExtension:
         a = rng.standard_normal((m1, rank)) + 1j * rng.standard_normal((m1, rank))
         b = rng.standard_normal((rank, m2)) + 1j * rng.standard_normal((rank, m2))
         A = a @ b
-        ext = unitary_extension(A)
+        ext = unitary_extension(*np.linalg.svd(A))
         assert ext.N == m1 + m2
         assert np.linalg.norm(ext.U.conj().T @ ext.U - np.eye(ext.N)) <= 1e-10
         assert np.linalg.norm(ext.U[:m1, :m2] - A / ext.sigma1) <= 1e-10
@@ -167,7 +167,7 @@ class TestUnitaryExtension:
     def test_matches_block_diagonal_factors(self, rng):
         """U = diag(V1, V2) K diag(V2^†, V1^†), with the core K built densely."""
         A = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        ext = unitary_extension(A)
+        ext = unitary_extension(*np.linalg.svd(A))
         v1, s, v2h = np.linalg.svd(A)
         s = s / s[0]
         S = np.zeros((3, 5))
@@ -180,12 +180,52 @@ class TestUnitaryExtension:
         right = np.block([[v2h, np.zeros((5, 3))], [np.zeros((3, 5)), v1.conj().T]])
         assert np.linalg.norm(ext.U - left @ K @ right) <= 1e-12
 
+    @pytest.mark.parametrize("m1, m2", [(3, 5), (5, 3), (4, 4)])
+    def test_from_unsorted_factors(self, rng, m1, m2):
+        """Factors passed as held, s unsorted and with zeros: U is the dense
+        diag(V1, V2) K diag(V2^†, V1^†) with K built in the order given."""
+        r = min(m1, m2)
+        v1, v2h = random_unitary(rng, m1), random_unitary(rng, m2)
+        s = np.array([0.0, 0.7, 2.0, 0.0])[:r]
+        ext = unitary_extension(v1, s, v2h)
+        sigma1 = s.max()
+        assert ext.sigma1 == sigma1
+        S = np.zeros((m1, m2))
+        S[:r, :r] = np.diag(s / sigma1)
+        D1 = np.eye(m1)
+        D1[:r, :r] = np.diag(np.sqrt(1 - (s / sigma1) ** 2))
+        D2 = np.eye(m2)
+        D2[:r, :r] = D1[:r, :r]
+        K = np.block([[S, D1], [D2, -S.T]])
+        left = np.block([[v1, np.zeros((m1, m2))], [np.zeros((m2, m1)), v2h.conj().T]])
+        right = np.block([[v2h, np.zeros((m2, m1))], [np.zeros((m1, m2)), v1.conj().T]])
+        assert np.linalg.norm(ext.U - left @ K @ right) <= 1e-12
+        assert np.linalg.norm(ext.U.conj().T @ ext.U - np.eye(m1 + m2)) <= 1e-10
+        A = (v1[:, :r] * s) @ v2h[:r]
+        assert np.linalg.norm(ext.U[:m1, :m2] - A / sigma1) <= 1e-10
+
+    # (v1, s, v2h) shapes: a non-square factor, more values than min(m1, m2),
+    # and s not a vector
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            ((3, 3), (2,), (2, 3)),
+            ((3, 2), (2,), (2, 2)),
+            ((2, 2), (3,), (3, 3)),
+            ((2, 2), (2, 1), (2, 2)),
+        ],
+    )
+    def test_rejects_factors_that_do_not_fit(self, shapes):
+        v1, s, v2h = (np.ones(shape) for shape in shapes)
+        with pytest.raises(ValueError):
+            unitary_extension(v1, s, v2h)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m1=st.integers(1, 6), m2=st.integers(1, 6))
     def test_contract_property(self, seed, m1, m2):
         gen = np.random.default_rng(seed)
         A = gen.standard_normal((m1, m2)) + 1j * gen.standard_normal((m1, m2))
-        ext = unitary_extension(A)
+        ext = unitary_extension(*np.linalg.svd(A))
         assert np.linalg.norm(ext.U.conj().T @ ext.U - np.eye(ext.N)) < 1e-10
         assert np.linalg.norm(ext.U[:m1, :m2] - A / ext.sigma1) < 1e-10
         assert ext.N <= m1 + m2

@@ -237,6 +237,67 @@ class TestSynthesize:
                 synthesize_postselect(state, target)
 
 
+def flat_state(m):
+    return normalize(np.eye(m, dtype=complex))
+
+
+# (input state, target): Takagi spectra the dilation must survive
+def _adversarial_cases():
+    rng = np.random.default_rng(20240517)
+    return {
+        "bell-from-flat": (flat_state(4), bell_target(2)),
+        "bell3-from-flat": (flat_state(8), bell_target(3)),
+        "rank-one-input": (random_state_of_rank(rng, 5, 1), random_target_of_rank(rng, 2, 3, 1)),
+        "rank-one-input-one-mode": (flat_state(1), random_target_of_rank(rng, 2, 2, 1)),
+        "degenerate-input": (
+            state_with_spectrum(rng, 6, [1.0, 1.0, 1.0, 0.5, 0.5]),
+            target_with_spectrum(rng, 3, 3, [1.0, 1.0, 0.2]),
+        ),
+        "degenerate-target": (
+            state_with_spectrum(rng, 5, [1.0, 0.7, 0.4]),
+            target_with_spectrum(rng, 4, 4, [1.0, 1.0, 1.0]),
+        ),
+        "fewer-modes-than-d1+d2": (
+            random_state_of_rank(rng, 3, 3),
+            random_target_of_rank(rng, 3, 4, 3),
+        ),
+        "more-modes-than-d1+d2": (
+            random_state_of_rank(rng, 9, 2),
+            random_target_of_rank(rng, 2, 2, 2),
+        ),
+    }
+
+
+ADVERSARIAL = _adversarial_cases()
+
+
+class TestDilationFromTakagiFactors:
+    """synthesize_postselect dilates M = conj(V_ps) diag(lam) V_in^T from
+    those factors, taking no SVD of M."""
+
+    @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
+    def test_unitary_and_verified(self, case):
+        state, target = ADVERSARIAL[case]
+        result = synthesize_postselect(state, target)
+        U = result.unitary
+        assert np.linalg.norm(U.conj().T @ U - np.eye(len(U))) <= 1e-10
+        assert result.report.fidelity_vs_target >= 1 - 1e-9
+
+    @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
+    def test_only_svds_are_of_the_target(self, case, monkeypatch):
+        state, target = ADVERSARIAL[case]
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        synthesize_postselect(state, target)
+        assert shapes and set(shapes) == {target.C.shape}
+
+
 class TestInfeasibleIffRankRule:
     """synthesize_postselect raises InfeasibleRank exactly where
     feasible_postselect is false, including spectra at the rank threshold
