@@ -13,7 +13,6 @@ from .exceptions import (
     PhotonNumberMismatch,
     PhotonPrepError,
     SignalMismatch,
-    SupportMismatch,
     TooLarge,
     VerificationFailure,
     ZeroMatrix,
@@ -32,7 +31,6 @@ from .linalg import (
 from .postselect import (
     build_sps,
     feasible_postselect,
-    rescaling_lambda,
     synthesize_postselect,
 )
 from .states import (
@@ -68,7 +66,6 @@ __all__ = [
     "normalize",
     "numerical_rank",
     "permanent",
-    "rescaling_lambda",
     "single_photons_state",
     "state_rank",
     "synthesize_herald",

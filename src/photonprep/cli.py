@@ -26,9 +26,9 @@ from .exceptions import (
     VerificationFailure,
     ZeroState,
 )
-from .linalg import numerical_rank, takagi
+from .linalg import takagi
 from .verify import HeraldPattern, SynthesisResult
-from .states import QuditTarget, TwoPhotonState, normalize
+from .states import QuditTarget, TwoPhotonState, normalize, state_rank
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -57,8 +57,8 @@ def _load_target(path: str) -> QuditTarget:
 
 
 def cmd_rank(args) -> int:
-    M = _load_matrix(args.state, "state")
-    print(numerical_rank(M))
+    # the rank of the normalized (symmetrized) state, as every synth-* verb sees it
+    print(state_rank(_load_state(args.state)))
     return EXIT_OK
 
 

@@ -41,10 +41,6 @@ class SignalMismatch(PhotonPrepError):
     """A heralding signal is inconsistent with the photon budget."""
 
 
-class SupportMismatch(PhotonPrepError):
-    """Diagonal rescaling impossible: target support exceeds source support."""
-
-
 class InfeasibleRank(PhotonPrepError):
     """The rank rule forbids the requested preparation."""
 

@@ -31,13 +31,17 @@ class CnZSpec:
 
 
 def cnz_alpha(n: int, phi: float) -> complex:
-    """Principal n-th root of e^{i phi} - 1."""
+    """The n-th root of z = e^{i phi} - 1 with argument (arg z mod 2 pi) / n,
+    for any finite phi; z = 2i sin(phi / 2) e^{i phi / 2} keeps its relative
+    accuracy near phi = 0 (mod 2 pi)."""
     if n < 2:
         raise ValueError("need at least two qubits")
-    base = 2.0 * np.sin(phi / 2.0)
-    if base < CNZ_ZERO_BASE:  # phi at (or within roundoff of) 0 or 2*pi
+    if not np.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
+    z = 2j * np.sin(phi / 2.0) * np.exp(0.5j * phi)
+    if abs(z) < CNZ_ZERO_BASE:  # phi at (or within roundoff of) a multiple of 2*pi
         return 0.0 + 0.0j
-    return complex(base ** (1.0 / n) * np.exp(1j * (phi + np.pi) / (2.0 * n)))
+    return complex(abs(z) ** (1.0 / n) * np.exp(1j * (np.angle(z) % (2.0 * np.pi)) / n))
 
 
 def _sigma_max(n: int, alpha: complex) -> float:

@@ -164,14 +164,11 @@ def synthesize_herald(
     scale = math.sqrt(2.0 * math.prod(math.factorial(s) for s in signal))
 
     # rows diagonalizing the permanent form, scaled to the target weights:
-    # Per(row_i, row_j, herald) = sqrt(2 * s!) * d_i * delta_ij
-    diag_rows = np.zeros((m, n), dtype=complex)
+    # Per(row_i, row_j, herald) = sqrt(2 * s!) * d_i * delta_ij, for i, j < rank
     weights = np.sqrt(scale * d[:rank] / fac_f.diagonal[:rank])
-    diag_rows[:rank] = weights[:, None] * fac_f.V[:, :rank].T
+    R = weights[:, None] * fac_f.V[:, :rank].T
 
-    # Per(x, y, H) = x^T F y, so the identity for all pairs below the rank is
-    # one matrix product; rows at and above the rank are zero
-    R = diag_rows[:rank]
+    # Per(x, y, H) = x^T F y, so the identity for all pairs is one matrix product
     deviation = R @ F @ R.T - np.diag(scale * d[:rank])
     identity_error = float(np.max(np.abs(deviation)) / (scale * d[0]))
     if not identity_error <= IDENTITY_TOL:
@@ -181,7 +178,7 @@ def synthesize_herald(
         )
 
     # conjugate back from the diagonal state to S_out, then stack herald rows
-    payload_rows = fac_out.V.conj() @ diag_rows
+    payload_rows = fac_out.V[:, :rank].conj() @ R
     A = np.vstack([payload_rows] + [vec for vec, _ in herald_rows]) if h else payload_rows
     ext = unitary_extension(*np.linalg.svd(A))
     U = ext.U

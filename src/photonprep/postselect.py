@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import verify
-from .exceptions import InfeasibleRank, SupportMismatch, VerificationFailure
+from .exceptions import InfeasibleRank, VerificationFailure
 from .linalg import TakagiFactorization, _above_rank_tol, numerical_rank, takagi, unitary_extension
 from .states import QuditTarget, TwoPhotonState, normalize, state_rank
 from .tolerances import MODE_MAP_TOL
@@ -58,41 +58,10 @@ def build_sps(target: QuditTarget) -> tuple[TwoPhotonState, TakagiFactorization]
     return state, TakagiFactorization(V=Q.conj(), diagonal=diagonal)
 
 
-def _padded(factor: TakagiFactorization, modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Takagi vectors and diagonal of the same matrix zero-padded to `modes`."""
-    m = len(factor.diagonal)
-    V = np.eye(modes, dtype=complex)
-    V[:m, :m] = factor.V
-    diagonal = np.zeros(modes)
-    diagonal[:m] = factor.diagonal
-    return V, diagonal
-
-
-def rescaling_lambda(d_in: np.ndarray, d_ps: np.ndarray) -> np.ndarray:
-    """Entrywise diagonal rescaling lam with d_ps = lam * d_in * lam.
-
-    Both diagonals must be sorted descending; the target support must sit
-    inside the source support, otherwise no rescaling exists.
-    """
-    d_in = np.asarray(d_in, dtype=float)
-    d_ps = np.asarray(d_ps, dtype=float)
-    if d_in.shape != d_ps.shape:
-        raise ValueError("diagonals must have equal length")
-    kept = _above_rank_tol(d_in)
-    lost = _above_rank_tol(d_ps) & ~kept
-    if lost.any():
-        raise SupportMismatch(
-            f"target diagonal entry {np.argmax(lost)} has weight but the source does not"
-        )
-    lam = np.zeros_like(d_in)
-    lam[kept] = np.sqrt(d_ps[kept] / d_in[kept])
-    return lam
-
-
 def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> SynthesisResult:
     """Construct a unitary preparing the target C from the input state.
 
-    Returns a circuit over 2 * max(m, d1 + d2) modes whose post-selected
+    Returns a circuit over m_in + d1 + d2 modes whose post-selected
     computational block is proportional to C, verified through the
     independent oracle. Raises InfeasibleRank when the rank rule forbids
     the preparation.
@@ -105,26 +74,23 @@ def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> Synt
         raise InfeasibleRank(f"rank(C) = {rank_c} exceeds rank(S_in) = {rank_in}")
     d1, d2 = target.d1, target.d2
     s_ps, fac_ps = build_sps(target)
-    m_in, m_ps = state_in.modes, s_ps.modes
-    dim = max(m_in, m_ps)
-    v_in, d_in = _padded(fac_in, dim)
-    v_ps, d_ps = _padded(fac_ps, dim)
-    lam = rescaling_lambda(d_in, d_ps)
 
-    # M S_in M^T = S_ps with M = conj(V_ps) diag(lam) V_in^T, matching the
-    # evolution convention S -> U S U^T
-    M = (v_ps.conj() * lam) @ v_in.T
-    s_ps_p = np.zeros((dim, dim), dtype=complex)
-    s_ps_p[:m_ps, :m_ps] = s_ps.S
-    # the padded input modes carry no amplitude, so only M's first m_in columns act
-    residual = np.linalg.norm(M[:, :m_in] @ state_in.S @ M[:, :m_in].T - s_ps_p)
+    # both diagonals descend and rank(C) <= rank_in, so the first r values
+    # pair every weight of S_ps with one of S_in: d_ps = lam * d_in * lam
+    r = min(rank_in, s_ps.modes)
+    lam = np.sqrt(fac_ps.diagonal[:r] / fac_in.diagonal[:r])
+
+    # the m_ps x m_in mode map M = conj(V_ps) diag(lam) V_in^T gives
+    # M S_in M^T = S_ps in the evolution convention S -> U S U^T, and comes
+    # factored: V_ps and V_in are unitary, lam its singular values
+    v1, v2h = fac_ps.V.conj(), fac_in.V.T
+    M = (v1[:, :r] * lam) @ v2h[:r]
+    residual = np.linalg.norm(M @ state_in.S @ M.T - s_ps.S)
     if residual > MODE_MAP_TOL:
         raise VerificationFailure(
             f"rescaled mode map misses the intermediate state by {residual:.3e}"
         )
-
-    # M is already factored: V_ps and V_in are unitary, lam its singular values
-    ext = unitary_extension(v_ps.conj(), lam, v_in.T)
+    ext = unitary_extension(v1, lam, v2h)
     U = ext.U
 
     report = verify.extract_postselected(U, state_in, d1, d2, target=target.C)

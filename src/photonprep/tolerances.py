@@ -9,9 +9,8 @@ or CLI verb takes a tolerance argument; every module reads its gate from here.
 name                       value  scale              gates
 =========================  =====  =================  ===========================================
 RANK_TOL                   1e-10  x sigma_1          numerical rank: singular values above
-                                                     RANK_TOL * sigma_1 count. Both rank rules,
-                                                     the rank read off a Takagi diagonal and
-                                                     the support test of the rescaling
+                                                     RANK_TOL * sigma_1 count. Both rank rules
+                                                     and the rank read off a Takagi diagonal
 SYMMETRY_TOL               1e-10  x max(1, ||S||_F)  takagi: ||S - S^T||_F below it, else
                                                      NotSymmetric
 TAKAGI_RECONSTRUCTION_TOL  1e-8   x max(1, sigma_1)  takagi: ||V^T S V - D||_F within it, else
@@ -35,8 +34,8 @@ VERIFY_TOL                 1e-9   absolute           ExtractionReport.verified: 
                                                      synthesizers, CLI verify, selftest)
 CNZ_AMPLITUDE_TOL          1e-9   absolute           verify_cnz: every truth-table amplitude
                                                      within it of the ideal gate's
-CNZ_ZERO_BASE              1e-12  absolute           cnz_alpha: a base 2 sin(phi / 2) below it
-                                                     means phi = 0 within roundoff
+CNZ_ZERO_BASE              1e-12  absolute           cnz_alpha: |e^{i phi} - 1| below it means
+                                                     phi = 0 (mod 2 pi) within roundoff
 DOCUMENT_UNITARITY_TOL     1e-8   absolute           io: ||U^† U - I||_F of a synthesis
                                                      document's unitary within it
 =========================  =====  =================  ===========================================

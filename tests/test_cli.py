@@ -37,6 +37,21 @@ class TestRank:
         assert main(["rank", "--state", str(bad)]) == 2
         assert "data" in capsys.readouterr().err
 
+    def test_rank_of_the_symmetrized_state(self, tmp_path, capsys):
+        """rank reads the state as the synth-* verbs do: M = e0 e1^T + e2 e3^T
+        has rank 2, its symmetric part rank 4."""
+        M = np.zeros((4, 4), dtype=complex)
+        M[0, 1] = M[2, 3] = 1.0
+        path = write_matrix(tmp_path / "m.json", M)
+        assert main(["rank", "--state", path]) == 0
+        assert capsys.readouterr().out.strip() == "4"
+        assert main(["synth-herald", "--target", path, "--photons", "4"]) == 0
+
+    def test_zero_state_is_an_input_error(self, tmp_path, capsys):
+        path = write_matrix(tmp_path / "zero.json", np.zeros((3, 3)))
+        assert main(["rank", "--state", path]) == 2
+        assert "zero" in capsys.readouterr().err
+
 
 class TestTakagi:
     def test_factorization_output(self, tmp_path, capsys):
@@ -61,6 +76,16 @@ class TestGateCnz:
         assert main(["verify", "--input", str(out)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verified"] is True
+
+    def test_negative_phase_roundtrip(self, tmp_path, capsys):
+        out = tmp_path / "cnz.json"
+        assert main(["gate-cnz", "--n", "2", "--phi", "-1.0", "--output", str(out)]) == 0
+        assert main(["verify", "--input", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
+    def test_non_finite_phase_is_an_input_error(self, capsys):
+        assert main(["gate-cnz", "--n", "2", "--phi", "nan"]) == 2
+        assert "phi must be finite" in capsys.readouterr().err
 
     def test_oversized_gate_is_an_input_error(self, capsys):
         assert main(["gate-cnz", "--n", "13", "--phi", "1.0"]) == 2
@@ -201,6 +226,20 @@ class TestSynthPostselect:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["verified"] is True
         assert verdict["fidelity"] > 1 - 1e-9
+
+    def test_circuit_over_input_plus_register_modes(self, tmp_path, capsys):
+        """A 5-mode input and a 2 x 2 target give a 5 + 2 + 2 = 9 mode circuit."""
+        state = write_matrix(
+            tmp_path / "in.json", random_state_of_rank(np.random.default_rng(5), 5, 3).S
+        )
+        C = np.array([[0.8, 0.1], [0.2j, 0.5]])
+        target = write_matrix(tmp_path / "target.json", C / np.linalg.norm(C))
+        out = tmp_path / "synth.json"
+        assert main(["synth-postselect", "--state", state, "--target", target,
+                     "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["unitary"]["rows"] == 9
+        assert main(["verify", "--input", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
 
     def test_infeasible(self, tmp_path, capsys):
         state = tmp_path / "in.json"

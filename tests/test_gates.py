@@ -8,6 +8,9 @@ from photonprep import TooLarge, build_cnz, cnz_success_probability, fock, verif
 from photonprep.gates import _sigma_max, cnz_alpha, logical_occupation
 from photonprep.verify import SynthesisResult
 
+# phases outside (0, 2 pi), far outside it, and near its multiples
+ANY_PHASE = [-1.0, -np.pi / 2, -2 * np.pi + 0.1, 2 * np.pi + 1, 7.0, 100.0, 1e6, 1e17, -1e17, 1e308]
+
 
 class TestSuccessProbability:
     def test_cz_is_one_ninth(self):
@@ -40,6 +43,19 @@ class TestSuccessProbability:
         ]
         assert max(probs) - min(probs) < 1e-12
 
+    def test_phase_is_periodic(self):
+        assert cnz_success_probability(2, -1.0) == pytest.approx(
+            cnz_success_probability(2, 2 * np.pi - 1.0), rel=1e-12
+        )
+        assert cnz_success_probability(2, -1.0) < 1.0
+
+    @pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_phase_rejected(self, phi):
+        with pytest.raises(ValueError, match="phi"):
+            build_cnz(2, phi)
+        with pytest.raises(ValueError, match="phi"):
+            cnz_success_probability(2, phi)
+
     def test_continuity_endpoints(self):
         for n in (2, 3):
             assert cnz_success_probability(n, 0.0) == pytest.approx(1.0, abs=1e-6)
@@ -49,7 +65,7 @@ class TestSuccessProbability:
 class TestBuildAndVerify:
     def test_alpha_is_nth_root(self):
         for n in (2, 3, 4):
-            for phi in (np.pi / 3, np.pi):
+            for phi in (np.pi / 3, np.pi, *ANY_PHASE):
                 alpha = cnz_alpha(n, phi)
                 assert alpha**n == pytest.approx(np.exp(1j * phi) - 1, abs=1e-12)
 
@@ -64,7 +80,7 @@ class TestBuildAndVerify:
         assert verify_cnz(result, 3, 0.0)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("phi", [np.pi / 4, np.pi / 2, np.pi, 3 * np.pi / 2])
+    @pytest.mark.parametrize("phi", [np.pi / 4, np.pi / 2, np.pi, 3 * np.pi / 2, *ANY_PHASE])
     def test_family_verifies(self, n, phi):
         result, spec = build_cnz(n, phi)
         assert verify_cnz(result, n, phi)

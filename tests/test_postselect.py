@@ -4,14 +4,12 @@ import pytest
 from photonprep import (
     InfeasibleRank,
     QuditTarget,
-    SupportMismatch,
     build_sps,
     extract_postselected,
     feasible_postselect,
     from_qudit_target,
     normalize,
     numerical_rank,
-    rescaling_lambda,
     single_photons_state,
     state_rank,
     synthesize_postselect,
@@ -139,30 +137,6 @@ class TestBuildSpsFactorization:
         self.check(random_target_of_rank(gen, d1, d2, rank))
 
 
-class TestRescalingLambda:
-    def test_identity_rescaling(self):
-        d = np.array([0.5, 0.3])
-        assert np.allclose(rescaling_lambda(d, d), 1.0)
-
-    def test_support_shrink(self):
-        lam = rescaling_lambda(np.array([0.5, 0.5]), np.array([0.5, 0.0]))
-        assert np.allclose(lam, [1.0, 0.0])
-
-    def test_support_mismatch(self):
-        with pytest.raises(SupportMismatch):
-            rescaling_lambda(np.array([0.5, 0.0]), np.array([0.4, 0.3]))
-
-    def test_support_mismatch_names_the_first_entry(self):
-        with pytest.raises(SupportMismatch, match="target diagonal entry 1 has weight"):
-            rescaling_lambda(np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.3, 0.2]))
-
-    def test_reconstructs_target_diagonal(self, rng):
-        d_in = np.sort(rng.uniform(0.1, 1.0, 5))[::-1]
-        d_ps = np.sort(rng.uniform(0.1, 1.0, 5))[::-1]
-        lam = rescaling_lambda(d_in, d_ps)
-        assert np.allclose(lam * d_in * lam, d_ps)
-
-
 class TestSynthesize:
     def test_bell_from_two_single_photons(self):
         result = synthesize_postselect(single_photons_state(4), bell_target(2))
@@ -203,18 +177,23 @@ class TestSynthesize:
         assert result.aux_modes == N - 6
 
     def test_success_probability_matches_alpha(self):
-        """U's top-left block is scale_alpha times the mode map M, and
-        M S_in M^T is the intermediate state build_sps(target), zero-padded."""
-        state, target = single_photons_state(4), bell_target(2)
-        result = synthesize_postselect(state, target)
-        s_ps, _ = build_sps(target)
-        dim = max(state.modes, s_ps.modes)
-        B = result.unitary[:dim, : state.modes] / result.scale_alpha
-        padded = np.zeros((dim, dim), dtype=complex)
-        padded[: s_ps.modes, : s_ps.modes] = s_ps.S
-        assert np.linalg.norm(B @ state.S @ B.T - padded) <= 1e-8
-        # the C block of the output is alpha^2 C / sqrt(8) for ||C|| = 1
-        assert result.success_probability == pytest.approx(result.scale_alpha**4 / 2, abs=1e-12)
+        """U's top-left (d1 + d2) x m_in block is scale_alpha times the mode
+        map M, and M S_in M^T is the intermediate state build_sps(target),
+        unpadded, for inputs over as many, fewer and more modes than d1 + d2."""
+        cases = [
+            (single_photons_state(4), bell_target(2)),
+            ADVERSARIAL["fewer-modes-than-d1+d2"],
+            ADVERSARIAL["more-modes-than-d1+d2"],
+        ]
+        for state, target in cases:
+            result = synthesize_postselect(state, target)
+            s_ps, _ = build_sps(target)
+            B = result.unitary[: s_ps.modes, : state.modes] / result.scale_alpha
+            assert np.linalg.norm(B @ state.S @ B.T - s_ps.S) <= 1e-8
+            # the C block of the output is alpha^2 C / sqrt(8) for ||C|| = 1
+            assert result.success_probability == pytest.approx(
+                result.scale_alpha**4 / 2, abs=1e-12
+            )
 
     @pytest.mark.parametrize("seed", range(6))
     def test_iff_random(self, seed):
@@ -282,6 +261,15 @@ class TestDilationFromTakagiFactors:
         U = result.unitary
         assert np.linalg.norm(U.conj().T @ U - np.eye(len(U))) <= 1e-10
         assert result.report.fidelity_vs_target >= 1 - 1e-9
+
+    @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
+    def test_circuit_has_natural_size(self, case):
+        """M is (d1 + d2) x m_in, so its dilation spans m_in + d1 + d2 modes,
+        the input's m_in modes being the auxiliaries."""
+        state, target = ADVERSARIAL[case]
+        result = synthesize_postselect(state, target)
+        assert len(result.unitary) == state.modes + target.d1 + target.d2
+        assert result.aux_modes == state.modes
 
     @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
     def test_only_svds_are_of_the_target(self, case, monkeypatch):
