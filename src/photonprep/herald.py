@@ -20,6 +20,7 @@ circuit is checked by the Fock oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
@@ -104,6 +105,7 @@ def herald_bilinear_matrix(herald_rows: HeraldRows, n: int) -> np.ndarray:
     return F
 
 
+@functools.lru_cache(maxsize=fock.PERMANENT_LIMIT)
 def _flat_takagi(n: int) -> TakagiFactorization:
     """Takagi factors of the flat witness's form F = c (J - I), in closed form,
     with c = (n - 2)! (n - 2)^(-(n - 2)/2).
@@ -111,6 +113,8 @@ def _flat_takagi(n: int) -> TakagiFactorization:
     The flat vector 1/sqrt(n) has value c (n - 1). For a real unit vector q
     orthogonal to it, (i q)^T F (i q) = -c q^T (J - I) q = c, so i times the
     Helmert basis of its complement completes the factors with value c.
+    They depend on n only, so they are built once per n and returned
+    read-only.
     """
     c = math.factorial(n - 2) * (n - 2) ** (-(n - 2) / 2)
     row = np.arange(n)[:, None]
@@ -119,6 +123,8 @@ def _flat_takagi(n: int) -> TakagiFactorization:
     V = np.hstack([np.full((n, 1), 1.0 / math.sqrt(n)), 1j * helmert])
     diagonal = np.full(n, c)
     diagonal[0] = c * (n - 1)
+    V.setflags(write=False)
+    diagonal.setflags(write=False)
     return TakagiFactorization(V=V, diagonal=diagonal)
 
 

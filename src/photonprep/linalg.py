@@ -30,14 +30,10 @@ class TakagiFactorization:
 def takagi(S: np.ndarray) -> TakagiFactorization:
     """Takagi (Autonne) factorization of a complex symmetric matrix.
 
-    With S = A + iB, the real symmetric embedding E = [[A, B], [B, -A]] has
-    eigenvalues +-sigma_i, the singular values of S. An eigenvector [x; y]
-    of E for +sigma gives u = x + iy with S conj(u) = sigma u, and the +sigma
-    and -sigma eigenspaces are orthogonal, so the top half of E's spectrum
-    yields orthonormal Takagi vectors even inside degenerate clusters. Near
-    sigma = 0 the two halves mix: vectors whose sigma is below a rounding-level
-    cut are dropped (their diagonal entry set to 0) and replaced by a QR
-    completion of the kept ones. The diagonal is sorted descending.
+    Taken from one SVD where it can be (see _svd_takagi), else from the real
+    symmetric embedding of S (see _embedded_takagi). Values at or below the
+    rounding-level cut TAKAGI_CUT m sigma_1 are set to 0, and the diagonal is
+    sorted descending.
     """
     S = np.asarray(S, dtype=complex)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -50,28 +46,96 @@ def takagi(S: np.ndarray) -> TakagiFactorization:
     if asymmetry >= SYMMETRY_TOL * max(1.0, np.linalg.norm(S)):
         raise NotSymmetric(f"asymmetry {asymmetry:.3e} exceeds {SYMMETRY_TOL} x max(1, ||S||)")
     S = (S + S.T) / 2.0
-    m = S.shape[0]
 
-    A, B = S.real, S.imag
-    try:
-        eigenvalues, vectors = np.linalg.eigh(np.block([[A, B], [B, -A]]))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    sigma = eigenvalues[::-1][:m]  # the +sigma half, descending
-    top = vectors[:, ::-1][:, :m]
-    u = top[:m] + 1j * top[m:]
-    kept = int(np.count_nonzero(sigma > TAKAGI_CUT * m * sigma[0]))
-    q, r = np.linalg.qr(u[:, :kept], mode="complete")
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    q[:, :kept] *= phases
-    diagonal = np.zeros(m)
-    diagonal[:kept] = sigma[:kept]
-
-    factor = TakagiFactorization(V=q.conj(), diagonal=diagonal)
-    scale = max(1.0, diagonal[0])
+    factor = _svd_takagi(S)
+    if factor is None:
+        factor = _embedded_takagi(S)
+    scale = max(1.0, factor.diagonal[0])
     if np.linalg.norm(factor.V.T @ S @ factor.V - factor.D) > TAKAGI_RECONSTRUCTION_TOL * scale:
         raise ConvergenceFailure("Takagi factorization failed to reconstruct")
     return factor
+
+
+def _svd_takagi(S: np.ndarray) -> TakagiFactorization | None:
+    """Takagi factors of a complex symmetric S from its SVD, or None where
+    the real embedding of S whole should be taken instead.
+
+    With S = U Sigma W^†, symmetry makes P = U^† S conj(U) = Sigma W^† conj(U)
+    symmetric and block diagonal across distinct singular values. An index
+    whose row and column of P have no off-diagonal entry above the cut
+    TAKAGI_CUT m sigma_1 is isolated: its Takagi vector is conj(U) e_i times
+    exp(-i arg(P_ii) / 2), with value sigma_i (0 at or below the cut). Indices
+    that couple (degenerate or near-degenerate values) are factorized together
+    by the real embedding of P on them, and their vectors are conj(U) on them
+    times that factor. One stable sort restores the descending order.
+
+    Returns None when most indices couple (embedding S whole is then
+    cheaper than gathering P), when the SVD does not converge, or when its U
+    is not unitary to the same rounding level: divide and conquer can lose
+    orthogonality inside large clusters, and V would inherit it.
+    """
+    m = S.shape[0]
+    try:
+        u, sigma, wh = np.linalg.svd(S)
+    except np.linalg.LinAlgError:
+        return None
+    cut = TAKAGI_CUT * m * sigma[0]
+    uc = u.conj()
+    P = (sigma[:, None] * wh) @ uc
+    off = np.abs(P) > cut
+    np.fill_diagonal(off, False)
+    coupled = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
+    if 2 * len(coupled) > m or np.linalg.norm(uc.T @ u - np.eye(m)) > TAKAGI_CUT * m:
+        return None
+
+    V = uc * np.exp(-0.5j * np.angle(P.diagonal()))
+    diagonal = np.where(sigma > cut, sigma, 0.0)
+    if len(coupled):
+        block = P[coupled][:, coupled]
+        inner = _embedded_takagi((block + block.T) / 2.0, cut)
+        V[:, coupled] = uc[:, coupled] @ inner.V
+        diagonal[coupled] = inner.diagonal
+        order = np.argsort(-diagonal, kind="stable")
+        V, diagonal = V[:, order], diagonal[order]
+    return TakagiFactorization(V=V, diagonal=diagonal)
+
+
+def _embedded_takagi(S: np.ndarray, cut: float | None = None) -> TakagiFactorization:
+    """Takagi factors of a complex symmetric S from its real symmetric
+    embedding, the definition-level reference.
+
+    With S = A + iB, E = [[A, B], [B, -A]] has eigenvalues +-sigma_i, the
+    singular values of S. An eigenvector [x; y] of E for +sigma gives
+    u = x + iy with S conj(u) = sigma u, and the +sigma and -sigma eigenspaces
+    are orthogonal, so the top half of E's spectrum yields orthonormal Takagi
+    vectors even inside degenerate clusters. Near sigma = 0 the two halves
+    mix: vectors whose sigma is at or below the cut are dropped (their
+    diagonal entry set to 0) and replaced by a QR completion of the kept
+    ones. The cut defaults to TAKAGI_CUT k sigma_1 for S of size k; a block
+    of a larger matrix passes that matrix's cut. The diagonal is sorted
+    descending. No gate is applied here.
+    """
+    k = S.shape[0]
+    E = np.empty((2 * k, 2 * k))
+    E[:k, :k] = S.real
+    E[:k, k:] = E[k:, :k] = S.imag
+    E[k:, k:] = -S.real
+    try:
+        eigenvalues, vectors = np.linalg.eigh(E)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+    sigma = eigenvalues[::-1][:k]  # the +sigma half, descending
+    top = vectors[:, ::-1][:, :k]
+    u = top[:k] + 1j * top[k:]
+    if cut is None:
+        cut = TAKAGI_CUT * k * sigma[0]
+    kept = int(np.count_nonzero(sigma > cut))
+    q, r = np.linalg.qr(u[:, :kept], mode="complete")
+    phases = np.diagonal(r) / np.abs(np.diagonal(r))
+    q[:, :kept] *= phases
+    diagonal = np.zeros(k)
+    diagonal[:kept] = sigma[:kept]
+    return TakagiFactorization(V=q.conj(), diagonal=diagonal)
 
 
 @dataclass(frozen=True)

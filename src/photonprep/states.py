@@ -80,6 +80,8 @@ class QuditTarget:
 def normalize(S: np.ndarray) -> TwoPhotonState:
     """Scale a symmetric matrix so that 2 Tr(S^† S) = 1."""
     S = np.asarray(S, dtype=complex)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise ValueError(f"state matrix must be square, got {S.shape}")
     if not np.isfinite(S).all():
         raise ValueError("cannot normalize a matrix with non-finite entries")
     S = (S + S.T) / 2.0

@@ -16,8 +16,14 @@ SYMMETRY_TOL               1e-10  x max(1, ||S||_F)  takagi: ||S - S^T||_F below
 TAKAGI_RECONSTRUCTION_TOL  1e-8   x max(1, sigma_1)  takagi: ||V^T S V - D||_F within it, else
                                                      ConvergenceFailure
 TAKAGI_CUT                 8 eps  x m sigma_1        takagi: values at or below the cut (m the
-                                                     matrix size) are rounding noise, set to 0
-                                                     and replaced by a QR completion
+                                                     matrix size) are rounding noise, set to 0.
+                                                     Also the coupling threshold: indices with
+                                                     an off-diagonal entry of U^† S conj(U)
+                                                     (S = U Sigma W^†) above it are embedded
+                                                     together, and the QR completion happens
+                                                     only inside that embedded cluster
+                           8 eps  x m                takagi: ||U^† U - I||_F above it sends
+                                                     S whole to the real embedding
 STATE_SYMMETRY_TOL         1e-8   x max(1, ||S||_F)  TwoPhotonState: ||S - S^T||_F within it,
                                                      else NotSymmetric
 NORMALIZATION_TOL          1e-8   absolute           TwoPhotonState: |2 Tr(S^† S) - 1| within it

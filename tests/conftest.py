@@ -22,5 +22,36 @@ def _definition_amplitude(U, k, ell) -> complex:
 
 
 @pytest.fixture
+def svds_outside_takagi(monkeypatch):
+    """``record(module)`` returns a list that collects the shape of every
+    ``np.linalg.svd`` argument, except while ``module.takagi`` runs: the
+    Takagi factorization takes one SVD of its own input."""
+    shapes = []
+    inside = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        if not inside:
+            shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def record(module):
+        takagi = module.takagi
+
+        def paused_takagi(S):
+            inside.append(True)
+            try:
+                return takagi(S)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(module, "takagi", paused_takagi)
+        return shapes
+
+    return record
+
+
+@pytest.fixture
 def definition_amplitude():
     return _definition_amplitude

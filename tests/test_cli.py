@@ -53,6 +53,21 @@ class TestRank:
         assert "zero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["rank", "synth-postselect", "synth-herald"])
+def test_non_square_state_is_an_input_error(tmp_path, capsys, verb):
+    path = write_matrix(tmp_path / "wide.json", np.ones((2, 3)))
+    target = write_matrix(tmp_path / "target.json", np.eye(2))
+    argv = {
+        "rank": ["rank", "--state", path],
+        "synth-postselect": ["synth-postselect", "--state", path, "--target", target],
+        "synth-herald": ["synth-herald", "--target", path, "--photons", "2"],
+    }[verb]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "must be square, got (2, 3)" in err
+    assert "broadcast" not in err
+
+
 class TestTakagi:
     def test_factorization_output(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "s.json", np.array([[0, 0.5], [0.5, 0]]))

@@ -151,6 +151,14 @@ class TestBilinearMatrix:
         assert np.linalg.norm(fac.V.T @ F @ fac.V - fac.D) <= 1e-12 * c * (n - 1)
         assert np.linalg.norm(fac.V.conj().T @ fac.V - np.eye(n)) <= 1e-12
 
+    def test_flat_witness_takagi_factors_are_cached_read_only(self):
+        fac = herald_module._flat_takagi(6)
+        assert herald_module._flat_takagi(6) is fac
+        for array in (fac.V, fac.diagonal):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
     def test_multiplicity_mismatch(self):
         with pytest.raises(MultiplicityMismatch):
             herald_bilinear_matrix([(np.ones(4), 1)], 4)
@@ -254,17 +262,11 @@ class TestSynthesize:
         assert len(calls) == 2
         assert sizes == []
 
-    def test_rank_deficient_user_form_falls_back_without_an_svd(self, rng, monkeypatch):
+    def test_rank_deficient_user_form_falls_back_without_an_svd(self, rng, svds_outside_takagi):
         """A row with a zero entry k leaves F nonzero only in row and column k
-        (rank 2); that rank is read off F's Takagi diagonal, not an SVD."""
-        shapes = []
-        svd = np.linalg.svd
-
-        def recording(M, *args, **kwargs):
-            shapes.append(np.shape(M))
-            return svd(M, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording)
+        (rank 2); that rank is read off F's Takagi diagonal, not an SVD taken
+        outside the Takagi factorization."""
+        shapes = svds_outside_takagi(herald_module)
         target = random_state_of_rank(rng, 6, 4)
         row = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         row[0] = 0.0

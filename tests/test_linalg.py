@@ -16,15 +16,23 @@ from photonprep import (
     takagi,
     unitary_extension,
 )
-from photonprep.random_states import random_complex_symmetric, random_unitary
+from photonprep.herald import default_herald_rows, herald_bilinear_matrix
+from photonprep.linalg import _embedded_takagi
+from photonprep.random_states import (
+    random_complex_symmetric,
+    random_target_of_rank,
+    random_unitary,
+)
+from photonprep.states import from_qudit_target, single_photons_state
 from photonprep.tolerances import RANK_TOL
 
 
 @st.composite
-def adversarial_spectra(draw):
+def adversarial_spectra(draw, max_m=16):
     """(seed, singular values) with near-equal clusters, exact zeros and
-    values at the rank threshold, at overall scales 1e-8 ... 1e3."""
-    m = draw(st.integers(1, 16))
+    values at the rank threshold, at overall scales 1e-8 ... 1e3, over
+    1 ... max_m modes."""
+    m = draw(st.integers(1, max_m))
     base = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3))
     gap = st.sampled_from([0.0, 1e-15, 1e-12, 1e-10, 2e-8, 1e-7, 1e-5])
     sigma = np.sort([base[i % len(base)] * (1.0 - draw(gap)) for i in range(m)])[::-1]
@@ -126,6 +134,93 @@ class TestTakagi:
             fac = takagi(S)
             assert np.linalg.norm(fac.V.T @ S @ fac.V - fac.D) <= 1e-10
             assert np.linalg.norm(fac.V.conj().T @ fac.V - np.eye(4)) <= 1e-10
+
+
+def _coupled_families():
+    """Matrices whose singular values come in degenerate clusters, so that
+    many or all indices couple: S proportional to I (as is and under a
+    unitary congruence), from_qudit_target pairs, single photons, and the
+    flat herald form c (J - I) for n = 2 ... 14."""
+    rng = np.random.default_rng(20261018)
+    cases = {}
+    for m in (1, 2, 5, 16):
+        cases[f"identity-{m}"] = 0.3 * np.eye(m, dtype=complex)
+        u = random_unitary(rng, m)
+        cases[f"congruent-identity-{m}"] = 7.0 * u @ u.T
+    for d, rank in ((2, 1), (2, 2), (4, 3), (4, 4), (8, 2), (8, 8)):
+        target = random_target_of_rank(rng, d, d, rank)
+        cases[f"qudit-pairs-{d}-rank-{rank}"] = from_qudit_target(target).S
+    for m in (2, 3, 4, 9):
+        cases[f"single-photons-{m}"] = single_photons_state(m).S
+    for n in range(2, 15):
+        cases[f"flat-form-{n}"] = herald_bilinear_matrix(default_herald_rows(n), n)
+    return cases
+
+
+COUPLED = _coupled_families()
+
+
+class TestTakagiAgainstEmbedding:
+    """takagi against the real symmetric embedding of the whole matrix, the
+    definition-level reference it falls back to on coupled clusters: equal
+    diagonals, and both factorizations meet the reconstruction and
+    unitarity gates of test_adversarial_spectra_meet_gates."""
+
+    def check(self, S):
+        m = len(S)
+        sigma1 = np.linalg.svd(S, compute_uv=False)[0]
+        gate = 1e-10 * max(1.0, sigma1)
+        fac = takagi(S)
+        reference = _embedded_takagi(S)
+        assert np.allclose(fac.diagonal, reference.diagonal, rtol=0, atol=1e-12 * max(1.0, sigma1))
+        for f in (fac, reference):
+            assert np.linalg.norm(f.V.T @ S @ f.V - f.D) <= gate
+            assert np.linalg.norm(f.V.conj().T @ f.V - np.eye(m)) <= 1e-10
+            assert np.all(f.diagonal >= 0) and np.all(np.diff(f.diagonal) <= 0)
+
+    @pytest.mark.parametrize("case", sorted(COUPLED))
+    def test_coupled_families(self, case):
+        self.check(COUPLED[case])
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=adversarial_spectra(max_m=64))
+    def test_adversarial_spectra(self, case):
+        self.check(_with_spectrum(*case))
+
+    def test_generic_256(self):
+        self.check(random_complex_symmetric(np.random.default_rng(256), 256))
+
+    def test_svd_failure_falls_back_to_the_embedding(self, monkeypatch):
+        """Divide and conquer can fail to converge where the embedding's
+        eigensolver does not; takagi then embeds S whole."""
+        S = _with_spectrum(7, np.array([1.0, 0.8, 0.5, 0.5, 1e-11, 0.0]))
+
+        def failing_svd(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        fac = takagi(S)
+        reference = _embedded_takagi((S + S.T) / 2.0)
+        assert np.array_equal(fac.diagonal, reference.diagonal)
+        assert np.array_equal(fac.V, reference.V)
+        assert np.linalg.norm(fac.V.T @ S @ fac.V - fac.D) <= 1e-10
+
+    def test_non_unitary_singular_vectors_fall_back(self, monkeypatch):
+        """Columns of U off unit norm by 1e-9 leave P diagonal, so every
+        index looks isolated, and pass the reconstruction gate; only a check
+        of U itself keeps V unitary. Divide and conquer can lose 1e-6 of
+        orthogonality inside large clusters."""
+        S = _with_spectrum(8, np.array([1.0, 0.9, 0.7, 0.4, 0.2, 0.0]))
+        svd = np.linalg.svd
+
+        def skewed_svd(a, *args, **kwargs):
+            u, s, wh = svd(a, *args, **kwargs)
+            return u * (1.0 + 1e-9), s, wh
+
+        monkeypatch.setattr(np.linalg, "svd", skewed_svd)
+        fac = takagi(S)
+        assert np.linalg.norm(fac.V.conj().T @ fac.V - np.eye(6)) <= 1e-10
+        assert np.linalg.norm(fac.V.T @ S @ fac.V - fac.D) <= 1e-10
 
 
 class TestUnitaryExtension:

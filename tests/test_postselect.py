@@ -15,6 +15,7 @@ from photonprep import (
     synthesize_postselect,
     takagi,
 )
+from photonprep import postselect as postselect_module
 from photonprep.verify import fidelity
 from photonprep.exceptions import VerificationFailure
 from photonprep.random_states import random_state_of_rank, random_target_of_rank
@@ -272,16 +273,11 @@ class TestDilationFromTakagiFactors:
         assert result.aux_modes == state.modes
 
     @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
-    def test_only_svds_are_of_the_target(self, case, monkeypatch):
+    def test_only_svds_are_of_the_target(self, case, svds_outside_takagi):
+        """Outside the one Takagi factorization of S_in, whose own SVD is of
+        S_in, every SVD is of C."""
         state, target = ADVERSARIAL[case]
-        shapes = []
-        svd = np.linalg.svd
-
-        def recording_svd(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        shapes = svds_outside_takagi(postselect_module)
         synthesize_postselect(state, target)
         assert shapes and set(shapes) == {target.C.shape}
 

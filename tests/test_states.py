@@ -110,6 +110,14 @@ class TestNonFinite:
             normalize(np.array([[bad, 0], [0, 1]], dtype=complex))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2)])
+def test_normalize_rejects_non_square(shape):
+    """The shape is checked before S is symmetrized, so a 2 x 3 matrix is
+    named, not met by a broadcast error of S + S^T."""
+    with pytest.raises(ValueError, match=rf"must be square, got \({shape[0]},"):
+        normalize(np.ones(shape, dtype=complex))
+
+
 class TestStateRank:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_constructed_rank(self, rng, rank):
