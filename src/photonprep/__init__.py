@@ -24,7 +24,6 @@ from .herald import feasible_herald, herald_bilinear_matrix, synthesize_herald
 from .linalg import (
     TakagiFactorization,
     UnitaryExtension,
-    numerical_rank,
     takagi,
     unitary_extension,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "from_qudit_target",
     "herald_bilinear_matrix",
     "normalize",
-    "numerical_rank",
     "permanent",
     "single_photons_state",
     "state_rank",

@@ -100,6 +100,7 @@ def cmd_synth_herald(args) -> int:
 
 
 def cmd_gate_cnz(args) -> int:
+    gates._check_table_size(args.n)  # every printed gate is verified
     result, _ = gates.build_cnz(args.n, args.phi)
     if not gates.verify_cnz(result, args.n, args.phi):
         raise VerificationFailure("constructed gate failed the oracle check")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
+from .exceptions import TooLarge
 from .linalg import unitary_extension
 from .verify import SynthesisResult
 from .tolerances import CNZ_AMPLITUDE_TOL, CNZ_ZERO_BASE
@@ -44,9 +45,21 @@ def cnz_alpha(n: int, phi: float) -> complex:
     return complex(abs(z) ** (1.0 / n) * np.exp(1j * (np.angle(z) % (2.0 * np.pi)) / n))
 
 
+def _eigenvalues(n: int, alpha: complex) -> np.ndarray:
+    """lambda_k = 1 + alpha omega^k, omega = e^{2 pi i / n}: the eigenvalues of
+    I + alpha J on the DFT columns."""
+    return 1.0 + alpha * np.exp(2j * np.pi * np.arange(n) / n)
+
+
 def _sigma_max(n: int, alpha: complex) -> float:
-    w = np.exp(2j * np.pi * np.arange(n) / n)
-    return float(max(1.0, np.max(np.abs(1.0 + alpha * w))))
+    return float(max(1.0, np.max(np.abs(_eigenvalues(n, alpha)))))
+
+
+def _check_table_size(n: int) -> None:
+    """Refuse, before anything of size 2^n is built, a truth table whose
+    amplitudes are permanents beyond the permanent limit."""
+    if n > fock.PERMANENT_LIMIT:
+        raise TooLarge(f"{n}-qubit truth table needs permanents beyond {fock.PERMANENT_LIMIT}")
 
 
 def cnz_success_probability(n: int, phi: float) -> float:
@@ -61,20 +74,21 @@ def build_cnz(n: int, phi: float) -> tuple[SynthesisResult, CnZSpec]:
     followed by 2n vacuum auxiliaries from the unitary embedding.
     """
     alpha = cnz_alpha(n, phi)
-    sigma_max = _sigma_max(n, alpha)
-    p_s = sigma_max ** (-2 * n)
+    p_s = _sigma_max(n, alpha) ** (-2 * n)
     damping = p_s ** (1.0 / (2 * n))
 
-    J = np.roll(np.eye(n, dtype=complex), -1, axis=0)  # i -> i+1 mod n
-    A_block = damping * (np.eye(n, dtype=complex) + alpha * J)
-    B_block = damping * np.eye(n, dtype=complex)
-    M = np.block(
-        [
-            [A_block, np.zeros((n, n), dtype=complex)],
-            [np.zeros((n, n), dtype=complex), B_block],
-        ]
-    )
-    ext = unitary_extension(*np.linalg.svd(M))  # sigma1 = 1 by the damping choice
+    # the mode map is damping * diag(I + alpha J, I), J the cyclic shift
+    # i -> i+1 mod n. With the DFT F[j, k] = omega^(jk) / sqrt(n),
+    # I + alpha J = F diag(lam) F^†, so the map is dilated from those factors
+    lam = _eigenvalues(n, alpha)
+    k = np.arange(n)
+    dft = np.exp(2j * np.pi * (np.outer(k, k) % n) / n) / np.sqrt(n)
+    v1 = np.eye(2 * n, dtype=complex)
+    v2h = np.eye(2 * n, dtype=complex)
+    v1[:n, :n] = dft * np.exp(1j * np.angle(lam))
+    v2h[:n, :n] = dft.conj()
+    s = damping * np.r_[np.abs(lam), np.ones(n)]
+    ext = unitary_extension(v1, s, v2h)  # sigma1 = 1 by the damping choice
     spec = CnZSpec(n=n, phi=float(phi), alpha=alpha, p_s=p_s)
     result = SynthesisResult(
         unitary=ext.U,
@@ -101,8 +115,9 @@ def verify_cnz(result: SynthesisResult, n: int, phi: float) -> bool:
 
     The 2^n x 2^n table of amplitudes <y| U |x> must equal sqrt(p_s) on the
     diagonal (times e^{i phi} on |1...1>) and vanish off it, each amplitude
-    to CNZ_AMPLITUDE_TOL.
+    to CNZ_AMPLITUDE_TOL. Raises TooLarge for n beyond the permanent limit.
     """
+    _check_table_size(n)
     U = result.unitary
     occ = logical_occupation(list(itertools.product((0, 1), repeat=n)), n, U.shape[0])
     table = fock.amplitude(U, occ[:, None, :], occ[None, :, :])

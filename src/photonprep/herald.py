@@ -33,7 +33,7 @@ from .exceptions import (
     TooLarge,
     VerificationFailure,
 )
-from .linalg import TakagiFactorization, _above_rank_tol, takagi, unitary_extension
+from .linalg import TakagiFactorization, takagi, unitary_extension
 from .states import TwoPhotonState, state_rank
 from .tolerances import IDENTITY_TOL
 from .verify import HeraldPattern, SynthesisResult
@@ -142,7 +142,9 @@ def synthesize_herald(
     """
     if n < 2:
         raise ValueError("at least two photons are required")
-    rank = state_rank(state_out)
+    # one Takagi factorization of the target gives its rank and its weights
+    fac_out = takagi(state_out.S)
+    rank = fac_out.rank
     if n < rank:
         raise InfeasibleRank(f"{n} photons cannot prepare a rank-{rank} state")
 
@@ -151,7 +153,7 @@ def synthesize_herald(
         herald_rows = _checked_rows(herald_rows, n)
         F = herald_bilinear_matrix(herald_rows, n)
         fac_f = takagi(F)
-        if np.count_nonzero(_above_rank_tol(fac_f.diagonal)) < n:
+        if fac_f.rank < n:
             fac_f = None
     if fac_f is None:
         # the default, and the fallback for degenerate user rows: the theorem
@@ -164,8 +166,6 @@ def synthesize_herald(
     signal = tuple(s for _, s in herald_rows)
     h = len(signal)
     m = state_out.modes
-
-    fac_out = takagi(state_out.S)
     d = fac_out.diagonal
     scale = math.sqrt(2.0 * math.prod(math.factorial(s) for s in signal))
 

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra: Takagi factorization, unitary dilation, rank.
+"""Dense complex linear algebra: Takagi factorization and rank, unitary dilation.
 
 All routines work on plain ``numpy`` arrays of dtype complex128. Diagonal
 factors are always returned sorted in descending order so downstream
@@ -25,6 +25,13 @@ class TakagiFactorization:
     @property
     def D(self) -> np.ndarray:
         return np.diag(self.diagonal).astype(complex)
+
+    @property
+    def rank(self) -> int:
+        """The rank rule: diagonal entries (singular values of S) above
+        ``RANK_TOL`` times the largest; 0 when none is positive."""
+        largest = np.max(self.diagonal, initial=0.0)
+        return int(np.count_nonzero(self.diagonal > RANK_TOL * largest))
 
 
 def takagi(S: np.ndarray) -> TakagiFactorization:
@@ -193,18 +200,3 @@ def unitary_extension(v1: np.ndarray, s: np.ndarray, v2h: np.ndarray) -> Unitary
     U[m1:, m2:] = -(v2[:, :r] * s) @ v1h[:r]
     return UnitaryExtension(U=U, sigma1=sigma1, N=m1 + m2)
 
-
-def _above_rank_tol(values: np.ndarray) -> np.ndarray:
-    """The rank rule on a list of nonnegative (singular or Takagi) values: the
-    mask of those above ``RANK_TOL`` times the largest. All False when none
-    is positive."""
-    values = np.asarray(values, dtype=float)
-    return values > RANK_TOL * np.max(values, initial=0.0)
-
-
-def numerical_rank(M: np.ndarray) -> int:
-    """Number of singular values above ``RANK_TOL * sigma_max``; 0 for the zero matrix."""
-    M = np.asarray(M, dtype=complex)
-    if M.size == 0:
-        return 0
-    return int(np.count_nonzero(_above_rank_tol(np.linalg.svd(M, compute_uv=False))))

@@ -15,15 +15,16 @@ import numpy as np
 
 from . import verify
 from .exceptions import InfeasibleRank, VerificationFailure
-from .linalg import TakagiFactorization, _above_rank_tol, numerical_rank, takagi, unitary_extension
+from .linalg import TakagiFactorization, takagi, unitary_extension
 from .states import QuditTarget, TwoPhotonState, normalize, state_rank
 from .tolerances import MODE_MAP_TOL
 from .verify import SynthesisResult
 
 
 def feasible_postselect(state_in: TwoPhotonState, target: QuditTarget) -> bool:
-    """Rank rule: the target is reachable iff rank(C) <= rank(S_in)."""
-    return numerical_rank(target.C) <= state_rank(state_in)
+    """Rank rule: the target is reachable iff rank(C) <= rank(S_in), each
+    read off the Takagi factors that synthesize_postselect starts from."""
+    return build_sps(target)[1].rank <= state_rank(state_in)
 
 
 def build_sps(target: QuditTarget) -> tuple[TwoPhotonState, TakagiFactorization]:
@@ -38,7 +39,8 @@ def build_sps(target: QuditTarget) -> tuple[TwoPhotonState, TakagiFactorization]
     is symmetric with no rank beyond C's. Its Takagi vectors are conj(W),
     completed to a unitary by conj of [V1; -conj(V2)] / sqrt(2) and of the
     remaining columns of V1 and of conj(V2), each padded with zeros; the
-    completion columns get diagonal 0. No second factorization is needed.
+    completion columns get diagonal 0. No second factorization is needed,
+    and the diagonal, sigma / sqrt(2 sum sigma^2), has the rank of C.
     """
     d1, d2 = target.d1, target.d2
     v1, sigma, v2h = np.linalg.svd(target.C)
@@ -66,14 +68,13 @@ def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> Synt
     independent oracle. Raises InfeasibleRank when the rank rule forbids
     the preparation.
     """
-    # one Takagi factorization of S_in gives both its rank and the rescaling
+    # the Takagi factors of S_in and S_ps give both ranks and the rescaling
     fac_in = takagi(state_in.S)
-    rank_in = int(np.count_nonzero(_above_rank_tol(fac_in.diagonal)))
-    rank_c = numerical_rank(target.C)
+    s_ps, fac_ps = build_sps(target)
+    rank_in, rank_c = fac_in.rank, fac_ps.rank
     if rank_c > rank_in:
         raise InfeasibleRank(f"rank(C) = {rank_c} exceeds rank(S_in) = {rank_in}")
     d1, d2 = target.d1, target.d2
-    s_ps, fac_ps = build_sps(target)
 
     # both diagonals descend and rank(C) <= rank_in, so the first r values
     # pair every weight of S_ps with one of S_in: d_ps = lam * d_in * lam

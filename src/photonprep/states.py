@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotSymmetric, ZeroState
-from .linalg import numerical_rank
+from .linalg import takagi
 from .tolerances import NORMALIZATION_TOL, STATE_SYMMETRY_TOL, TARGET_NORM_TOL, ZERO_WEIGHT
 
 
@@ -113,5 +113,6 @@ def single_photons_state(m: int) -> TwoPhotonState:
 
 
 def state_rank(state: TwoPhotonState) -> int:
-    """Rank of the state matrix; invariant under linear optics."""
-    return numerical_rank(state.S)
+    """Rank of the state matrix, read off its Takagi factors; invariant under
+    linear optics."""
+    return takagi(state.S).rank

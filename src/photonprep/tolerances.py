@@ -8,9 +8,9 @@ or CLI verb takes a tolerance argument; every module reads its gate from here.
 =========================  =====  =================  ===========================================
 name                       value  scale              gates
 =========================  =====  =================  ===========================================
-RANK_TOL                   1e-10  x sigma_1          numerical rank: singular values above
-                                                     RANK_TOL * sigma_1 count. Both rank rules
-                                                     and the rank read off a Takagi diagonal
+RANK_TOL                   1e-10  x sigma_1          TakagiFactorization.rank: Takagi values
+                                                     above RANK_TOL * sigma_1 count. Both rank
+                                                     rules and state_rank read that count
 SYMMETRY_TOL               1e-10  x max(1, ||S||_F)  takagi: ||S - S^T||_F below it, else
                                                      NotSymmetric
 TAKAGI_RECONSTRUCTION_TOL  1e-8   x max(1, sigma_1)  takagi: ||V^T S V - D||_F within it, else

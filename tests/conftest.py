@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from photonprep.fock import permanent_naive
+from photonprep.tolerances import RANK_TOL
 
 
 @pytest.fixture
@@ -19,6 +20,13 @@ def _definition_amplitude(U, k, ell) -> complex:
     cols = np.repeat(np.arange(len(ell)), ell)
     norm = math.prod(math.factorial(int(x)) for x in (*k, *ell))
     return permanent_naive(np.asarray(U)[np.ix_(rows, cols)]) / math.sqrt(norm)
+
+
+def _definition_rank(M) -> int:
+    """Rank from the definition: the singular values of M above RANK_TOL
+    times the largest, by an SVD independent of any Takagi factorization."""
+    sigma = np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
+    return int(np.count_nonzero(sigma > RANK_TOL * np.max(sigma, initial=0.0)))
 
 
 @pytest.fixture
@@ -55,3 +63,8 @@ def svds_outside_takagi(monkeypatch):
 @pytest.fixture
 def definition_amplitude():
     return _definition_amplitude
+
+
+@pytest.fixture
+def definition_rank():
+    return _definition_rank

@@ -106,6 +106,17 @@ class TestGateCnz:
         assert main(["gate-cnz", "--n", "13", "--phi", "1.0"]) == 2
         assert "occupation stack" in capsys.readouterr().err
 
+    def test_gate_beyond_the_permanent_limit_is_an_input_error(self, capsys):
+        assert main(["gate-cnz", "--n", "24", "--phi", "1.0"]) == 2
+        assert "permanent" in capsys.readouterr().err
+
+    def test_verify_of_an_edited_qubit_count_is_an_input_error(self, cz_doc, capsys):
+        doc = json.loads(cz_doc.read_text())
+        doc["n"] = 24
+        cz_doc.write_text(json.dumps(doc))
+        assert main(["verify", "--input", str(cz_doc)]) == 2
+        assert "permanent" in capsys.readouterr().err
+
 
 @pytest.fixture
 def cz_doc(tmp_path, capsys):

@@ -4,7 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from photonprep import TooLarge, build_cnz, cnz_success_probability, fock, verify_cnz
+from photonprep import (
+    TooLarge,
+    build_cnz,
+    cnz_success_probability,
+    fock,
+    unitary_extension,
+    verify_cnz,
+)
 from photonprep.gates import _sigma_max, cnz_alpha, logical_occupation
 from photonprep.verify import SynthesisResult
 
@@ -107,6 +114,20 @@ class TestBuildAndVerify:
             tracemalloc.stop()
         assert peak < 5e6
 
+    @pytest.mark.parametrize("n", [24, 40])
+    def test_table_beyond_the_permanent_limit_refused_before_enumeration(self, n):
+        """Its amplitudes would be n-photon permanents; n = 24 used to run out
+        of memory listing the 2^24 basis states."""
+        result, _ = build_cnz(n, 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="permanent"):
+                verify_cnz(result, n, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
     def test_tampering_detected(self):
         result, _ = build_cnz(2, np.pi)
         U = result.unitary.copy()
@@ -118,6 +139,49 @@ class TestBuildAndVerify:
             success_probability=result.success_probability,
         )
         assert not verify_cnz(tampered, 2, np.pi)
+
+
+class TestClosedFormDilation:
+    """build_cnz dilates damping * diag(I + alpha J, I) from its DFT factors."""
+
+    @staticmethod
+    def mode_map(n, alpha, damping):
+        J = np.roll(np.eye(n), -1, axis=0)
+        M = np.zeros((2 * n, 2 * n), dtype=complex)
+        M[:n, :n] = np.eye(n) + alpha * J
+        M[n:, n:] = np.eye(n)
+        return damping * M
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("phi", [-1.0, np.pi, 2 * np.pi + 1, 7.0, 1e6])
+    def test_matches_the_svd_built_dilation(self, n, phi):
+        result, spec = build_cnz(n, phi)
+        M = self.mode_map(n, spec.alpha, result.scale_alpha)
+        ref = unitary_extension(*np.linalg.svd(M)).U
+        U = result.unitary
+        top, bottom = slice(0, 2 * n), slice(2 * n, 4 * n)
+        assert np.max(np.abs(U[top, top] - ref[top, top])) <= 1e-12
+        assert np.max(np.abs(U[bottom, bottom] - ref[bottom, bottom])) <= 1e-12
+        # the other blocks are sqrt(I - B B^†) and sqrt(I - B^† B). At phi = pi
+        # the largest singular value is twofold, and a copy the SVD returns an
+        # ulp below it gives sqrt(1 - s^2) ~ 1e-8, so there they are held to
+        # their squares
+        for block in ((top, bottom), (bottom, top)):
+            D, D_ref = U[block], ref[block]
+            assert np.max(np.abs(D @ D - D_ref @ D_ref)) <= 1e-12
+            if phi != np.pi:
+                assert np.max(np.abs(D - D_ref)) <= 1e-12
+        sigma1 = np.linalg.svd(M[:n, :n] / result.scale_alpha, compute_uv=False)[0]
+        assert spec.p_s == pytest.approx(max(1.0, sigma1) ** (-2 * n), rel=1e-12)
+        assert verify_cnz(result, n, phi)
+
+    def test_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("build_cnz took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for n in (2, 3, 4):
+            build_cnz(n, 1.0)
 
 
 def _definition_table(U, n, definition_amplitude):

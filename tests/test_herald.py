@@ -15,9 +15,9 @@ from photonprep import (
     feasible_herald,
     herald_bilinear_matrix,
     normalize,
-    numerical_rank,
     permanent,
     synthesize_herald,
+    takagi,
 )
 from photonprep import fock
 from photonprep import herald as herald_module
@@ -26,7 +26,7 @@ from photonprep.herald import default_herald_rows
 from photonprep.linalg import TakagiFactorization
 from photonprep.random_states import random_state_of_rank, random_unitary
 from photonprep.selftest import _circuit_identity_error
-from photonprep.tolerances import IDENTITY_TOL
+from photonprep.tolerances import IDENTITY_TOL, RANK_TOL
 from photonprep.verify import HeraldPattern
 
 BELL = normalize(
@@ -81,12 +81,12 @@ class TestBilinearMatrix:
         assert np.allclose(F, np.ones((3, 3)) - np.eye(3))
         eigenvalues = np.sort(np.linalg.eigvalsh(F.real))
         assert np.allclose(eigenvalues, [-1, -1, 2])
-        assert numerical_rank(F) == 3
+        assert takagi(F).rank == 3
 
     def test_two_flat_rows(self):
         F = herald_bilinear_matrix([(np.ones(4), 2)], 4)
         assert np.allclose(F, F.T)
-        assert numerical_rank(F) == 4
+        assert takagi(F).rank == 4
 
     @pytest.mark.parametrize(
         "n, multiplicities",
@@ -207,6 +207,20 @@ class TestFeasibility:
     def test_rank_three_with_three_photons(self, rng):
         assert feasible_herald(random_state_of_rank(rng, 4, 3), 3)
 
+    @pytest.mark.parametrize("k", [-4, -1, 0, 1, 4])
+    def test_predicate_is_the_synthesizer_verdict_at_threshold(self, rng, k):
+        """A fourth Takagi value at RANK_TOL sigma_1 (1 + k eps): with three
+        photons, feasible_herald agrees with synthesize_herald."""
+        sigma = np.array([1.0, 0.6, 0.3, RANK_TOL * (1 + k * np.finfo(float).eps)])
+        for _ in range(3):
+            V = random_unitary(rng, 5)[:, :4]
+            target = normalize((V * sigma) @ V.T)
+            if feasible_herald(target, 3):
+                assert synthesize_herald(target, 3).report.verified
+            else:
+                with pytest.raises(InfeasibleRank):
+                    synthesize_herald(target, 3)
+
 
 class TestSynthesize:
     def test_diagonal_rank_two_no_heralds(self):
@@ -277,10 +291,21 @@ class TestSynthesize:
         assert np.allclose(result.unitary[m, :5] / result.scale_alpha, 1 / np.sqrt(3))
         assert (5, 5) not in shapes
 
+    @pytest.mark.parametrize("user_rows", [False, True])
+    def test_only_svd_is_of_the_embedded_rows(self, rng, svds_outside_takagi, user_rows):
+        """The target's rank is read off its one Takagi factorization, so the
+        only SVD outside takagi is of A, the (m + h) x n rows it dilates."""
+        shapes = svds_outside_takagi(herald_module)
+        target = random_state_of_rank(rng, 6, 4)
+        rows = [(rng.standard_normal(4) + 1j * rng.standard_normal(4), 2)] if user_rows else None
+        result = synthesize_herald(target, 4, herald_rows=rows)
+        assert result.report.verified
+        assert shapes == [(target.modes + result.herald.herald_modes, 4)]
+
     def test_full_rank_user_rows_kept(self, rng, monkeypatch):
         target = random_state_of_rank(rng, 5, 4)
         row = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert numerical_rank(herald_bilinear_matrix([(row, 2)], 4)) == 4
+        assert takagi(herald_bilinear_matrix([(row, 2)], 4)).rank == 4
         calls = _count_bilinear_calls(monkeypatch)
         result = synthesize_herald(target, 4, herald_rows=[(row, 2)])
         assert result.report.fidelity_vs_target > 1 - 1e-9

@@ -12,7 +12,7 @@ import photonprep
 from photonprep import (
     NotSymmetric,
     ZeroMatrix,
-    numerical_rank,
+    state_rank,
     takagi,
     unitary_extension,
 )
@@ -23,7 +23,7 @@ from photonprep.random_states import (
     random_target_of_rank,
     random_unitary,
 )
-from photonprep.states import from_qudit_target, single_photons_state
+from photonprep.states import from_qudit_target, normalize, single_photons_state
 from photonprep.tolerances import RANK_TOL
 
 
@@ -327,22 +327,28 @@ class TestUnitaryExtension:
 
 
 class TestNumericalRank:
-    def test_zero(self):
-        assert numerical_rank(np.zeros((4, 4))) == 0
+    """The rank rule, read off the Takagi diagonal, against the definition."""
 
-    def test_identity(self):
-        assert numerical_rank(np.eye(3)) == 3
+    def test_zero(self):
+        assert takagi(np.zeros((4, 4))).rank == 0
+
+    def test_identity(self, definition_rank):
+        assert takagi(np.eye(3)).rank == 3 == definition_rank(np.eye(3))
+        assert state_rank(normalize(np.eye(3))) == 3
 
     def test_outer_product(self):
-        assert numerical_rank(np.ones((2, 2))) == 1
+        assert takagi(np.ones((2, 2))).rank == 1
 
-    def test_invariant_under_unitaries(self, rng):
-        M = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 5))
-        rank = numerical_rank(M)
+    def test_invariant_under_unitaries(self, rng, definition_rank):
+        """Congruence S -> u S u^T, the evolution of a two-photon state."""
+        g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        state = normalize(g @ g.T)
+        rank = state_rank(state)
+        assert rank == 3 == definition_rank(state.S)
         for _ in range(10):
             u = random_unitary(rng, 5)
-            v = random_unitary(rng, 5)
-            assert numerical_rank(u @ M @ v) == rank
+            S = u @ state.S @ u.T
+            assert takagi(S).rank == rank == definition_rank(S)
 
 
 def test_import_loads_no_scipy():
