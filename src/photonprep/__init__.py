@@ -15,18 +15,12 @@ from .exceptions import (
     SignalMismatch,
     TooLarge,
     VerificationFailure,
-    ZeroMatrix,
     ZeroState,
 )
 from .fock import amplitude, evolve_two_photon, permanent
 from .gates import CnZSpec, build_cnz, cnz_success_probability, verify_cnz
 from .herald import feasible_herald, herald_bilinear_matrix, synthesize_herald
-from .linalg import (
-    TakagiFactorization,
-    UnitaryExtension,
-    takagi,
-    unitary_extension,
-)
+from .linalg import TakagiFactorization, takagi, unitary_extension
 from .postselect import (
     build_sps,
     feasible_postselect,
@@ -78,5 +72,4 @@ __all__ = [
     "SynthesisResult",
     "TakagiFactorization",
     "TwoPhotonState",
-    "UnitaryExtension",
 ]

@@ -18,14 +18,7 @@ import sys
 import numpy as np
 
 from . import gates, herald, io, postselect, selftest, verify
-from .exceptions import (
-    DocumentError,
-    InfeasibleRank,
-    NotSymmetric,
-    PhotonPrepError,
-    VerificationFailure,
-    ZeroState,
-)
+from .exceptions import DocumentError, InfeasibleRank, PhotonPrepError, VerificationFailure
 from .linalg import takagi
 from .verify import HeraldPattern, SynthesisResult
 from .states import QuditTarget, TwoPhotonState, normalize, state_rank
@@ -221,7 +214,7 @@ def main(argv=None) -> int:
     except InfeasibleRank as exc:
         _err(f"infeasible: {exc}")
         return EXIT_INFEASIBLE
-    except (DocumentError, NotSymmetric, ZeroState, ValueError) as exc:
+    except ValueError as exc:
         _err(str(exc))
         return EXIT_INPUT
     except VerificationFailure as exc:

@@ -13,10 +13,6 @@ class NotSymmetric(PhotonPrepError):
     """A matrix expected to be complex symmetric is not."""
 
 
-class ZeroMatrix(PhotonPrepError):
-    """The zero matrix was passed where a nonzero one is required."""
-
-
 class ZeroState(PhotonPrepError):
     """A state matrix with no weight cannot be normalized."""
 

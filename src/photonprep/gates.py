@@ -2,9 +2,9 @@
 
 The gate applies phase e^{i phi} to |1...1> and identity elsewhere. The
 optical construction routes the |1> rails through I + alpha * J (J a cyclic
-permutation) and the |0> rails through the identity, both damped by the
-largest singular value so the block embeds in a unitary. Success
-probability is sigma_max^(-2n).
+permutation) and the |0> rails through the identity, both divided by the
+largest singular value sigma_max, so the block is a contraction and embeds
+in a unitary. Success probability is sigma_max^(-2n).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .exceptions import TooLarge
+from .exceptions import DimensionMismatch, TooLarge
 from .linalg import unitary_extension
 from .verify import SynthesisResult
 from .tolerances import CNZ_AMPLITUDE_TOL, CNZ_ZERO_BASE
@@ -74,12 +74,12 @@ def build_cnz(n: int, phi: float) -> tuple[SynthesisResult, CnZSpec]:
     followed by 2n vacuum auxiliaries from the unitary embedding.
     """
     alpha = cnz_alpha(n, phi)
-    p_s = _sigma_max(n, alpha) ** (-2 * n)
-    damping = p_s ** (1.0 / (2 * n))
+    sigma = _sigma_max(n, alpha)
+    p_s = sigma ** (-2 * n)
 
-    # the mode map is damping * diag(I + alpha J, I), J the cyclic shift
-    # i -> i+1 mod n. With the DFT F[j, k] = omega^(jk) / sqrt(n),
-    # I + alpha J = F diag(lam) F^†, so the map is dilated from those factors
+    # the mode map diag(I + alpha J, I), J the cyclic shift i -> i+1 mod n, has
+    # largest singular value sigma. With the DFT F[j, k] = omega^(jk) / sqrt(n),
+    # I + alpha J = F diag(lam) F^†, so map / sigma is dilated from those factors
     lam = _eigenvalues(n, alpha)
     k = np.arange(n)
     dft = np.exp(2j * np.pi * (np.outer(k, k) % n) / n) / np.sqrt(n)
@@ -87,13 +87,12 @@ def build_cnz(n: int, phi: float) -> tuple[SynthesisResult, CnZSpec]:
     v2h = np.eye(2 * n, dtype=complex)
     v1[:n, :n] = dft * np.exp(1j * np.angle(lam))
     v2h[:n, :n] = dft.conj()
-    s = damping * np.r_[np.abs(lam), np.ones(n)]
-    ext = unitary_extension(v1, s, v2h)  # sigma1 = 1 by the damping choice
+    U = unitary_extension(v1, np.r_[np.abs(lam), np.ones(n)] / sigma, v2h)
     spec = CnZSpec(n=n, phi=float(phi), alpha=alpha, p_s=p_s)
     result = SynthesisResult(
-        unitary=ext.U,
-        aux_modes=ext.N - 2 * n,
-        scale_alpha=damping,
+        unitary=U,
+        aux_modes=len(U) - 2 * n,
+        scale_alpha=1.0 / sigma,
         success_probability=p_s,
         herald=None,
     )
@@ -115,10 +114,16 @@ def verify_cnz(result: SynthesisResult, n: int, phi: float) -> bool:
 
     The 2^n x 2^n table of amplitudes <y| U |x> must equal sqrt(p_s) on the
     diagonal (times e^{i phi} on |1...1>) and vanish off it, each amplitude
-    to CNZ_AMPLITUDE_TOL. Raises TooLarge for n beyond the permanent limit.
+    to CNZ_AMPLITUDE_TOL. Raises TooLarge for n beyond the permanent limit,
+    and DimensionMismatch when the unitary has fewer rows than the 2n
+    dual-rail modes, both before the basis is enumerated.
     """
     _check_table_size(n)
     U = result.unitary
+    if 2 * n > len(U):
+        raise DimensionMismatch(
+            f"n = {n} needs 2n = {2 * n} dual-rail modes, but the unitary has {len(U)} rows"
+        )
     occ = logical_occupation(list(itertools.product((0, 1), repeat=n)), n, U.shape[0])
     table = fock.amplitude(U, occ[:, None, :], occ[None, :, :])
     expected = np.sqrt(result.success_probability) * np.eye(2**n, dtype=complex)

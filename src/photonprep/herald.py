@@ -186,8 +186,9 @@ def synthesize_herald(
     # conjugate back from the diagonal state to S_out, then stack herald rows
     payload_rows = fac_out.V[:, :rank].conj() @ R
     A = np.vstack([payload_rows] + [vec for vec, _ in herald_rows]) if h else payload_rows
-    ext = unitary_extension(*np.linalg.svd(A))
-    U = ext.U
+    # dilate the contraction A / sigma_1(A)
+    v1, s, v2h = np.linalg.svd(A)
+    U = unitary_extension(v1, s / s[0], v2h)
     pattern = HeraldPattern(signal=signal)
 
     report = verify.extract_heralded(U, n, pattern, m, target=state_out.S)
@@ -198,8 +199,8 @@ def synthesize_herald(
 
     return SynthesisResult(
         unitary=U,
-        aux_modes=ext.N - m - h,
-        scale_alpha=1.0 / ext.sigma1,
+        aux_modes=len(U) - m - h,
+        scale_alpha=1.0 / s[0],
         success_probability=report.probability,
         herald=pattern,
         report=report,

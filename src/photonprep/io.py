@@ -21,16 +21,13 @@ from .tolerances import DOCUMENT_UNITARITY_TOL
 KINDS = ("postselect", "herald", "cnz")
 
 
-def matrix_to_doc(M: np.ndarray, label: str | None = None) -> dict[str, Any]:
+def matrix_to_doc(M: np.ndarray) -> dict[str, Any]:
     M = np.atleast_2d(np.asarray(M, dtype=complex))
-    doc: dict[str, Any] = {
+    return {
         "rows": M.shape[0],
         "cols": M.shape[1],
         "data": np.stack([M.real, M.imag], -1).reshape(-1, 2).tolist(),
     }
-    if label is not None:
-        doc["label"] = label
-    return doc
 
 
 def _is_number_type(t: type) -> bool:

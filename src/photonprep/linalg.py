@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvergenceFailure, NotSymmetric, ZeroMatrix
+from .exceptions import ConvergenceFailure, NotSymmetric
 from .tolerances import RANK_TOL, SYMMETRY_TOL, TAKAGI_CUT, TAKAGI_RECONSTRUCTION_TOL
 
 
@@ -145,32 +145,24 @@ def _embedded_takagi(S: np.ndarray, cut: float | None = None) -> TakagiFactoriza
     return TakagiFactorization(V=q.conj(), diagonal=diagonal)
 
 
-@dataclass(frozen=True)
-class UnitaryExtension:
-    """An N x N unitary whose top-left block equals ``A / sigma1``."""
+def unitary_extension(v1: np.ndarray, s: np.ndarray, v2h: np.ndarray) -> np.ndarray:
+    """The (m1 + m2)-mode unitary whose top-left block is the contraction
+    B = (v1[:, :r] * s) @ v2h[:r], r = len(s), exactly as given: the Halmos
+    dilation.
 
-    U: np.ndarray
-    sigma1: float
-    N: int
-
-
-def unitary_extension(v1: np.ndarray, s: np.ndarray, v2h: np.ndarray) -> UnitaryExtension:
-    """Embed ``A / sigma1`` as the top-left block of a unitary, given A by its
-    singular factors: A = (v1[:, :r] * s) @ v2h[:r] with r = len(s) and
-    sigma1 = max(s).
-
-    The caller guarantees that v1 (m1 x m1) and v2h (m2 x m2) are unitary and
-    that s holds r <= min(m1, m2) real, finite, nonnegative values, in any
-    order; a caller holding only the matrix passes ``*np.linalg.svd(A)``.
-    With B = A / sigma1 = V1 S V2^†, the core
+    The caller guarantees that v1 (m1 x m1) and v2h (m2 x m2) are unitary.
+    s holds r <= min(m1, m2) values in [0, 1], in any order; anything else
+    raises ValueError. A caller holding a matrix A of largest singular value
+    sigma_1 passes B = A / sigma_1 as its factors, v1, s / sigma_1, v2h. With
+    B = V1 S V2^†, the core
 
         K = [[S, D1], [D2, -S^T]],  D1 = sqrt(I - S S^T),  D2 = sqrt(I - S^T S)
 
     is unitary entry-by-entry for any order of s (all blocks diagonal), and
     U = diag(V1, V2) K diag(V2^†, V1^†) has top-left block B. U is assembled
     block by block, [[V1 S V2^†, V1 D1 V1^†], [V2 D2 V2^†, -V2 S^T V1^†]],
-    with each diagonal applied by broadcasting. The size is exactly m1 + m2,
-    which meets the N <= m1 + m2 bound.
+    with each diagonal applied by broadcasting. The zero contraction gives
+    the swap [[0, I], [I, 0]].
     """
     v1 = np.asarray(v1, dtype=complex)
     v2h = np.asarray(v2h, dtype=complex)
@@ -180,12 +172,10 @@ def unitary_extension(v1: np.ndarray, s: np.ndarray, v2h: np.ndarray) -> Unitary
     m1, m2 = len(v1), len(v2h)
     if s.ndim != 1 or len(s) > min(m1, m2):
         raise ValueError(f"expected at most {min(m1, m2)} singular values, got shape {s.shape}")
-    sigma1 = float(np.max(s, initial=0.0))
-    if sigma1 <= 0.0:
-        raise ZeroMatrix("cannot extend the zero matrix")
-    s = s / sigma1  # the largest becomes exactly 1
+    if not np.all((s >= 0.0) & (s <= 1.0)):
+        raise ValueError("singular values of a contraction must lie in [0, 1]")
     r = len(s)
-    defect = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
+    defect = np.sqrt(1.0 - s**2)
     # rows beyond the singular support pass through: their defect entry is 1
     defect1 = np.ones(m1)
     defect1[:r] = defect
@@ -198,5 +188,4 @@ def unitary_extension(v1: np.ndarray, s: np.ndarray, v2h: np.ndarray) -> Unitary
     U[:m1, m2:] = (v1 * defect1) @ v1h
     U[m1:, :m2] = (v2 * defect2) @ v2h
     U[m1:, m2:] = -(v2[:, :r] * s) @ v1h[:r]
-    return UnitaryExtension(U=U, sigma1=sigma1, N=m1 + m2)
-
+    return U

@@ -91,8 +91,8 @@ def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> Synt
         raise VerificationFailure(
             f"rescaled mode map misses the intermediate state by {residual:.3e}"
         )
-    ext = unitary_extension(v1, lam, v2h)
-    U = ext.U
+    sigma1 = lam.max()
+    U = unitary_extension(v1, lam / sigma1, v2h)
 
     report = verify.extract_postselected(U, state_in, d1, d2, target=target.C)
     if not report.verified:
@@ -102,8 +102,8 @@ def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> Synt
 
     return SynthesisResult(
         unitary=U,
-        aux_modes=ext.N - (d1 + d2),
-        scale_alpha=1.0 / ext.sigma1,
+        aux_modes=len(U) - (d1 + d2),
+        scale_alpha=1.0 / sigma1,
         success_probability=report.probability,
         herald=None,
         report=report,

@@ -177,12 +177,13 @@ def criterion_linalg(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
         m1 = int(rng.integers(1, 7))
         m2 = int(rng.integers(1, 7))
         A = rng.standard_normal((m1, m2)) + 1j * rng.standard_normal((m1, m2))
-        ext = linalg.unitary_extension(*np.linalg.svd(A))
-        if np.linalg.norm(ext.U.conj().T @ ext.U - np.eye(ext.N)) > 1e-10:
+        v1, s, v2h = np.linalg.svd(A)
+        U = linalg.unitary_extension(v1, s / s[0], v2h)
+        if np.linalg.norm(U.conj().T @ U - np.eye(len(U))) > 1e-10:
             failures.append(f"extension unitarity, trial {trial}")
-        if np.linalg.norm(ext.U[:m1, :m2] - A / ext.sigma1) > 1e-10:
+        if np.linalg.norm(U[:m1, :m2] - A / s[0]) > 1e-10:
             failures.append(f"extension block, trial {trial}")
-        if ext.N > m1 + m2:
+        if len(U) > m1 + m2:
             failures.append(f"extension size, trial {trial}")
     return not failures, "; ".join(failures[:5]) or "700 factorizations clean"
 

@@ -65,11 +65,12 @@ class SynthesisResult:
 
     ``unitary`` acts on all modes (payload, herald if any, then vacuum
     auxiliaries). ``scale_alpha`` is the positive factor by which the
-    unitary's top-left block differs from the construction's mode map,
-    before the embedding: 1 / sigma_1 of the embedded rows (herald) or mode
-    map (postselect), the damping of ``build_cnz``. ``report`` is the
-    oracle report on the final circuit that both synthesizers gate on;
-    ``build_cnz`` and decoded documents leave it None.
+    unitary's top-left block differs from the construction's mode map: every
+    construction divides its map by its largest singular value sigma_1 and
+    dilates that contraction, so ``scale_alpha`` = 1 / sigma_1 of the
+    embedded rows (herald) or of the mode map (postselect, ``build_cnz``).
+    ``report`` is the oracle report on the final circuit that both
+    synthesizers gate on; ``build_cnz`` and decoded documents leave it None.
     """
 
     unitary: np.ndarray

@@ -117,6 +117,16 @@ class TestGateCnz:
         assert main(["verify", "--input", str(cz_doc)]) == 2
         assert "permanent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [5, 14])
+    def test_verify_of_a_qubit_count_beyond_the_unitary_is_an_input_error(self, cz_doc, capsys, n):
+        """The CZ unitary has 8 modes, too few for the 2n dual rails."""
+        doc = json.loads(cz_doc.read_text())
+        doc["n"] = n
+        cz_doc.write_text(json.dumps(doc))
+        assert main(["verify", "--input", str(cz_doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"n = {n}" in err and "8 rows" in err
+
 
 @pytest.fixture
 def cz_doc(tmp_path, capsys):

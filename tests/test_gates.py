@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from photonprep import (
+    DimensionMismatch,
     TooLarge,
     build_cnz,
     cnz_success_probability,
@@ -140,24 +141,51 @@ class TestBuildAndVerify:
         )
         assert not verify_cnz(tampered, 2, np.pi)
 
+    @pytest.mark.parametrize("n", [3, 5, 14])
+    def test_qubit_count_beyond_the_unitary_refused_before_enumeration(self, n):
+        """A CZ unitary has 8 modes, too few for the 2n dual rails of n = 5;
+        n = 14 would first list its 16384 basis states."""
+        result, _ = build_cnz(2, np.pi)
+        if 2 * n <= len(result.unitary):
+            assert not verify_cnz(result, n, np.pi)
+            return
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch, match=f"n = {n}.*2n = {2 * n}.* 8 rows"):
+                verify_cnz(result, n, np.pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
 
 class TestClosedFormDilation:
-    """build_cnz dilates damping * diag(I + alpha J, I) from its DFT factors."""
+    """build_cnz dilates diag(I + alpha J, I) / sigma_1 from its DFT factors."""
 
     @staticmethod
-    def mode_map(n, alpha, damping):
+    def mode_map(n, alpha):
         J = np.roll(np.eye(n), -1, axis=0)
         M = np.zeros((2 * n, 2 * n), dtype=complex)
         M[:n, :n] = np.eye(n) + alpha * J
         M[n:, n:] = np.eye(n)
-        return damping * M
+        return M
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("phi", [-1.0, 1.0, 2.5, np.pi, 7.0, 1e6])
+    def test_block_is_scale_alpha_times_the_mode_map(self, n, phi):
+        result, spec = build_cnz(n, phi)
+        M = self.mode_map(n, spec.alpha)
+        block = result.unitary[: 2 * n, : 2 * n]
+        assert np.max(np.abs(block - result.scale_alpha * M)) <= 1e-12
+        assert result.scale_alpha == pytest.approx(1 / np.linalg.norm(M, 2), rel=1e-12)
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("phi", [-1.0, np.pi, 2 * np.pi + 1, 7.0, 1e6])
     def test_matches_the_svd_built_dilation(self, n, phi):
         result, spec = build_cnz(n, phi)
-        M = self.mode_map(n, spec.alpha, result.scale_alpha)
-        ref = unitary_extension(*np.linalg.svd(M)).U
+        M = self.mode_map(n, spec.alpha)
+        v1, s, v2h = np.linalg.svd(M)
+        ref = unitary_extension(v1, s / s[0], v2h)
         U = result.unitary
         top, bottom = slice(0, 2 * n), slice(2 * n, 4 * n)
         assert np.max(np.abs(U[top, top] - ref[top, top])) <= 1e-12
@@ -171,7 +199,7 @@ class TestClosedFormDilation:
             assert np.max(np.abs(D @ D - D_ref @ D_ref)) <= 1e-12
             if phi != np.pi:
                 assert np.max(np.abs(D - D_ref)) <= 1e-12
-        sigma1 = np.linalg.svd(M[:n, :n] / result.scale_alpha, compute_uv=False)[0]
+        sigma1 = np.linalg.svd(M[:n, :n], compute_uv=False)[0]
         assert spec.p_s == pytest.approx(max(1.0, sigma1) ** (-2 * n), rel=1e-12)
         assert verify_cnz(result, n, phi)
 

@@ -253,6 +253,26 @@ class TestSynthesize:
                 with pytest.raises(InfeasibleRank):
                     synthesize_herald(target, rank - 1)
 
+    @pytest.mark.parametrize(
+        "m, rank, n, user_row", [(4, 2, 2, False), (5, 4, 4, False), (6, 3, 5, False), (5, 4, 4, True)]
+    )
+    def test_block_is_scale_alpha_times_the_embedded_rows(self, rng, m, rank, n, user_row):
+        """U's top-left (m + h) x n block is scale_alpha times the embedded
+        rows A = [payload rows; herald rows], with scale_alpha = 1 / sigma_1(A):
+        the herald rows come back scaled, and the block is a contraction of
+        norm 1."""
+        target = random_state_of_rank(rng, m, rank)
+        rows = None
+        if user_row:
+            rows = [(rng.standard_normal(n) + 1j * rng.standard_normal(n), n - 2)]
+        result = synthesize_herald(target, n, herald_rows=rows)
+        h = len(result.herald.signal)
+        block = result.unitary[: m + h, :n]
+        herald_rows = [vec for vec, _ in (rows or default_herald_rows(n))]
+        if h:
+            assert np.max(np.abs(block[m:] - result.scale_alpha * np.array(herald_rows))) <= 1e-12
+        assert np.linalg.norm(block, 2) == pytest.approx(1.0, abs=1e-12)
+
     def test_extra_photons_allowed(self, rng):
         target = random_state_of_rank(rng, 3, 2)
         result = synthesize_herald(target, 4)

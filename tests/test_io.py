@@ -80,8 +80,8 @@ class TestRoundTrip:
                 [1 / 3 + 2j / 7, complex(-1e-310, 5e-324), complex(1.7976931348623157e308, -2.2250738585072014e-308)],
             ]
         )
-        doc = json.loads(json.dumps(matrix_to_doc(M, label="x")))
-        assert doc["rows"] == 2 and doc["cols"] == 3 and doc["label"] == "x"
+        doc = json.loads(json.dumps(matrix_to_doc(M)))
+        assert doc["rows"] == 2 and doc["cols"] == 3
         back = matrix_from_doc(doc)
         assert back.dtype == complex and back.shape == (2, 3)
         assert back.view(float).tobytes() == M.view(float).tobytes()  # keeps -0.0 signs

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import photonprep
 from photonprep import (
     NotSymmetric,
-    ZeroMatrix,
     state_rank,
     takagi,
     unitary_extension,
@@ -223,27 +222,76 @@ class TestTakagiAgainstEmbedding:
         assert np.linalg.norm(fac.V.T @ S @ fac.V - fac.D) <= 1e-10
 
 
+def _contraction(A):
+    """The factors of A / sigma_1(A), as the constructions pass them."""
+    v1, s, v2h = np.linalg.svd(A)
+    return v1, s / s[0], v2h
+
+
+def _is_unitary(U, tol=1e-10):
+    return np.linalg.norm(U.conj().T @ U - np.eye(len(U))) <= tol
+
+
 class TestUnitaryExtension:
     def test_already_unitary(self):
-        ext = unitary_extension(*np.linalg.svd(np.eye(2, dtype=complex)))
-        assert ext.sigma1 == pytest.approx(1.0)
-        assert np.allclose(ext.U[:2, :2], np.eye(2))
+        U = unitary_extension(*np.linalg.svd(np.eye(2, dtype=complex)))
+        assert np.allclose(U[:2, :2], np.eye(2))
 
     def test_scalar(self):
-        ext = unitary_extension(*np.linalg.svd(np.array([[0.6]])))
-        assert ext.sigma1 == pytest.approx(0.6)
-        assert np.allclose(ext.U, [[1, 0], [0, -1]])
+        U = unitary_extension(*np.linalg.svd(np.array([[0.6]])))
+        assert np.allclose(U, [[0.6, 0.8], [0.8, -0.6]])
 
     def test_rectangular(self, rng):
         A = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        ext = unitary_extension(*np.linalg.svd(A))
-        assert ext.N <= 8
-        assert np.linalg.norm(ext.U.conj().T @ ext.U - np.eye(ext.N)) < 1e-10
-        assert np.linalg.norm(ext.U[:3, :5] - A / ext.sigma1) < 1e-10
+        v1, s, v2h = _contraction(A)
+        U = unitary_extension(v1, s, v2h)
+        assert len(U) == 8
+        assert _is_unitary(U)
+        assert np.linalg.norm(U[:3, :5] - A / np.linalg.norm(A, 2)) < 1e-10
 
-    def test_rejects_zero(self):
-        with pytest.raises(ZeroMatrix):
-            unitary_extension(*np.linalg.svd(np.zeros((2, 2))))
+    @pytest.mark.parametrize("m1, m2, r", [(2, 2, 2), (2, 3, 2), (3, 2, 0), (4, 4, 1)])
+    def test_zero_contraction_is_the_swap(self, rng, m1, m2, r):
+        """s = 0 has the dilation [[0, I], [I, 0]], whatever unitary factors
+        it comes with."""
+        U = unitary_extension(random_unitary(rng, m1), np.zeros(r), random_unitary(rng, m2))
+        swap = np.block([[np.zeros((m1, m2)), np.eye(m1)], [np.eye(m2), np.zeros((m2, m1))]])
+        assert np.max(np.abs(U - swap)) <= 1e-12
+        assert np.all(U[:m1, :m2] == 0)
+        exact = unitary_extension(np.eye(m1), np.zeros(r), np.eye(m2))
+        assert np.array_equal(exact, swap)
+
+    # s below 1 (no hidden rescale), unsorted, with exact 0s and 1s, and
+    # shorter than min(m1, m2)
+    @pytest.mark.parametrize(
+        "s",
+        [
+            [0.3, 0.9, 0.1, 0.6],
+            [1.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [1.0, 1.0, 1.0, 1.0],
+            [0.5, 1.0],
+            [0.0],
+            [],
+        ],
+    )
+    @pytest.mark.parametrize("m1, m2", [(4, 6), (6, 4), (4, 4)])
+    def test_unitary_for_any_contraction(self, rng, s, m1, m2):
+        """U is unitary, and its top-left block is (v1[:, :r] * s) @ v2h[:r]
+        bit for bit, exactly as passed."""
+        s = np.array(s, dtype=float)
+        v1, v2h = random_unitary(rng, m1), random_unitary(rng, m2)
+        U = unitary_extension(v1, s, v2h)
+        assert U.shape == (m1 + m2, m1 + m2)
+        assert _is_unitary(U)
+        r = len(s)
+        assert np.array_equal(U[:m1, :m2], (v1[:, :r] * s) @ v2h[:r])
+
+    @pytest.mark.parametrize(
+        "bad", [np.nextafter(1.0, 2.0), 2.0, -np.nextafter(0.0, 1.0), -0.5, np.nan, np.inf, -np.inf]
+    )
+    def test_rejects_values_outside_the_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            unitary_extension(np.eye(3), np.array([0.5, bad]), np.eye(3))
 
     @pytest.mark.parametrize(
         "m1, m2, rank", [(4, 6, 1), (6, 4, 1), (5, 5, 2), (3, 7, 2), (1, 3, 1)]
@@ -254,17 +302,17 @@ class TestUnitaryExtension:
         a = rng.standard_normal((m1, rank)) + 1j * rng.standard_normal((m1, rank))
         b = rng.standard_normal((rank, m2)) + 1j * rng.standard_normal((rank, m2))
         A = a @ b
-        ext = unitary_extension(*np.linalg.svd(A))
-        assert ext.N == m1 + m2
-        assert np.linalg.norm(ext.U.conj().T @ ext.U - np.eye(ext.N)) <= 1e-10
-        assert np.linalg.norm(ext.U[:m1, :m2] - A / ext.sigma1) <= 1e-10
+        v1, s, v2h = _contraction(A)
+        U = unitary_extension(v1, s, v2h)
+        assert len(U) == m1 + m2
+        assert _is_unitary(U)
+        assert np.linalg.norm(U[:m1, :m2] - A / np.linalg.norm(A, 2)) <= 1e-10
 
     def test_matches_block_diagonal_factors(self, rng):
         """U = diag(V1, V2) K diag(V2^†, V1^†), with the core K built densely."""
         A = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        ext = unitary_extension(*np.linalg.svd(A))
-        v1, s, v2h = np.linalg.svd(A)
-        s = s / s[0]
+        v1, s, v2h = _contraction(A)
+        U = unitary_extension(v1, s, v2h)
         S = np.zeros((3, 5))
         S[:3, :3] = np.diag(s)
         D1 = np.diag(np.sqrt(np.clip(1 - s**2, 0, None)))
@@ -273,7 +321,7 @@ class TestUnitaryExtension:
         K = np.block([[S, D1], [D2, -S.T]])
         left = np.block([[v1, np.zeros((3, 5))], [np.zeros((5, 3)), v2h.conj().T]])
         right = np.block([[v2h, np.zeros((5, 3))], [np.zeros((3, 5)), v1.conj().T]])
-        assert np.linalg.norm(ext.U - left @ K @ right) <= 1e-12
+        assert np.linalg.norm(U - left @ K @ right) <= 1e-12
 
     @pytest.mark.parametrize("m1, m2", [(3, 5), (5, 3), (4, 4)])
     def test_from_unsorted_factors(self, rng, m1, m2):
@@ -281,23 +329,19 @@ class TestUnitaryExtension:
         diag(V1, V2) K diag(V2^†, V1^†) with K built in the order given."""
         r = min(m1, m2)
         v1, v2h = random_unitary(rng, m1), random_unitary(rng, m2)
-        s = np.array([0.0, 0.7, 2.0, 0.0])[:r]
-        ext = unitary_extension(v1, s, v2h)
-        sigma1 = s.max()
-        assert ext.sigma1 == sigma1
+        s = np.array([0.0, 0.35, 1.0, 0.0])[:r]
+        U = unitary_extension(v1, s, v2h)
         S = np.zeros((m1, m2))
-        S[:r, :r] = np.diag(s / sigma1)
+        S[:r, :r] = np.diag(s)
         D1 = np.eye(m1)
-        D1[:r, :r] = np.diag(np.sqrt(1 - (s / sigma1) ** 2))
+        D1[:r, :r] = np.diag(np.sqrt(1 - s**2))
         D2 = np.eye(m2)
         D2[:r, :r] = D1[:r, :r]
         K = np.block([[S, D1], [D2, -S.T]])
         left = np.block([[v1, np.zeros((m1, m2))], [np.zeros((m2, m1)), v2h.conj().T]])
         right = np.block([[v2h, np.zeros((m2, m1))], [np.zeros((m1, m2)), v1.conj().T]])
-        assert np.linalg.norm(ext.U - left @ K @ right) <= 1e-12
-        assert np.linalg.norm(ext.U.conj().T @ ext.U - np.eye(m1 + m2)) <= 1e-10
-        A = (v1[:, :r] * s) @ v2h[:r]
-        assert np.linalg.norm(ext.U[:m1, :m2] - A / sigma1) <= 1e-10
+        assert np.linalg.norm(U - left @ K @ right) <= 1e-12
+        assert _is_unitary(U)
 
     # (v1, s, v2h) shapes: a non-square factor, more values than min(m1, m2),
     # and s not a vector
@@ -320,10 +364,11 @@ class TestUnitaryExtension:
     def test_contract_property(self, seed, m1, m2):
         gen = np.random.default_rng(seed)
         A = gen.standard_normal((m1, m2)) + 1j * gen.standard_normal((m1, m2))
-        ext = unitary_extension(*np.linalg.svd(A))
-        assert np.linalg.norm(ext.U.conj().T @ ext.U - np.eye(ext.N)) < 1e-10
-        assert np.linalg.norm(ext.U[:m1, :m2] - A / ext.sigma1) < 1e-10
-        assert ext.N <= m1 + m2
+        v1, s, v2h = _contraction(A)
+        U = unitary_extension(v1, s, v2h)
+        assert len(U) == m1 + m2
+        assert _is_unitary(U)
+        assert np.linalg.norm(U[:m1, :m2] - A / np.linalg.norm(A, 2)) < 1e-10
 
 
 class TestNumericalRank:

@@ -263,6 +263,20 @@ class TestDilationFromTakagiFactors:
         assert result.report.fidelity_vs_target >= 1 - 1e-9
 
     @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
+    def test_block_is_scale_alpha_times_the_mode_map(self, case):
+        """U's top-left (d1 + d2) x m_in block is scale_alpha times M, and
+        scale_alpha = 1 / sigma_1(M) = 1 / max(lam)."""
+        state, target = ADVERSARIAL[case]
+        result = synthesize_postselect(state, target)
+        fac_in, (s_ps, fac_ps) = takagi(state.S), build_sps(target)
+        r = min(fac_in.rank, s_ps.modes)
+        lam = np.sqrt(fac_ps.diagonal[:r] / fac_in.diagonal[:r])
+        M = (fac_ps.V[:, :r].conj() * lam) @ fac_in.V[:, :r].T
+        block = result.unitary[: s_ps.modes, : state.modes]
+        assert np.max(np.abs(block - result.scale_alpha * M)) <= 1e-12
+        assert result.scale_alpha == 1.0 / lam.max()
+
+    @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
     def test_circuit_has_natural_size(self, case):
         """M is (d1 + d2) x m_in, so its dilation spans m_in + d1 + d2 modes,
         the input's m_in modes being the auxiliaries."""
