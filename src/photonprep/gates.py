@@ -116,13 +116,19 @@ def verify_cnz(result: SynthesisResult, n: int, phi: float) -> bool:
     diagonal (times e^{i phi} on |1...1>) and vanish off it, each amplitude
     to CNZ_AMPLITUDE_TOL. Raises TooLarge for n beyond the permanent limit,
     and DimensionMismatch when the unitary has fewer rows than the 2n
-    dual-rail modes, both before the basis is enumerated.
+    dual-rail modes or when its rows beyond them are not the circuit's
+    aux_modes, all before the basis is enumerated.
     """
     _check_table_size(n)
     U = result.unitary
     if 2 * n > len(U):
         raise DimensionMismatch(
             f"n = {n} needs 2n = {2 * n} dual-rail modes, but the unitary has {len(U)} rows"
+        )
+    if result.aux_modes != len(U) - 2 * n:
+        raise DimensionMismatch(
+            f"n = {n} leaves {len(U) - 2 * n} auxiliary modes of the unitary's {len(U)} rows, "
+            f"but the circuit has {result.aux_modes}"
         )
     occ = logical_occupation(list(itertools.product((0, 1), repeat=n)), n, U.shape[0])
     table = fock.amplitude(U, occ[:, None, :], occ[None, :, :])

@@ -40,16 +40,6 @@ class TwoPhotonState:
     def modes(self) -> int:
         return self.S.shape[0]
 
-    def padded(self, modes: int) -> "TwoPhotonState":
-        """Same state over a larger mode count (zero padding)."""
-        if modes < self.modes:
-            raise ValueError("cannot shrink a state")
-        if modes == self.modes:
-            return self
-        S = np.zeros((modes, modes), dtype=complex)
-        S[: self.modes, : self.modes] = self.S
-        return TwoPhotonState(S)
-
 
 @dataclass(frozen=True)
 class QuditTarget:

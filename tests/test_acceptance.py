@@ -1,4 +1,6 @@
-"""Acceptance suite: one test per headline criterion, with runtime budgets.
+"""Acceptance suite: one test per paper criterion of photonprep.selftest
+(the CZ anchor, the C^{n-1}Z family, both rank rules and heralding's
+permanent identity), with runtime budgets.
 
 Each test prints its own pass/fail line so a `pytest -s tests/test_acceptance.py`
 run reads as a scoreboard.
@@ -16,9 +18,6 @@ BUDGETS = {
     "theorem1-iff": 60.0,
     "theorem2-iff": 60.0,
     "proof-identity": 60.0,
-    "linalg-suite": 60.0,
-    "fock-oracle": 30.0,
-    "invariance-suite": 30.0,
 }
 
 

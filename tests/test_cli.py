@@ -117,9 +117,10 @@ class TestGateCnz:
         assert main(["verify", "--input", str(cz_doc)]) == 2
         assert "permanent" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n", [5, 14])
+    @pytest.mark.parametrize("n", [3, 4, 5, 14])
     def test_verify_of_a_qubit_count_beyond_the_unitary_is_an_input_error(self, cz_doc, capsys, n):
-        """The CZ unitary has 8 modes, too few for the 2n dual rails."""
+        """The CZ unitary has 8 modes, too few for the 2n dual rails of n = 5
+        and 14; those of n = 3 and 4 fit, but contradict its 4 auxiliaries."""
         doc = json.loads(cz_doc.read_text())
         doc["n"] = n
         cz_doc.write_text(json.dumps(doc))
@@ -294,7 +295,10 @@ class TestSelftest:
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
         assert doc["passed"] is True
-        assert len(doc["criteria"]) == 8
+        assert [c["name"] for c in doc["criteria"]] == [
+            "cz-recovery", "cnz-family", "theorem1-iff", "theorem2-iff", "proof-identity"
+        ]
+        assert all("margin" in c["detail"] for c in doc["criteria"][2:])
         assert "PASS" in captured.err
 
     def test_seed_reproducible(self, capsys):

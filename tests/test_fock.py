@@ -312,7 +312,7 @@ class TestEvolveTwoPhoton:
         assert np.linalg.matrix_rank(evolved, tol=1e-10) == np.linalg.matrix_rank(
             state.S, tol=1e-10
         )
-        assert 2 * np.trace(evolved.conj().T @ evolved).real == pytest.approx(1.0)
+        assert abs(2 * np.trace(evolved.conj().T @ evolved).real - 1.0) <= 1e-9
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

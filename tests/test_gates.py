@@ -141,17 +141,19 @@ class TestBuildAndVerify:
         )
         assert not verify_cnz(tampered, 2, np.pi)
 
-    @pytest.mark.parametrize("n", [3, 5, 14])
+    @pytest.mark.parametrize("n", [3, 4, 5, 14])
     def test_qubit_count_beyond_the_unitary_refused_before_enumeration(self, n):
         """A CZ unitary has 8 modes, too few for the 2n dual rails of n = 5;
-        n = 14 would first list its 16384 basis states."""
+        n = 14 would first list its 16384 basis states. The rails of n = 3, 4
+        fit, but leave 2 and 0 modes where the circuit has 4 auxiliaries."""
         result, _ = build_cnz(2, np.pi)
         if 2 * n <= len(result.unitary):
-            assert not verify_cnz(result, n, np.pi)
-            return
+            match = f"n = {n} leaves {8 - 2 * n} auxiliary modes.* 8 rows.* has 4"
+        else:
+            match = f"n = {n}.*2n = {2 * n}.* 8 rows"
         tracemalloc.start()
         try:
-            with pytest.raises(DimensionMismatch, match=f"n = {n}.*2n = {2 * n}.* 8 rows"):
+            with pytest.raises(DimensionMismatch, match=match):
                 verify_cnz(result, n, np.pi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

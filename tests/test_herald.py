@@ -461,7 +461,7 @@ class TestSynthesize:
                 3,
                 HeraldPattern(signal=(1,)),
                 m + 1,
-                target=target.padded(m + 1).S,
+                target=np.pad(target.S, (0, 1)),
             )
             assert good.probability == pytest.approx(result.success_probability)
             assert wrong.fidelity_vs_target < 0.9

@@ -108,6 +108,7 @@ class TestTakagi:
         S = random_complex_symmetric(gen, m)
         fac = takagi(S)
         assert np.linalg.norm(fac.V.T @ S @ fac.V - fac.D) < 1e-9
+        assert np.linalg.norm(fac.V.conj().T @ fac.V - np.eye(m)) <= 1e-10
         assert np.all(fac.diagonal >= -1e-12)
         assert np.all(np.diff(fac.diagonal) <= 1e-12)
 

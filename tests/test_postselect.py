@@ -4,6 +4,7 @@ import pytest
 from photonprep import (
     InfeasibleRank,
     QuditTarget,
+    TwoPhotonState,
     build_sps,
     extract_postselected,
     feasible_postselect,
@@ -207,9 +208,8 @@ class TestSynthesize:
         if rank_c <= rank_in:
             result = synthesize_postselect(state, target)
             assert result.report.fidelity_vs_target > 1 - 1e-9
-            direct = extract_postselected(
-                result.unitary, state.padded(result.unitary.shape[0]), d1, d2
-            ).probability
+            padded = TwoPhotonState(np.pad(state.S, (0, len(result.unitary) - m)))
+            direct = extract_postselected(result.unitary, padded, d1, d2).probability
             assert direct == pytest.approx(result.success_probability, abs=1e-12)
         else:
             with pytest.raises(InfeasibleRank):

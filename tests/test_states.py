@@ -132,4 +132,4 @@ class TestStateRank:
 
     def test_padding_preserves_rank(self, rng):
         state = random_state_of_rank(rng, 4, 2)
-        assert state_rank(state.padded(7)) == 2
+        assert state_rank(TwoPhotonState(np.pad(state.S, (0, 3)))) == 2

@@ -10,8 +10,8 @@ import photonprep
 from photonprep import tolerances
 
 PACKAGE = Path(photonprep.__file__).parent
-# the policy itself, and the acceptance suite, whose own criteria are literals
-EXEMPT = {"tolerances.py", "selftest.py"}
+# the policy itself
+EXEMPT = {"tolerances.py"}
 
 
 def test_no_threshold_literal_outside_the_policy():
