@@ -33,7 +33,7 @@ from .exceptions import (
     TooLarge,
     VerificationFailure,
 )
-from .linalg import TakagiFactorization, takagi, unitary_extension
+from .linalg import TakagiFactorization, checked_svd, takagi, unitary_extension
 from .states import TwoPhotonState, state_rank
 from .tolerances import IDENTITY_TOL
 from .verify import HeraldPattern, SynthesisResult
@@ -187,7 +187,7 @@ def synthesize_herald(
     payload_rows = fac_out.V[:, :rank].conj() @ R
     A = np.vstack([payload_rows] + [vec for vec, _ in herald_rows]) if h else payload_rows
     # dilate the contraction A / sigma_1(A)
-    v1, s, v2h = np.linalg.svd(A)
+    v1, s, v2h = checked_svd(A)
     U = unitary_extension(v1, s / s[0], v2h)
     pattern = HeraldPattern(signal=signal)
 

@@ -1,4 +1,5 @@
-"""Dense complex linear algebra: Takagi factorization and rank, unitary dilation.
+"""Dense complex linear algebra: Takagi factorization and rank, a checked SVD,
+unitary dilation.
 
 All routines work on plain ``numpy`` arrays of dtype complex128. Diagonal
 factors are always returned sorted in descending order so downstream
@@ -145,24 +146,47 @@ def _embedded_takagi(S: np.ndarray, cut: float | None = None) -> TakagiFactoriza
     return TakagiFactorization(V=q.conj(), diagonal=diagonal)
 
 
+def checked_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full SVD A = u diag(s) vh of an m1 x m2 matrix, with u and vh unitary
+    to rounding level, as a dilation reads them.
+
+    Divide and conquer can fail to converge, or lose orthogonality inside
+    large singular-value clusters (see _svd_takagi). Either raises
+    ConvergenceFailure: a LinAlgError, or ||X^† X - I||_F of u or vh above
+    TAKAGI_CUT (m1 + m2), the rounding level of the dilation's size.
+    """
+    try:
+        u, s, vh = np.linalg.svd(A)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD of a {A.shape} matrix failed: {exc}") from exc
+    m1, m2 = A.shape
+    for gram in (u.conj().T @ u, vh @ vh.conj().T):
+        gram.flat[:: len(gram) + 1] -= 1.0
+        defect = np.sqrt(np.vdot(gram, gram).real)
+        if not defect <= TAKAGI_CUT * (m1 + m2):
+            raise ConvergenceFailure(f"singular vectors off unitarity by {defect:.3e}")
+    return u, s, vh
+
+
 def unitary_extension(v1: np.ndarray, s: np.ndarray, v2h: np.ndarray) -> np.ndarray:
     """The (m1 + m2)-mode unitary whose top-left block is the contraction
     B = (v1[:, :r] * s) @ v2h[:r], r = len(s), exactly as given: the Halmos
-    dilation.
+    dilation
 
-    The caller guarantees that v1 (m1 x m1) and v2h (m2 x m2) are unitary.
+        U = [[B, sqrt(I - B B^†)], [sqrt(I - B^† B), -B^†]].
+
+    v1 is m1 x m1 and v2h m2 x m2, but only the r columns a = v1[:, :r] and
+    the r rows b^† = v2h[:r] are read, and only they need to be orthonormal.
     s holds r <= min(m1, m2) values in [0, 1], in any order; anything else
     raises ValueError. A caller holding a matrix A of largest singular value
-    sigma_1 passes B = A / sigma_1 as its factors, v1, s / sigma_1, v2h. With
-    B = V1 S V2^†, the core
+    sigma_1 passes B = A / sigma_1 as its factors, v1, s / sigma_1, v2h.
+    With g = 1 - sqrt(1 - s^2), taken as s^2 / (1 + sqrt(1 - s^2)) without
+    the cancellation, the defect blocks are
 
-        K = [[S, D1], [D2, -S^T]],  D1 = sqrt(I - S S^T),  D2 = sqrt(I - S^T S)
+        sqrt(I - B B^†) = I - a diag(g) a^†,  sqrt(I - B^† B) = I - b diag(g) b^†,
 
-    is unitary entry-by-entry for any order of s (all blocks diagonal), and
-    U = diag(V1, V2) K diag(V2^†, V1^†) has top-left block B. U is assembled
-    block by block, [[V1 S V2^†, V1 D1 V1^†], [V2 D2 V2^†, -V2 S^T V1^†]],
-    with each diagonal applied by broadcasting. The zero contraction gives
-    the swap [[0, I], [I, 0]].
+    three products of width r in all, and the bottom-right block is -B^†.
+    The zero contraction gives the swap [[0, I], [I, 0]].
     """
     v1 = np.asarray(v1, dtype=complex)
     v2h = np.asarray(v2h, dtype=complex)
@@ -175,17 +199,17 @@ def unitary_extension(v1: np.ndarray, s: np.ndarray, v2h: np.ndarray) -> np.ndar
     if not np.all((s >= 0.0) & (s <= 1.0)):
         raise ValueError("singular values of a contraction must lie in [0, 1]")
     r = len(s)
-    defect = np.sqrt(1.0 - s**2)
-    # rows beyond the singular support pass through: their defect entry is 1
-    defect1 = np.ones(m1)
-    defect1[:r] = defect
-    defect2 = np.ones(m2)
-    defect2[:r] = defect
-    v1h, v2 = v1.conj().T, v2h.conj().T
+    a, bh = v1[:, :r], v2h[:r]
+    g = s**2 / (1.0 + np.sqrt(1.0 - s**2))
 
-    U = np.empty((m1 + m2, m1 + m2), dtype=complex)
-    U[:m1, :m2] = (v1[:, :r] * s) @ v2h[:r]
-    U[:m1, m2:] = (v1 * defect1) @ v1h
-    U[m1:, :m2] = (v2 * defect2) @ v2h
-    U[m1:, m2:] = -(v2[:, :r] * s) @ v1h[:r]
+    N = m1 + m2
+    U = np.empty((N, N), dtype=complex)
+    B = (a * s) @ bh
+    U[:m1, :m2] = B
+    U[:m1, m2:] = (a * -g) @ a.conj().T
+    U[m1:, :m2] = (bh.conj().T * -g) @ bh
+    U[m1:, m2:] = -B.conj().T
+    # add the identity of both defect blocks, entries (i, m2 + i) and (m1 + j, j)
+    U.flat[m2 : m1 * N : N + 1] += 1.0
+    U.flat[m1 * N :: N + 1] += 1.0
     return U

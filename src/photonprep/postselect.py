@@ -15,9 +15,9 @@ import numpy as np
 
 from . import verify
 from .exceptions import InfeasibleRank, VerificationFailure
-from .linalg import TakagiFactorization, takagi, unitary_extension
+from .linalg import TakagiFactorization, checked_svd, takagi, unitary_extension
 from .states import QuditTarget, TwoPhotonState, normalize, state_rank
-from .tolerances import MODE_MAP_TOL
+from .tolerances import MODE_MAP_TOL, TAKAGI_CUT
 from .verify import SynthesisResult
 
 
@@ -41,9 +41,13 @@ def build_sps(target: QuditTarget) -> tuple[TwoPhotonState, TakagiFactorization]
     remaining columns of V1 and of conj(V2), each padded with zeros; the
     completion columns get diagonal 0. No second factorization is needed,
     and the diagonal, sigma / sqrt(2 sum sigma^2), has the rank of C.
+    Singular values at or below takagi's rounding cut TAKAGI_CUT (d1 + d2)
+    sigma_1 are set to 0, as takagi sets them, so the diagonal is exactly 0
+    beyond the directions C carries.
     """
     d1, d2 = target.d1, target.d2
-    v1, sigma, v2h = np.linalg.svd(target.C)
+    v1, sigma, v2h = checked_svd(target.C)
+    sigma = np.where(sigma > TAKAGI_CUT * (d1 + d2) * sigma[0], sigma, 0.0)
     v2c = v2h.T  # conj(V2)
     p = len(sigma)
     Q = np.zeros((d1 + d2, d1 + d2), dtype=complex)
@@ -58,6 +62,18 @@ def build_sps(target: QuditTarget) -> tuple[TwoPhotonState, TakagiFactorization]
     diagonal = np.zeros(d1 + d2)
     diagonal[:p] = sigma / np.sqrt(2.0 * np.sum(sigma**2))
     return state, TakagiFactorization(V=Q.conj(), diagonal=diagonal)
+
+
+def _mode_map_residual(
+    v1: np.ndarray, lam: np.ndarray, v2h: np.ndarray, state_in: TwoPhotonState, s_ps: TwoPhotonState
+) -> float:
+    """||M S_in M^T - S_ps||_F for the mode map M = (v1[:, :k] * lam) @ v2h[:k],
+    k = len(lam), without forming M: with Y = v1[:, :k] diag(lam),
+    M S_in M^T = Y Z Y^T for the k x k matrix Z = v2h[:k] S_in v2h[:k]^T."""
+    k = len(lam)
+    Y = v1[:, :k] * lam
+    Z = v2h[:k] @ state_in.S @ v2h[:k].T
+    return float(np.linalg.norm(Y @ Z @ Y.T - s_ps.S))
 
 
 def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> SynthesisResult:
@@ -76,17 +92,16 @@ def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> Synt
         raise InfeasibleRank(f"rank(C) = {rank_c} exceeds rank(S_in) = {rank_in}")
     d1, d2 = target.d1, target.d2
 
-    # both diagonals descend and rank(C) <= rank_in, so the first r values
-    # pair every weight of S_ps with one of S_in: d_ps = lam * d_in * lam
-    r = min(rank_in, s_ps.modes)
-    lam = np.sqrt(fac_ps.diagonal[:r] / fac_in.diagonal[:r])
+    # both diagonals descend and rank(C) <= rank_in, so the first k values
+    # pair every nonzero weight of S_ps with one of S_in: d_ps = lam * d_in * lam
+    k = min(rank_in, int(np.count_nonzero(fac_ps.diagonal)))
+    lam = np.sqrt(fac_ps.diagonal[:k] / fac_in.diagonal[:k])
 
     # the m_ps x m_in mode map M = conj(V_ps) diag(lam) V_in^T gives
     # M S_in M^T = S_ps in the evolution convention S -> U S U^T, and comes
-    # factored: V_ps and V_in are unitary, lam its singular values
+    # factored: V_ps and V_in are unitary, lam its k nonzero singular values
     v1, v2h = fac_ps.V.conj(), fac_in.V.T
-    M = (v1[:, :r] * lam) @ v2h[:r]
-    residual = np.linalg.norm(M @ state_in.S @ M.T - s_ps.S)
+    residual = _mode_map_residual(v1, lam, v2h, state_in, s_ps)
     if residual > MODE_MAP_TOL:
         raise VerificationFailure(
             f"rescaled mode map misses the intermediate state by {residual:.3e}"

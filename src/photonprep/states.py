@@ -31,7 +31,7 @@ class TwoPhotonState:
         if np.linalg.norm(S - S.T) > STATE_SYMMETRY_TOL * max(1.0, np.linalg.norm(S)):
             raise NotSymmetric("state matrix is not symmetric")
         S = (S + S.T) / 2.0  # kill roundoff drift
-        if abs(2.0 * np.trace(S.conj().T @ S).real - 1.0) > NORMALIZATION_TOL:
+        if abs(2.0 * np.vdot(S, S).real - 1.0) > NORMALIZATION_TOL:
             raise ValueError("state is not normalized; use normalize()")
         S.setflags(write=False)
         object.__setattr__(self, "S", S)
@@ -75,7 +75,7 @@ def normalize(S: np.ndarray) -> TwoPhotonState:
     if not np.isfinite(S).all():
         raise ValueError("cannot normalize a matrix with non-finite entries")
     S = (S + S.T) / 2.0
-    weight = 2.0 * np.trace(S.conj().T @ S).real
+    weight = 2.0 * np.vdot(S, S).real  # 2 Tr(S^† S) = 2 ||S||_F^2
     if weight <= ZERO_WEIGHT:
         raise ZeroState("cannot normalize a zero state matrix")
     return TwoPhotonState(S / np.sqrt(weight))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from photonprep import (
+    ConvergenceFailure,
     InfeasibleRank,
     MultiplicityMismatch,
     TooLarge,
@@ -236,6 +237,19 @@ class TestSynthesize:
         report = result.report
         assert report.fidelity_vs_target > 1 - 1e-9
         assert result.success_probability > 0
+
+    def test_svd_failure_of_the_dilated_rows_is_a_convergence_failure(self, rng, monkeypatch):
+        """takagi embeds the target when its SVD fails; the SVD of the rows
+        A that are dilated has no fallback, and says so as a
+        ConvergenceFailure rather than a bare LinAlgError (a ValueError)."""
+
+        def failing_svd(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        target = random_state_of_rank(rng, 4, 3)
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            synthesize_herald(target, 4)
 
     def test_rank_three_infeasible_with_two(self, rng):
         with pytest.raises(InfeasibleRank):

@@ -10,20 +10,21 @@ from hypothesis import strategies as st
 
 import photonprep
 from photonprep import (
+    ConvergenceFailure,
     NotSymmetric,
     state_rank,
     takagi,
     unitary_extension,
 )
 from photonprep.herald import default_herald_rows, herald_bilinear_matrix
-from photonprep.linalg import _embedded_takagi
+from photonprep.linalg import _embedded_takagi, checked_svd
 from photonprep.random_states import (
     random_complex_symmetric,
     random_target_of_rank,
     random_unitary,
 )
 from photonprep.states import from_qudit_target, normalize, single_photons_state
-from photonprep.tolerances import RANK_TOL
+from photonprep.tolerances import RANK_TOL, TAKAGI_CUT
 
 
 @st.composite
@@ -344,6 +345,38 @@ class TestUnitaryExtension:
         assert np.linalg.norm(U - left @ K @ right) <= 1e-12
         assert _is_unitary(U)
 
+    @pytest.mark.parametrize("m1, m2, r", [(4, 6, 2), (6, 4, 3), (5, 5, 0), (3, 3, 3)])
+    def test_reads_only_r_columns_and_rows(self, rng, m1, m2, r):
+        """Columns of v1 and rows of v2h beyond r are never read: set to NaN,
+        they leave U finite and unitary, and equal to U from the full factors."""
+        v1, v2h = random_unitary(rng, m1), random_unitary(rng, m2)
+        s = rng.uniform(0.0, 1.0, r)
+        full = unitary_extension(v1, s, v2h)
+        v1[:, r:] = np.nan
+        v2h[r:] = np.nan
+        U = unitary_extension(v1, s, v2h)
+        assert np.all(np.isfinite(U))
+        assert _is_unitary(U)
+        assert np.array_equal(U, full)
+
+    @pytest.mark.parametrize("value", [0.0, 1e-9, 0.5, 1.0])
+    @pytest.mark.parametrize("m1, m2", [(4, 6), (6, 4), (5, 5)])
+    def test_defect_blocks_match_the_full_width_form(self, rng, value, m1, m2):
+        """I - a diag(g) a^† equals V1 diag(sqrt(1 - s^2), 1, ...) V1^†, and
+        likewise for V2, including s near 0 where 1 - sqrt(1 - s^2) would
+        cancel; the bottom-right block is -B^†."""
+        r = min(m1, m2) - 1
+        s = np.full(r, value)
+        v1, v2h = random_unitary(rng, m1), random_unitary(rng, m2)
+        U = unitary_extension(v1, s, v2h)
+        assert np.linalg.norm(U.conj().T @ U - np.eye(m1 + m2)) <= 1e-14
+        v2 = v2h.conj().T
+        defect1 = np.r_[np.sqrt(1.0 - s**2), np.ones(m1 - r)]
+        defect2 = np.r_[np.sqrt(1.0 - s**2), np.ones(m2 - r)]
+        assert np.linalg.norm(U[:m1, m2:] - (v1 * defect1) @ v1.conj().T) <= 1e-14
+        assert np.linalg.norm(U[m1:, :m2] - (v2 * defect2) @ v2h) <= 1e-14
+        assert np.array_equal(U[m1:, m2:], -U[:m1, :m2].conj().T)
+
     # (v1, s, v2h) shapes: a non-square factor, more values than min(m1, m2),
     # and s not a vector
     @pytest.mark.parametrize(
@@ -370,6 +403,43 @@ class TestUnitaryExtension:
         assert len(U) == m1 + m2
         assert _is_unitary(U)
         assert np.linalg.norm(U[:m1, :m2] - A / np.linalg.norm(A, 2)) < 1e-10
+
+
+class TestCheckedSvd:
+    """The SVD a dilation reads: unitary factors or ConvergenceFailure."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (5, 3), (32, 32)])
+    def test_is_the_svd(self, rng, shape):
+        A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for x, y in zip(checked_svd(A), np.linalg.svd(A)):
+            assert np.array_equal(x, y)
+
+    def test_non_convergence_is_a_convergence_failure(self, monkeypatch):
+        """A bare LinAlgError subclasses ValueError, which the CLI would
+        report as an input error."""
+
+        def failing_svd(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            checked_svd(np.eye(3))
+
+    @pytest.mark.parametrize("factor", [0, 2])
+    def test_non_unitary_factors_are_a_convergence_failure(self, rng, monkeypatch, factor):
+        """Either factor off unitarity by more than TAKAGI_CUT (m1 + m2), as
+        divide and conquer can leave it inside large clusters."""
+        svd = np.linalg.svd
+
+        def skewed_svd(a, *args, **kwargs):
+            out = list(svd(a, *args, **kwargs))
+            out[factor] = out[factor] * (1.0 + 10 * TAKAGI_CUT)
+            return tuple(out)
+
+        A = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        monkeypatch.setattr(np.linalg, "svd", skewed_svd)
+        with pytest.raises(ConvergenceFailure, match="off unitarity"):
+            checked_svd(A)
 
 
 class TestNumericalRank:

@@ -17,7 +17,9 @@ from photonprep import (
 )
 from photonprep import postselect as postselect_module
 from photonprep.verify import fidelity
-from photonprep.exceptions import VerificationFailure
+from photonprep.cli import main
+from photonprep.exceptions import ConvergenceFailure, VerificationFailure
+from photonprep.io import dump_json, matrix_to_doc
 from photonprep.random_states import random_state_of_rank, random_target_of_rank
 from photonprep.tolerances import RANK_TOL
 
@@ -82,6 +84,18 @@ class TestBuildSps:
         assert state_rank(state) == rank
         ratio = 2 * state.S[:d1, d1:] / target.C
         assert np.allclose(ratio, ratio.flat[0])
+
+    @pytest.mark.parametrize("d1,d2,rank", [(4, 4, 1), (5, 3, 2), (8, 8, 5), (32, 32, 17)])
+    def test_rounding_level_values_are_exactly_zero(self, rng, d1, d2, rank):
+        """A product of Gaussian d1 x rank and rank x d2 factors has
+        min(d1, d2) - rank singular values at rounding level; build_sps sets
+        them to 0, as takagi would, so the diagonal beyond rank(C) is exact."""
+        a, b = (rng.standard_normal((2, *shape)) for shape in [(d1, rank), (rank, d2)])
+        C = (a[0] + 1j * a[1]) @ (b[0] + 1j * b[1])
+        _, fac = build_sps(QuditTarget(C / np.linalg.norm(C)))
+        assert np.all(fac.diagonal[:rank] > 0.0)
+        assert np.all(fac.diagonal[rank:] == 0.0)
+        assert fac.rank == rank
 
 
 # (d1, d2, singular values of C up to scale); fewer values than min(d1, d2)
@@ -294,6 +308,88 @@ class TestDilationFromTakagiFactors:
         shapes = svds_outside_takagi(postselect_module)
         synthesize_postselect(state, target)
         assert shapes == [target.C.shape]
+
+
+class TestFactoredModeMapGate:
+    """The MODE_MAP_TOL gate reads ||M S_in M^T - S_ps||_F off the factors
+    of M; it is the dense residual of the mode map formed explicitly."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_dense_residual(self, seed):
+        gen = np.random.default_rng(seed)
+        d1, d2 = (int(x) for x in gen.integers(1, 6, 2))
+        m = int(gen.integers(2, 9))
+        rank_c = int(gen.integers(1, min(d1, d2, m) + 1))
+        state = random_state_of_rank(gen, m, int(gen.integers(rank_c, m + 1)))
+        s_ps, fac_ps = build_sps(random_target_of_rank(gen, d1, d2, rank_c))
+        fac_in = takagi(state.S)
+        v1, v2h = fac_ps.V.conj(), fac_in.V.T
+        k = min(fac_in.rank, int(np.count_nonzero(fac_ps.diagonal)))
+        exact = np.sqrt(fac_ps.diagonal[:k] / fac_in.diagonal[:k])
+        # the rescaling synthesize_postselect takes (residual at rounding
+        # level), and perturbed ones (residual of order one)
+        for lam in (exact, exact * gen.uniform(0.5, 1.5, k)):
+            M = (v1[:, :k] * lam) @ v2h[:k]
+            dense = np.linalg.norm(M @ state.S @ M.T - s_ps.S)
+            residual = postselect_module._mode_map_residual(v1, lam, v2h, state, s_ps)
+            assert abs(residual - dense) <= 1e-14
+
+
+def _hostile_target(i):
+    """A k-fold singular-value cluster at 1 with spreads down to 1e-16,
+    values in (0.1, 0.9) and values below 1e-9, between Haar factors: LAPACK's
+    divide-and-conquer SVD can fail on such C, or return factors off
+    unitarity."""
+    rng = np.random.default_rng([0, i])
+    m = int(rng.integers(20, 80))
+    k = int(rng.integers(m // 4, m // 2 + 1))
+    small = int(rng.integers(0, m - k))
+    sig = np.r_[
+        1 + rng.standard_normal(k) * 10.0 ** rng.uniform(-16, -8),
+        rng.uniform(0.1, 0.9, m - k - small),
+        10.0 ** rng.uniform(-16, -9, small),
+    ]
+    C = (haar_unitary(rng, m) * np.sort(np.abs(sig))[::-1]) @ haar_unitary(rng, m)
+    return C / np.linalg.norm(C)
+
+
+# gesdd of these C (OpenBLAS) returned factors off unitarity by up to 1e-5
+# (7699, 84629, 224944) or did not converge (197874, 218176)
+HOSTILE = [7699, 84629, 224944, 197874, 218176]
+
+
+class TestHostileTargets:
+    """Every circuit handed out is a unitary that verify accepts; a target
+    whose SVD cannot give that is a ConvergenceFailure (exit 2 on the CLI)."""
+
+    @pytest.mark.parametrize("i", HOSTILE)
+    def test_library(self, i):
+        C = _hostile_target(i)
+        state = random_state_of_rank(np.random.default_rng(i), len(C), len(C))
+        try:
+            result = synthesize_postselect(state, QuditTarget(C))
+        except ConvergenceFailure:
+            return
+        U = result.unitary
+        assert np.linalg.norm(U.conj().T @ U - np.eye(len(U))) <= 1e-10
+        assert result.report.verified
+
+    @pytest.mark.parametrize("i", HOSTILE)
+    def test_cli(self, tmp_path, capsys, i):
+        C = _hostile_target(i)
+        state = random_state_of_rank(np.random.default_rng(i), len(C), len(C))
+        dump_json(matrix_to_doc(state.S), str(tmp_path / "in.json"))
+        dump_json(matrix_to_doc(C), str(tmp_path / "target.json"))
+        out = tmp_path / "ps.json"
+        code = main(["synth-postselect", "--state", str(tmp_path / "in.json"),
+                     "--target", str(tmp_path / "target.json"), "--output", str(out)])
+        if code == 2:
+            err = capsys.readouterr().err
+            assert "off unitarity" in err or "did not converge" in err
+            assert not out.exists()
+            return
+        assert code == 0
+        assert main(["verify", "--input", str(out)]) == 0
 
 
 class TestInfeasibleIffRankRule:
