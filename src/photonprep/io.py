@@ -128,7 +128,7 @@ def synthesis_from_doc(doc: Any) -> dict[str, Any]:
     if unitary.shape[0] != unitary.shape[1]:
         raise DocumentError(f"unitary: expected a square matrix, got {unitary.shape}", "unitary")
     defect = np.linalg.norm(unitary.conj().T @ unitary - np.eye(unitary.shape[0]))
-    if defect > DOCUMENT_UNITARITY_TOL:
+    if not defect <= DOCUMENT_UNITARITY_TOL:
         raise DocumentError("unitary: matrix is not unitary", "unitary")
     out: dict[str, Any] = {
         "kind": kind,

@@ -59,14 +59,14 @@ def takagi(S: np.ndarray) -> TakagiFactorization:
     if factor is None:
         factor = _embedded_takagi(S)
     scale = max(1.0, factor.diagonal[0])
-    if np.linalg.norm(factor.V.T @ S @ factor.V - factor.D) > TAKAGI_RECONSTRUCTION_TOL * scale:
+    if not np.linalg.norm(factor.V.T @ S @ factor.V - factor.D) <= TAKAGI_RECONSTRUCTION_TOL * scale:
         raise ConvergenceFailure("Takagi factorization failed to reconstruct")
     return factor
 
 
 def _svd_takagi(S: np.ndarray) -> TakagiFactorization | None:
-    """Takagi factors of a complex symmetric S from its SVD, or None where
-    the real embedding of S whole should be taken instead.
+    """Takagi factors of a complex symmetric S from its checked SVD, or None
+    where the real embedding of S whole should be taken instead.
 
     With S = U Sigma W^†, symmetry makes P = U^† S conj(U) = Sigma W^† conj(U)
     symmetric and block diagonal across distinct singular values. An index
@@ -77,15 +77,14 @@ def _svd_takagi(S: np.ndarray) -> TakagiFactorization | None:
     by the real embedding of P on them, and their vectors are conj(U) on them
     times that factor. One stable sort restores the descending order.
 
-    Returns None when most indices couple (embedding S whole is then
-    cheaper than gathering P), when the SVD does not converge, or when its U
-    is not unitary to the same rounding level: divide and conquer can lose
-    orthogonality inside large clusters, and V would inherit it.
+    Returns None when checked_svd raises ConvergenceFailure (no convergence,
+    or U or W^† off unitarity, which V and P would inherit), or when most
+    indices couple (embedding S whole is then cheaper than gathering P).
     """
     m = S.shape[0]
     try:
-        u, sigma, wh = np.linalg.svd(S)
-    except np.linalg.LinAlgError:
+        u, sigma, wh = checked_svd(S)
+    except ConvergenceFailure:
         return None
     cut = TAKAGI_CUT * m * sigma[0]
     uc = u.conj()
@@ -93,14 +92,14 @@ def _svd_takagi(S: np.ndarray) -> TakagiFactorization | None:
     off = np.abs(P) > cut
     np.fill_diagonal(off, False)
     coupled = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
-    if 2 * len(coupled) > m or np.linalg.norm(uc.T @ u - np.eye(m)) > TAKAGI_CUT * m:
+    if 2 * len(coupled) > m:
         return None
 
     V = uc * np.exp(-0.5j * np.angle(P.diagonal()))
     diagonal = np.where(sigma > cut, sigma, 0.0)
     if len(coupled):
         block = P[coupled][:, coupled]
-        inner = _embedded_takagi((block + block.T) / 2.0, cut)
+        inner = _embedded_takagi((block + block.T) / 2.0)
         V[:, coupled] = uc[:, coupled] @ inner.V
         diagonal[coupled] = inner.diagonal
         order = np.argsort(-diagonal, kind="stable")
@@ -108,7 +107,7 @@ def _svd_takagi(S: np.ndarray) -> TakagiFactorization | None:
     return TakagiFactorization(V=V, diagonal=diagonal)
 
 
-def _embedded_takagi(S: np.ndarray, cut: float | None = None) -> TakagiFactorization:
+def _embedded_takagi(S: np.ndarray) -> TakagiFactorization:
     """Takagi factors of a complex symmetric S from its real symmetric
     embedding, the definition-level reference.
 
@@ -117,11 +116,13 @@ def _embedded_takagi(S: np.ndarray, cut: float | None = None) -> TakagiFactoriza
     u = x + iy with S conj(u) = sigma u, and the +sigma and -sigma eigenspaces
     are orthogonal, so the top half of E's spectrum yields orthonormal Takagi
     vectors even inside degenerate clusters. Near sigma = 0 the two halves
-    mix: vectors whose sigma is at or below the cut are dropped (their
-    diagonal entry set to 0) and replaced by a QR completion of the kept
-    ones. The cut defaults to TAKAGI_CUT k sigma_1 for S of size k; a block
-    of a larger matrix passes that matrix's cut. The diagonal is sorted
-    descending. No gate is applied here.
+    mix: vectors whose sigma is at or below the cut TAKAGI_CUT k sigma_1 of
+    the k x k S are dropped (their diagonal entry set to 0) and replaced by a
+    QR completion of the kept ones. A coupled block of a larger matrix is cut
+    the same way: an entry |P_ij| above the larger matrix's cut bounds
+    sigma_i and, to rounding, sigma_j from below, so the block's values lie
+    above that cut. The diagonal is sorted descending. No gate is applied
+    here.
     """
     k = S.shape[0]
     E = np.empty((2 * k, 2 * k))
@@ -135,8 +136,7 @@ def _embedded_takagi(S: np.ndarray, cut: float | None = None) -> TakagiFactoriza
     sigma = eigenvalues[::-1][:k]  # the +sigma half, descending
     top = vectors[:, ::-1][:, :k]
     u = top[:k] + 1j * top[k:]
-    if cut is None:
-        cut = TAKAGI_CUT * k * sigma[0]
+    cut = TAKAGI_CUT * k * sigma[0]
     kept = int(np.count_nonzero(sigma > cut))
     q, r = np.linalg.qr(u[:, :kept], mode="complete")
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
@@ -148,22 +148,21 @@ def _embedded_takagi(S: np.ndarray, cut: float | None = None) -> TakagiFactoriza
 
 def checked_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD A = u diag(s) vh of an m1 x m2 matrix, with u and vh unitary
-    to rounding level, as a dilation reads them.
+    to rounding level, as takagi and a dilation read them.
 
     Divide and conquer can fail to converge, or lose orthogonality inside
-    large singular-value clusters (see _svd_takagi). Either raises
-    ConvergenceFailure: a LinAlgError, or ||X^† X - I||_F of u or vh above
-    TAKAGI_CUT (m1 + m2), the rounding level of the dilation's size.
+    large singular-value clusters. Either raises ConvergenceFailure: a
+    LinAlgError, or ||X^† X - I||_F of a k x k factor (u: k = m1, vh: k = m2)
+    above TAKAGI_CUT k, the rounding level of its own size.
     """
     try:
         u, s, vh = np.linalg.svd(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD of a {A.shape} matrix failed: {exc}") from exc
-    m1, m2 = A.shape
     for gram in (u.conj().T @ u, vh @ vh.conj().T):
         gram.flat[:: len(gram) + 1] -= 1.0
         defect = np.sqrt(np.vdot(gram, gram).real)
-        if not defect <= TAKAGI_CUT * (m1 + m2):
+        if not defect <= TAKAGI_CUT * len(gram):
             raise ConvergenceFailure(f"singular vectors off unitarity by {defect:.3e}")
     return u, s, vh
 

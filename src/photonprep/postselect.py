@@ -102,7 +102,7 @@ def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> Synt
     # factored: V_ps and V_in are unitary, lam its k nonzero singular values
     v1, v2h = fac_ps.V.conj(), fac_in.V.T
     residual = _mode_map_residual(v1, lam, v2h, state_in, s_ps)
-    if residual > MODE_MAP_TOL:
+    if not residual <= MODE_MAP_TOL:
         raise VerificationFailure(
             f"rescaled mode map misses the intermediate state by {residual:.3e}"
         )

@@ -25,11 +25,10 @@ TAKAGI_CUT                 8 eps  x m sigma_1        takagi: values at or below 
                                                      build_sps: singular values of C at or
                                                      below the cut of S_ps (m = d1 + d2) are
                                                      set to 0, as takagi would
-                           8 eps  x m                takagi: ||U^† U - I||_F above it sends
-                                                     S whole to the real embedding.
-                                                     checked_svd (m = m1 + m2 of an m1 x m2
-                                                     matrix): either factor off unitarity by
-                                                     more is a ConvergenceFailure
+                           8 eps  x k                checked_svd: ||X^† X - I||_F of a k x k
+                                                     factor (u or vh) above it is a
+                                                     ConvergenceFailure; takagi then embeds
+                                                     S whole in the real embedding
 STATE_SYMMETRY_TOL         1e-8   x max(1, ||S||_F)  TwoPhotonState: ||S - S^T||_F within it,
                                                      else NotSymmetric
 NORMALIZATION_TOL          1e-8   absolute           TwoPhotonState: |2 Tr(S^† S) - 1| within it

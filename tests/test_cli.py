@@ -78,6 +78,13 @@ class TestTakagi:
         assert d00[0] == pytest.approx(0.5)
 
 
+    def test_overflowing_matrix_is_not_factorized(self, tmp_path, capsys):
+        path = write_matrix(tmp_path / "s.json", np.full((2, 2), 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["takagi", "--input", path]) == 2
+        assert capsys.readouterr().out == ""
+
+
 class TestGateCnz:
     def test_cz_success_probability(self, capsys):
         assert main(["gate-cnz", "--n", "2", "--phi", "3.141592653589793"]) == 0
@@ -169,6 +176,18 @@ class TestVerifyPhi:
         cz_doc.write_text(json.dumps(doc))
         assert main(["verify", "--input", str(cz_doc)]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+def test_verify_rejects_a_unitary_with_a_nan_defect(cz_doc, capsys):
+    doc = json.loads(cz_doc.read_text())
+    unitary = doc["unitary"]
+    cols = unitary["cols"]
+    for i, j, value in ((0, 0, 1e308), (0, 1, 1e308), (1, 0, 1e308), (1, 1, -1e308)):
+        unitary["data"][i * cols + j] = [value, 0.0]
+    cz_doc.write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["verify", "--input", str(cz_doc)]) == 2
+    assert "unitary: matrix is not unitary" in capsys.readouterr().err
 
 
 def test_verify_rejects_a_non_square_unitary(cz_doc, capsys):

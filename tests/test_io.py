@@ -207,3 +207,16 @@ def test_non_square_unitary_is_a_document_error():
     with pytest.raises(DocumentError, match="expected a square matrix") as err:
         synthesis_from_doc(doc)
     assert err.value.field == "unitary"
+
+
+def test_unitary_with_a_nan_defect_is_a_document_error():
+    """An overflowing block makes ||U^† U - I||_F NaN, which no gate may
+    read as within tolerance."""
+    result, _ = build_cnz(2, np.pi)
+    doc = synthesis_to_doc(result, "cnz", np.eye(4), n=2, phi=np.pi)
+    U = result.unitary.copy()
+    U[:2, :2] = [[1e308, 1e308], [1e308, -1e308]]
+    doc["unitary"] = matrix_to_doc(U)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DocumentError, match="not unitary") as err:
+        synthesis_from_doc(doc)
+    assert err.value.field == "unitary"

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -17,7 +18,8 @@ from photonprep import (
     unitary_extension,
 )
 from photonprep.herald import default_herald_rows, herald_bilinear_matrix
-from photonprep.linalg import _embedded_takagi, checked_svd
+from photonprep import linalg as linalg_module
+from photonprep.linalg import TakagiFactorization, _embedded_takagi, checked_svd
 from photonprep.random_states import (
     random_complex_symmetric,
     random_target_of_rank,
@@ -25,6 +27,8 @@ from photonprep.random_states import (
 )
 from photonprep.states import from_qudit_target, normalize, single_photons_state
 from photonprep.tolerances import RANK_TOL, TAKAGI_CUT
+
+PACKAGE = Path(photonprep.__file__).parent
 
 
 @st.composite
@@ -80,6 +84,18 @@ class TestTakagi:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             takagi(np.array([[np.nan]]))
+
+    def test_overflowing_matrix_is_a_convergence_failure(self):
+        """Finite entries of 1e308 overflow once symmetrized: a
+        ConvergenceFailure, not a factorization with a non-finite V."""
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceFailure):
+            takagi(np.full((2, 2), 1e308))
+
+    def test_reconstruction_gate_refuses_nan(self, monkeypatch):
+        nan_factor = TakagiFactorization(V=np.full((2, 2), np.nan + 0j), diagonal=np.ones(2))
+        monkeypatch.setattr(linalg_module, "_svd_takagi", lambda S: nan_factor)
+        with pytest.raises(ConvergenceFailure, match="reconstruct"):
+            takagi(np.eye(2))
 
     def test_antidiagonal_half(self):
         S = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
@@ -221,6 +237,22 @@ class TestTakagiAgainstEmbedding:
         monkeypatch.setattr(np.linalg, "svd", skewed_svd)
         fac = takagi(S)
         assert np.linalg.norm(fac.V.conj().T @ fac.V - np.eye(6)) <= 1e-10
+        assert np.linalg.norm(fac.V.T @ S @ fac.V - fac.D) <= 1e-10
+
+    def test_non_unitary_right_singular_vectors_fall_back(self, monkeypatch):
+        """P = Sigma W^† conj(U) reads W^† too: a row of W^† leaning 1e-9 on
+        the next one leaks into P's diagonal phases and costs V^T S V - D
+        ~7e-10, which a check of U alone lets through."""
+        S = _with_spectrum(8, np.array([1.0, 0.9, 0.7, 0.4, 0.2, 0.0]))
+        svd = np.linalg.svd
+
+        def skewed_svd(a, *args, **kwargs):
+            u, s, wh = svd(a, *args, **kwargs)
+            wh[0] += 1e-9 * wh[1]
+            return u, s, wh
+
+        monkeypatch.setattr(np.linalg, "svd", skewed_svd)
+        fac = takagi(S)
         assert np.linalg.norm(fac.V.T @ S @ fac.V - fac.D) <= 1e-10
 
 
@@ -425,21 +457,56 @@ class TestCheckedSvd:
         with pytest.raises(ConvergenceFailure, match="did not converge"):
             checked_svd(np.eye(3))
 
+    @pytest.mark.parametrize("shape", [(4, 6), (6, 4), (5, 5)])
     @pytest.mark.parametrize("factor", [0, 2])
-    def test_non_unitary_factors_are_a_convergence_failure(self, rng, monkeypatch, factor):
-        """Either factor off unitarity by more than TAKAGI_CUT (m1 + m2), as
-        divide and conquer can leave it inside large clusters."""
-        svd = np.linalg.svd
-
-        def skewed_svd(a, *args, **kwargs):
-            out = list(svd(a, *args, **kwargs))
-            out[factor] = out[factor] * (1.0 + 10 * TAKAGI_CUT)
-            return tuple(out)
-
-        A = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        monkeypatch.setattr(np.linalg, "svd", skewed_svd)
+    def test_non_unitary_factors_are_a_convergence_failure(self, monkeypatch, shape, factor):
+        """A k x k factor off unitarity by more than TAKAGI_CUT k, as divide
+        and conquer can leave it inside large clusters, raises, also where
+        the defect is below TAKAGI_CUT (m1 + m2)."""
+        A, factors, defect = _skewed_factors(monkeypatch, shape, factor, 1.1)
+        assert TAKAGI_CUT * len(factors[factor]) < defect < TAKAGI_CUT * sum(shape)
         with pytest.raises(ConvergenceFailure, match="off unitarity"):
             checked_svd(A)
+
+    @pytest.mark.parametrize("shape", [(4, 6), (6, 4), (5, 5)])
+    @pytest.mark.parametrize("factor", [0, 2])
+    def test_factors_within_their_own_bound_pass(self, monkeypatch, shape, factor):
+        A, factors, defect = _skewed_factors(monkeypatch, shape, factor, 0.9)
+        assert 0 < defect < TAKAGI_CUT * len(factors[factor])
+        assert checked_svd(A)[factor] is factors[factor]
+
+    def test_is_the_only_svd_in_the_package(self):
+        """Every SVD the package takes goes through this guard: numpy's svd
+        is named once in the package, inside checked_svd."""
+        found = {path.name: len(_svd_names(ast.parse(path.read_text()))) for path in PACKAGE.glob("*.py")}
+        assert {name: count for name, count in found.items() if count} == {"linalg.py": 1}
+        tree = ast.parse((PACKAGE / "linalg.py").read_text())
+        guard = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "checked_svd")
+        assert len(_svd_names(guard)) == 1
+
+
+def _skewed_factors(monkeypatch, shape, factor, over):
+    """Make np.linalg.svd return exact identity factors for a zero matrix of
+    the given shape, with factor 0 (u) or 2 (vh) scaled to c I, whose defect
+    ||X^† X - I||_F = (c^2 - 1) sqrt(k) is over x TAKAGI_CUT k. Returns the
+    matrix, the factors and that defect."""
+    k = shape[0] if factor == 0 else shape[1]
+    c = np.sqrt(1.0 + over * TAKAGI_CUT * np.sqrt(k))
+    factors = [np.eye(shape[0], dtype=complex), np.zeros(min(shape)), np.eye(shape[1], dtype=complex)]
+    factors[factor] = factors[factor] * c
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: tuple(factors))
+    return np.zeros(shape), factors, np.linalg.norm((c * c - 1.0) * np.eye(k))
+
+
+def _svd_names(tree) -> list:
+    """The nodes under tree that name an svd: an attribute (np.linalg.svd)
+    or an import (from numpy.linalg import svd)."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "svd")
+        or (isinstance(node, ast.ImportFrom) and any(alias.name == "svd" for alias in node.names))
+    ]
 
 
 class TestNumericalRank:

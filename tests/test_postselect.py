@@ -335,6 +335,12 @@ class TestFactoredModeMapGate:
             assert abs(residual - dense) <= 1e-14
 
 
+    def test_nan_residual_is_refused(self, monkeypatch):
+        monkeypatch.setattr(postselect_module, "_mode_map_residual", lambda *args: np.nan)
+        with pytest.raises(VerificationFailure, match="misses the intermediate state"):
+            synthesize_postselect(single_photons_state(4), bell_target(2))
+
+
 def _hostile_target(i):
     """A k-fold singular-value cluster at 1 with spreads down to 1e-16,
     values in (0.1, 0.9) and values below 1e-9, between Haar factors: LAPACK's
