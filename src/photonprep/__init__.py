@@ -8,7 +8,6 @@ from .exceptions import (
     DimensionMismatch,
     DocumentError,
     InfeasibleRank,
-    MultiplicityMismatch,
     NotSymmetric,
     PhotonNumberMismatch,
     PhotonPrepError,

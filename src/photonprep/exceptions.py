@@ -29,10 +29,6 @@ class DimensionMismatch(PhotonPrepError):
     """Matrix or vector dimensions are inconsistent."""
 
 
-class MultiplicityMismatch(PhotonPrepError):
-    """Herald-row multiplicities do not sum to the required photon count."""
-
-
 class SignalMismatch(PhotonPrepError):
     """A heralding signal is inconsistent with the photon budget."""
 

@@ -2,44 +2,34 @@
 
 Feasibility: a target state S can be heralded from n single photons exactly
 when n >= rank(S). The construction works on the Takagi diagonal of the
-target, diagonalizes the permanent bilinear form F fixed by the herald rows,
-scales its basis vectors by the target weights, conjugates back, and embeds
-the scaled rows in a unitary.
+target and on one herald, the flat witness: one mode absorbing n - 2 photons
+through the flat row (1, ..., 1) / sqrt(n - 2), whose permanent bilinear
+form is F = c (J - I). F's Takagi factors are known in closed form, so the
+target is the only matrix factorized. Its Takagi vectors are scaled by the
+target weights, conjugated back, and the resulting rows are dilated from
+factors already in hand: no SVD is taken.
 
-F is built one way for every herald choice: Glynn's permanent formula with
-the two free rows kept symbolic, one contraction with the package's cached
-sign table. The default herald is the flat witness, one mode absorbing
-n - 2 photons through the flat row; its F is c (J - I), whose Takagi factors
-are known in closed form, so the default path factorizes nothing but the
-target. User herald rows have their F Takagi-factorized and fall back to the
-flat witness when it is rank-deficient. The key permanent identity is
-checked pre-embedding as the matrix identity R F R^T = sqrt(2 s!) diag(d)
-on the scaled rows R, relative to its scale sqrt(2 s!) d_0, and the final
-circuit is checked by the Fock oracle.
+F itself is built independently, by Glynn's permanent formula with the two
+free rows kept symbolic, one contraction with the package's cached sign
+table. The key permanent identity is checked pre-embedding as the matrix
+identity R F R^T = sqrt(2 s!) diag(d) on the scaled rows R, relative to its
+scale sqrt(2 s!) d_0; the returned unitary is checked for unitarity and the
+final circuit by the Fock oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 
 import numpy as np
 
 from . import fock, verify
-from .exceptions import (
-    InfeasibleRank,
-    MultiplicityMismatch,
-    TooLarge,
-    VerificationFailure,
-)
-from .linalg import TakagiFactorization, checked_svd, takagi, unitary_extension
+from .exceptions import InfeasibleRank, TooLarge, VerificationFailure
+from .linalg import TakagiFactorization, takagi, unitary_extension
 from .states import TwoPhotonState, state_rank
-from .tolerances import IDENTITY_TOL
+from .tolerances import DOCUMENT_UNITARITY_TOL, IDENTITY_TOL
 from .verify import HeraldPattern, SynthesisResult
-
-# herald rows are (vector in C^n, photon multiplicity) pairs, one per herald mode
-HeraldRows = list[tuple[np.ndarray, int]]
 
 
 def feasible_herald(state_out: TwoPhotonState, n: int) -> bool:
@@ -49,58 +39,27 @@ def feasible_herald(state_out: TwoPhotonState, n: int) -> bool:
     return n >= state_rank(state_out)
 
 
-def default_herald_rows(n: int) -> HeraldRows:
-    """Minimal witness: no heralds for n = 2, else one mode absorbing n - 2
-    photons through the flat row (1,...,1)/sqrt(n-2)."""
-    if n == 2:
-        return []
-    return [(np.full(n, 1.0 / math.sqrt(n - 2), dtype=complex), n - 2)]
-
-
-def _checked_rows(herald_rows: HeraldRows, n: int) -> HeraldRows:
-    """Herald rows as (complex vector, int multiplicity) pairs. Rows must be
-    finite vectors in C^n; multiplicities must be nonnegative integers (not
-    booleans) that sum to n - 2. Rows of multiplicity 0 are dropped: a herald
-    mode that expects vacuum adds nothing."""
-    checked = []
-    for vec, mult in herald_rows:
-        vec = np.asarray(vec, dtype=complex)
-        if vec.shape != (n,):
-            raise MultiplicityMismatch(f"herald row has shape {vec.shape}, expected ({n},)")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("herald row contains non-finite entries")
-        if isinstance(mult, bool) or not isinstance(mult, numbers.Integral):
-            raise MultiplicityMismatch(f"herald multiplicity {mult!r} is not an integer")
-        if mult < 0:
-            raise MultiplicityMismatch(f"herald multiplicity {mult} is negative")
-        if mult:
-            checked.append((vec, int(mult)))
-    total = sum(mult for _, mult in checked)
-    if total != n - 2:
-        raise MultiplicityMismatch(f"herald multiplicities sum to {total}, expected {n - 2}")
-    return checked
-
-
-def herald_bilinear_matrix(herald_rows: HeraldRows, n: int) -> np.ndarray:
-    """Matrix F of the bilinear form (x, y) -> Per(x, y, H) = x^T F y, where
-    H is the (n - 2) x n herald matrix (each row repeated by its
-    multiplicity).
+def herald_bilinear_matrix(n: int) -> np.ndarray:
+    """Matrix F of the bilinear form (x, y) -> Per(x, y, H) = x^T F y of the
+    flat witness, where H repeats the flat row (1, ..., 1) / sqrt(n - 2)
+    n - 2 times (no row for n = 2).
 
     Glynn's formula with the rows x and y left free reads
     Per(x, y, H) = sum_delta w_delta (x . delta)(y . delta) prod_i (H_i . delta)
     over the sign vectors delta of the package permanent, with their weights w.
     So F = Delta diag(w * prod_i (H Delta)_i) Delta^T for the sign table
-    Delta, for any herald rows: n = 2 (no rows, F = J - I), the flat
-    witness, one user row or several. F_aa = 0 exactly, since no
-    permutation picks column a twice. Raises TooLarge beyond the permanent
-    limit, before any sign table is built.
+    Delta, with prod_i (H Delta)_i = (sum_k delta_k / sqrt(n - 2))^(n - 2);
+    n = 2 gives F = J - I. F_aa = 0 exactly, since no permutation picks
+    column a twice. Raises TooLarge beyond the permanent limit, before any
+    sign table is built.
     """
-    rows = [vec for vec, mult in _checked_rows(herald_rows, n) for _ in range(mult)]
-    H = np.array(rows, dtype=complex).reshape(n - 2, n)
+    if n < 2:
+        raise ValueError("at least two photons are required")
     if n > fock.PERMANENT_LIMIT:
         raise TooLarge(f"herald form limited to {fock.PERMANENT_LIMIT} photons, got {n}")
     deltas, weights = fock._glynn_tables(n)
-    F = (deltas * (weights * (H @ deltas).prod(axis=0))) @ deltas.T
+    herald = deltas.real.sum(axis=0) ** (n - 2) * (n - 2) ** (-(n - 2) / 2)
+    F = (deltas * (weights * herald)) @ deltas.T
     np.fill_diagonal(F, 0.0)
     return F
 
@@ -128,17 +87,13 @@ def _flat_takagi(n: int) -> TakagiFactorization:
     return TakagiFactorization(V=V, diagonal=diagonal)
 
 
-def synthesize_herald(
-    state_out: TwoPhotonState,
-    n: int,
-    herald_rows: HeraldRows | None = None,
-) -> SynthesisResult:
+def synthesize_herald(state_out: TwoPhotonState, n: int) -> SynthesisResult:
     """Construct a heralded circuit preparing the target from n single photons.
 
     The returned unitary acts on m payload + h herald + n auxiliary modes,
-    with the photons entering the first n modes. Raises InfeasibleRank when
-    n < rank(S_out), MultiplicityMismatch on malformed herald multiplicities
-    and ValueError on non-finite herald rows.
+    with the photons entering the first n modes. The herald is the flat
+    witness: h = 1 mode with signal (n - 2,), none for n = 2. Raises
+    InfeasibleRank when n < rank(S_out).
     """
     if n < 2:
         raise ValueError("at least two photons are required")
@@ -148,26 +103,15 @@ def synthesize_herald(
     if n < rank:
         raise InfeasibleRank(f"{n} photons cannot prepare a rank-{rank} state")
 
-    fac_f = None
-    if herald_rows is not None:
-        herald_rows = _checked_rows(herald_rows, n)
-        F = herald_bilinear_matrix(herald_rows, n)
-        fac_f = takagi(F)
-        if fac_f.rank < n:
-            fac_f = None
-    if fac_f is None:
-        # the default, and the fallback for degenerate user rows: the theorem
-        # guarantees the flat witness works. Its Takagi factors are closed-form,
-        # but F itself comes from the herald rows, so the identity gate below
-        # checks the closed form against an independent construction.
-        herald_rows = default_herald_rows(n)
-        F = herald_bilinear_matrix(herald_rows, n)
-        fac_f = _flat_takagi(n)
-    signal = tuple(s for _, s in herald_rows)
+    # F's Takagi factors are closed-form, but F itself is built by Glynn's
+    # formula, so the identity gate below checks one against the other
+    F = herald_bilinear_matrix(n)
+    fac_f = _flat_takagi(n)
+    signal = (n - 2,) if n > 2 else ()
     h = len(signal)
     m = state_out.modes
     d = fac_out.diagonal
-    scale = math.sqrt(2.0 * math.prod(math.factorial(s) for s in signal))
+    scale = math.sqrt(2.0 * math.factorial(n - 2))
 
     # rows diagonalizing the permanent form, scaled to the target weights:
     # Per(row_i, row_j, herald) = sqrt(2 * s!) * d_i * delta_ij, for i, j < rank
@@ -183,12 +127,29 @@ def synthesize_herald(
             f"relative to sqrt(2 s!) d_0 (tolerance {IDENTITY_TOL:.0e})"
         )
 
-    # conjugate back from the diagonal state to S_out, then stack herald rows
-    payload_rows = fac_out.V[:, :rank].conj() @ R
-    A = np.vstack([payload_rows] + [vec for vec, _ in herald_rows]) if h else payload_rows
-    # dilate the contraction A / sigma_1(A)
-    v1, s, v2h = checked_svd(A)
-    U = unitary_extension(v1, s / s[0], v2h)
+    # The dilated rows A = [conj(V_out) R; herald row] factor as A = L V_F^T:
+    # the herald row is sqrt(n / (n - 2)) times V_F[:, 0]^T, the flat vector,
+    # so L = [conj(V_out) diag(w); sqrt(n / (n - 2)) e_0^T]. L's columns are
+    # orthogonal, so their norms are A's singular values, and rotating
+    # column 0 of [[conj(V_out), 0], [0, 1]] into the herald mode gives its
+    # left singular vectors.
+    sigma = weights.copy()
+    v1 = np.zeros((m + h, m + h), dtype=complex)
+    v1[:m, :m] = fac_out.V.conj()
+    if h:
+        herald_norm = math.sqrt(n / (n - 2))
+        sigma[0] = math.hypot(weights[0], herald_norm)
+        cos, sin = weights[0] / sigma[0], herald_norm / sigma[0]
+        v1[:, m] = -sin * v1[:, 0]
+        v1[:, 0] *= cos
+        v1[m, [0, m]] = sin, cos
+    sigma1 = sigma.max()
+    U = unitary_extension(v1, sigma / sigma1, fac_f.V.T)
+    defect = np.linalg.norm(U.conj().T @ U - np.eye(len(U)))
+    if not defect <= DOCUMENT_UNITARITY_TOL:
+        raise VerificationFailure(
+            f"circuit off unitarity by {defect:.3e} (tolerance {DOCUMENT_UNITARITY_TOL:.0e})"
+        )
     pattern = HeraldPattern(signal=signal)
 
     report = verify.extract_heralded(U, n, pattern, m, target=state_out.S)
@@ -200,7 +161,7 @@ def synthesize_herald(
     return SynthesisResult(
         unitary=U,
         aux_modes=len(U) - m - h,
-        scale_alpha=1.0 / s[0],
+        scale_alpha=1.0 / sigma1,
         success_probability=report.probability,
         herald=pattern,
         report=report,

@@ -148,7 +148,7 @@ def _embedded_takagi(S: np.ndarray) -> TakagiFactorization:
 
 def checked_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD A = u diag(s) vh of an m1 x m2 matrix, with u and vh unitary
-    to rounding level, as takagi and a dilation read them.
+    to rounding level, as takagi and build_sps read them.
 
     Divide and conquer can fail to converge, or lose orthogonality inside
     large singular-value clusters. Either raises ConvergenceFailure: a

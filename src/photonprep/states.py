@@ -74,9 +74,15 @@ def normalize(S: np.ndarray) -> TwoPhotonState:
         raise ValueError(f"state matrix must be square, got {S.shape}")
     if not np.isfinite(S).all():
         raise ValueError("cannot normalize a matrix with non-finite entries")
+    # scaled by its largest entry first, since 2 ||S||_F^2 overflows for
+    # entries above ~1e154: the weight 2 Tr(S^† S) is peak^2 * 2 ||S / peak||_F^2
+    peak = float(np.max(np.abs(S), initial=0.0))
+    if peak > 0.0:
+        S = S / peak
     S = (S + S.T) / 2.0
-    weight = 2.0 * np.vdot(S, S).real  # 2 Tr(S^† S) = 2 ||S||_F^2
-    if weight <= ZERO_WEIGHT:
+    weight = 2.0 * float(np.vdot(S, S).real)
+    # a product of Python floats, inf or 0 without a warning where it leaves the range
+    if peak * peak * weight <= ZERO_WEIGHT:
         raise ZeroState("cannot normalize a zero state matrix")
     return TwoPhotonState(S / np.sqrt(weight))
 

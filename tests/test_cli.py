@@ -52,6 +52,13 @@ class TestRank:
         assert main(["rank", "--state", path]) == 2
         assert "zero" in capsys.readouterr().err
 
+    def test_rank_of_a_state_whose_weight_overflows(self, tmp_path, capsys):
+        """2 ||S||_F^2 of the all-1e200 matrix overflows; its normalized state
+        has rank 1."""
+        path = write_matrix(tmp_path / "huge.json", np.full((2, 2), 1e200))
+        assert main(["rank", "--state", path]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
 
 @pytest.mark.parametrize("verb", ["rank", "synth-postselect", "synth-herald"])
 def test_non_square_state_is_an_input_error(tmp_path, capsys, verb):

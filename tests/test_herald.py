@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 from types import SimpleNamespace
 
@@ -7,27 +6,27 @@ import numpy as np
 import pytest
 
 from photonprep import (
-    ConvergenceFailure,
     InfeasibleRank,
-    MultiplicityMismatch,
+    QuditTarget,
     TooLarge,
     VerificationFailure,
     extract_heralded,
     feasible_herald,
+    from_qudit_target,
     herald_bilinear_matrix,
     normalize,
     permanent,
     synthesize_herald,
     takagi,
+    unitary_extension,
 )
 from photonprep import fock
 from photonprep import herald as herald_module
 from photonprep.fock import permanent_naive
-from photonprep.herald import default_herald_rows
 from photonprep.linalg import TakagiFactorization
 from photonprep.random_states import random_state_of_rank, random_unitary
 from photonprep.selftest import _circuit_identity_error
-from photonprep.tolerances import IDENTITY_TOL, RANK_TOL
+from photonprep.tolerances import DOCUMENT_UNITARITY_TOL, IDENTITY_TOL, RANK_TOL
 from photonprep.verify import HeraldPattern
 
 BELL = normalize(
@@ -37,17 +36,9 @@ BELL = normalize(
 )
 
 
-def _count_bilinear_calls(monkeypatch):
-    """Record each call synthesize_herald makes to herald_bilinear_matrix."""
-    calls = []
-    original = herald_module.herald_bilinear_matrix
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(herald_module, "herald_bilinear_matrix", counting)
-    return calls
+def _flat_row(n):
+    """The flat witness's herald row (1, ..., 1) / sqrt(n - 2)."""
+    return np.full(n, 1.0 / math.sqrt(n - 2))
 
 
 def _count_permanent_calls(monkeypatch):
@@ -63,9 +54,10 @@ def _count_permanent_calls(monkeypatch):
     return shapes
 
 
-def _form_from_definition(rows, n):
-    """F_ab = Per(e_a, e_b, H) with the O(n!) permanent."""
-    H = [vec for vec, mult in rows for _ in range(mult)]
+def _form_from_definition(n):
+    """F_ab = Per(e_a, e_b, H) with the O(n!) permanent, H the flat row
+    repeated n - 2 times."""
+    H = [_flat_row(n) for _ in range(n - 2)]
     eye = np.eye(n)
     return np.array(
         [[permanent_naive(np.vstack([eye[a], eye[b], *H])) for b in range(n)] for a in range(n)]
@@ -74,47 +66,37 @@ def _form_from_definition(rows, n):
 
 class TestBilinearMatrix:
     def test_no_heralds(self):
-        F = herald_bilinear_matrix([], 2)
+        F = herald_bilinear_matrix(2)
         assert np.allclose(F, [[0, 1], [1, 0]])
 
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_fewer_than_two_photons_rejected(self, n):
+        with pytest.raises(ValueError, match="at least two photons"):
+            herald_bilinear_matrix(n)
+
     def test_single_flat_row(self):
-        F = herald_bilinear_matrix([(np.ones(3), 1)], 3)
+        F = herald_bilinear_matrix(3)
         assert np.allclose(F, np.ones((3, 3)) - np.eye(3))
         eigenvalues = np.sort(np.linalg.eigvalsh(F.real))
         assert np.allclose(eigenvalues, [-1, -1, 2])
         assert takagi(F).rank == 3
 
     def test_two_flat_rows(self):
-        F = herald_bilinear_matrix([(np.ones(4), 2)], 4)
+        F = herald_bilinear_matrix(4)
         assert np.allclose(F, F.T)
         assert takagi(F).rank == 4
 
-    @pytest.mark.parametrize(
-        "n, multiplicities",
-        [(2, ()), (3, (1,)), (4, (2,)), (5, (2, 1)), (6, (1, 3)), (7, (2, 3))],
-    )
-    def test_minors_match_definition(self, rng, n, multiplicities):
-        """Random rows, and the same rows with two zero entries each and the
-        first vector repeated as the last herald mode."""
-        rows = [
-            (rng.standard_normal(n) + 1j * rng.standard_normal(n), mult)
-            for mult in multiplicities
-        ]
-        sparse = [(vec.copy(), mult) for vec, mult in rows]
-        for vec, _ in sparse:
-            vec[rng.permutation(n)[:2]] = 0.0
-        if len(sparse) > 1:
-            sparse[-1] = (sparse[0][0], sparse[-1][1])
-        for case in (rows, sparse):
-            F = herald_bilinear_matrix(case, n)
-            assert np.allclose(F, _form_from_definition(case, n), rtol=1e-12, atol=1e-12)
-            assert np.all(np.diagonal(F) == 0)
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_minors_match_definition(self, n):
+        F = herald_bilinear_matrix(n)
+        assert np.allclose(F, _form_from_definition(n), rtol=1e-12, atol=1e-12)
+        assert np.all(np.diagonal(F) == 0)
 
     @pytest.mark.parametrize("n", range(2, 15))
     def test_flat_witness_closed_form(self, n):
         """The Glynn contraction of the flat row gives c (J - I) up to the
         permanent limit."""
-        F = herald_bilinear_matrix(default_herald_rows(n), n)
+        F = herald_bilinear_matrix(n)
         k = n - 2
         c = math.factorial(k) * k ** (-k / 2)
         assert np.max(np.abs(F - c * (np.ones((n, n)) - np.eye(n)))) <= 1e-13 * c
@@ -123,29 +105,14 @@ class TestBilinearMatrix:
         built = []
         monkeypatch.setattr(fock, "_glynn_tables", built.append)
         with pytest.raises(TooLarge):
-            herald_bilinear_matrix(default_herald_rows(15), 15)
+            herald_bilinear_matrix(15)
         with pytest.raises(TooLarge):
             synthesize_herald(random_state_of_rank(rng, 4, 3), 15)
         assert built == []
 
-    @pytest.mark.parametrize("zeros", [0, 1, 2])
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_single_row_product_formula(self, rng, n, zeros):
-        """One distinct row h: F_ab = (n-2)! prod_{k not in {a,b}} h_k, against
-        the definition's Laplace minors Per(H without columns a, b), also where
-        h has zero entries."""
-        h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        h[rng.permutation(n)[:zeros]] = 0.0
-        H = np.tile(h, (n - 2, 1))
-        definition = np.zeros((n, n), dtype=complex)
-        for a, b in itertools.combinations(range(n), 2):
-            definition[a, b] = definition[b, a] = permanent_naive(np.delete(H, (a, b), axis=1))
-        F = herald_bilinear_matrix([(h, n - 2)], n)
-        assert np.allclose(F, definition, rtol=1e-12, atol=1e-12 * np.max(np.abs(definition)))
-
     @pytest.mark.parametrize("n", range(2, 15))
     def test_flat_witness_takagi_factors(self, n):
-        F = herald_bilinear_matrix(default_herald_rows(n), n)
+        F = herald_bilinear_matrix(n)
         fac = herald_module._flat_takagi(n)
         c = math.factorial(n - 2) * (n - 2) ** (-(n - 2) / 2)
         assert fac.diagonal[0] == pytest.approx(c * (n - 1), rel=1e-15)
@@ -159,42 +126,6 @@ class TestBilinearMatrix:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
-
-    def test_multiplicity_mismatch(self):
-        with pytest.raises(MultiplicityMismatch):
-            herald_bilinear_matrix([(np.ones(4), 1)], 4)
-
-    def test_negative_multiplicity(self):
-        rows = [(np.ones(4), 2), (np.arange(4), -1)]
-        with pytest.raises(MultiplicityMismatch):
-            herald_bilinear_matrix(rows, 4)
-        with pytest.raises(MultiplicityMismatch):
-            synthesize_herald(BELL, 4, herald_rows=rows)
-
-    def test_zero_multiplicity_rows_dropped(self, rng):
-        """A herald mode that expects vacuum adds nothing: the row is dropped."""
-        target = random_state_of_rank(rng, 5, 4)
-        alone = synthesize_herald(target, 4, herald_rows=[(np.ones(4), 2)])
-        result = synthesize_herald(
-            target, 4, herald_rows=[(np.ones(4), 2), (np.arange(4), 0)]
-        )
-        assert result.herald.signal == (2,)
-        assert result.success_probability == alone.success_probability
-
-    def test_non_finite_row_rejected(self):
-        row = np.ones(4, dtype=complex)
-        row[1] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            synthesize_herald(BELL, 4, herald_rows=[(row, 2)])
-
-    def test_fractional_multiplicity_rejected(self):
-        with pytest.raises(MultiplicityMismatch, match="not an integer"):
-            synthesize_herald(BELL, 4, herald_rows=[(np.ones(4), 2.9)])
-
-    def test_boolean_multiplicity_rejected(self, rng):
-        target = random_state_of_rank(rng, 4, 3)
-        with pytest.raises(MultiplicityMismatch, match="not an integer"):
-            synthesize_herald(target, 3, herald_rows=[(np.ones(3), True)])
 
 
 class TestFeasibility:
@@ -238,18 +169,27 @@ class TestSynthesize:
         assert report.fidelity_vs_target > 1 - 1e-9
         assert result.success_probability > 0
 
-    def test_svd_failure_of_the_dilated_rows_is_a_convergence_failure(self, rng, monkeypatch):
-        """takagi embeds the target when its SVD fails; the SVD of the rows
-        A that are dilated has no fallback, and says so as a
-        ConvergenceFailure rather than a bare LinAlgError (a ValueError)."""
+    def test_readme_bell_pair_probability(self):
+        """The README's Bell pair from 4 photons: sigma_1^2 = 2 + sqrt(2)/6,
+        so p = (2 + sqrt(2)/6)^(-4) / 2 exactly."""
+        bell = from_qudit_target(QuditTarget(np.eye(2) / np.sqrt(2)))
+        result = synthesize_herald(bell, 4)
+        assert result.report.verified
+        assert 0.5 * (2 + math.sqrt(2) / 6) ** -4 == pytest.approx(0.0200130896446016, rel=1e-15)
+        assert result.success_probability == pytest.approx(0.0200130896446016, rel=1e-12)
+
+    def test_failing_svd_leaves_heralding_verified(self, rng, monkeypatch):
+        """takagi embeds the target when its SVD fails, and heralding takes
+        no other SVD, so it still returns a verified circuit."""
 
         def failing_svd(a, *args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         target = random_state_of_rank(rng, 4, 3)
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
-        with pytest.raises(ConvergenceFailure, match="did not converge"):
-            synthesize_herald(target, 4)
+        result = synthesize_herald(target, 4)
+        assert result.report.verified
+        assert result.herald.signal == (2,)
 
     def test_rank_three_infeasible_with_two(self, rng):
         with pytest.raises(InfeasibleRank):
@@ -267,24 +207,18 @@ class TestSynthesize:
                 with pytest.raises(InfeasibleRank):
                     synthesize_herald(target, rank - 1)
 
-    @pytest.mark.parametrize(
-        "m, rank, n, user_row", [(4, 2, 2, False), (5, 4, 4, False), (6, 3, 5, False), (5, 4, 4, True)]
-    )
-    def test_block_is_scale_alpha_times_the_embedded_rows(self, rng, m, rank, n, user_row):
+    @pytest.mark.parametrize("m, rank, n", [(4, 2, 2), (5, 4, 4), (6, 3, 5)])
+    def test_block_is_scale_alpha_times_the_embedded_rows(self, rng, m, rank, n):
         """U's top-left (m + h) x n block is scale_alpha times the embedded
-        rows A = [payload rows; herald rows], with scale_alpha = 1 / sigma_1(A):
-        the herald rows come back scaled, and the block is a contraction of
-        norm 1."""
+        rows A = [payload rows; herald row], with scale_alpha = 1 / sigma_1(A):
+        the flat herald row comes back scaled, and the block is a contraction
+        of norm 1."""
         target = random_state_of_rank(rng, m, rank)
-        rows = None
-        if user_row:
-            rows = [(rng.standard_normal(n) + 1j * rng.standard_normal(n), n - 2)]
-        result = synthesize_herald(target, n, herald_rows=rows)
+        result = synthesize_herald(target, n)
         h = len(result.herald.signal)
         block = result.unitary[: m + h, :n]
-        herald_rows = [vec for vec, _ in (rows or default_herald_rows(n))]
         if h:
-            assert np.max(np.abs(block[m:] - result.scale_alpha * np.array(herald_rows))) <= 1e-12
+            assert np.max(np.abs(block[m:] - result.scale_alpha * _flat_row(n))) <= 1e-12
         assert np.linalg.norm(block, 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_extra_photons_allowed(self, rng):
@@ -293,60 +227,24 @@ class TestSynthesize:
         assert result.herald.signal == (2,)
         assert result.report.fidelity_vs_target > 1 - 1e-9
 
-    def test_degenerate_user_rows_fall_back(self, rng, monkeypatch):
-        """A degenerate multi-row herald's form is built once and rejected;
-        the fallback builds the flat witness's form. Neither evaluates a
-        permanent."""
-        calls = _count_bilinear_calls(monkeypatch)
-        sizes = _count_permanent_calls(monkeypatch)
-        target = random_state_of_rank(rng, 5, 4)
-        # a zero herald row zeroes every minor, so the bilinear form vanishes
-        rows = [(np.zeros(4), 1), (np.ones(4), 1)]
-        result = synthesize_herald(target, 4, herald_rows=rows)
-        assert result.report.fidelity_vs_target > 1 - 1e-9
-        assert result.herald.signal == (2,)
-        m = target.modes
-        assert np.allclose(result.unitary[m, :4] / result.scale_alpha, 1 / np.sqrt(2))
-        assert len(calls) == 2
-        assert sizes == []
-
-    def test_rank_deficient_user_form_falls_back_without_an_svd(self, rng, svds_outside_takagi):
-        """A row with a zero entry k leaves F nonzero only in row and column k
-        (rank 2); that rank is read off F's Takagi diagonal, not an SVD taken
-        outside the Takagi factorization."""
+    def test_no_svd_outside_takagi(self, rng, svds_outside_takagi, monkeypatch):
+        """The target is the only matrix factorized: takagi runs once, on it,
+        and no SVD is taken outside it; the rows are dilated from factors in
+        closed form."""
         shapes = svds_outside_takagi(herald_module)
-        target = random_state_of_rank(rng, 6, 4)
-        row = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        row[0] = 0.0
-        result = synthesize_herald(target, 5, herald_rows=[(row, 3)])
-        assert result.report.verified
-        assert result.herald.signal == (3,)
-        m = target.modes
-        assert np.allclose(result.unitary[m, :5] / result.scale_alpha, 1 / np.sqrt(3))
-        assert (5, 5) not in shapes
+        calls = []
+        recorded = herald_module.takagi
 
-    @pytest.mark.parametrize("user_rows", [False, True])
-    def test_only_svd_is_of_the_embedded_rows(self, rng, svds_outside_takagi, user_rows):
-        """The target's rank is read off its one Takagi factorization, so the
-        only SVD outside takagi is of A, the (m + h) x n rows it dilates."""
-        shapes = svds_outside_takagi(herald_module)
-        target = random_state_of_rank(rng, 6, 4)
-        rows = [(rng.standard_normal(4) + 1j * rng.standard_normal(4), 2)] if user_rows else None
-        result = synthesize_herald(target, 4, herald_rows=rows)
-        assert result.report.verified
-        assert shapes == [(target.modes + result.herald.herald_modes, 4)]
+        def counting(S):
+            calls.append(S)
+            return recorded(S)
 
-    def test_full_rank_user_rows_kept(self, rng, monkeypatch):
-        target = random_state_of_rank(rng, 5, 4)
-        row = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert takagi(herald_bilinear_matrix([(row, 2)], 4)).rank == 4
-        calls = _count_bilinear_calls(monkeypatch)
-        result = synthesize_herald(target, 4, herald_rows=[(row, 2)])
-        assert result.report.fidelity_vs_target > 1 - 1e-9
-        assert result.herald.signal == (2,)
-        m = target.modes
-        assert np.allclose(result.unitary[m, :4] / result.scale_alpha, row, rtol=1e-12, atol=1e-12)
-        assert len(calls) == 1
+        monkeypatch.setattr(herald_module, "takagi", counting)
+        target = random_state_of_rank(rng, 6, 4)
+        result = synthesize_herald(target, 4)
+        assert result.report.verified
+        assert shapes == []
+        assert len(calls) == 1 and calls[0] is target.S
 
     def test_identity_check_skips_zero_rows(self, rng, monkeypatch):
         """Diagonal rows at and above the rank are zero; the identity on the
@@ -376,8 +274,8 @@ class TestSynthesize:
         change of one of its entries (kept symmetric) fails it."""
         original = herald_module.herald_bilinear_matrix
 
-        def perturbed(rows, n):
-            F = original(rows, n)
+        def perturbed(n):
+            F = original(n)
             F[0, 1] = F[1, 0] = F[0, 1] * (1 + 1e-6)
             return F
 
@@ -386,28 +284,81 @@ class TestSynthesize:
             synthesize_herald(random_state_of_rank(rng, 5, 4), 4)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
-    def test_closed_form_matches_factored_form(self, rng, n, monkeypatch):
-        """The default path takes the flat witness's Takagi factors in closed
-        form; passing the same rows explicitly factorizes F. Both must give
-        the same herald probability, since A A^dagger of the embedded rows does
-        not depend on the basis inside F's degenerate eigenspace."""
-        calls = []
-        original = herald_module.takagi
-
-        def counting(S, *args, **kwargs):
-            calls.append(np.shape(S))
-            return original(S, *args, **kwargs)
-
-        monkeypatch.setattr(herald_module, "takagi", counting)
+    def test_closed_form_matches_factored_form(self, rng, n):
+        """The circuit against a reference built from the definitions: F's
+        Takagi factors from takagi, the embedded rows A = [payload; herald]
+        formed and dilated from numpy's SVD. F's degenerate eigenspace leaves
+        the Takagi basis free, which changes A by a unitary on the right, so
+        the block is compared through its Gram B B^dagger; p and unitarity
+        are compared directly."""
         target = random_state_of_rank(rng, n + 1, n)
+        m, h = target.modes, int(n > 2)
+        fac_out, fac_f = takagi(target.S), takagi(herald_bilinear_matrix(n))
+        V_f = fac_f.V
+        if h:
+            # F's top Takagi vector is the flat one up to sign: take the herald row's
+            V_f = V_f * np.sign(V_f[:, 0].sum().real)
+        d = fac_out.diagonal[:n]
+        weights = np.sqrt(math.sqrt(2.0 * math.factorial(n - 2)) * d / fac_f.diagonal)
+        A = fac_out.V[:, :n].conj() @ (weights[:, None] * V_f.T)
+        if h:
+            A = np.vstack([A, _flat_row(n)])
+        u, s, vh = np.linalg.svd(A)
+        reference = unitary_extension(u, s / s[0], vh)
         closed = synthesize_herald(target, n)
-        assert len(calls) == 1
-        factored = synthesize_herald(target, n, herald_rows=default_herald_rows(n))
-        assert len(calls) == 3
-        for result in (closed, factored):
-            assert result.report.fidelity_vs_target > 1 - 1e-9
-            assert result.success_probability > 0
-        assert closed.success_probability == pytest.approx(factored.success_probability, rel=1e-12)
+        for U in (closed.unitary, reference):
+            assert np.linalg.norm(U.conj().T @ U - np.eye(len(U))) <= 1e-13
+        block, ref_block = closed.unitary[: m + h, :n], reference[: m + h, :n]
+        assert np.max(np.abs(block @ block.conj().T - ref_block @ ref_block.conj().T)) <= 1e-12
+        assert closed.scale_alpha == pytest.approx(1.0 / s[0], rel=1e-12)
+        assert closed.success_probability == pytest.approx(0.5 * s[0] ** (-2 * n), rel=1e-12)
+        oracle = extract_heralded(reference, n, closed.herald, m, target=target.S)
+        assert oracle.verified
+        assert oracle.probability == pytest.approx(closed.success_probability, rel=1e-12)
+
+    @pytest.mark.parametrize("spectrum", ["random", "clustered"])
+    @pytest.mark.parametrize("rank", range(1, 15))
+    def test_success_probability_in_closed_form(self, rng, rank, spectrum):
+        """The oracle's p is sigma_1^(-2n) / 2 for sigma read off the target's
+        Takagi values d: w_i^2 = sqrt(2 (n-2)!) d_i / F_i with F's Takagi
+        values (c (n-1), c, ..., c), plus n / (n - 2) on w_0^2 for the herald
+        row."""
+        n = max(rank, 2)
+        if spectrum == "random":
+            target = random_state_of_rank(rng, rank + 1, rank)
+        else:
+            d = np.repeat([1.0, 0.3], [(rank + 1) // 2, rank // 2])
+            V = random_unitary(rng, rank + 2)[:, :rank]
+            target = normalize((V * (d * (1 + 1e-12 * rng.standard_normal(rank)))) @ V.T)
+        k = n - 2
+        c = math.factorial(k) * k ** (-k / 2)
+        form = np.r_[c * (n - 1), np.full(n - 1, c)]
+        sigma2 = math.sqrt(2 * math.factorial(k)) * takagi(target.S).diagonal[:rank] / form[:rank]
+        if k:
+            sigma2[0] += n / k
+        result = synthesize_herald(target, n)
+        assert result.report.verified
+        assert result.success_probability == pytest.approx(0.5 * sigma2.max() ** -n, rel=1e-12)
+
+    def test_unitarity_gate_catches_what_the_oracle_cannot_see(self, rng, monkeypatch):
+        """An auxiliary block off unitarity by 1e-6 leaves every amplitude the
+        oracle reads unchanged, so only the unitarity gate refuses it."""
+        original = herald_module.unitary_extension
+        tampered = []
+
+        def skewed(v1, s, v2h):
+            U = original(v1, s, v2h)
+            U[-1, -1] *= 1 + 1e-6
+            tampered.append(U)
+            return U
+
+        monkeypatch.setattr(herald_module, "unitary_extension", skewed)
+        target = random_state_of_rank(rng, 5, 4)
+        with pytest.raises(VerificationFailure, match="unitarity"):
+            synthesize_herald(target, 4)
+        (U,) = tampered
+        assert np.linalg.norm(U.conj().T @ U - np.eye(len(U))) > DOCUMENT_UNITARITY_TOL
+        assert extract_heralded(U, 4, HeraldPattern(signal=(2,)), target.modes, target=target.S).verified
 
     @pytest.mark.parametrize("spectrum", ["random", "clustered"])
     @pytest.mark.parametrize("rank", [11, 12, 13, 14])
@@ -479,10 +430,3 @@ class TestSynthesize:
             )
             assert good.probability == pytest.approx(result.success_probability)
             assert wrong.fidelity_vs_target < 0.9
-
-
-def test_default_rows_structure():
-    assert default_herald_rows(2) == []
-    (vec, mult), = default_herald_rows(5)
-    assert mult == 3
-    assert np.allclose(vec, 1 / np.sqrt(3))

@@ -17,7 +17,7 @@ from photonprep import (
     takagi,
     unitary_extension,
 )
-from photonprep.herald import default_herald_rows, herald_bilinear_matrix
+from photonprep.herald import herald_bilinear_matrix
 from photonprep import linalg as linalg_module
 from photonprep.linalg import TakagiFactorization, _embedded_takagi, checked_svd
 from photonprep.random_states import (
@@ -170,7 +170,7 @@ def _coupled_families():
     for m in (2, 3, 4, 9):
         cases[f"single-photons-{m}"] = single_photons_state(m).S
     for n in range(2, 15):
-        cases[f"flat-form-{n}"] = herald_bilinear_matrix(default_herald_rows(n), n)
+        cases[f"flat-form-{n}"] = herald_bilinear_matrix(n)
     return cases
 
 

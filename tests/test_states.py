@@ -18,6 +18,7 @@ from photonprep.random_states import (
     random_state_of_rank,
     random_unitary,
 )
+from photonprep.tolerances import ZERO_WEIGHT
 
 
 def bell_target(d):
@@ -83,6 +84,21 @@ class TestNormalize:
     def test_rejects_zero(self):
         with pytest.raises(ZeroState):
             normalize(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("size", [1e200, 1e308])
+    def test_entries_whose_weight_overflows(self, size):
+        """2 ||S||_F^2 overflows for entries above ~1e154 (and S + S^T above
+        ~9e307), but the matrix of equal entries normalizes to 1/sqrt(8) each."""
+        state = normalize(np.full((2, 2), size, dtype=complex))
+        assert np.allclose(state.S, np.full((2, 2), 1 / np.sqrt(8)), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("size", [1e-200, 1e-150, 1e-15])
+    def test_weight_at_or_below_zero_weight_is_zero(self, size):
+        """ZERO_WEIGHT bounds the true weight 2 ||S||_F^2 = 8 size^2 of the
+        all-size 2 x 2 matrix, also where it underflows (8e-400)."""
+        assert 8 * size**2 <= ZERO_WEIGHT
+        with pytest.raises(ZeroState):
+            normalize(np.full((2, 2), size, dtype=complex))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6))
