@@ -20,7 +20,7 @@ import numpy as np
 from . import gates, herald, io, postselect, selftest, verify
 from .exceptions import DocumentError, InfeasibleRank, PhotonPrepError, VerificationFailure
 from .linalg import takagi
-from .verify import HeraldPattern, SynthesisResult
+from .verify import SynthesisResult
 from .states import QuditTarget, TwoPhotonState, normalize, state_rank
 
 EXIT_OK = 0
@@ -111,23 +111,20 @@ def cmd_verify(args) -> int:
     target = decoded["target"]
     out = {"kind": kind}
     if kind == "cnz":
+        p = decoded["success_probability"]
         result = SynthesisResult(
-            unitary=U,
-            aux_modes=decoded["aux_modes"],
-            scale_alpha=1.0,
-            success_probability=decoded["success_probability"],
+            unitary=U, aux_modes=decoded["aux_modes"], scale_alpha=1.0, success_probability=p
         )
         ok = gates.verify_cnz(result, decoded["n"], decoded["phi"])
-        out.update(verified=ok, success_probability=decoded["success_probability"])
+        out.update(verified=ok, success_probability=p)
     else:
         if kind == "postselect":
             d1, d2 = target.shape
             state_in = normalize(decoded["input_state"])
             report = verify.extract_postselected(U, state_in, d1, d2, target=target)
         else:  # herald
-            m = decoded.get("payload_modes", target.shape[0])
-            pattern = decoded["herald"] or HeraldPattern(signal=())
-            report = verify.extract_heralded(U, decoded["photons"], pattern, m, target=target)
+            n, m = decoded["photons"], decoded["payload_modes"]
+            report = verify.extract_heralded(U, n, decoded["herald"], m, target=target)
         ok = report.verified
         out.update(verified=ok, success_probability=report.probability)
         out["fidelity"] = report.fidelity_vs_target

@@ -166,12 +166,3 @@ def evolve_two_photon(U: np.ndarray, S: np.ndarray) -> np.ndarray:
     out = U @ S @ U.T
     return (out + out.T) / 2.0
 
-
-def occupation_basis(modes: int, photons: int):
-    """All occupation vectors of `photons` photons over `modes` modes."""
-    if modes == 1:
-        yield (photons,)
-        return
-    for first in range(photons, -1, -1):
-        for rest in occupation_basis(modes - 1, photons - first):
-            yield (first,) + rest

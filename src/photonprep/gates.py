@@ -71,7 +71,9 @@ def build_cnz(n: int, phi: float) -> tuple[SynthesisResult, CnZSpec]:
     """Interferometer for the n-qubit controlled-phase gate.
 
     Mode layout: modes 0..n-1 are the |1> rails, n..2n-1 the |0> rails,
-    followed by 2n vacuum auxiliaries from the unitary embedding.
+    followed by 2n vacuum auxiliaries from the unitary embedding. A builder:
+    unitary_extension gates the unitarity of the circuit, and its oracle is
+    verify_cnz, which the CLI and selftest run on every gate they report.
     """
     alpha = cnz_alpha(n, phi)
     sigma = _sigma_max(n, alpha)
@@ -90,11 +92,7 @@ def build_cnz(n: int, phi: float) -> tuple[SynthesisResult, CnZSpec]:
     U = unitary_extension(v1, np.r_[np.abs(lam), np.ones(n)] / sigma, v2h)
     spec = CnZSpec(n=n, phi=float(phi), alpha=alpha, p_s=p_s)
     result = SynthesisResult(
-        unitary=U,
-        aux_modes=len(U) - 2 * n,
-        scale_alpha=1.0 / sigma,
-        success_probability=p_s,
-        herald=None,
+        unitary=U, aux_modes=len(U) - 2 * n, scale_alpha=1.0 / sigma, success_probability=p_s
     )
     return result, spec
 

@@ -13,8 +13,8 @@ F itself is built independently, by Glynn's permanent formula with the two
 free rows kept symbolic, one contraction with the package's cached sign
 table. The key permanent identity is checked pre-embedding as the matrix
 identity R F R^T = sqrt(2 s!) diag(d) on the scaled rows R, relative to its
-scale sqrt(2 s!) d_0; the returned unitary is checked for unitarity and the
-final circuit by the Fock oracle.
+scale sqrt(2 s!) d_0. unitary_extension gates the dilation's unitarity, and
+the final circuit meets the Fock oracle's verdict that post-selection shares.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from . import fock, verify
 from .exceptions import InfeasibleRank, TooLarge, VerificationFailure
 from .linalg import TakagiFactorization, takagi, unitary_extension
 from .states import TwoPhotonState, state_rank
-from .tolerances import DOCUMENT_UNITARITY_TOL, IDENTITY_TOL
+from .tolerances import IDENTITY_TOL
 from .verify import HeraldPattern, SynthesisResult
 
 
@@ -107,8 +107,8 @@ def synthesize_herald(state_out: TwoPhotonState, n: int) -> SynthesisResult:
     # formula, so the identity gate below checks one against the other
     F = herald_bilinear_matrix(n)
     fac_f = _flat_takagi(n)
-    signal = (n - 2,) if n > 2 else ()
-    h = len(signal)
+    pattern = HeraldPattern(signal=(n - 2,) if n > 2 else ())
+    h = pattern.herald_modes
     m = state_out.modes
     d = fac_out.diagonal
     scale = math.sqrt(2.0 * math.factorial(n - 2))
@@ -145,24 +145,5 @@ def synthesize_herald(state_out: TwoPhotonState, n: int) -> SynthesisResult:
         v1[m, [0, m]] = sin, cos
     sigma1 = sigma.max()
     U = unitary_extension(v1, sigma / sigma1, fac_f.V.T)
-    defect = np.linalg.norm(U.conj().T @ U - np.eye(len(U)))
-    if not defect <= DOCUMENT_UNITARITY_TOL:
-        raise VerificationFailure(
-            f"circuit off unitarity by {defect:.3e} (tolerance {DOCUMENT_UNITARITY_TOL:.0e})"
-        )
-    pattern = HeraldPattern(signal=signal)
-
     report = verify.extract_heralded(U, n, pattern, m, target=state_out.S)
-    if not report.verified:
-        raise VerificationFailure(f"oracle fidelity {report.fidelity_vs_target} below tolerance")
-    if not report.probability > 0.0:
-        raise VerificationFailure("vanishing herald probability on a feasible target")
-
-    return SynthesisResult(
-        unitary=U,
-        aux_modes=len(U) - m - h,
-        scale_alpha=1.0 / sigma1,
-        success_probability=report.probability,
-        herald=pattern,
-        report=report,
-    )
+    return verify._verified_result(U, 1.0 / sigma1, report, m, pattern)

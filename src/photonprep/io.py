@@ -15,7 +15,8 @@ from typing import Any
 import numpy as np
 
 from .exceptions import DocumentError
-from .verify import HeraldPattern, SynthesisResult
+from .linalg import _gram_defect
+from .verify import HeraldPattern, SynthesisResult, _aux_modes
 from .tolerances import DOCUMENT_UNITARITY_TOL
 
 KINDS = ("postselect", "herald", "cnz")
@@ -127,8 +128,7 @@ def synthesis_from_doc(doc: Any) -> dict[str, Any]:
     unitary = matrix_from_doc(doc.get("unitary"), "unitary")
     if unitary.shape[0] != unitary.shape[1]:
         raise DocumentError(f"unitary: expected a square matrix, got {unitary.shape}", "unitary")
-    defect = np.linalg.norm(unitary.conj().T @ unitary - np.eye(unitary.shape[0]))
-    if not defect <= DOCUMENT_UNITARITY_TOL:
+    if not _gram_defect(unitary) <= DOCUMENT_UNITARITY_TOL:
         raise DocumentError("unitary: matrix is not unitary", "unitary")
     out: dict[str, Any] = {
         "kind": kind,
@@ -149,8 +149,8 @@ def synthesis_from_doc(doc: Any) -> dict[str, Any]:
                 "herald.signal",
             )
         out["herald"] = HeraldPattern(signal=tuple(signal))
-    else:
-        out["herald"] = None
+    else:  # a herald document without one has the empty signal of two photons
+        out["herald"] = HeraldPattern(signal=()) if kind == "herald" else None
     if doc.get("input_state") is not None:
         out["input_state"] = matrix_from_doc(doc["input_state"], "input_state")
     for key, minimum in (("n", 2), ("photons", 2), ("payload_modes", 1)):
@@ -168,6 +168,13 @@ def synthesis_from_doc(doc: Any) -> dict[str, Any]:
     if kind == "cnz":
         if "n" not in out or "phi" not in out:
             raise DocumentError("n/phi: required for cnz documents", "n")
+    else:  # the synthesizers' layout; verify_cnz checks the cnz one
+        shape = out["target"].shape
+        payload = out.setdefault("payload_modes", shape[0]) if kind == "herald" else sum(shape)
+        rows, aux = len(unitary), _aux_modes(len(unitary), payload, out["herald"])
+        if out["aux_modes"] != aux:
+            message = f"{out['aux_modes']}, but {rows} rows leave {aux} past payload and herald"
+            raise DocumentError(f"aux_modes: {message}", "aux_modes")
     return out
 
 

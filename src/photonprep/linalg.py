@@ -1,5 +1,5 @@
 """Dense complex linear algebra: Takagi factorization and rank, a checked SVD,
-unitary dilation.
+a unitary dilation that gates its own output.
 
 All routines work on plain ``numpy`` arrays of dtype complex128. Diagonal
 factors are always returned sorted in descending order so downstream
@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvergenceFailure, NotSymmetric
-from .tolerances import RANK_TOL, SYMMETRY_TOL, TAKAGI_CUT, TAKAGI_RECONSTRUCTION_TOL
+from .exceptions import ConvergenceFailure, NotSymmetric, VerificationFailure
+from .tolerances import (
+    DOCUMENT_UNITARITY_TOL, RANK_TOL, SYMMETRY_TOL, TAKAGI_CUT, TAKAGI_RECONSTRUCTION_TOL
+)
 
 
 @dataclass(frozen=True)
@@ -159,33 +161,49 @@ def checked_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         u, s, vh = np.linalg.svd(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD of a {A.shape} matrix failed: {exc}") from exc
-    for gram in (u.conj().T @ u, vh @ vh.conj().T):
-        gram.flat[:: len(gram) + 1] -= 1.0
-        defect = np.sqrt(np.vdot(gram, gram).real)
-        if not defect <= TAKAGI_CUT * len(gram):
+    for x in (u, vh.conj().T):
+        defect = _gram_defect(x)
+        if not defect <= TAKAGI_CUT * len(x):
             raise ConvergenceFailure(f"singular vectors off unitarity by {defect:.3e}")
     return u, s, vh
 
 
+def _gram_defect(X: np.ndarray) -> float:
+    """||X^† X - I||_F; NaN when X holds non-finite entries or its Gram
+    overflows, so every gate reading it is written `not defect <= tol`."""
+    gram = X.conj().T @ X
+    gram.flat[:: len(gram) + 1] -= 1.0
+    return float(np.sqrt(np.vdot(gram, gram).real))
+
+
 def unitary_extension(v1: np.ndarray, s: np.ndarray, v2h: np.ndarray) -> np.ndarray:
-    """The (m1 + m2)-mode unitary whose top-left block is the contraction
-    B = (v1[:, :r] * s) @ v2h[:r], r = len(s), exactly as given: the Halmos
-    dilation
+    """The (N = m1 + m2)-mode Halmos dilation U = [[B, sqrt(I - B B^†)],
+    [sqrt(I - B^† B), -B^†]] of the contraction B = (a * s) @ b^†, exactly as
+    given, with a = v1[:, :r], b^† = v2h[:r] and r = len(s) <= min(m1, m2).
 
-        U = [[B, sqrt(I - B B^†)], [sqrt(I - B^† B), -B^†]].
+    v1 (m1 x m1) and v2h (m2 x m2) are read only in a and b^†, and s holds
+    values in [0, 1] in any order; anything else raises ValueError. A caller
+    holding a map A of largest singular value sigma_1 passes the factors of
+    A / sigma_1. With g = 1 - sqrt(1 - s^2), taken as s^2 / (1 + sqrt(1 - s^2))
+    without the cancellation, the defect blocks are I - a diag(g) a^† and
+    I - b diag(g) b^†: three products of width r in all. s = 0 gives the swap.
 
-    v1 is m1 x m1 and v2h m2 x m2, but only the r columns a = v1[:, :r] and
-    the r rows b^† = v2h[:r] are read, and only they need to be orthonormal.
-    s holds r <= min(m1, m2) values in [0, 1], in any order; anything else
-    raises ValueError. A caller holding a matrix A of largest singular value
-    sigma_1 passes B = A / sigma_1 as its factors, v1, s / sigma_1, v2h.
-    With g = 1 - sqrt(1 - s^2), taken as s^2 / (1 + sqrt(1 - s^2)) without
-    the cancellation, the defect blocks are
-
-        sqrt(I - B B^†) = I - a diag(g) a^†,  sqrt(I - B^† B) = I - b diag(g) b^†,
-
-    three products of width r in all, and the bottom-right block is -B^†.
-    The zero contraction gives the swap [[0, I], [I, 0]].
+    The output is gated at factor width. With E_a = a^† a - I, E_b = b^† b - I,
+    S = diag(s), G = diag(g) and g^2 - 2g + s^2 = 0, the blocks of U^† U - I
+    are b (S E_a S + G E_b G) b^†, b (G E_b S - S E_a G) a^†, its adjoint and
+    a (G E_a G + S E_b S) a^†. As s and g lie in [0, 1] and
+    ||a||_2^2 <= 1 + ||E_a||_F, each is at most e (1 + e) in Frobenius norm,
+    e = ||E_a||_F + ||E_b||_F, so ||U^† U - I||_F <= 2 e (1 + e). Rounding
+    (u = eps / 2, gamma_k = k u / (1 - k u)) adds 3u sqrt(2r) (1 + e), since
+    g misses g^2 - 2g + s^2 = 0 by up to 3u; (2 + c) d + d^2, c the bound so
+    far, since U's entries, complex inner products of length r scaled by s or
+    g plus 1 on the defect diagonals, lie within d = 2 gamma_{r+3} (5r +
+    sqrt(N)) (1 + e) of exact in Frobenius norm; and twice the understatement
+    of e by the floating-point Grams, (2 gamma_{N+2} r + u sqrt(r)) (1 + e)
+    per factor plus the norm's rounding. For e within DOCUMENT_UNITARITY_TOL
+    these sum to less than rho = 32 gamma_{N+3} (r + sqrt(N)), and a bound
+    2 e (1 + e) + rho above DOCUMENT_UNITARITY_TOL, or NaN, raises
+    VerificationFailure.
     """
     v1 = np.asarray(v1, dtype=complex)
     v2h = np.asarray(v2h, dtype=complex)
@@ -199,9 +217,15 @@ def unitary_extension(v1: np.ndarray, s: np.ndarray, v2h: np.ndarray) -> np.ndar
         raise ValueError("singular values of a contraction must lie in [0, 1]")
     r = len(s)
     a, bh = v1[:, :r], v2h[:r]
+    N = m1 + m2
+    e = _gram_defect(a) + _gram_defect(bh.conj().T)
+    u, k = np.finfo(float).eps / 2.0, N + 3
+    bound = 2.0 * e * (1.0 + e) + 32 * k * u / (1.0 - k * u) * (r + np.sqrt(N))
+    if not bound <= DOCUMENT_UNITARITY_TOL:
+        message = f"factors off orthonormality by {e:.3e} allow a unitarity defect of {bound:.3e}"
+        raise VerificationFailure(f"{message} (tolerance {DOCUMENT_UNITARITY_TOL:.0e})")
     g = s**2 / (1.0 + np.sqrt(1.0 - s**2))
 
-    N = m1 + m2
     U = np.empty((N, N), dtype=complex)
     B = (a * s) @ bh
     U[:m1, :m2] = B

@@ -18,7 +18,6 @@ from .exceptions import InfeasibleRank, VerificationFailure
 from .linalg import TakagiFactorization, checked_svd, takagi, unitary_extension
 from .states import QuditTarget, TwoPhotonState, normalize, state_rank
 from .tolerances import MODE_MAP_TOL, TAKAGI_CUT
-from .verify import SynthesisResult
 
 
 def feasible_postselect(state_in: TwoPhotonState, target: QuditTarget) -> bool:
@@ -76,7 +75,7 @@ def _mode_map_residual(
     return float(np.linalg.norm(Y @ Z @ Y.T - s_ps.S))
 
 
-def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> SynthesisResult:
+def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> verify.SynthesisResult:
     """Construct a unitary preparing the target C from the input state.
 
     Returns a circuit over m_in + d1 + d2 modes whose post-selected
@@ -108,18 +107,5 @@ def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> Synt
         )
     sigma1 = lam.max()
     U = unitary_extension(v1, lam / sigma1, v2h)
-
     report = verify.extract_postselected(U, state_in, d1, d2, target=target.C)
-    if not report.verified:
-        raise VerificationFailure(f"oracle fidelity {report.fidelity_vs_target} below tolerance")
-    if not report.probability > 0.0:
-        raise VerificationFailure("vanishing success probability on a feasible target")
-
-    return SynthesisResult(
-        unitary=U,
-        aux_modes=len(U) - (d1 + d2),
-        scale_alpha=1.0 / sigma1,
-        success_probability=report.probability,
-        herald=None,
-        report=report,
-    )
+    return verify._verified_result(U, 1.0 / sigma1, report, d1 + d2, None)

@@ -62,8 +62,8 @@ def criterion_cnz_family(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
 def criterion_theorem1_iff(seed: int = DEFAULT_SEED, trials: int = 200) -> tuple[bool, str]:
     """Post-selected synthesis succeeds exactly when rank(C) <= rank(S_in).
 
-    The synthesizer gates each circuit on its oracle (fidelity above
-    1 - VERIFY_TOL, p > 0) and raises VerificationFailure otherwise.
+    Every circuit returned passed the synthesizers' verdict (fidelity above
+    1 - VERIFY_TOL, p > 0); VerificationFailure otherwise.
     """
     rng = np.random.default_rng(seed)
     failures = []
@@ -95,11 +95,8 @@ def criterion_theorem1_iff(seed: int = DEFAULT_SEED, trials: int = 200) -> tuple
 
 
 def criterion_theorem2_iff(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
-    """Heralded synthesis succeeds at n = rank and fails at n = rank - 1.
-
-    The synthesizer gates each circuit on its oracle (fidelity above
-    1 - VERIFY_TOL, p > 0) and raises VerificationFailure otherwise.
-    """
+    """Heralded synthesis succeeds at n = rank and fails at n = rank - 1,
+    with the same verdict as criterion_theorem1_iff."""
     rng = np.random.default_rng(seed + 1)
     failures = []
     cases = []

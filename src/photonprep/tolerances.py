@@ -47,11 +47,9 @@ CNZ_AMPLITUDE_TOL          1e-9   absolute           verify_cnz: every truth-tab
                                                      within it of the ideal gate's
 CNZ_ZERO_BASE              1e-12  absolute           cnz_alpha: |e^{i phi} - 1| below it means
                                                      phi = 0 (mod 2 pi) within roundoff
-DOCUMENT_UNITARITY_TOL     1e-8   absolute           io: ||U^† U - I||_F of a synthesis
-                                                     document's unitary within it.
-                                                     synthesize_herald: the same bound on
-                                                     the unitary it returns, before the
-                                                     oracle, else VerificationFailure
+DOCUMENT_UNITARITY_TOL     1e-8   absolute           unitary_extension: factor-width bound
+                                                     implying ||U^† U - I||_F <= tol, every
+                                                     construction; io: documents
 =========================  =====  =================  ===========================================
 
 s! is the product of the herald signal's factorials, d_0 the target's

@@ -1,5 +1,5 @@
-"""Independent verification oracle for synthesized circuits, and the
-result types the synthesizers return.
+"""Independent verification oracle for synthesized circuits, the result
+types the synthesizers return, and the one verdict they return them by.
 
 Everything here goes through the permanent-based Fock amplitudes or the
 matrix conjugation rule, never through a synthesizer's own bookkeeping.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .exceptions import DimensionMismatch, SignalMismatch, ZeroState
+from .exceptions import DimensionMismatch, SignalMismatch, VerificationFailure, ZeroState
 from .states import TwoPhotonState, normalize
 from .tolerances import VERIFY_TOL
 
@@ -63,14 +63,14 @@ class ExtractionReport:
 class SynthesisResult:
     """Interferometer produced by a synthesizer.
 
-    ``unitary`` acts on all modes (payload, herald if any, then vacuum
-    auxiliaries). ``scale_alpha`` is the positive factor by which the
-    unitary's top-left block differs from the construction's mode map: every
-    construction divides its map by its largest singular value sigma_1 and
-    dilates that contraction, so ``scale_alpha`` = 1 / sigma_1 of the
-    embedded rows (herald) or of the mode map (postselect, ``build_cnz``).
-    ``report`` is the oracle report on the final circuit that both
-    synthesizers gate on; ``build_cnz`` and decoded documents leave it None.
+    ``unitary`` acts on all modes: payload, herald if any, then ``aux_modes``
+    vacuum auxiliaries. Every construction dilates its mode map divided by its
+    largest singular value sigma_1 with unitary_extension, which gates its
+    unitarity, so the top-left block is ``scale_alpha`` = 1 / sigma_1 times the
+    embedded rows (herald) or the mode map (postselect, ``build_cnz``).
+    ``report`` is the oracle report of the synthesizers' one verdict,
+    _verified_result; ``build_cnz`` (oracle: ``verify_cnz``) and decoded
+    documents leave it None.
     """
 
     unitary: np.ndarray
@@ -79,6 +79,25 @@ class SynthesisResult:
     success_probability: float
     herald: HeraldPattern | None = None
     report: ExtractionReport | None = None
+
+
+def _aux_modes(modes: int, payload: int, herald: HeraldPattern | None) -> int:
+    """The layout rule: modes beyond the payload and herald are vacuum auxiliaries."""
+    return modes - payload - (herald.herald_modes if herald is not None else 0)
+
+
+def _verified_result(
+    U: np.ndarray, scale_alpha: float, report: ExtractionReport, payload: int,
+    herald: HeraldPattern | None,
+) -> SynthesisResult:
+    """The one verdict of both synthesizers: U, when its oracle report
+    verifies with a positive probability; else VerificationFailure."""
+    if not report.verified:
+        raise VerificationFailure(f"oracle fidelity {report.fidelity_vs_target} below tolerance")
+    if not report.probability > 0.0:
+        raise VerificationFailure("vanishing success probability on a feasible target")
+    aux_modes = _aux_modes(len(U), payload, herald)
+    return SynthesisResult(U, aux_modes, scale_alpha, report.probability, herald, report)
 
 
 def fidelity(S1: np.ndarray, S2: np.ndarray) -> float:

@@ -22,6 +22,16 @@ def _definition_amplitude(U, k, ell) -> complex:
     return permanent_naive(np.asarray(U)[np.ix_(rows, cols)]) / math.sqrt(norm)
 
 
+def _occupation_basis(modes: int, photons: int):
+    """All occupation vectors of `photons` photons over `modes` modes."""
+    if modes == 1:
+        yield (photons,)
+        return
+    for first in range(photons, -1, -1):
+        for rest in _occupation_basis(modes - 1, photons - first):
+            yield (first,) + rest
+
+
 def _definition_rank(M) -> int:
     """Rank from the definition: the singular values of M above RANK_TOL
     times the largest, by an SVD independent of any Takagi factorization."""
@@ -68,3 +78,8 @@ def definition_amplitude():
 @pytest.fixture
 def definition_rank():
     return _definition_rank
+
+
+@pytest.fixture
+def occupation_basis():
+    return _occupation_basis

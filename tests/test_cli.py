@@ -249,6 +249,9 @@ class TestVerifyRejectsMalformedHeraldDocument:
             ("payload_modes", "4"),
             ("payload_modes", 4.5),
             ("payload_modes", True),
+            # 4 payload + 1 herald + 4 auxiliary modes
+            ("aux_modes", 0),
+            ("aux_modes", 42),
         ],
     )
     def test_malformed_input_exit_code(self, bell_doc, capsys, field, value):
@@ -290,8 +293,9 @@ class TestSynthPostselect:
         assert verdict["verified"] is True
         assert verdict["fidelity"] > 1 - 1e-9
 
-    def test_circuit_over_input_plus_register_modes(self, tmp_path, capsys):
-        """A 5-mode input and a 2 x 2 target give a 5 + 2 + 2 = 9 mode circuit."""
+    @pytest.fixture
+    def ps_doc(self, tmp_path, capsys):
+        """A 5-mode input and a 2 x 2 target: a 5 + 2 + 2 = 9 mode circuit."""
         state = write_matrix(
             tmp_path / "in.json", random_state_of_rank(np.random.default_rng(5), 5, 3).S
         )
@@ -300,9 +304,24 @@ class TestSynthPostselect:
         out = tmp_path / "synth.json"
         assert main(["synth-postselect", "--state", state, "--target", target,
                      "--output", str(out)]) == 0
-        assert json.loads(out.read_text())["unitary"]["rows"] == 9
-        assert main(["verify", "--input", str(out)]) == 0
+        capsys.readouterr()
+        return out
+
+    def test_circuit_over_input_plus_register_modes(self, ps_doc, capsys):
+        doc = json.loads(ps_doc.read_text())
+        assert (doc["unitary"]["rows"], doc["aux_modes"]) == (9, 5)
+        assert main(["verify", "--input", str(ps_doc)]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
+
+    @pytest.mark.parametrize("value", [0, 3, 99])
+    def test_verify_of_an_edited_aux_mode_count_is_an_input_error(self, ps_doc, capsys, value):
+        """aux_modes must be the rows beyond the d1 + d2 register modes."""
+        doc = json.loads(ps_doc.read_text())
+        doc["aux_modes"] = value
+        ps_doc.write_text(json.dumps(doc))
+        assert main(["verify", "--input", str(ps_doc)]) == 2
+        err = capsys.readouterr().err
+        assert "aux_modes" in err and "9 rows leave 5 past payload and herald" in err
 
     def test_infeasible(self, tmp_path, capsys):
         state = tmp_path / "in.json"

@@ -21,7 +21,7 @@ from photonprep import (
     normalize,
     permanent,
 )
-from photonprep.fock import occupation_basis, permanent_naive
+from photonprep.fock import permanent_naive
 from photonprep.random_states import random_complex_symmetric, random_unitary
 
 SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -172,7 +172,7 @@ class TestStackedPermanent:
 
 
 class TestBatchedAmplitude:
-    def test_matches_definition_with_bunching(self, rng, definition_amplitude):
+    def test_matches_definition_with_bunching(self, rng, definition_amplitude, occupation_basis):
         # 3 photons in 4 modes: every pair of the 20 occupations, k_i up to 3
         m, n = 4, 3
         U = random_unitary(rng, m)
@@ -192,7 +192,7 @@ class TestBatchedAmplitude:
         assert np.max(np.abs(batch - [amplitude(U, k, ell) for k in ks])) <= 1e-14
         assert type(amplitude(U, ks[0], ell)) is complex
 
-    def test_batch_larger_than_one_chunk(self, rng):
+    def test_batch_larger_than_one_chunk(self, rng, occupation_basis):
         # 8 photons in 4 modes: 165 outputs, more than one chunk of 8x8
         # permanents; the induced map is unitary, so their weights sum to 1
         m, n = 4, 8
@@ -205,7 +205,7 @@ class TestBatchedAmplitude:
         single = [amplitude(U, k, ell) for k in basis]
         assert np.max(np.abs(batch - single)) <= 1e-12
 
-    def test_leading_shapes_broadcast(self, rng):
+    def test_leading_shapes_broadcast(self, rng, occupation_basis):
         U = random_unitary(rng, 3)
         ks = np.array(list(occupation_basis(3, 2)))
         out = amplitude(U, ks[:, None, None, :], ks[None, None, :, :])
@@ -285,7 +285,7 @@ class TestAmplitude:
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("n", [2, 3])
-    def test_unitarity_of_induced_map(self, rng, m, n):
+    def test_unitarity_of_induced_map(self, rng, m, n, occupation_basis):
         U = random_unitary(rng, m)
         ell = tuple([1] * n + [0] * (m - n)) if n <= m else None
         if ell is None:
@@ -342,7 +342,7 @@ class TestEvolveTwoPhoton:
             evolve_two_photon(np.ones(u_shape), np.ones(s_shape))
 
 
-def test_amplitude_agrees_with_matrix_conjugation(rng):
+def test_amplitude_agrees_with_matrix_conjugation(rng, occupation_basis):
     """Two independent pathways to the evolved two-photon coefficients."""
     m = 4
     U = random_unitary(rng, m)

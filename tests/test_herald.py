@@ -10,21 +10,28 @@ from photonprep import (
     QuditTarget,
     TooLarge,
     VerificationFailure,
+    build_cnz,
     extract_heralded,
+    extract_postselected,
     feasible_herald,
     from_qudit_target,
     herald_bilinear_matrix,
     normalize,
     permanent,
     synthesize_herald,
+    synthesize_postselect,
     takagi,
     unitary_extension,
+    verify_cnz,
 )
 from photonprep import fock
+from photonprep import gates as gates_module
 from photonprep import herald as herald_module
+from photonprep import linalg as linalg_module
+from photonprep import postselect as postselect_module
 from photonprep.fock import permanent_naive
 from photonprep.linalg import TakagiFactorization
-from photonprep.random_states import random_state_of_rank, random_unitary
+from photonprep.random_states import random_state_of_rank, random_target_of_rank, random_unitary
 from photonprep.selftest import _circuit_identity_error
 from photonprep.tolerances import DOCUMENT_UNITARITY_TOL, IDENTITY_TOL, RANK_TOL
 from photonprep.verify import HeraldPattern
@@ -34,6 +41,22 @@ BELL = normalize(
         [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex
     )
 )
+
+
+def _build_and_check(construction):
+    """A circuit of the construction, and its oracle's verdict on it."""
+    rng = np.random.default_rng(5)
+    if construction == "herald":
+        target = random_state_of_rank(rng, 5, 4)
+        result = synthesize_herald(target, 4)
+        report = extract_heralded(result.unitary, 4, result.herald, target.modes, target=target.S)
+        return result, report.verified
+    if construction == "postselect":
+        state, target = random_state_of_rank(rng, 5, 3), random_target_of_rank(rng, 2, 3, 2)
+        result = synthesize_postselect(state, target)
+        return result, extract_postselected(result.unitary, state, 2, 3, target=target.C).verified
+    result, _ = build_cnz(3, np.pi / 2)
+    return result, verify_cnz(result, 3, np.pi / 2)
 
 
 def _flat_row(n):
@@ -340,25 +363,31 @@ class TestSynthesize:
         assert result.report.verified
         assert result.success_probability == pytest.approx(0.5 * sigma2.max() ** -n, rel=1e-12)
 
-    def test_unitarity_gate_catches_what_the_oracle_cannot_see(self, rng, monkeypatch):
-        """An auxiliary block off unitarity by 1e-6 leaves every amplitude the
-        oracle reads unchanged, so only the unitarity gate refuses it."""
-        original = herald_module.unitary_extension
-        tampered = []
+    @pytest.mark.parametrize("construction", ["herald", "postselect", "cnz"])
+    def test_unitarity_gate_catches_what_the_oracle_cannot_see(self, monkeypatch, construction):
+        """Column 0 of the first factor scaled by 1 + 1e-6, and s[0] divided by
+        the same, leave the block every oracle reads unchanged to rounding but
+        put the dilation off unitarity by ~4e-6. With unitary_extension's gate
+        lifted, the oracle passes the circuit; with it, every construction
+        refuses it."""
+        module = {"herald": herald_module, "postselect": postselect_module, "cnz": gates_module}
+        original = module[construction].unitary_extension
 
         def skewed(v1, s, v2h):
-            U = original(v1, s, v2h)
-            U[-1, -1] *= 1 + 1e-6
-            tampered.append(U)
-            return U
+            v1, s = np.array(v1, dtype=complex), np.array(s, dtype=float)
+            v1[:, 0] *= 1 + 1e-6
+            s[0] /= 1 + 1e-6
+            return original(v1, s, v2h)
 
-        monkeypatch.setattr(herald_module, "unitary_extension", skewed)
-        target = random_state_of_rank(rng, 5, 4)
-        with pytest.raises(VerificationFailure, match="unitarity"):
-            synthesize_herald(target, 4)
-        (U,) = tampered
+        monkeypatch.setattr(module[construction], "unitary_extension", skewed)
+        with monkeypatch.context() as lifted:
+            lifted.setattr(linalg_module, "DOCUMENT_UNITARITY_TOL", np.inf)
+            result, oracle_passes = _build_and_check(construction)
+        U = result.unitary
         assert np.linalg.norm(U.conj().T @ U - np.eye(len(U))) > DOCUMENT_UNITARITY_TOL
-        assert extract_heralded(U, 4, HeraldPattern(signal=(2,)), target.modes, target=target.S).verified
+        assert oracle_passes
+        with pytest.raises(VerificationFailure, match="unitarity"):
+            _build_and_check(construction)
 
     @pytest.mark.parametrize("spectrum", ["random", "clustered"])
     @pytest.mark.parametrize("rank", [11, 12, 13, 14])

@@ -155,6 +155,27 @@ class TestIntegerFields:
             synthesis_from_doc(herald_doc)
         assert err.value.field == field
 
+    @pytest.mark.parametrize("value", [0, 3, 5, 42])
+    def test_herald_aux_modes_must_fit_the_layout(self, herald_doc, value):
+        """4 payload + 1 herald + 4 auxiliary modes: only 4 is consistent."""
+        herald_doc["aux_modes"] = value
+        with pytest.raises(DocumentError) as err:
+            synthesis_from_doc(herald_doc)
+        assert err.value.field == "aux_modes"
+
+    def test_herald_document_without_a_herald_has_the_empty_signal(self):
+        """Two photons need no herald mode: a null herald decodes as the
+        empty signal, and the 3 + 0 + 2 layout holds."""
+        state = normalize(np.diag([1.0, 1.0, 0.0]).astype(complex))
+        doc = synthesis_to_doc(synthesize_herald(state, 2), "herald", state.S, photons=2)
+        doc["herald"] = None
+        decoded = synthesis_from_doc(doc)
+        assert decoded["herald"].signal == () and decoded["payload_modes"] == 3
+
+    def test_payload_modes_default_to_the_target(self, herald_doc):
+        del herald_doc["payload_modes"]
+        assert synthesis_from_doc(herald_doc)["payload_modes"] == 4
+
     @pytest.mark.parametrize("signal", [[0], [2, -1], None])
     def test_signal_rejects(self, herald_doc, signal):
         herald_doc["herald"]["signal"] = signal

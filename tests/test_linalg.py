@@ -13,6 +13,7 @@ import photonprep
 from photonprep import (
     ConvergenceFailure,
     NotSymmetric,
+    VerificationFailure,
     state_rank,
     takagi,
     unitary_extension,
@@ -26,7 +27,7 @@ from photonprep.random_states import (
     random_unitary,
 )
 from photonprep.states import from_qudit_target, normalize, single_photons_state
-from photonprep.tolerances import RANK_TOL, TAKAGI_CUT
+from photonprep.tolerances import DOCUMENT_UNITARITY_TOL, RANK_TOL, TAKAGI_CUT
 
 PACKAGE = Path(photonprep.__file__).parent
 
@@ -256,6 +257,13 @@ class TestTakagiAgainstEmbedding:
         assert np.linalg.norm(fac.V.T @ S @ fac.V - fac.D) <= 1e-10
 
 
+def _rounding(r, N):
+    """unitary_extension's rounding term rho = 32 gamma_{N+3} (r + sqrt(N)),
+    gamma_k = k u / (1 - k u) with u = eps / 2, as its docstring derives it."""
+    u, k = np.finfo(float).eps / 2, N + 3
+    return 32 * k * u / (1 - k * u) * (r + np.sqrt(N))
+
+
 def _contraction(A):
     """The factors of A / sigma_1(A), as the constructions pass them."""
     v1, s, v2h = np.linalg.svd(A)
@@ -435,6 +443,57 @@ class TestUnitaryExtension:
         assert len(U) == m1 + m2
         assert _is_unitary(U)
         assert np.linalg.norm(U[:m1, :m2] - A / np.linalg.norm(A, 2)) < 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m1=st.integers(2, 39),
+        m2=st.integers(2, 39),
+        exponent=st.floats(-14.0, -4.0),
+    )
+    def test_defect_within_the_factor_width_bound(self, seed, m1, m2, exponent):
+        """Orthonormal factors perturbed by 10^exponent, s with an exact 1 and
+        an exact 0: ||U^† U - I||_F <= 2 e (1 + e) + rho, with
+        e = ||a^† a - I||_F + ||b^† b - I||_F taken here from the factors.
+        The gate is lifted, so factors it would refuse are dilated too."""
+        gen = np.random.default_rng(seed)
+        r = int(gen.integers(2, min(m1, m2) + 1))
+        s = gen.uniform(0.0, 1.0, r)
+        s[0], s[-1] = 1.0, 0.0
+        noise = 10.0**exponent * (gen.standard_normal((2, 39, 39)) + 1j * gen.standard_normal((2, 39, 39)))
+        v1 = random_unitary(gen, m1) + noise[0, :m1, :m1]
+        v2h = random_unitary(gen, m2) + noise[1, :m2, :m2]
+        with pytest.MonkeyPatch.context() as lifted:
+            lifted.setattr(linalg_module, "DOCUMENT_UNITARITY_TOL", np.inf)
+            U = unitary_extension(v1, s, v2h)
+        a, b = v1[:, :r], v2h[:r].conj().T
+        e = np.linalg.norm(a.conj().T @ a - np.eye(r)) + np.linalg.norm(b.conj().T @ b - np.eye(r))
+        N = m1 + m2
+        assert np.linalg.norm(U.conj().T @ U - np.eye(N)) <= 2 * e * (1 + e) + _rounding(r, N)
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_gate_boundary(self, side):
+        """Column 0 of a scaled so that ||a^† a - I||_F = e puts the bound
+        2 e (1 + e) + rho a relative 1e-6 inside (side -1, accepted) or
+        outside (side 1, refused) DOCUMENT_UNITARITY_TOL. That margin is
+        below rho, so a gate without the rounding term would accept both.
+        With s_0 = g_0 = 1 the defect is e (2 + e): the bound is tight."""
+        m1, m2, r = 5, 3, 3
+        rho = _rounding(r, m1 + m2)
+        assert DOCUMENT_UNITARITY_TOL * 1e-6 < rho
+        X = (DOCUMENT_UNITARITY_TOL - rho) * (1 + side * 1e-6)
+        e = X / (1 + np.sqrt(1 + 2 * X))  # 2 e (1 + e) = X
+        v1 = np.eye(m1, dtype=complex)
+        v1[:, 0] *= np.sqrt(1 + e)
+        s = np.array([1.0, 0.5, 0.0])
+        if side > 0:
+            with pytest.raises(VerificationFailure, match="unitarity"):
+                unitary_extension(v1, s, np.eye(m2))
+            return
+        U = unitary_extension(v1, s, np.eye(m2))
+        defect = np.linalg.norm(U.conj().T @ U - np.eye(m1 + m2))
+        assert defect == pytest.approx(e * (2 + e), rel=1e-6)
+        assert defect <= DOCUMENT_UNITARITY_TOL
 
 
 class TestCheckedSvd:

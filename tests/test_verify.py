@@ -13,7 +13,7 @@ from photonprep import (
     synthesize_herald,
     synthesize_postselect,
 )
-from photonprep.fock import occupation_basis, permanent_naive
+from photonprep.fock import permanent_naive
 from photonprep.random_states import (
     random_complex_symmetric,
     random_state_of_rank,
@@ -72,7 +72,7 @@ class TestExtractPostselected:
         state = TwoPhotonState(np.pad(single_photons_state(2).S, (0, 2)))
         assert extract_postselected(U, state, 1, 1).probability == pytest.approx(0.0)
 
-    def test_agrees_with_amplitude_pathway(self, rng):
+    def test_agrees_with_amplitude_pathway(self, rng, occupation_basis):
         """Matrix conjugation vs per-outcome permanent amplitudes."""
         m = 4
         state = normalize(random_complex_symmetric(rng, m))
@@ -202,7 +202,7 @@ class TestExtractHeralded:
         )
         assert report.fidelity_vs_target > 1 - 1e-9
 
-    def test_probability_mass_partition(self, rng):
+    def test_probability_mass_partition(self, rng, occupation_basis):
         """Herald probability plus all other outcome mass sums to one."""
         target = random_state_of_rank(rng, 3, 2)
         result = synthesize_herald(target, 3)  # 3 payload + 1 herald + 3 aux
