@@ -43,10 +43,13 @@ def _load_state(path: str) -> TwoPhotonState:
 
 def _load_target(path: str) -> QuditTarget:
     C = _load_matrix(path, "target")
-    norm = np.linalg.norm(C)
-    if norm == 0:
+    # scaled by its largest entry first, as normalize does, so the norm
+    # neither overflows nor underflows
+    peak = np.max(np.abs(C), initial=0.0)
+    if peak == 0:
         raise DocumentError("target: zero matrix", "target")
-    return QuditTarget(C / norm)
+    C = C / peak
+    return QuditTarget(C / np.linalg.norm(C))
 
 
 def cmd_rank(args) -> int:

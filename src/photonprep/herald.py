@@ -116,7 +116,8 @@ def synthesize_herald(state_out: TwoPhotonState, n: int) -> SynthesisResult:
     # rows diagonalizing the permanent form, scaled to the target weights:
     # Per(row_i, row_j, herald) = sqrt(2 * s!) * d_i * delta_ij, for i, j < rank
     weights = np.sqrt(scale * d[:rank] / fac_f.diagonal[:rank])
-    R = weights[:, None] * fac_f.V[:, :rank].T
+    bh = fac_f.V[:, :rank].T
+    R = weights[:, None] * bh
 
     # Per(x, y, H) = x^T F y, so the identity for all pairs is one matrix product
     deviation = R @ F @ R.T - np.diag(scale * d[:rank])
@@ -127,23 +128,21 @@ def synthesize_herald(state_out: TwoPhotonState, n: int) -> SynthesisResult:
             f"relative to sqrt(2 s!) d_0 (tolerance {IDENTITY_TOL:.0e})"
         )
 
-    # The dilated rows A = [conj(V_out) R; herald row] factor as A = L V_F^T:
+    # The dilated rows A = [conj(V_out) R; herald row] factor as A = L bh:
     # the herald row is sqrt(n / (n - 2)) times V_F[:, 0]^T, the flat vector,
     # so L = [conj(V_out) diag(w); sqrt(n / (n - 2)) e_0^T]. L's columns are
-    # orthogonal, so their norms are A's singular values, and rotating
-    # column 0 of [[conj(V_out), 0], [0, 1]] into the herald mode gives its
-    # left singular vectors.
+    # orthogonal, so their norms sigma are A's singular values and L / sigma
+    # is a: conj(V_out)'s first rank columns, column 0 rotated into the
+    # herald mode.
     sigma = weights.copy()
-    v1 = np.zeros((m + h, m + h), dtype=complex)
-    v1[:m, :m] = fac_out.V.conj()
+    a = np.zeros((m + h, rank), dtype=complex)
+    a[:m] = fac_out.V[:, :rank].conj()
     if h:
         herald_norm = math.sqrt(n / (n - 2))
         sigma[0] = math.hypot(weights[0], herald_norm)
-        cos, sin = weights[0] / sigma[0], herald_norm / sigma[0]
-        v1[:, m] = -sin * v1[:, 0]
-        v1[:, 0] *= cos
-        v1[m, [0, m]] = sin, cos
+        a[:, 0] *= weights[0] / sigma[0]
+        a[m, 0] = herald_norm / sigma[0]
     sigma1 = sigma.max()
-    U = unitary_extension(v1, sigma / sigma1, fac_f.V.T)
+    U = unitary_extension(a, sigma / sigma1, bh)
     report = verify.extract_heralded(U, n, pattern, m, target=state_out.S)
     return verify._verified_result(U, 1.0 / sigma1, report, m, pattern)

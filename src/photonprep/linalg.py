@@ -176,16 +176,16 @@ def _gram_defect(X: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(gram, gram).real))
 
 
-def unitary_extension(v1: np.ndarray, s: np.ndarray, v2h: np.ndarray) -> np.ndarray:
+def unitary_extension(a: np.ndarray, s: np.ndarray, bh: np.ndarray) -> np.ndarray:
     """The (N = m1 + m2)-mode Halmos dilation U = [[B, sqrt(I - B B^†)],
     [sqrt(I - B^† B), -B^†]] of the contraction B = (a * s) @ b^†, exactly as
-    given, with a = v1[:, :r], b^† = v2h[:r] and r = len(s) <= min(m1, m2).
-
-    v1 (m1 x m1) and v2h (m2 x m2) are read only in a and b^†, and s holds
-    values in [0, 1] in any order; anything else raises ValueError. A caller
-    holding a map A of largest singular value sigma_1 passes the factors of
-    A / sigma_1. With g = 1 - sqrt(1 - s^2), taken as s^2 / (1 + sqrt(1 - s^2))
-    without the cancellation, the defect blocks are I - a diag(g) a^† and
+    given, from its reduced SVD: a (m1 x r), s (r values in [0, 1], any
+    order) and bh = b^† (r x m2), with r <= min(m1, m2), as
+    np.linalg.svd(B, full_matrices=False) returns them. Any other shape, or
+    a value of s outside [0, 1], raises ValueError. A caller holding a map A
+    of largest singular value sigma_1 passes the factors of A / sigma_1.
+    With g = 1 - sqrt(1 - s^2), taken as s^2 / (1 + sqrt(1 - s^2)) without
+    the cancellation, the defect blocks are I - a diag(g) a^† and
     I - b diag(g) b^†: three products of width r in all. s = 0 gives the swap.
 
     The output is gated at factor width. With E_a = a^† a - I, E_b = b^† b - I,
@@ -205,18 +205,17 @@ def unitary_extension(v1: np.ndarray, s: np.ndarray, v2h: np.ndarray) -> np.ndar
     2 e (1 + e) + rho above DOCUMENT_UNITARITY_TOL, or NaN, raises
     VerificationFailure.
     """
-    v1 = np.asarray(v1, dtype=complex)
-    v2h = np.asarray(v2h, dtype=complex)
+    a = np.asarray(a, dtype=complex)
+    bh = np.asarray(bh, dtype=complex)
     s = np.asarray(s, dtype=float)
-    if v1.ndim != 2 or v2h.ndim != 2 or v1.shape[0] != v1.shape[1] or v2h.shape[0] != v2h.shape[1]:
-        raise ValueError(f"expected square factors, got shapes {v1.shape} and {v2h.shape}")
-    m1, m2 = len(v1), len(v2h)
-    if s.ndim != 1 or len(s) > min(m1, m2):
-        raise ValueError(f"expected at most {min(m1, m2)} singular values, got shape {s.shape}")
+    shapes = f"{a.shape}, {s.shape} and {bh.shape}"
+    if a.ndim != 2 or bh.ndim != 2 or s.shape != (a.shape[1],) or len(bh) != len(s):
+        raise ValueError(f"expected shapes (m1, r), (r,) and (r, m2), got {shapes}")
+    (m1, r), m2 = a.shape, bh.shape[1]
+    if r > min(m1, m2):
+        raise ValueError(f"expected r <= min(m1, m2), got shapes {shapes}")
     if not np.all((s >= 0.0) & (s <= 1.0)):
         raise ValueError("singular values of a contraction must lie in [0, 1]")
-    r = len(s)
-    a, bh = v1[:, :r], v2h[:r]
     N = m1 + m2
     e = _gram_defect(a) + _gram_defect(bh.conj().T)
     u, k = np.finfo(float).eps / 2.0, N + 3

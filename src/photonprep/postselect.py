@@ -64,14 +64,13 @@ def build_sps(target: QuditTarget) -> tuple[TwoPhotonState, TakagiFactorization]
 
 
 def _mode_map_residual(
-    v1: np.ndarray, lam: np.ndarray, v2h: np.ndarray, state_in: TwoPhotonState, s_ps: TwoPhotonState
+    a: np.ndarray, lam: np.ndarray, bh: np.ndarray, state_in: TwoPhotonState, s_ps: TwoPhotonState
 ) -> float:
-    """||M S_in M^T - S_ps||_F for the mode map M = (v1[:, :k] * lam) @ v2h[:k],
-    k = len(lam), without forming M: with Y = v1[:, :k] diag(lam),
-    M S_in M^T = Y Z Y^T for the k x k matrix Z = v2h[:k] S_in v2h[:k]^T."""
-    k = len(lam)
-    Y = v1[:, :k] * lam
-    Z = v2h[:k] @ state_in.S @ v2h[:k].T
+    """||M S_in M^T - S_ps||_F for the mode map M = (a * lam) @ bh, a (m_ps x k),
+    lam (k) and bh (k x m_in), without forming M: with Y = a diag(lam),
+    M S_in M^T = Y Z Y^T for the k x k matrix Z = bh S_in bh^T."""
+    Y = a * lam
+    Z = bh @ state_in.S @ bh.T
     return float(np.linalg.norm(Y @ Z @ Y.T - s_ps.S))
 
 
@@ -97,15 +96,15 @@ def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> veri
     lam = np.sqrt(fac_ps.diagonal[:k] / fac_in.diagonal[:k])
 
     # the m_ps x m_in mode map M = conj(V_ps) diag(lam) V_in^T gives
-    # M S_in M^T = S_ps in the evolution convention S -> U S U^T, and comes
-    # factored: V_ps and V_in are unitary, lam its k nonzero singular values
-    v1, v2h = fac_ps.V.conj(), fac_in.V.T
-    residual = _mode_map_residual(v1, lam, v2h, state_in, s_ps)
+    # M S_in M^T = S_ps in the evolution convention S -> U S U^T; its reduced
+    # SVD is lam, its k nonzero singular values, and k columns of V_ps and V_in
+    a, bh = fac_ps.V[:, :k].conj(), fac_in.V[:, :k].T
+    residual = _mode_map_residual(a, lam, bh, state_in, s_ps)
     if not residual <= MODE_MAP_TOL:
         raise VerificationFailure(
             f"rescaled mode map misses the intermediate state by {residual:.3e}"
         )
     sigma1 = lam.max()
-    U = unitary_extension(v1, lam / sigma1, v2h)
+    U = unitary_extension(a, lam / sigma1, bh)
     report = verify.extract_postselected(U, state_in, d1, d2, target=target.C)
     return verify._verified_result(U, 1.0 / sigma1, report, d1 + d2, None)

@@ -24,6 +24,8 @@ from .tolerances import IDENTITY_TOL, VERIFY_TOL
 from .verify import SynthesisResult
 
 DEFAULT_SEED = 20240901
+# random (input, target) pairs criterion_theorem1_iff tries
+THEOREM1_TRIALS = 200
 
 
 def _within(label: str, worst: float, tol: float) -> str:
@@ -59,7 +61,7 @@ def criterion_cnz_family(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     return not failures, "; ".join(failures) or "6 gates verified"
 
 
-def criterion_theorem1_iff(seed: int = DEFAULT_SEED, trials: int = 200) -> tuple[bool, str]:
+def criterion_theorem1_iff(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Post-selected synthesis succeeds exactly when rank(C) <= rank(S_in).
 
     Every circuit returned passed the synthesizers' verdict (fidelity above
@@ -68,7 +70,7 @@ def criterion_theorem1_iff(seed: int = DEFAULT_SEED, trials: int = 200) -> tuple
     rng = np.random.default_rng(seed)
     failures = []
     worst = 0.0
-    for trial in range(trials):
+    for trial in range(THEOREM1_TRIALS):
         d1 = int(rng.integers(1, 5))
         d2 = int(rng.integers(1, 5))
         m = int(rng.integers(2, 7))
@@ -90,7 +92,7 @@ def criterion_theorem1_iff(seed: int = DEFAULT_SEED, trials: int = 200) -> tuple
             failures.append(f"trial {trial}: infeasible case accepted")
             continue
         worst = max(worst, 1.0 - result.report.fidelity_vs_target)
-    detail = "; ".join(failures[:5]) or f"{trials} trials consistent"
+    detail = "; ".join(failures[:5]) or f"{THEOREM1_TRIALS} trials consistent"
     return not failures, f"{detail}; {_within('worst 1 - F', worst, VERIFY_TOL)}"
 
 

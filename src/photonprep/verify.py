@@ -101,16 +101,19 @@ def _verified_result(
 
 
 def fidelity(S1: np.ndarray, S2: np.ndarray) -> float:
-    """|<S1, S2>_F| / (||S1||_F ||S2||_F); overlap of the two-photon states."""
+    """|<S1, S2>_F| / (||S1||_F ||S2||_F); overlap of the two-photon states,
+    0 when either is zero. Each is divided by its largest modulus first, as
+    normalize does, so the norms neither overflow nor underflow."""
     S1 = np.asarray(S1, dtype=complex)
     S2 = np.asarray(S2, dtype=complex)
     if S1.shape != S2.shape:
         raise DimensionMismatch(f"shapes {S1.shape} vs {S2.shape}")
-    n1 = np.linalg.norm(S1)
-    n2 = np.linalg.norm(S2)
-    if n1 == 0.0 or n2 == 0.0:
+    peak1 = np.max(np.abs(S1), initial=0.0)
+    peak2 = np.max(np.abs(S2), initial=0.0)
+    if peak1 == 0.0 or peak2 == 0.0:
         return 0.0
-    return float(abs(np.vdot(S1, S2)) / (n1 * n2))
+    S1, S2 = S1 / peak1, S2 / peak2
+    return float(abs(np.vdot(S1, S2)) / (np.linalg.norm(S1) * np.linalg.norm(S2)))
 
 
 def extract_postselected(

@@ -333,6 +333,42 @@ class TestSynthPostselect:
         )
         assert main(["synth-postselect", "--state", str(state), "--target", target]) == 1
 
+    @pytest.mark.parametrize("scale", [1e-200, 3.0, 1e200])
+    def test_verify_of_a_scaled_target(self, tmp_path, capsys, scale):
+        """The document's target enters the verdict only up to scale: the
+        input 0.5 I_4 onto the target I_2 verifies with its target scaled by
+        any finite factor, including where its norm would under- or overflow."""
+        state = write_matrix(tmp_path / "in.json", 0.5 * np.eye(4))
+        target = write_matrix(tmp_path / "target.json", np.eye(2))
+        out = tmp_path / "synth.json"
+        assert main(["synth-postselect", "--state", state, "--target", target,
+                     "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc["target"]["data"] = [[scale * re, scale * im] for re, im in doc["target"]["data"]]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--input", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_target_read_at_any_scale(self, tmp_path, capsys, scale):
+        """diag(c, c) is the target I_2 / sqrt(2) whether ||C||_F would
+        underflow (1e-170) or overflow (1e200)."""
+        state = write_matrix(tmp_path / "in.json", 0.5 * np.eye(4))
+        target = write_matrix(tmp_path / "target.json", scale * np.eye(2))
+        out = tmp_path / "synth.json"
+        assert main(["synth-postselect", "--state", state, "--target", target,
+                     "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["target"]["data"] == matrix_to_doc(np.eye(2) / np.sqrt(2))["data"]
+        assert main(["verify", "--input", str(out)]) == 0
+
+    def test_zero_target_is_an_input_error(self, tmp_path, capsys):
+        state = write_matrix(tmp_path / "in.json", 0.5 * np.eye(4))
+        target = write_matrix(tmp_path / "target.json", np.zeros((2, 2)))
+        assert main(["synth-postselect", "--state", state, "--target", target]) == 2
+        assert "target: zero matrix" in capsys.readouterr().err
+
 
 class TestSelftest:
     def test_runs_clean(self, capsys):

@@ -326,7 +326,7 @@ class TestSynthesize:
         A = fac_out.V[:, :n].conj() @ (weights[:, None] * V_f.T)
         if h:
             A = np.vstack([A, _flat_row(n)])
-        u, s, vh = np.linalg.svd(A)
+        u, s, vh = np.linalg.svd(A, full_matrices=False)
         reference = unitary_extension(u, s / s[0], vh)
         closed = synthesize_herald(target, n)
         for U in (closed.unitary, reference):
@@ -373,11 +373,11 @@ class TestSynthesize:
         module = {"herald": herald_module, "postselect": postselect_module, "cnz": gates_module}
         original = module[construction].unitary_extension
 
-        def skewed(v1, s, v2h):
-            v1, s = np.array(v1, dtype=complex), np.array(s, dtype=float)
-            v1[:, 0] *= 1 + 1e-6
+        def skewed(a, s, bh):
+            a, s = np.array(a, dtype=complex), np.array(s, dtype=float)
+            a[:, 0] *= 1 + 1e-6
             s[0] /= 1 + 1e-6
-            return original(v1, s, v2h)
+            return original(a, s, bh)
 
         monkeypatch.setattr(module[construction], "unitary_extension", skewed)
         with monkeypatch.context() as lifted:

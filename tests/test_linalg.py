@@ -265,9 +265,9 @@ def _rounding(r, N):
 
 
 def _contraction(A):
-    """The factors of A / sigma_1(A), as the constructions pass them."""
-    v1, s, v2h = np.linalg.svd(A)
-    return v1, s / s[0], v2h
+    """The reduced SVD of A / sigma_1(A), as the constructions pass it."""
+    a, s, bh = np.linalg.svd(A, full_matrices=False)
+    return a, s / s[0], bh
 
 
 def _is_unitary(U, tol=1e-10):
@@ -285,21 +285,21 @@ class TestUnitaryExtension:
 
     def test_rectangular(self, rng):
         A = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        v1, s, v2h = _contraction(A)
-        U = unitary_extension(v1, s, v2h)
+        U = unitary_extension(*_contraction(A))
         assert len(U) == 8
         assert _is_unitary(U)
         assert np.linalg.norm(U[:3, :5] - A / np.linalg.norm(A, 2)) < 1e-10
 
     @pytest.mark.parametrize("m1, m2, r", [(2, 2, 2), (2, 3, 2), (3, 2, 0), (4, 4, 1)])
     def test_zero_contraction_is_the_swap(self, rng, m1, m2, r):
-        """s = 0 has the dilation [[0, I], [I, 0]], whatever unitary factors
-        it comes with."""
-        U = unitary_extension(random_unitary(rng, m1), np.zeros(r), random_unitary(rng, m2))
+        """s = 0 has the dilation [[0, I], [I, 0]], whatever orthonormal
+        factors it comes with."""
+        a, bh = random_unitary(rng, m1)[:, :r], random_unitary(rng, m2)[:r]
+        U = unitary_extension(a, np.zeros(r), bh)
         swap = np.block([[np.zeros((m1, m2)), np.eye(m1)], [np.eye(m2), np.zeros((m2, m1))]])
         assert np.max(np.abs(U - swap)) <= 1e-12
         assert np.all(U[:m1, :m2] == 0)
-        exact = unitary_extension(np.eye(m1), np.zeros(r), np.eye(m2))
+        exact = unitary_extension(np.eye(m1)[:, :r], np.zeros(r), np.eye(m2)[:r])
         assert np.array_equal(exact, swap)
 
     # s below 1 (no hidden rescale), unsorted, with exact 0s and 1s, and
@@ -318,22 +318,22 @@ class TestUnitaryExtension:
     )
     @pytest.mark.parametrize("m1, m2", [(4, 6), (6, 4), (4, 4)])
     def test_unitary_for_any_contraction(self, rng, s, m1, m2):
-        """U is unitary, and its top-left block is (v1[:, :r] * s) @ v2h[:r]
-        bit for bit, exactly as passed."""
+        """U is unitary, and its top-left block is (a * s) @ bh bit for bit,
+        exactly as passed."""
         s = np.array(s, dtype=float)
-        v1, v2h = random_unitary(rng, m1), random_unitary(rng, m2)
-        U = unitary_extension(v1, s, v2h)
+        r = len(s)
+        a, bh = random_unitary(rng, m1)[:, :r], random_unitary(rng, m2)[:r]
+        U = unitary_extension(a, s, bh)
         assert U.shape == (m1 + m2, m1 + m2)
         assert _is_unitary(U)
-        r = len(s)
-        assert np.array_equal(U[:m1, :m2], (v1[:, :r] * s) @ v2h[:r])
+        assert np.array_equal(U[:m1, :m2], (a * s) @ bh)
 
     @pytest.mark.parametrize(
         "bad", [np.nextafter(1.0, 2.0), 2.0, -np.nextafter(0.0, 1.0), -0.5, np.nan, np.inf, -np.inf]
     )
     def test_rejects_values_outside_the_unit_interval(self, bad):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            unitary_extension(np.eye(3), np.array([0.5, bad]), np.eye(3))
+            unitary_extension(np.eye(3)[:, :2], np.array([0.5, bad]), np.eye(3)[:2])
 
     @pytest.mark.parametrize(
         "m1, m2, rank", [(4, 6, 1), (6, 4, 1), (5, 5, 2), (3, 7, 2), (1, 3, 1)]
@@ -344,17 +344,18 @@ class TestUnitaryExtension:
         a = rng.standard_normal((m1, rank)) + 1j * rng.standard_normal((m1, rank))
         b = rng.standard_normal((rank, m2)) + 1j * rng.standard_normal((rank, m2))
         A = a @ b
-        v1, s, v2h = _contraction(A)
-        U = unitary_extension(v1, s, v2h)
+        U = unitary_extension(*_contraction(A))
         assert len(U) == m1 + m2
         assert _is_unitary(U)
         assert np.linalg.norm(U[:m1, :m2] - A / np.linalg.norm(A, 2)) <= 1e-10
 
     def test_matches_block_diagonal_factors(self, rng):
-        """U = diag(V1, V2) K diag(V2^†, V1^†), with the core K built densely."""
+        """U = diag(V1, V2) K diag(V2^†, V1^†), with the core K built densely
+        from the full SVD; the dilation reads its first r = 3 rows of V2^†."""
         A = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        v1, s, v2h = _contraction(A)
-        U = unitary_extension(v1, s, v2h)
+        v1, s, v2h = np.linalg.svd(A)
+        s = s / s[0]
+        U = unitary_extension(v1, s, v2h[:3])
         S = np.zeros((3, 5))
         S[:3, :3] = np.diag(s)
         D1 = np.diag(np.sqrt(np.clip(1 - s**2, 0, None)))
@@ -368,11 +369,12 @@ class TestUnitaryExtension:
     @pytest.mark.parametrize("m1, m2", [(3, 5), (5, 3), (4, 4)])
     def test_from_unsorted_factors(self, rng, m1, m2):
         """Factors passed as held, s unsorted and with zeros: U is the dense
-        diag(V1, V2) K diag(V2^†, V1^†) with K built in the order given."""
+        diag(V1, V2) K diag(V2^†, V1^†) with K built in the order given,
+        from the first r columns of V1 and rows of V2^†."""
         r = min(m1, m2)
         v1, v2h = random_unitary(rng, m1), random_unitary(rng, m2)
         s = np.array([0.0, 0.35, 1.0, 0.0])[:r]
-        U = unitary_extension(v1, s, v2h)
+        U = unitary_extension(v1[:, :r], s, v2h[:r])
         S = np.zeros((m1, m2))
         S[:r, :r] = np.diag(s)
         D1 = np.eye(m1)
@@ -385,20 +387,6 @@ class TestUnitaryExtension:
         assert np.linalg.norm(U - left @ K @ right) <= 1e-12
         assert _is_unitary(U)
 
-    @pytest.mark.parametrize("m1, m2, r", [(4, 6, 2), (6, 4, 3), (5, 5, 0), (3, 3, 3)])
-    def test_reads_only_r_columns_and_rows(self, rng, m1, m2, r):
-        """Columns of v1 and rows of v2h beyond r are never read: set to NaN,
-        they leave U finite and unitary, and equal to U from the full factors."""
-        v1, v2h = random_unitary(rng, m1), random_unitary(rng, m2)
-        s = rng.uniform(0.0, 1.0, r)
-        full = unitary_extension(v1, s, v2h)
-        v1[:, r:] = np.nan
-        v2h[r:] = np.nan
-        U = unitary_extension(v1, s, v2h)
-        assert np.all(np.isfinite(U))
-        assert _is_unitary(U)
-        assert np.array_equal(U, full)
-
     @pytest.mark.parametrize("value", [0.0, 1e-9, 0.5, 1.0])
     @pytest.mark.parametrize("m1, m2", [(4, 6), (6, 4), (5, 5)])
     def test_defect_blocks_match_the_full_width_form(self, rng, value, m1, m2):
@@ -408,7 +396,7 @@ class TestUnitaryExtension:
         r = min(m1, m2) - 1
         s = np.full(r, value)
         v1, v2h = random_unitary(rng, m1), random_unitary(rng, m2)
-        U = unitary_extension(v1, s, v2h)
+        U = unitary_extension(v1[:, :r], s, v2h[:r])
         assert np.linalg.norm(U.conj().T @ U - np.eye(m1 + m2)) <= 1e-14
         v2 = v2h.conj().T
         defect1 = np.r_[np.sqrt(1.0 - s**2), np.ones(m1 - r)]
@@ -417,29 +405,45 @@ class TestUnitaryExtension:
         assert np.linalg.norm(U[m1:, :m2] - (v2 * defect2) @ v2h) <= 1e-14
         assert np.array_equal(U[m1:, m2:], -U[:m1, :m2].conj().T)
 
-    # (v1, s, v2h) shapes: a non-square factor, more values than min(m1, m2),
-    # and s not a vector
+    # (a, s, bh) shapes: a wider than r, r above m1, s not a vector, bh
+    # taller than r, a not 2-D, bh not 2-D, r above m2, and s a scalar
     @pytest.mark.parametrize(
         "shapes",
         [
             ((3, 3), (2,), (2, 3)),
-            ((3, 2), (2,), (2, 2)),
+            ((2, 3), (3,), (3, 3)),
             ((2, 2), (3,), (3, 3)),
             ((2, 2), (2, 1), (2, 2)),
+            ((3, 2), (2,), (3, 3)),
+            ((3,), (1,), (1, 3)),
+            ((3, 1), (1,), (3,)),
+            ((3, 3), (3,), (3, 2)),
+            ((3, 1), (), (1, 3)),
         ],
     )
     def test_rejects_factors_that_do_not_fit(self, shapes):
-        v1, s, v2h = (np.ones(shape) for shape in shapes)
+        a, s, bh = (np.ones(shape) for shape in shapes)
         with pytest.raises(ValueError):
-            unitary_extension(v1, s, v2h)
+            unitary_extension(a, s, bh)
+
+    @pytest.mark.parametrize("m1, m2", [(3, 5), (5, 3), (4, 4), (1, 6), (6, 1), (0, 3), (3, 0)])
+    def test_dilates_numpys_reduced_svd(self, rng, m1, m2):
+        """np.linalg.svd(B, full_matrices=False) of a contraction B is passed
+        as it comes, r = min(m1, m2) down to 0: U is unitary with B as its
+        top-left block."""
+        A = rng.standard_normal((m1, m2)) + 1j * rng.standard_normal((m1, m2))
+        B = A * rng.uniform(0.0, 1.0) / max(np.linalg.norm(A, 2), 1.0)
+        U = unitary_extension(*np.linalg.svd(B, full_matrices=False))
+        assert U.shape == (m1 + m2, m1 + m2)
+        assert np.linalg.norm(U.conj().T @ U - np.eye(m1 + m2)) <= 1e-12
+        assert np.max(np.abs(U[:m1, :m2] - B), initial=0.0) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m1=st.integers(1, 6), m2=st.integers(1, 6))
     def test_contract_property(self, seed, m1, m2):
         gen = np.random.default_rng(seed)
         A = gen.standard_normal((m1, m2)) + 1j * gen.standard_normal((m1, m2))
-        v1, s, v2h = _contraction(A)
-        U = unitary_extension(v1, s, v2h)
+        U = unitary_extension(*_contraction(A))
         assert len(U) == m1 + m2
         assert _is_unitary(U)
         assert np.linalg.norm(U[:m1, :m2] - A / np.linalg.norm(A, 2)) < 1e-10
@@ -461,12 +465,12 @@ class TestUnitaryExtension:
         s = gen.uniform(0.0, 1.0, r)
         s[0], s[-1] = 1.0, 0.0
         noise = 10.0**exponent * (gen.standard_normal((2, 39, 39)) + 1j * gen.standard_normal((2, 39, 39)))
-        v1 = random_unitary(gen, m1) + noise[0, :m1, :m1]
-        v2h = random_unitary(gen, m2) + noise[1, :m2, :m2]
+        a = (random_unitary(gen, m1) + noise[0, :m1, :m1])[:, :r]
+        bh = (random_unitary(gen, m2) + noise[1, :m2, :m2])[:r]
         with pytest.MonkeyPatch.context() as lifted:
             lifted.setattr(linalg_module, "DOCUMENT_UNITARITY_TOL", np.inf)
-            U = unitary_extension(v1, s, v2h)
-        a, b = v1[:, :r], v2h[:r].conj().T
+            U = unitary_extension(a, s, bh)
+        b = bh.conj().T
         e = np.linalg.norm(a.conj().T @ a - np.eye(r)) + np.linalg.norm(b.conj().T @ b - np.eye(r))
         N = m1 + m2
         assert np.linalg.norm(U.conj().T @ U - np.eye(N)) <= 2 * e * (1 + e) + _rounding(r, N)
@@ -483,14 +487,14 @@ class TestUnitaryExtension:
         assert DOCUMENT_UNITARITY_TOL * 1e-6 < rho
         X = (DOCUMENT_UNITARITY_TOL - rho) * (1 + side * 1e-6)
         e = X / (1 + np.sqrt(1 + 2 * X))  # 2 e (1 + e) = X
-        v1 = np.eye(m1, dtype=complex)
-        v1[:, 0] *= np.sqrt(1 + e)
+        a = np.eye(m1, r, dtype=complex)
+        a[:, 0] *= np.sqrt(1 + e)
         s = np.array([1.0, 0.5, 0.0])
         if side > 0:
             with pytest.raises(VerificationFailure, match="unitarity"):
-                unitary_extension(v1, s, np.eye(m2))
+                unitary_extension(a, s, np.eye(r, m2))
             return
-        U = unitary_extension(v1, s, np.eye(m2))
+        U = unitary_extension(a, s, np.eye(r, m2))
         defect = np.linalg.norm(U.conj().T @ U - np.eye(m1 + m2))
         assert defect == pytest.approx(e * (2 + e), rel=1e-6)
         assert defect <= DOCUMENT_UNITARITY_TOL

@@ -323,15 +323,15 @@ class TestFactoredModeMapGate:
         state = random_state_of_rank(gen, m, int(gen.integers(rank_c, m + 1)))
         s_ps, fac_ps = build_sps(random_target_of_rank(gen, d1, d2, rank_c))
         fac_in = takagi(state.S)
-        v1, v2h = fac_ps.V.conj(), fac_in.V.T
         k = min(fac_in.rank, int(np.count_nonzero(fac_ps.diagonal)))
+        a, bh = fac_ps.V[:, :k].conj(), fac_in.V[:, :k].T
         exact = np.sqrt(fac_ps.diagonal[:k] / fac_in.diagonal[:k])
         # the rescaling synthesize_postselect takes (residual at rounding
         # level), and perturbed ones (residual of order one)
         for lam in (exact, exact * gen.uniform(0.5, 1.5, k)):
-            M = (v1[:, :k] * lam) @ v2h[:k]
+            M = (a * lam) @ bh
             dense = np.linalg.norm(M @ state.S @ M.T - s_ps.S)
-            residual = postselect_module._mode_map_residual(v1, lam, v2h, state, s_ps)
+            residual = postselect_module._mode_map_residual(a, lam, bh, state, s_ps)
             assert abs(residual - dense) <= 1e-14
 
 

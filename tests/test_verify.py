@@ -21,7 +21,7 @@ from photonprep.random_states import (
     random_unitary,
 )
 from photonprep.states import single_photons_state
-from photonprep.verify import ExtractionReport, HeraldPattern
+from photonprep.verify import ExtractionReport, HeraldPattern, fidelity
 
 
 class TestHeraldPattern:
@@ -43,6 +43,20 @@ class TestVerdict:
     def test_fidelity_threshold(self, fidelity, verified):
         report = ExtractionReport(extracted=np.zeros((1, 1)), probability=1.0, fidelity_vs_target=fidelity)
         assert report.verified is verified
+
+
+class TestFidelity:
+    @pytest.mark.parametrize("scale", [1e-200, 3.0, 1e200])
+    def test_scale_free(self, rng, scale):
+        """F(S, c S) = 1 where ||c S||_F would under- or overflow."""
+        S = random_complex_symmetric(rng, 4)
+        assert fidelity(S, scale * S) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(scale * S, S) == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_state(self, rng):
+        S = random_complex_symmetric(rng, 3)
+        assert fidelity(S, np.zeros((3, 3))) == 0.0
+        assert fidelity(np.zeros((3, 3)), S) == 0.0
 
 
 class TestExtractPostselected:
