@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gates, herald, io, postselect, selftest, verify
 from .exceptions import DocumentError, InfeasibleRank, PhotonPrepError, VerificationFailure
-from .linalg import takagi
+from .linalg import _peak_scaled, takagi
 from .verify import SynthesisResult
 from .states import QuditTarget, TwoPhotonState, normalize, state_rank
 
@@ -42,13 +42,9 @@ def _load_state(path: str) -> TwoPhotonState:
 
 
 def _load_target(path: str) -> QuditTarget:
-    C = _load_matrix(path, "target")
-    # scaled by its largest entry first, as normalize does, so the norm
-    # neither overflows nor underflows
-    peak = np.max(np.abs(C), initial=0.0)
-    if peak == 0:
+    C, peak = _peak_scaled(_load_matrix(path, "target"))
+    if peak == 0.0:
         raise DocumentError("target: zero matrix", "target")
-    C = C / peak
     return QuditTarget(C / np.linalg.norm(C))
 
 

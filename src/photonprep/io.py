@@ -77,7 +77,7 @@ def matrix_from_doc(doc: Any, field: str = "matrix") -> np.ndarray:
         if key not in doc:
             raise DocumentError(f"{field}.{key}: missing", f"{field}.{key}")
     rows, cols = doc["rows"], doc["cols"]
-    if not all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in (rows, cols)):
+    if not (_is_int_at_least(rows, 1) and _is_int_at_least(cols, 1)):
         raise DocumentError(f"{field}.rows/cols: must be positive integers", field)
     data = doc["data"]
     if not isinstance(data, list) or len(data) != rows * cols:

@@ -43,7 +43,7 @@ def takagi(S: np.ndarray) -> TakagiFactorization:
     Taken from one SVD where it can be (see _svd_takagi), else from the real
     symmetric embedding of S (see _embedded_takagi). Values at or below the
     rounding-level cut TAKAGI_CUT m sigma_1 are set to 0, and the diagonal is
-    sorted descending.
+    sorted descending. Both gates are relative to the scale of S.
     """
     S = np.asarray(S, dtype=complex)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -52,16 +52,17 @@ def takagi(S: np.ndarray) -> TakagiFactorization:
         raise ValueError("empty matrix")
     if not np.all(np.isfinite(S)):
         raise ValueError("matrix contains non-finite entries")
-    asymmetry = np.linalg.norm(S - S.T)
-    if asymmetry >= SYMMETRY_TOL * max(1.0, np.linalg.norm(S)):
-        raise NotSymmetric(f"asymmetry {asymmetry:.3e} exceeds {SYMMETRY_TOL} x max(1, ||S||)")
+    scaled = _peak_scaled(S)[0]
+    norm, asymmetry = np.linalg.norm(scaled), np.linalg.norm(scaled - scaled.T)
+    if asymmetry > SYMMETRY_TOL * norm:
+        raise NotSymmetric(f"||S - S^T||_F/||S||_F = {asymmetry / norm:.3e} exceeds {SYMMETRY_TOL}")
     S = (S + S.T) / 2.0
 
     factor = _svd_takagi(S)
     if factor is None:
         factor = _embedded_takagi(S)
-    scale = max(1.0, factor.diagonal[0])
-    if not np.linalg.norm(factor.V.T @ S @ factor.V - factor.D) <= TAKAGI_RECONSTRUCTION_TOL * scale:
+    residual = np.linalg.norm(factor.V.T @ S @ factor.V - factor.D)
+    if not residual <= TAKAGI_RECONSTRUCTION_TOL * factor.diagonal[0]:
         raise ConvergenceFailure("Takagi factorization failed to reconstruct")
     return factor
 
@@ -174,6 +175,16 @@ def _gram_defect(X: np.ndarray) -> float:
     gram = X.conj().T @ X
     gram.flat[:: len(gram) + 1] -= 1.0
     return float(np.sqrt(np.vdot(gram, gram).real))
+
+
+def _peak_scaled(M: np.ndarray) -> tuple[np.ndarray, float]:
+    """(M / peak, peak), peak the largest modulus in M; (M, 0) for zero M. The real
+    view is divided: complex division forms 1 / peak, inf for a subnormal peak."""
+    M = np.ascontiguousarray(M, dtype=complex)
+    peak = float(np.max(np.abs(M), initial=0.0))
+    if peak == 0.0:
+        return M, 0.0
+    return (M.view(float) / peak).view(complex), peak
 
 
 def unitary_extension(a: np.ndarray, s: np.ndarray, bh: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotSymmetric, ZeroState
-from .linalg import takagi
+from .linalg import _peak_scaled, takagi
 from .tolerances import NORMALIZATION_TOL, STATE_SYMMETRY_TOL, TARGET_NORM_TOL, ZERO_WEIGHT
 
 
@@ -28,7 +28,7 @@ class TwoPhotonState:
             raise ValueError(f"state matrix must be square, got {S.shape}")
         if not np.isfinite(S).all():
             raise ValueError("state matrix has non-finite entries")
-        if np.linalg.norm(S - S.T) > STATE_SYMMETRY_TOL * max(1.0, np.linalg.norm(S)):
+        if np.linalg.norm(S - S.T) > STATE_SYMMETRY_TOL * np.linalg.norm(S):
             raise NotSymmetric("state matrix is not symmetric")
         S = (S + S.T) / 2.0  # kill roundoff drift
         if abs(2.0 * np.vdot(S, S).real - 1.0) > NORMALIZATION_TOL:
@@ -68,21 +68,17 @@ class QuditTarget:
 
 
 def normalize(S: np.ndarray) -> TwoPhotonState:
-    """Scale a symmetric matrix so that 2 Tr(S^† S) = 1."""
+    """Scale the symmetric part of S/peak, peak its largest modulus, so that
+    2 Tr(S^† S) = 1; a weight at most ZERO_WEIGHT there is a ZeroState."""
     S = np.asarray(S, dtype=complex)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"state matrix must be square, got {S.shape}")
     if not np.isfinite(S).all():
         raise ValueError("cannot normalize a matrix with non-finite entries")
-    # scaled by its largest entry first, since 2 ||S||_F^2 overflows for
-    # entries above ~1e154: the weight 2 Tr(S^† S) is peak^2 * 2 ||S / peak||_F^2
-    peak = float(np.max(np.abs(S), initial=0.0))
-    if peak > 0.0:
-        S = S / peak
+    S = _peak_scaled(S)[0]
     S = (S + S.T) / 2.0
     weight = 2.0 * float(np.vdot(S, S).real)
-    # a product of Python floats, inf or 0 without a warning where it leaves the range
-    if peak * peak * weight <= ZERO_WEIGHT:
+    if weight <= ZERO_WEIGHT:
         raise ZeroState("cannot normalize a zero state matrix")
     return TwoPhotonState(S / np.sqrt(weight))
 

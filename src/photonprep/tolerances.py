@@ -11,9 +11,9 @@ name                       value  scale              gates
 RANK_TOL                   1e-10  x sigma_1          TakagiFactorization.rank: Takagi values
                                                      above RANK_TOL * sigma_1 count. Both rank
                                                      rules and state_rank read that count
-SYMMETRY_TOL               1e-10  x max(1, ||S||_F)  takagi: ||S - S^T||_F below it, else
+SYMMETRY_TOL               1e-10  x ||S||_F          takagi: ||S - S^T||_F within it, else
                                                      NotSymmetric
-TAKAGI_RECONSTRUCTION_TOL  1e-8   x max(1, sigma_1)  takagi: ||V^T S V - D||_F within it, else
+TAKAGI_RECONSTRUCTION_TOL  1e-8   x sigma_1          takagi: ||V^T S V - D||_F within it, else
                                                      ConvergenceFailure
 TAKAGI_CUT                 8 eps  x m sigma_1        takagi: values at or below the cut (m the
                                                      matrix size) are rounding noise, set to 0.
@@ -29,12 +29,12 @@ TAKAGI_CUT                 8 eps  x m sigma_1        takagi: values at or below 
                                                      factor (u or vh) above it is a
                                                      ConvergenceFailure; takagi then embeds
                                                      S whole in the real embedding
-STATE_SYMMETRY_TOL         1e-8   x max(1, ||S||_F)  TwoPhotonState: ||S - S^T||_F within it,
+STATE_SYMMETRY_TOL         1e-8   x ||S||_F          TwoPhotonState: ||S - S^T||_F within it,
                                                      else NotSymmetric
 NORMALIZATION_TOL          1e-8   absolute           TwoPhotonState: |2 Tr(S^† S) - 1| within it
 TARGET_NORM_TOL            1e-6   absolute           QuditTarget: | ||C||_F - 1 | within it
-ZERO_WEIGHT                1e-28  absolute           normalize: a weight 2 Tr(S^† S) at or below
-                                                     it is a ZeroState
+ZERO_WEIGHT                1e-28  x peak^2           normalize: a symmetric part of weight
+                                                     2 Tr(S^† S) at or below it is a ZeroState
 IDENTITY_TOL               1e-9   x sqrt(2 s!) d_0   herald: largest error of the pre-embedding
                                                      identity Per(row_i, row_j, H) =
                                                      sqrt(2 s!) d_i delta_ij
@@ -52,12 +52,15 @@ DOCUMENT_UNITARITY_TOL     1e-8   absolute           unitary_extension: factor-w
                                                      construction; io: documents
 =========================  =====  =================  ===========================================
 
-s! is the product of the herald signal's factorials, d_0 the target's
-largest Takagi value, eps = 2^-52 the float64 machine epsilon. The Takagi cut
-sits at rounding level, far below RANK_TOL: dropping Takagi values near
-RANK_TOL * sigma_1 would cost reconstruction accuracy. MODE_MAP_TOL is
-absolute, so a feasible target whose input needs a Takagi direction just
-above RANK_TOL * sigma_1 can miss it (the rescaling then reaches ~1e10).
+One rule sets the scale column: a gate on a quantity the package normalized is
+absolute, one on a matrix given at the caller's scale is relative to that
+scale. s! is the product of the herald signal's factorials, d_0 the target's
+largest Takagi value, peak the largest modulus of S, eps = 2^-52 the float64
+machine epsilon. The Takagi cut sits at rounding level, far below RANK_TOL:
+dropping Takagi values near RANK_TOL * sigma_1 would cost reconstruction
+accuracy. MODE_MAP_TOL is absolute, so a feasible target whose input needs a
+Takagi direction just above RANK_TOL * sigma_1 can miss it (the rescaling then
+reaches ~1e10).
 """
 
 RANK_TOL = 1e-10

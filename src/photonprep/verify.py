@@ -17,6 +17,7 @@ import numpy as np
 
 from . import fock
 from .exceptions import DimensionMismatch, SignalMismatch, VerificationFailure, ZeroState
+from .linalg import _peak_scaled
 from .states import TwoPhotonState, normalize
 from .tolerances import VERIFY_TOL
 
@@ -103,16 +104,14 @@ def _verified_result(
 def fidelity(S1: np.ndarray, S2: np.ndarray) -> float:
     """|<S1, S2>_F| / (||S1||_F ||S2||_F); overlap of the two-photon states,
     0 when either is zero. Each is divided by its largest modulus first, as
-    normalize does, so the norms neither overflow nor underflow."""
+    normalize does: the value is scale-free, and no norm over- or underflows."""
     S1 = np.asarray(S1, dtype=complex)
     S2 = np.asarray(S2, dtype=complex)
     if S1.shape != S2.shape:
         raise DimensionMismatch(f"shapes {S1.shape} vs {S2.shape}")
-    peak1 = np.max(np.abs(S1), initial=0.0)
-    peak2 = np.max(np.abs(S2), initial=0.0)
+    (S1, peak1), (S2, peak2) = _peak_scaled(S1), _peak_scaled(S2)
     if peak1 == 0.0 or peak2 == 0.0:
         return 0.0
-    S1, S2 = S1 / peak1, S2 / peak2
     return float(abs(np.vdot(S1, S2)) / (np.linalg.norm(S1) * np.linalg.norm(S2)))
 
 

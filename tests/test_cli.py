@@ -52,6 +52,11 @@ class TestRank:
         assert main(["rank", "--state", path]) == 2
         assert "zero" in capsys.readouterr().err
 
+    def test_rank_of_a_state_with_subnormal_entries(self, tmp_path, capsys):
+        path = write_matrix(tmp_path / "tiny.json", np.diag([1e-310, 1e-310]))
+        assert main(["rank", "--state", path]) == 0
+        assert capsys.readouterr().out.strip() == "2"
+
     def test_rank_of_a_state_whose_weight_overflows(self, tmp_path, capsys):
         """2 ||S||_F^2 of the all-1e200 matrix overflows; its normalized state
         has rank 1."""
@@ -84,6 +89,12 @@ class TestTakagi:
         d00 = doc["D"]["data"][0]
         assert d00[0] == pytest.approx(0.5)
 
+    def test_small_asymmetric_matrix_is_not_factorized(self, tmp_path, capsys):
+        """The symmetry gate is relative: [[0, 1e-20], [0, 0]] is as far from
+        symmetric as [[0, 1], [0, 0]]."""
+        path = write_matrix(tmp_path / "s.json", np.array([[0, 1e-20], [0, 0]]))
+        assert main(["takagi", "--input", path]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_overflowing_matrix_is_not_factorized(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "s.json", np.full((2, 2), 1e308))

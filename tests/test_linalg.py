@@ -20,7 +20,7 @@ from photonprep import (
 )
 from photonprep.herald import herald_bilinear_matrix
 from photonprep import linalg as linalg_module
-from photonprep.linalg import TakagiFactorization, _embedded_takagi, checked_svd
+from photonprep.linalg import TakagiFactorization, _embedded_takagi, _peak_scaled, checked_svd
 from photonprep.random_states import (
     random_complex_symmetric,
     random_target_of_rank,
@@ -118,6 +118,29 @@ class TestTakagi:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             takagi(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("c", [1e-310, 1e-20, 1.0, 1e20, 1e300])
+    def test_symmetry_gate_is_relative(self, c):
+        """||S - S^T||_F / ||S||_F = sqrt(2) for [[0, c], [0, 0]] at every
+        scale, and the message reports that ratio."""
+        with pytest.raises(NotSymmetric, match=r"\|\|S - S\^T\|\|_F/\|\|S\|\|_F = 1\.414e\+00"):
+            takagi(np.array([[0, c], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("c", [1e-200, 1.0, 1e100])
+    def test_symmetric_to_rounding_at_any_scale(self, rng, c):
+        A = random_complex_symmetric(rng, 4)
+        J = np.triu(np.ones((4, 4)), 1)
+        fac = takagi(c * (A + 1e-12 * (J - J.T)))
+        assert np.allclose(fac.diagonal / c, np.linalg.svd(A, compute_uv=False), rtol=1e-10)
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    def test_reconstruction_gate_is_relative(self, monkeypatch, c):
+        """A diagonal off by 1e-6 sigma_1 misses TAKAGI_RECONSTRUCTION_TOL
+        sigma_1 at every scale."""
+        wrong = TakagiFactorization(V=np.eye(2, dtype=complex), diagonal=c * np.array([1 + 1e-6, 1]))
+        monkeypatch.setattr(linalg_module, "_svd_takagi", lambda S: wrong)
+        with pytest.raises(ConvergenceFailure, match="reconstruct"):
+            takagi(c * np.eye(2))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8))
@@ -498,6 +521,27 @@ class TestUnitaryExtension:
         defect = np.linalg.norm(U.conj().T @ U - np.eye(m1 + m2))
         assert defect == pytest.approx(e * (2 + e), rel=1e-6)
         assert defect <= DOCUMENT_UNITARITY_TOL
+
+
+class TestPeakScaled:
+    def test_largest_modulus_becomes_one(self, rng):
+        M = 1e-7 * random_complex_symmetric(rng, 4)
+        scaled, peak = _peak_scaled(M)
+        assert peak == np.max(np.abs(M))
+        assert np.max(np.abs(scaled)) == pytest.approx(1.0, rel=1e-15)
+        assert np.allclose(scaled * peak, M, rtol=1e-15, atol=0)
+
+    def test_subnormal_peak(self):
+        """Complex division by 1e-310 forms 1 / 1e-310, which overflows."""
+        M = 1e-310 * np.array([[1, 1j], [0, -1]])
+        scaled, peak = _peak_scaled(M)
+        assert peak == 1e-310
+        assert np.allclose(scaled, [[1, 1j], [0, -1]], rtol=1e-5, atol=0)
+
+    def test_zero_and_real_input(self):
+        scaled, peak = _peak_scaled(np.zeros((2, 3)))
+        assert peak == 0.0 and scaled.dtype == complex
+        assert np.array_equal(scaled, np.zeros((2, 3)))
 
 
 class TestCheckedSvd:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonprep import (
+    NotSymmetric,
     QuditTarget,
     TwoPhotonState,
     ZeroState,
@@ -12,6 +13,7 @@ from photonprep import (
     normalize,
     single_photons_state,
     state_rank,
+    takagi,
 )
 from photonprep.random_states import (
     random_complex_symmetric,
@@ -19,6 +21,7 @@ from photonprep.random_states import (
     random_unitary,
 )
 from photonprep.tolerances import ZERO_WEIGHT
+from photonprep.verify import fidelity
 
 
 def bell_target(d):
@@ -92,13 +95,30 @@ class TestNormalize:
         state = normalize(np.full((2, 2), size, dtype=complex))
         assert np.allclose(state.S, np.full((2, 2), 1 / np.sqrt(8)), rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("size", [1e-200, 1e-150, 1e-15])
-    def test_weight_at_or_below_zero_weight_is_zero(self, size):
-        """ZERO_WEIGHT bounds the true weight 2 ||S||_F^2 = 8 size^2 of the
-        all-size 2 x 2 matrix, also where it underflows (8e-400)."""
+    @pytest.mark.parametrize("size", [1e-310, 1e-200, 1e-150, 1e-15])
+    def test_entries_whose_weight_is_tiny(self, size):
+        """S and c S are one state: the all-size 2 x 2 matrix normalizes to
+        1/sqrt(8) each also where its weight 8 size^2 is at or below
+        ZERO_WEIGHT, underflows (8e-400) or has a subnormal largest entry."""
         assert 8 * size**2 <= ZERO_WEIGHT
+        state = normalize(np.full((2, 2), size, dtype=complex))
+        assert np.allclose(state.S, np.full((2, 2), 1 / np.sqrt(8)), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("c", [1e-310, 1e-200, 1e-15, 1.0, 1e200, 1e308, 1e-310j])
+    def test_any_nonzero_multiple_of_the_identity(self, c):
+        state = normalize(c * np.eye(2, dtype=complex))
+        phase = c / abs(c)
+        assert np.allclose(state.S, phase * np.eye(2) / 2, rtol=0, atol=1e-16)
+        assert state_rank(state) == 2
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e10, 1e200])
+    def test_antisymmetric_up_to_rounding_is_zero_at_every_scale(self, scale):
+        """J + 1e-17 I, J = [[0, 1], [-1, 0]]: its symmetric part 1e-17 I has
+        weight 4e-34 at the scale of its largest entry, so it is no state
+        whatever the overall scale."""
+        J = np.array([[0, 1], [-1, 0]], dtype=complex) + 1e-17 * np.eye(2)
         with pytest.raises(ZeroState):
-            normalize(np.full((2, 2), size, dtype=complex))
+            normalize(scale * J)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6))
@@ -106,6 +126,23 @@ class TestNormalize:
         gen = np.random.default_rng(seed)
         state = normalize(random_complex_symmetric(gen, m))
         assert 2 * np.trace(state.S.conj().T @ state.S).real == pytest.approx(1.0)
+
+
+class TestPowerOfTwoScale:
+    """Scaling by 2^k is exact in the normal range, so every scale-free
+    answer must come back bit for bit."""
+
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+    def test_scale_free(self, k):
+        gen = np.random.default_rng(k + 2000)
+        S = random_state_of_rank(gen, 5, 3).S
+        A, B = random_complex_symmetric(gen, 5), random_complex_symmetric(gen, 5)
+        c = 2.0**k
+        assert np.array_equal(normalize(c * S).S, normalize(S).S)
+        assert fidelity(c * A, B) == fidelity(A, B)
+        assert state_rank(normalize(c * S)) == state_rank(normalize(S)) == 3
+        with pytest.raises(NotSymmetric):
+            takagi(c * np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 NON_FINITE = np.array([[np.nan, 0], [0, 1]], dtype=complex)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,13 @@ class TestFidelity:
         S = random_complex_symmetric(rng, 4)
         assert fidelity(S, scale * S) == pytest.approx(1.0, abs=1e-12)
         assert fidelity(scale * S, S) == pytest.approx(1.0, abs=1e-12)
+
+    def test_subnormal_entries(self):
+        """Dividing by a subnormal peak must not form 1 / peak, which
+        overflows (a RuntimeWarning, an error under the test settings)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fidelity(1e-310 * np.eye(2), np.eye(2)) >= 1 - 1e-15
 
     def test_zero_state(self, rng):
         S = random_complex_symmetric(rng, 3)
