@@ -91,8 +91,11 @@ def matrix_from_doc(doc: Any, field: str = "matrix") -> np.ndarray:
     if not (pairs and all(map(_is_number_type, set(map(type, values))))):
         idx = next(i for i, pair in enumerate(data) if not _is_pair(pair))
         raise DocumentError(f"{field}.data[{idx}]: expected [re, im]", f"{field}.data")
-    M = np.array(values, dtype=float).view(complex).reshape(rows, cols)
-    if not np.all(np.isfinite(M)):
+    try:
+        M = np.array(values, dtype=float).view(complex).reshape(rows, cols)
+    except OverflowError:  # a JSON integer beyond the float range
+        M = None
+    if M is None or not np.all(np.isfinite(M)):
         raise DocumentError(f"{field}.data: non-finite entry", f"{field}.data")
     return M
 

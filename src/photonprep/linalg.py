@@ -40,10 +40,12 @@ class TakagiFactorization:
 def takagi(S: np.ndarray) -> TakagiFactorization:
     """Takagi (Autonne) factorization of a complex symmetric matrix.
 
-    Taken from one SVD where it can be (see _svd_takagi), else from the real
-    symmetric embedding of S (see _embedded_takagi). Values at or below the
-    rounding-level cut TAKAGI_CUT m sigma_1 are set to 0, and the diagonal is
-    sorted descending. Both gates are relative to the scale of S.
+    Every cut and gate reads one copy, S / peak symmetrized (see _peak_scaled),
+    factorized from one SVD (see _svd_takagi), or from its whole real embedding
+    (see _embedded_takagi) when checked_svd raises ConvergenceFailure. Values at
+    or below the cut TAKAGI_CUT m sigma_1 are set to 0 and the diagonal is sorted
+    descending; it is multiplied by peak on return, and a sigma_1 that then
+    overflows raises ConvergenceFailure. S and 2^k S share V.
     """
     S = np.asarray(S, dtype=complex)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -52,24 +54,28 @@ def takagi(S: np.ndarray) -> TakagiFactorization:
         raise ValueError("empty matrix")
     if not np.all(np.isfinite(S)):
         raise ValueError("matrix contains non-finite entries")
-    scaled = _peak_scaled(S)[0]
+    scaled, peak = _peak_scaled(S)
     norm, asymmetry = np.linalg.norm(scaled), np.linalg.norm(scaled - scaled.T)
     if asymmetry > SYMMETRY_TOL * norm:
         raise NotSymmetric(f"||S - S^T||_F/||S||_F = {asymmetry / norm:.3e} exceeds {SYMMETRY_TOL}")
-    S = (S + S.T) / 2.0
+    scaled = (scaled + scaled.T) / 2.0
 
-    factor = _svd_takagi(S)
-    if factor is None:
-        factor = _embedded_takagi(S)
-    residual = np.linalg.norm(factor.V.T @ S @ factor.V - factor.D)
+    try:
+        factor = _svd_takagi(scaled)
+    except ConvergenceFailure:
+        factor = _embedded_takagi(scaled)
+    residual = np.linalg.norm(factor.V.T @ scaled @ factor.V - factor.D)
     if not residual <= TAKAGI_RECONSTRUCTION_TOL * factor.diagonal[0]:
         raise ConvergenceFailure("Takagi factorization failed to reconstruct")
-    return factor
+    with np.errstate(over="ignore"):
+        diagonal = factor.diagonal * peak
+    if not np.isfinite(diagonal[0]):
+        raise ConvergenceFailure(f"Takagi value {factor.diagonal[0]:.3e} x {peak:.3e} overflows")
+    return TakagiFactorization(V=factor.V, diagonal=diagonal)
 
 
-def _svd_takagi(S: np.ndarray) -> TakagiFactorization | None:
-    """Takagi factors of a complex symmetric S from its checked SVD, or None
-    where the real embedding of S whole should be taken instead.
+def _svd_takagi(S: np.ndarray) -> TakagiFactorization:
+    """Takagi factors of a complex symmetric S from its checked SVD.
 
     With S = U Sigma W^†, symmetry makes P = U^† S conj(U) = Sigma W^† conj(U)
     symmetric and block diagonal across distinct singular values. An index
@@ -77,26 +83,20 @@ def _svd_takagi(S: np.ndarray) -> TakagiFactorization | None:
     TAKAGI_CUT m sigma_1 is isolated: its Takagi vector is conj(U) e_i times
     exp(-i arg(P_ii) / 2), with value sigma_i (0 at or below the cut). Indices
     that couple (degenerate or near-degenerate values) are factorized together
-    by the real embedding of P on them, and their vectors are conj(U) on them
-    times that factor. One stable sort restores the descending order.
+    as one block, however many there are, by the real embedding of P on them,
+    and their vectors are conj(U) on them times that factor. One stable sort
+    restores the descending order.
 
-    Returns None when checked_svd raises ConvergenceFailure (no convergence,
-    or U or W^† off unitarity, which V and P would inherit), or when most
-    indices couple (embedding S whole is then cheaper than gathering P).
+    checked_svd's ConvergenceFailure (no convergence, or U or W^† off
+    unitarity, which V and P would inherit) propagates.
     """
-    m = S.shape[0]
-    try:
-        u, sigma, wh = checked_svd(S)
-    except ConvergenceFailure:
-        return None
-    cut = TAKAGI_CUT * m * sigma[0]
+    u, sigma, wh = checked_svd(S)
+    cut = TAKAGI_CUT * len(S) * sigma[0]
     uc = u.conj()
     P = (sigma[:, None] * wh) @ uc
     off = np.abs(P) > cut
     np.fill_diagonal(off, False)
     coupled = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
-    if 2 * len(coupled) > m:
-        return None
 
     V = uc * np.exp(-0.5j * np.angle(P.diagonal()))
     diagonal = np.where(sigma > cut, sigma, 0.0)
@@ -190,11 +190,11 @@ def _peak_scaled(M: np.ndarray) -> tuple[np.ndarray, float]:
 def unitary_extension(a: np.ndarray, s: np.ndarray, bh: np.ndarray) -> np.ndarray:
     """The (N = m1 + m2)-mode Halmos dilation U = [[B, sqrt(I - B B^†)],
     [sqrt(I - B^† B), -B^†]] of the contraction B = (a * s) @ b^†, exactly as
-    given, from its reduced SVD: a (m1 x r), s (r values in [0, 1], any
+    given, from its reduced SVD: a (m1 x r), s (r real values in [0, 1], any
     order) and bh = b^† (r x m2), with r <= min(m1, m2), as
     np.linalg.svd(B, full_matrices=False) returns them. Any other shape, or
-    a value of s outside [0, 1], raises ValueError. A caller holding a map A
-    of largest singular value sigma_1 passes the factors of A / sigma_1.
+    an s complex or outside [0, 1], raises ValueError. A caller holding a
+    map A of largest singular value sigma_1 passes the factors of A / sigma_1.
     With g = 1 - sqrt(1 - s^2), taken as s^2 / (1 + sqrt(1 - s^2)) without
     the cancellation, the defect blocks are I - a diag(g) a^† and
     I - b diag(g) b^†: three products of width r in all. s = 0 gives the swap.
@@ -218,6 +218,8 @@ def unitary_extension(a: np.ndarray, s: np.ndarray, bh: np.ndarray) -> np.ndarra
     """
     a = np.asarray(a, dtype=complex)
     bh = np.asarray(bh, dtype=complex)
+    if np.iscomplexobj(s):
+        raise ValueError("singular values of a contraction must be real")
     s = np.asarray(s, dtype=float)
     shapes = f"{a.shape}, {s.shape} and {bh.shape}"
     if a.ndim != 2 or bh.ndim != 2 or s.shape != (a.shape[1],) or len(bh) != len(s):

@@ -13,8 +13,8 @@ RANK_TOL                   1e-10  x sigma_1          TakagiFactorization.rank: T
                                                      rules and state_rank read that count
 SYMMETRY_TOL               1e-10  x ||S||_F          takagi: ||S - S^T||_F within it, else
                                                      NotSymmetric
-TAKAGI_RECONSTRUCTION_TOL  1e-8   x sigma_1          takagi: ||V^T S V - D||_F within it, else
-                                                     ConvergenceFailure
+TAKAGI_RECONSTRUCTION_TOL  1e-8   x sigma_1          takagi: ||V^T S V - D||_F of S / peak
+                                                     within it, else ConvergenceFailure
 TAKAGI_CUT                 8 eps  x m sigma_1        takagi: values at or below the cut (m the
                                                      matrix size) are rounding noise, set to 0.
                                                      Also the coupling threshold: indices with

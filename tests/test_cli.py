@@ -64,6 +64,14 @@ class TestRank:
         assert main(["rank", "--state", path]) == 0
         assert capsys.readouterr().out.strip() == "1"
 
+    def test_integer_beyond_the_float_range_is_an_input_error(self, tmp_path, capsys):
+        """10**400 in a state document is exit 2 with the document's message,
+        not an OverflowError traceback (exit 1, the infeasible code)."""
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"rows": 1, "cols": 1, "data": [[10**400, 0]]}))
+        assert main(["rank", "--state", str(path)]) == 2
+        assert "non-finite entry" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("verb", ["rank", "synth-postselect", "synth-herald"])
 def test_non_square_state_is_an_input_error(tmp_path, capsys, verb):

@@ -62,7 +62,11 @@ class TestRejections:
         _rejects(_doc([[1.0, 0.0], bad]), "m.data[1]: expected [re, im]", "m.data")
         _rejects(_doc([bad, bad]), "m.data[0]: expected [re, im]", "m.data")
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    # a JSON integer beyond the float range has no float: not an OverflowError
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400")],
+    )
     def test_non_finite(self, value):
         _rejects(_doc([[1.0, 0.0], [0.0, value]]), "m.data: non-finite entry", "m.data")
 

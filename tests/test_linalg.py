@@ -133,14 +133,51 @@ class TestTakagi:
         fac = takagi(c * (A + 1e-12 * (J - J.T)))
         assert np.allclose(fac.diagonal / c, np.linalg.svd(A, compute_uv=False), rtol=1e-10)
 
-    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("c", [1e-300, 1e-3, 1.0, 1e3, 1e300])
     def test_reconstruction_gate_is_relative(self, monkeypatch, c):
         """A diagonal off by 1e-6 sigma_1 misses TAKAGI_RECONSTRUCTION_TOL
-        sigma_1 at every scale."""
-        wrong = TakagiFactorization(V=np.eye(2, dtype=complex), diagonal=c * np.array([1 + 1e-6, 1]))
-        monkeypatch.setattr(linalg_module, "_svd_takagi", lambda S: wrong)
+        sigma_1 at every scale, also where the residual's squares would
+        underflow or overflow at the scale of c I."""
+
+        def wrong(S):
+            diagonal = S.diagonal().real * [1 + 1e-6, 1]
+            return TakagiFactorization(V=np.eye(2, dtype=complex), diagonal=diagonal)
+
+        monkeypatch.setattr(linalg_module, "_svd_takagi", wrong)
         with pytest.raises(ConvergenceFailure, match="reconstruct"):
             takagi(c * np.eye(2))
+
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+    def test_exactly_covariant_under_powers_of_two(self, k):
+        """S and 2^k S have one peak-scaled copy, so they share V bit for bit
+        and their diagonals differ by exactly 2^k."""
+        S = random_complex_symmetric(np.random.default_rng(24), 6)
+        fac, scaled = takagi(S), takagi(2.0**k * S)
+        assert np.array_equal(scaled.V, fac.V)
+        assert np.array_equal(scaled.diagonal, 2.0**k * fac.diagonal)
+
+    @pytest.mark.parametrize("c", [1e170, 1e200])
+    def test_factorizes_where_the_residual_squares_overflow(self, c):
+        """Rounding alone puts residual entries of c A near 1e154 and beyond;
+        read on the peak-scaled copy, the reconstruction gate still passes."""
+        A = random_complex_symmetric(np.random.default_rng(46), 4)
+        fac = takagi(c * A)
+        assert np.allclose(fac.diagonal / c, takagi(A).diagonal, rtol=1e-12, atol=0)
+
+    def test_coupled_indices_are_embedded_as_one_block(self, monkeypatch):
+        """from_qudit_target of a rank-3 4 x 4 target: the 8 x 8 S has three
+        twofold nonzero values, so six of its eight indices couple, and only
+        those six are embedded, as one 6 x 6 block."""
+        S = from_qudit_target(random_target_of_rank(np.random.default_rng(37), 4, 4, 3)).S
+        embedded, sizes = _embedded_takagi, []
+
+        def recording(block):
+            sizes.append(block.shape)
+            return embedded(block)
+
+        monkeypatch.setattr(linalg_module, "_embedded_takagi", recording)
+        assert takagi(S).rank == 6
+        assert sizes == [(6, 6)]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8))
@@ -233,7 +270,8 @@ class TestTakagiAgainstEmbedding:
 
     def test_svd_failure_falls_back_to_the_embedding(self, monkeypatch):
         """Divide and conquer can fail to converge where the embedding's
-        eigensolver does not; takagi then embeds S whole."""
+        eigensolver does not; takagi then embeds its peak-scaled copy of S
+        whole, and multiplies the diagonal by the peak."""
         S = _with_spectrum(7, np.array([1.0, 0.8, 0.5, 0.5, 1e-11, 0.0]))
 
         def failing_svd(a, *args, **kwargs):
@@ -241,8 +279,9 @@ class TestTakagiAgainstEmbedding:
 
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
         fac = takagi(S)
-        reference = _embedded_takagi((S + S.T) / 2.0)
-        assert np.array_equal(fac.diagonal, reference.diagonal)
+        scaled, peak = _peak_scaled(S)
+        reference = _embedded_takagi((scaled + scaled.T) / 2.0)
+        assert np.array_equal(fac.diagonal, reference.diagonal * peak)
         assert np.array_equal(fac.V, reference.V)
         assert np.linalg.norm(fac.V.T @ S @ fac.V - fac.D) <= 1e-10
 
@@ -357,6 +396,12 @@ class TestUnitaryExtension:
     def test_rejects_values_outside_the_unit_interval(self, bad):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             unitary_extension(np.eye(3)[:, :2], np.array([0.5, bad]), np.eye(3)[:2])
+
+    def test_rejects_complex_values(self):
+        """B is dilated exactly as given, so a complex s is refused, not cast
+        to its real part."""
+        with pytest.raises(ValueError, match="real"):
+            unitary_extension(np.eye(2)[:, :1], np.array([0.5 + 0.5j]), np.eye(2)[:1])
 
     @pytest.mark.parametrize(
         "m1, m2, rank", [(4, 6, 1), (6, 4, 1), (5, 5, 2), (3, 7, 2), (1, 3, 1)]
