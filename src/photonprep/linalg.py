@@ -172,7 +172,8 @@ def checked_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _gram_defect(X: np.ndarray) -> float:
     """||X^† X - I||_F; NaN when X holds non-finite entries or its Gram
     overflows, so every gate reading it is written `not defect <= tol`."""
-    gram = X.conj().T @ X
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = X.conj().T @ X
     gram.flat[:: len(gram) + 1] -= 1.0
     return float(np.sqrt(np.vdot(gram, gram).real))
 

@@ -58,9 +58,10 @@ scale. s! is the product of the herald signal's factorials, d_0 the target's
 largest Takagi value, peak the largest modulus of S, eps = 2^-52 the float64
 machine epsilon. The Takagi cut sits at rounding level, far below RANK_TOL:
 dropping Takagi values near RANK_TOL * sigma_1 would cost reconstruction
-accuracy. MODE_MAP_TOL is absolute, so a feasible target whose input needs a
-Takagi direction just above RANK_TOL * sigma_1 can miss it (the rescaling then
-reaches ~1e10).
+accuracy. MODE_MAP_TOL is absolute, and it reads the input's Takagi residual E
+on the k dilated directions weighted by the rescalings lam_i lam_j, with
+lam^2 = d_ps / d_in, up to lam_max^2 ||E||_F: a feasible target whose input needs
+a Takagi direction just above RANK_TOL * sigma_1 can miss it (lam^2 ~ 1e10).
 """
 
 RANK_TOL = 1e-10

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .exceptions import DimensionMismatch, SignalMismatch, VerificationFailure, ZeroState
+from .exceptions import DimensionMismatch, SignalMismatch, VerificationFailure
 from .linalg import _peak_scaled
-from .states import TwoPhotonState, normalize
+from .states import TwoPhotonState
 from .tolerances import VERIFY_TOL
 
 
@@ -47,7 +47,8 @@ class HeraldPattern:
 
 @dataclass(frozen=True)
 class ExtractionReport:
-    """Outcome of projecting an evolved state back onto its encoding."""
+    """Outcome of projecting an evolved state back onto its encoding: the
+    projected block, unnormalized, its weight and its fidelity to a target."""
 
     extracted: np.ndarray
     probability: float
@@ -158,7 +159,8 @@ def extract_heralded(
     Input: one photon in each of the first n modes. Output projection:
     the given signal on the h herald modes (m..m+h-1), vacuum on
     auxiliaries, two photons anywhere in the first m payload modes.
-    Returns the normalized payload state matrix and the herald probability.
+    Returns the projected payload block T, unnormalized, and its weight, the
+    herald probability 2 Tr(T^† T).
     """
     U = np.asarray(U, dtype=complex)
     N = U.shape[0]
@@ -183,8 +185,4 @@ def extract_heralded(
 
     probability = float(2.0 * np.trace(T.conj().T @ T).real)
     fid = fidelity(T, target) if target is not None else float("nan")
-    try:
-        extracted = normalize(T).S
-    except ZeroState:
-        extracted = T
-    return ExtractionReport(extracted=extracted, probability=probability, fidelity_vs_target=fid)
+    return ExtractionReport(extracted=T, probability=probability, fidelity_vs_target=fid)

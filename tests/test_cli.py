@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -205,13 +206,16 @@ class TestVerifyPhi:
 
 
 def test_verify_rejects_a_unitary_with_a_nan_defect(cz_doc, capsys):
+    """Entries +-1e308 overflow the Gram: the defect reads NaN and exits 2,
+    with no RuntimeWarning leaking out, even one raised as an error."""
     doc = json.loads(cz_doc.read_text())
     unitary = doc["unitary"]
     cols = unitary["cols"]
     for i, j, value in ((0, 0, 1e308), (0, 1, 1e308), (1, 0, 1e308), (1, 1, -1e308)):
         unitary["data"][i * cols + j] = [value, 0.0]
     cz_doc.write_text(json.dumps(doc))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(["verify", "--input", str(cz_doc)]) == 2
     assert "unitary: matrix is not unitary" in capsys.readouterr().err
 

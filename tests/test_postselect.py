@@ -43,6 +43,11 @@ def target_with_spectrum(rng, d1, d2, sigma):
     return QuditTarget(C / np.linalg.norm(C))
 
 
+def sps_matrix(fac):
+    """The intermediate state S_ps = conj(V) D V^† of build_sps's factors."""
+    return (fac.V.conj() * fac.diagonal) @ fac.V.conj().T
+
+
 def state_with_spectrum(rng, m, sigma):
     """Normalized m-mode state whose Takagi values are proportional to sigma."""
     V = haar_unitary(rng, m)[:, : len(sigma)]
@@ -312,7 +317,22 @@ class TestDilationFromTakagiFactors:
 
 class TestFactoredModeMapGate:
     """The MODE_MAP_TOL gate reads ||M S_in M^T - S_ps||_F off the factors
-    of M; it is the dense residual of the mode map formed explicitly."""
+    of M; it is the dense residual of the mode map formed explicitly, against
+    the intermediate state formed here from build_sps's Takagi factors."""
+
+    @staticmethod
+    def dense_and_gated(state, target, perturb=None):
+        s_ps, fac_ps = build_sps(target)
+        fac_in = takagi(state.S)
+        k = min(fac_in.rank, int(np.count_nonzero(fac_ps.diagonal)))
+        a, bh = fac_ps.V[:, :k].conj(), fac_in.V[:, :k].T
+        lam = np.sqrt(fac_ps.diagonal[:k] / fac_in.diagonal[:k])
+        if perturb is not None:
+            lam = lam * perturb.uniform(0.5, 1.5, k)
+        M = (a * lam) @ bh
+        dense = np.linalg.norm(M @ state.S @ M.T - sps_matrix(fac_ps))
+        residual = postselect_module._mode_map_residual(a, lam, bh, state, s_ps)
+        return dense, residual, fac_ps.diagonal
 
     @pytest.mark.parametrize("seed", range(8))
     def test_equals_the_dense_residual(self, seed):
@@ -321,19 +341,30 @@ class TestFactoredModeMapGate:
         m = int(gen.integers(2, 9))
         rank_c = int(gen.integers(1, min(d1, d2, m) + 1))
         state = random_state_of_rank(gen, m, int(gen.integers(rank_c, m + 1)))
-        s_ps, fac_ps = build_sps(random_target_of_rank(gen, d1, d2, rank_c))
-        fac_in = takagi(state.S)
-        k = min(fac_in.rank, int(np.count_nonzero(fac_ps.diagonal)))
-        a, bh = fac_ps.V[:, :k].conj(), fac_in.V[:, :k].T
-        exact = np.sqrt(fac_ps.diagonal[:k] / fac_in.diagonal[:k])
+        target = random_target_of_rank(gen, d1, d2, rank_c)
         # the rescaling synthesize_postselect takes (residual at rounding
-        # level), and perturbed ones (residual of order one)
-        for lam in (exact, exact * gen.uniform(0.5, 1.5, k)):
-            M = (a * lam) @ bh
-            dense = np.linalg.norm(M @ state.S @ M.T - s_ps.S)
-            residual = postselect_module._mode_map_residual(a, lam, bh, state, s_ps)
+        # level), and a perturbed one (residual of order one)
+        for perturb in (None, gen):
+            dense, residual, _ = self.dense_and_gated(state, target, perturb)
             assert abs(residual - dense) <= 1e-14
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weight_beyond_the_dilated_directions(self, seed):
+        """C's last value sits just below RANK_TOL * sigma_1, above the cut, and
+        rank(S_in) = rank(C) = 2: k = 2 < 3 nonzero values of S_ps, and the
+        gate reads the weight d_ps[2] that no dilated direction carries."""
+        gen = np.random.default_rng(seed)
+        state = state_with_spectrum(gen, 5, [1.0, 0.7])
+        target = target_with_spectrum(gen, 3, 3, [1.0, 0.4, BELOW])
+        assert state_rank(state) == 2
+        dense, residual, d_ps = self.dense_and_gated(state, target)
+        assert np.count_nonzero(d_ps) == 3
+        assert abs(residual - dense) <= 1e-14
+        # the dilated directions match to rounding: the residual is that weight
+        assert abs(residual - d_ps[2]) <= 1e-14
+        dense, residual, _ = self.dense_and_gated(state, target, perturb=gen)
+        assert abs(residual - dense) <= 1e-14
+        assert synthesize_postselect(state, target).report.verified
 
     def test_nan_residual_is_refused(self, monkeypatch):
         monkeypatch.setattr(postselect_module, "_mode_map_residual", lambda *args: np.nan)
