@@ -38,8 +38,6 @@ ZERO_WEIGHT                1e-28  x peak^2           normalize: a symmetric part
 IDENTITY_TOL               1e-9   x sqrt(2 s!) d_0   herald: largest error of the pre-embedding
                                                      identity Per(row_i, row_j, H) =
                                                      sqrt(2 s!) d_i delta_ij
-MODE_MAP_TOL               1e-8   absolute           postselect: ||M S_in M^T - S_ps||_F of the
-                                                     rescaled mode map within it
 VERIFY_TOL                 1e-9   absolute           ExtractionReport.verified: oracle fidelity
                                                      must exceed 1 - VERIFY_TOL (both
                                                      synthesizers, CLI verify, selftest)
@@ -58,10 +56,7 @@ scale. s! is the product of the herald signal's factorials, d_0 the target's
 largest Takagi value, peak the largest modulus of S, eps = 2^-52 the float64
 machine epsilon. The Takagi cut sits at rounding level, far below RANK_TOL:
 dropping Takagi values near RANK_TOL * sigma_1 would cost reconstruction
-accuracy. MODE_MAP_TOL is absolute, and it reads the input's Takagi residual E
-on the k dilated directions weighted by the rescalings lam_i lam_j, with
-lam^2 = d_ps / d_in, up to lam_max^2 ||E||_F: a feasible target whose input needs
-a Takagi direction just above RANK_TOL * sigma_1 can miss it (lam^2 ~ 1e10).
+accuracy.
 """
 
 RANK_TOL = 1e-10
@@ -73,7 +68,6 @@ NORMALIZATION_TOL = 1e-8
 TARGET_NORM_TOL = 1e-6
 ZERO_WEIGHT = 1e-28
 IDENTITY_TOL = 1e-9
-MODE_MAP_TOL = 1e-8
 VERIFY_TOL = 1e-9
 CNZ_AMPLITUDE_TOL = 1e-9
 CNZ_ZERO_BASE = 1e-12

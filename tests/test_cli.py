@@ -287,6 +287,15 @@ class TestVerifyRejectsMalformedHeraldDocument:
         assert main(["verify", "--input", str(bell_doc)]) == 2
         assert field in capsys.readouterr().err
 
+    def test_signal_not_summing_to_n_minus_2(self, bell_doc, capsys):
+        """The Bell circuit's 4 photons need a signal of 2: a signal of 1 is a
+        SignalMismatch, an input error (exit 2)."""
+        doc = json.loads(bell_doc.read_text())
+        doc["herald"]["signal"] = [1]
+        bell_doc.write_text(json.dumps(doc))
+        assert main(["verify", "--input", str(bell_doc)]) == 2
+        assert "signal sums to 1" in capsys.readouterr().err
+
     def test_two_photon_document_has_empty_signal(self, tmp_path, capsys):
         state = random_state_of_rank(np.random.default_rng(3), 3, 2)
         path = write_matrix(tmp_path / "rank2.json", state.S)

@@ -43,11 +43,6 @@ def target_with_spectrum(rng, d1, d2, sigma):
     return QuditTarget(C / np.linalg.norm(C))
 
 
-def sps_matrix(fac):
-    """The intermediate state S_ps = conj(V) D V^† of build_sps's factors."""
-    return (fac.V.conj() * fac.diagonal) @ fac.V.conj().T
-
-
 def state_with_spectrum(rng, m, sigma):
     """Normalized m-mode state whose Takagi values are proportional to sigma."""
     V = haar_unitary(rng, m)[:, : len(sigma)]
@@ -263,10 +258,40 @@ def _adversarial_cases():
             random_state_of_rank(rng, 9, 2),
             random_target_of_rank(rng, 2, 2, 2),
         ),
+        # C's last value sits just below RANK_TOL * sigma_1, above the cut, and
+        # rank(S_in) = rank(C) = 2: k = 2 < 3 nonzero values of S_ps, so S_ps
+        # keeps a weight that no dilated direction carries
+        "fewer-dilated-than-nonzero": (
+            state_with_spectrum(rng, 5, [1.0, 0.7]),
+            target_with_spectrum(rng, 3, 3, [1.0, 0.4, BELOW]),
+        ),
     }
 
 
 ADVERSARIAL = _adversarial_cases()
+
+
+def test_fewer_dilated_directions_than_nonzero_values():
+    """The premise of that case: rank(S_in) = 2 dilated directions for the
+    3 nonzero Takagi values of S_ps."""
+    state, target = ADVERSARIAL["fewer-dilated-than-nonzero"]
+    assert state_rank(state) == 2
+    assert np.count_nonzero(build_sps(target)[1].diagonal) == 3
+
+
+def check_block_is_scale_alpha_times_the_mode_map(state, target):
+    """U's top-left (d1 + d2) x m_in block is scale_alpha times
+    M = conj(V_ps) diag(lam) V_in^T, formed here from both Takagi
+    factorizations, and scale_alpha = 1 / sigma_1(M) = 1 / max(lam)."""
+    result = synthesize_postselect(state, target)
+    fac_in, (s_ps, fac_ps) = takagi(state.S), build_sps(target)
+    r = min(fac_in.rank, s_ps.modes)
+    lam = np.sqrt(fac_ps.diagonal[:r] / fac_in.diagonal[:r])
+    M = (fac_ps.V[:, :r].conj() * lam) @ fac_in.V[:, :r].T
+    block = result.unitary[: s_ps.modes, : state.modes]
+    assert np.max(np.abs(block - result.scale_alpha * M)) <= 1e-12
+    assert result.scale_alpha == 1.0 / lam.max()
+    return result
 
 
 class TestDilationFromTakagiFactors:
@@ -283,17 +308,8 @@ class TestDilationFromTakagiFactors:
 
     @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
     def test_block_is_scale_alpha_times_the_mode_map(self, case):
-        """U's top-left (d1 + d2) x m_in block is scale_alpha times M, and
-        scale_alpha = 1 / sigma_1(M) = 1 / max(lam)."""
         state, target = ADVERSARIAL[case]
-        result = synthesize_postselect(state, target)
-        fac_in, (s_ps, fac_ps) = takagi(state.S), build_sps(target)
-        r = min(fac_in.rank, s_ps.modes)
-        lam = np.sqrt(fac_ps.diagonal[:r] / fac_in.diagonal[:r])
-        M = (fac_ps.V[:, :r].conj() * lam) @ fac_in.V[:, :r].T
-        block = result.unitary[: s_ps.modes, : state.modes]
-        assert np.max(np.abs(block - result.scale_alpha * M)) <= 1e-12
-        assert result.scale_alpha == 1.0 / lam.max()
+        check_block_is_scale_alpha_times_the_mode_map(state, target)
 
     @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
     def test_circuit_has_natural_size(self, case):
@@ -313,63 +329,6 @@ class TestDilationFromTakagiFactors:
         shapes = svds_outside_takagi(postselect_module)
         synthesize_postselect(state, target)
         assert shapes == [target.C.shape]
-
-
-class TestFactoredModeMapGate:
-    """The MODE_MAP_TOL gate reads ||M S_in M^T - S_ps||_F off the factors
-    of M; it is the dense residual of the mode map formed explicitly, against
-    the intermediate state formed here from build_sps's Takagi factors."""
-
-    @staticmethod
-    def dense_and_gated(state, target, perturb=None):
-        s_ps, fac_ps = build_sps(target)
-        fac_in = takagi(state.S)
-        k = min(fac_in.rank, int(np.count_nonzero(fac_ps.diagonal)))
-        a, bh = fac_ps.V[:, :k].conj(), fac_in.V[:, :k].T
-        lam = np.sqrt(fac_ps.diagonal[:k] / fac_in.diagonal[:k])
-        if perturb is not None:
-            lam = lam * perturb.uniform(0.5, 1.5, k)
-        M = (a * lam) @ bh
-        dense = np.linalg.norm(M @ state.S @ M.T - sps_matrix(fac_ps))
-        residual = postselect_module._mode_map_residual(a, lam, bh, state, s_ps)
-        return dense, residual, fac_ps.diagonal
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_equals_the_dense_residual(self, seed):
-        gen = np.random.default_rng(seed)
-        d1, d2 = (int(x) for x in gen.integers(1, 6, 2))
-        m = int(gen.integers(2, 9))
-        rank_c = int(gen.integers(1, min(d1, d2, m) + 1))
-        state = random_state_of_rank(gen, m, int(gen.integers(rank_c, m + 1)))
-        target = random_target_of_rank(gen, d1, d2, rank_c)
-        # the rescaling synthesize_postselect takes (residual at rounding
-        # level), and a perturbed one (residual of order one)
-        for perturb in (None, gen):
-            dense, residual, _ = self.dense_and_gated(state, target, perturb)
-            assert abs(residual - dense) <= 1e-14
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_weight_beyond_the_dilated_directions(self, seed):
-        """C's last value sits just below RANK_TOL * sigma_1, above the cut, and
-        rank(S_in) = rank(C) = 2: k = 2 < 3 nonzero values of S_ps, and the
-        gate reads the weight d_ps[2] that no dilated direction carries."""
-        gen = np.random.default_rng(seed)
-        state = state_with_spectrum(gen, 5, [1.0, 0.7])
-        target = target_with_spectrum(gen, 3, 3, [1.0, 0.4, BELOW])
-        assert state_rank(state) == 2
-        dense, residual, d_ps = self.dense_and_gated(state, target)
-        assert np.count_nonzero(d_ps) == 3
-        assert abs(residual - dense) <= 1e-14
-        # the dilated directions match to rounding: the residual is that weight
-        assert abs(residual - d_ps[2]) <= 1e-14
-        dense, residual, _ = self.dense_and_gated(state, target, perturb=gen)
-        assert abs(residual - dense) <= 1e-14
-        assert synthesize_postselect(state, target).report.verified
-
-    def test_nan_residual_is_refused(self, monkeypatch):
-        monkeypatch.setattr(postselect_module, "_mode_map_residual", lambda *args: np.nan)
-        with pytest.raises(VerificationFailure, match="misses the intermediate state"):
-            synthesize_postselect(single_photons_state(4), bell_target(2))
 
 
 def _hostile_target(i):
@@ -489,16 +448,51 @@ class TestInfeasibleIffRankRule:
             self.check(state, target)
 
 
-@pytest.mark.xfail(raises=VerificationFailure, strict=True, reason="absolute residual gate")
 def test_needed_input_value_at_threshold(rng):
-    """Known defect: a feasible target that needs the input's Takagi value at
-    RANK_TOL * sigma_1 * (1 + 1e-3) fails the absolute 1e-8 mode-map residual,
-    because the rescaling amplifies that vector's rounding by lam^2 ~ 1e10.
-    Strict, so a fix shows up as a failure here and the marker goes."""
+    """A feasible target that needs the input's Takagi value at
+    RANK_TOL * sigma_1 * (1 + 1e-3) synthesizes: the rescaling amplifies that
+    direction by lam^2 ~ 1e10, and the oracle, not a residual of the rescaled
+    mode map, is the verdict on the circuit."""
     state = state_with_spectrum(rng, 4, [1.0, NEAR])
     target = target_with_spectrum(rng, 2, 2, [1.0, 0.5])
     assert feasible_postselect(state, target)
-    synthesize_postselect(state, target)
+    result = synthesize_postselect(state, target)
+    assert result.report.verified
+    assert result.success_probability > 0.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("x", [1e-9, 3e-10, 1.001e-10])
+def test_input_spectrum_approaching_threshold(seed, x):
+    """Input Takagi values [1, 0.7, x] on 6 modes onto a 3 x 3 target with
+    values [1, 0.5, 0.2]: lam^2 = d_ps / d_in grows as x falls to RANK_TOL,
+    and every circuit verifies with U's block scale_alpha times the mode map."""
+    gen = np.random.default_rng([26, seed])
+    state = state_with_spectrum(gen, 6, [1.0, 0.7, x])
+    target = target_with_spectrum(gen, 3, 3, [1.0, 0.5, 0.2])
+    assert feasible_postselect(state, target)
+    result = check_block_is_scale_alpha_times_the_mode_map(state, target)
+    assert result.report.verified
+    assert result.success_probability > 0.0
+
+
+def test_mode_map_error_is_refused_by_the_oracle(monkeypatch):
+    """A dilation of singular values off by up to 1e-2 relative, renormalized
+    to a contraction, is unitary but prepares the wrong block: the oracle
+    refuses it, with no gate of its own in the synthesizer."""
+    gen = np.random.default_rng(2601)
+    extension = postselect_module.unitary_extension
+
+    def perturbed(a, s, bh):
+        s = s * (1.0 + 1e-2 * gen.uniform(-1.0, 1.0, len(s)))
+        return extension(a, s / s.max(), bh)
+
+    monkeypatch.setattr(postselect_module, "unitary_extension", perturbed)
+    for _ in range(10):
+        state = random_state_of_rank(gen, 5, 3)
+        target = random_target_of_rank(gen, 3, 3, 3)
+        with pytest.raises(VerificationFailure, match="oracle fidelity"):
+            synthesize_postselect(state, target)
 
 
 def test_identity_circuit_roundtrip(definition_rank):

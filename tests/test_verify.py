@@ -6,7 +6,9 @@ import pytest
 from photonprep import (
     DimensionMismatch,
     QuditTarget,
+    SignalMismatch,
     TwoPhotonState,
+    VerificationFailure,
     amplitude,
     extract_heralded,
     extract_postselected,
@@ -23,7 +25,8 @@ from photonprep.random_states import (
     random_unitary,
 )
 from photonprep.states import single_photons_state
-from photonprep.verify import ExtractionReport, HeraldPattern, fidelity
+from photonprep.tolerances import VERIFY_TOL
+from photonprep.verify import ExtractionReport, HeraldPattern, _verified_result, fidelity
 
 
 class TestHeraldPattern:
@@ -45,6 +48,18 @@ class TestVerdict:
     def test_fidelity_threshold(self, fidelity, verified):
         report = ExtractionReport(extracted=np.zeros((1, 1)), probability=1.0, fidelity_vs_target=fidelity)
         assert report.verified is verified
+
+    @pytest.mark.parametrize("fidelity", [1 - VERIFY_TOL, 0.5, float("nan")])
+    def test_result_refuses_an_unverified_report(self, fidelity):
+        report = ExtractionReport(extracted=np.zeros((1, 1)), probability=1.0, fidelity_vs_target=fidelity)
+        with pytest.raises(VerificationFailure, match="oracle fidelity .* below tolerance"):
+            _verified_result(np.eye(2, dtype=complex), 1.0, report, 2, None)
+
+    def test_result_refuses_a_vanishing_probability(self):
+        report = ExtractionReport(extracted=np.zeros((1, 1)), probability=0.0, fidelity_vs_target=1.0)
+        assert report.verified
+        with pytest.raises(VerificationFailure, match="vanishing success probability"):
+            _verified_result(np.eye(2, dtype=complex), 1.0, report, 2, None)
 
 
 class TestFidelity:
@@ -216,6 +231,12 @@ class TestExtractHeralded:
             extract_heralded(
                 np.eye(2, dtype=complex), 2, HeraldPattern(signal=()), 2, target=np.eye(4)
             )
+
+    def test_signal_must_sum_to_n_minus_2(self):
+        """4 photons need a signal of 2 heralded photons; a signal of 1 is a
+        SignalMismatch, not an extraction."""
+        with pytest.raises(SignalMismatch, match="signal sums to 1, expected 2"):
+            extract_heralded(np.eye(9, dtype=complex), 4, HeraldPattern(signal=(1,)), 4)
 
     def test_synthesized_rank3(self, rng):
         target = random_state_of_rank(rng, 4, 3)
