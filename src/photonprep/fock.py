@@ -7,7 +7,9 @@ formula evaluated for all sign vectors at once, as one matrix product
 with a cached sign table. `permanent` takes a single matrix or a stack
 of same-size matrices, and `amplitude` broadcasts over stacks of
 occupation vectors, so a whole truth table or heralded output space is one
-call. An O(n!) expansion is kept as an independent test oracle.
+call. It turns each stack, as given, into the mode index of each photon and
+broadcasts only those n-wide index arrays, never the m-wide occupations.
+An O(n!) expansion is kept as an independent test oracle.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from .exceptions import DimensionMismatch, PhotonNumberMismatch, TooLarge
 
 PERMANENT_LIMIT = 14
 
-# Integers in one broadcast occupation stack of `amplitude` (512 MB as int64):
-# the 2^10 x 2^10 truth table of a 10-qubit gate over 40 modes fits, the
-# 2^11 x 2^11 one over 44 modes does not.
+# Entries of the table that one `amplitude` call spans, its broadcast leading
+# shape times the m modes: the 2^10 x 2^10 truth table of a 10-qubit gate
+# over 40 modes fits, the 2^11 x 2^11 one over 44 modes does not. No stack of
+# that size is built: each of the two photon index arrays is n / m of it.
 OCCUPATION_LIMIT = 1 << 26
 
 _FACTORIALS = np.array([math.factorial(i) for i in range(PERMANENT_LIMIT + 1)], dtype=float)
@@ -100,6 +103,28 @@ def permanent_naive(M: np.ndarray) -> complex:
     return complex(total)
 
 
+def _occupations(x) -> np.ndarray:
+    """x as an integer array. Integral floats are accepted; a fractional,
+    non-finite or non-numeric entry raises ValueError instead of being
+    truncated."""
+    a = np.asarray(x)
+    if a.dtype.kind in "biu":
+        return a.astype(int, copy=False)
+    if a.dtype.kind != "f":
+        raise ValueError(f"occupations must be integers, got {a.dtype} entries")
+    # 2^53 bounds the floats that hold integers exactly
+    if not np.all(np.isfinite(a) & (np.trunc(a) == a) & (np.abs(a) <= 2.0**53)):
+        raise ValueError("occupations must be integers, got a fractional or non-finite entry")
+    return a.astype(int)
+
+
+def _photon_modes(occupations: np.ndarray, n: int) -> np.ndarray:
+    """(..., n) array of the mode of each photon, ascending, for a (..., m)
+    stack whose every entry holds n photons."""
+    modes = np.arange(occupations.size) % occupations.shape[-1]
+    return np.repeat(modes, occupations.reshape(-1)).reshape(occupations.shape[:-1] + (n,))
+
+
 def amplitude(U: np.ndarray, k, ell) -> complex | np.ndarray:
     """Transition amplitude <k| induced-U |ell> for occupation vectors k, ell.
 
@@ -108,11 +133,14 @@ def amplitude(U: np.ndarray, k, ell) -> complex | np.ndarray:
     k and ell may be stacks (..., m) whose leading shapes broadcast; every
     entry must then carry the same photon number, and the result is an
     array of the broadcast leading shape. A pair of vectors returns a
-    complex number.
+    complex number. Entries must be integers (ValueError otherwise).
+
+    Every check and the factorial norms read the stacks as given. Only the
+    photon mode indices, n per entry, are broadcast; the submatrices are
+    gathered from them chunk by chunk.
     """
     U = np.asarray(U, dtype=complex)
-    k = np.asarray(k, dtype=int)
-    ell = np.asarray(ell, dtype=int)
+    k, ell = _occupations(k), _occupations(ell)
     m = U.shape[0]
     if U.shape != (m, m) or k.shape[-1:] != (m,) or ell.shape[-1:] != (m,):
         raise DimensionMismatch("occupation vectors must match the unitary dimension")
@@ -120,33 +148,33 @@ def amplitude(U: np.ndarray, k, ell) -> complex | np.ndarray:
         shape = np.broadcast_shapes(k.shape[:-1], ell.shape[:-1])
     except ValueError as exc:
         raise DimensionMismatch(f"occupation stacks do not broadcast: {exc}") from exc
-    if np.any(k < 0) or np.any(ell < 0):
+    if k.min(initial=0) < 0 or ell.min(initial=0) < 0:
         raise ValueError("occupations must be nonnegative")
-    # checked on the unbroadcast stacks, before the (possibly huge) broadcast copy
-    photons = max(k.sum(axis=-1).max(initial=0), ell.sum(axis=-1).max(initial=0))
+    k_photons, ell_photons = k.sum(axis=-1), ell.sum(axis=-1)
+    photons = max(k_photons.max(initial=0), ell_photons.max(initial=0))
     if photons > PERMANENT_LIMIT:
         raise TooLarge(f"photon number {photons} beyond the permanent limit")
-    if math.prod(shape) * m > OCCUPATION_LIMIT:
+    size = math.prod(shape)
+    if size * m > OCCUPATION_LIMIT:
         raise TooLarge(f"occupation stack {shape + (m,)} beyond {OCCUPATION_LIMIT} entries")
-    k = np.broadcast_to(k, shape + (m,)).reshape(-1, m)
-    ell = np.broadcast_to(ell, shape + (m,)).reshape(-1, m)
-    k_photons, ell_photons = k.sum(axis=1), ell.sum(axis=1)
     if np.any(k_photons != ell_photons):
-        i = int(np.argmax(k_photons != ell_photons))
-        raise PhotonNumberMismatch(f"{k_photons[i]} output photons vs {ell_photons[i]} input")
-    n = int(k_photons[0]) if len(k) else 0
+        k_photons, ell_photons = np.broadcast_arrays(k_photons, ell_photons)
+        i = np.argmax(k_photons != ell_photons)
+        raise PhotonNumberMismatch(f"{k_photons.flat[i]} output photons vs {ell_photons.flat[i]} input")
+    if not size:
+        return np.empty(shape, dtype=complex)
+    # a nonempty broadcast reaches every entry of each stack, and the entries
+    # of ell match those of k, so k alone tells whether the photon number is one
+    n = int(np.ravel(k_photons)[0])
     if np.any(k_photons != n):
         raise PhotonNumberMismatch(f"a batch mixes photon numbers {np.unique(k_photons).tolist()}")
-    out = np.empty(len(k), dtype=complex)
-    for part in _chunks(len(k), n):
-        count = len(k[part])
-        # every entry holds n photons, so the repeated mode indices split evenly
-        modes = np.tile(np.arange(m), count)
-        rows = np.repeat(modes, k[part].reshape(-1)).reshape(count, n, 1)
-        cols = np.repeat(modes, ell[part].reshape(-1)).reshape(count, 1, n)
-        out[part] = permanent(U[rows, cols])
-    out /= np.sqrt(_FACTORIALS[k].prod(axis=1) * _FACTORIALS[ell].prod(axis=1))
+    rows = np.broadcast_to(_photon_modes(k, n), shape + (n,)).reshape(size, n)
+    cols = np.broadcast_to(_photon_modes(ell, n), shape + (n,)).reshape(size, n)
+    out = np.empty(size, dtype=complex)
+    for part in _chunks(size, n):
+        out[part] = permanent(U[rows[part, :, None], cols[part, None, :]])
     out = out.reshape(shape)
+    out /= np.sqrt(_FACTORIALS[k].prod(axis=-1) * _FACTORIALS[ell].prod(axis=-1))
     return complex(out) if out.ndim == 0 else out
 
 

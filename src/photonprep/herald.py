@@ -39,6 +39,7 @@ def feasible_herald(state_out: TwoPhotonState, n: int) -> bool:
     return n >= state_rank(state_out)
 
 
+@functools.lru_cache(maxsize=fock.PERMANENT_LIMIT)
 def herald_bilinear_matrix(n: int) -> np.ndarray:
     """Matrix F of the bilinear form (x, y) -> Per(x, y, H) = x^T F y of the
     flat witness, where H repeats the flat row (1, ..., 1) / sqrt(n - 2)
@@ -51,7 +52,8 @@ def herald_bilinear_matrix(n: int) -> np.ndarray:
     Delta, with prod_i (H Delta)_i = (sum_k delta_k / sqrt(n - 2))^(n - 2);
     n = 2 gives F = J - I. F_aa = 0 exactly, since no permutation picks
     column a twice. Raises TooLarge beyond the permanent limit, before any
-    sign table is built.
+    sign table is built. F depends on n only, so it is built once per n and
+    returned read-only, as _flat_takagi's factors are.
     """
     if n < 2:
         raise ValueError("at least two photons are required")
@@ -61,6 +63,7 @@ def herald_bilinear_matrix(n: int) -> np.ndarray:
     herald = deltas.real.sum(axis=0) ** (n - 2) * (n - 2) ** (-(n - 2) / 2)
     F = (deltas * (weights * herald)) @ deltas.T
     np.fill_diagonal(F, 0.0)
+    F.setflags(write=False)
     return F
 
 
@@ -120,7 +123,8 @@ def synthesize_herald(state_out: TwoPhotonState, n: int) -> SynthesisResult:
     R = weights[:, None] * bh
 
     # Per(x, y, H) = x^T F y, so the identity for all pairs is one matrix product
-    deviation = R @ F @ R.T - np.diag(scale * d[:rank])
+    deviation = R @ F @ R.T
+    deviation.flat[:: rank + 1] -= scale * d[:rank]
     identity_error = float(np.max(np.abs(deviation)) / (scale * d[0]))
     if not identity_error <= IDENTITY_TOL:
         raise VerificationFailure(

@@ -151,6 +151,14 @@ def synthesis_from_doc(doc: Any) -> dict[str, Any]:
                 f"herald.signal: expected a list of positive integers, got {signal!r}",
                 "herald.signal",
             )
+        # the layout rule: one herald mode per signal entry
+        if "modes" in herald and not (
+            _is_int_at_least(herald["modes"], 0) and herald["modes"] == len(signal)
+        ):
+            raise DocumentError(
+                f"herald.modes: expected {len(signal)}, one per signal entry, got {herald['modes']!r}",
+                "herald.modes",
+            )
         out["herald"] = HeraldPattern(signal=tuple(signal))
     else:  # a herald document without one has the empty signal of two photons
         out["herald"] = HeraldPattern(signal=()) if kind == "herald" else None

@@ -64,8 +64,9 @@ def takagi(S: np.ndarray) -> TakagiFactorization:
         factor = _svd_takagi(scaled)
     except ConvergenceFailure:
         factor = _embedded_takagi(scaled)
-    residual = np.linalg.norm(factor.V.T @ scaled @ factor.V - factor.D)
-    if not residual <= TAKAGI_RECONSTRUCTION_TOL * factor.diagonal[0]:
+    residual = factor.V.T @ scaled @ factor.V
+    residual.flat[:: len(residual) + 1] -= factor.diagonal
+    if not np.linalg.norm(residual) <= TAKAGI_RECONSTRUCTION_TOL * factor.diagonal[0]:
         raise ConvergenceFailure("Takagi factorization failed to reconstruct")
     with np.errstate(over="ignore"):
         diagonal = factor.diagonal * peak
@@ -101,7 +102,7 @@ def _svd_takagi(S: np.ndarray) -> TakagiFactorization:
     V = uc * np.exp(-0.5j * np.angle(P.diagonal()))
     diagonal = np.where(sigma > cut, sigma, 0.0)
     if len(coupled):
-        block = P[coupled][:, coupled]
+        block = P[coupled[:, None], coupled]
         inner = _embedded_takagi((block + block.T) / 2.0)
         V[:, coupled] = uc[:, coupled] @ inner.V
         diagonal[coupled] = inner.diagonal

@@ -10,13 +10,14 @@ S_ij + S_ji = 2 S_ij, and the coefficient of |2_i> is sqrt(2) S_ii.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
-from .exceptions import DimensionMismatch, SignalMismatch, VerificationFailure
+from .exceptions import DimensionMismatch, SignalMismatch, TooLarge, VerificationFailure
 from .linalg import _peak_scaled
 from .states import TwoPhotonState
 from .tolerances import VERIFY_TOL
@@ -147,6 +148,30 @@ def extract_postselected(
     return ExtractionReport(extracted=extracted, probability=probability, fidelity_vs_target=fid)
 
 
+@functools.lru_cache(maxsize=16)
+def _heralded_outputs(
+    N: int, n: int, m: int, signal: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Size-only tables of extract_heralded's projection, built once per
+    layout and returned read-only: the payload pairs (i, j), i <= j, the output
+    occupation of each pair, the input occupation and the divisor of each
+    pair's amplitude. |1_i 1_j> carries 2 T_ij, |2_i> carries sqrt(2) T_ii.
+    Occupations are int8, which holds any within the permanent limit, so a
+    cached table holds an eighth of the bytes of an int one."""
+    ell_in = np.zeros(N, dtype=np.int8)
+    ell_in[:n] = 1
+    base_out = np.zeros(N, dtype=np.int8)
+    base_out[m : m + len(signal)] = signal
+    i, j = np.triu_indices(m)
+    unit = np.eye(m, N, dtype=np.int8)
+    k_out = base_out + unit[i] + unit[j]
+    divisors = np.where(i == j, np.sqrt(2.0), 2.0)
+    tables = (i, j, k_out, ell_in, divisors)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def extract_heralded(
     U: np.ndarray,
     n: int,
@@ -169,17 +194,11 @@ def extract_heralded(
         raise DimensionMismatch("unitary too small for payload, heralds and photons")
     if pattern.total != n - 2:
         raise SignalMismatch(f"signal sums to {pattern.total}, expected {n - 2}")
+    if n > fock.PERMANENT_LIMIT:
+        raise TooLarge(f"photon number {n} beyond the permanent limit")
 
-    ell_in = np.zeros(N, dtype=int)
-    ell_in[:n] = 1
-    base_out = np.zeros(N, dtype=int)
-    base_out[m : m + h] = pattern.signal
-
-    # |1_i 1_j> carries 2 T_ij, |2_i> carries sqrt(2) T_ii
-    i, j = np.triu_indices(m)
-    unit = np.eye(m, N, dtype=int)
-    k_out = base_out + unit[i] + unit[j]
-    amps = fock.amplitude(U, k_out, ell_in) / np.where(i == j, np.sqrt(2.0), 2.0)
+    i, j, k_out, ell_in, divisors = _heralded_outputs(N, n, m, pattern.signal)
+    amps = fock.amplitude(U, k_out, ell_in) / divisors
     T = np.zeros((m, m), dtype=complex)
     T[i, j] = T[j, i] = amps
 

@@ -269,6 +269,9 @@ class TestVerifyRejectsMalformedHeraldDocument:
             ("signal", "2"),
             ("signal", [True, True]),
             ("signal", 5),
+            # one herald mode per signal entry
+            ("modes", 7),
+            ("modes", "x"),
             ("payload_modes", "4"),
             ("payload_modes", 4.5),
             ("payload_modes", True),
@@ -279,8 +282,8 @@ class TestVerifyRejectsMalformedHeraldDocument:
     )
     def test_malformed_input_exit_code(self, bell_doc, capsys, field, value):
         doc = json.loads(bell_doc.read_text())
-        if field == "signal":
-            doc["herald"]["signal"] = value
+        if field in ("signal", "modes"):
+            doc["herald"][field] = value
         else:
             doc[field] = value
         bell_doc.write_text(json.dumps(doc))

@@ -265,6 +265,80 @@ class TestBatchedAmplitude:
         assert peak < 5e6
 
 
+class TestOccupationEntries:
+    @pytest.mark.parametrize("k", [(1.7, 0, 0), (1, 0.5, -0.5), ("1", 0, 0), ("x", 0, 0), (np.nan, 0, 0), (np.inf, 0, 0)])
+    def test_fractional_or_non_numeric_entries_are_refused(self, k):
+        """Such entries once truncated to the amplitude of (1, 0, 0)."""
+        with pytest.raises(ValueError, match="occupations must be integers"):
+            amplitude(np.eye(3), k, (1, 0, 0))
+        with pytest.raises(ValueError, match="occupations must be integers"):
+            amplitude(np.eye(3), (1, 0, 0), [k, (1, 0, 0)])
+
+    def test_fraction_objects_are_refused(self):
+        from fractions import Fraction
+
+        with pytest.raises(ValueError, match="occupations must be integers"):
+            amplitude(np.eye(3), (Fraction(1), 0, 0), (1, 0, 0))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, float])
+    def test_integer_valued_entries_of_any_numeric_dtype(self, rng, dtype):
+        U = random_unitary(rng, 3)
+        k = np.array([[2, 0, 1], [0, 1, 2]], dtype=dtype)
+        ell = np.array([1, 1, 1], dtype=dtype)
+        assert np.array_equal(amplitude(U, k, ell), amplitude(U, k.astype(int), ell.astype(int)))
+
+
+class TestIndexGather:
+    def test_matches_the_broadcast_occupation_reference(self, rng, occupation_basis):
+        """The photon index gather against the m-wide broadcast it replaced:
+        the same submatrices in the same batches, so equal to the bit."""
+        m, n = 5, 3
+        U = random_unitary(rng, m)
+        basis = np.array(list(occupation_basis(m, n)))
+        k, ell = basis[:, None, :], basis[None, ::3, :]
+        shape = np.broadcast_shapes(k.shape[:-1], ell.shape[:-1])
+        kb = np.broadcast_to(k, shape + (m,)).reshape(-1, m)
+        lb = np.broadcast_to(ell, shape + (m,)).reshape(-1, m)
+        modes = np.tile(np.arange(m), len(kb))
+        rows = np.repeat(modes, kb.reshape(-1)).reshape(-1, n, 1)
+        cols = np.repeat(modes, lb.reshape(-1)).reshape(-1, 1, n)
+        norms = np.sqrt(fock._FACTORIALS[kb].prod(axis=1) * fock._FACTORIALS[lb].prod(axis=1))
+        reference = (permanent(U[rows, cols]) / norms).reshape(shape)
+        assert np.array_equal(amplitude(U, k, ell), reference)
+
+    def test_peak_memory_below_one_broadcast_occupation_stack(self):
+        """The 8-qubit CZ truth table spans 256 x 256 entries over 32 modes: one
+        broadcast occupation stack is 65536 x 32 int64, 16.8 MB. Only the
+        photon index arrays, 8 per entry, are broadcast."""
+        result, _ = photonprep.build_cnz(8, 1.0)
+        U = result.unitary
+        bits = (np.arange(256)[:, None] >> np.arange(8)[::-1]) & 1
+        occ = np.zeros((256, len(U)), dtype=int)
+        occ[:, :8], occ[:, 8:16] = bits, 1 - bits
+        stack_bytes = 256 * 256 * len(U) * 8
+        tracemalloc.start()
+        try:
+            table = amplitude(U, occ[:, None, :], occ[None, :, :])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stack_bytes == 16_777_216
+        assert peak < stack_bytes
+        assert np.max(np.abs(table - np.diag(np.diag(table)))) <= 1e-12
+
+    def test_mismatch_reported_at_its_broadcast_entry(self):
+        k = np.array([[1, 0], [0, 1]])
+        ell = np.array([[[1, 0]], [[2, 0]]])
+        with pytest.raises(PhotonNumberMismatch, match="1 output photons vs 2 input"):
+            amplitude(np.eye(2), k, ell)
+
+    def test_empty_broadcast_of_mixed_stacks(self):
+        """A broadcast with no entries reads none of the photon numbers."""
+        k = np.array([[1, 0, 0], [1, 1, 0]])
+        ell = np.zeros((0, 1, 3), dtype=int)
+        assert amplitude(np.eye(3), k, ell).shape == (0, 2)
+
+
 class TestAmplitude:
     def test_identity_circuit(self):
         assert amplitude(np.eye(3), (1, 0, 1), (1, 0, 1)) == pytest.approx(1.0)

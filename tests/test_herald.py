@@ -294,11 +294,12 @@ class TestSynthesize:
 
     def test_identity_gate_catches_a_perturbed_form(self, rng, monkeypatch):
         """The gate reads the F built from the herald rows, so a 1e-6 relative
-        change of one of its entries (kept symmetric) fails it."""
+        change of one of its entries (kept symmetric) fails it. The cached F
+        is read-only, so the change is made on a copy."""
         original = herald_module.herald_bilinear_matrix
 
         def perturbed(n):
-            F = original(n)
+            F = original(n).copy()
             F[0, 1] = F[1, 0] = F[0, 1] * (1 + 1e-6)
             return F
 

@@ -187,6 +187,28 @@ class TestIntegerFields:
             synthesis_from_doc(herald_doc)
         assert err.value.field == "herald.signal"
 
+    @pytest.mark.parametrize("modes", [7, 0, 2, -1, "x", "1", 1.0, True, None])
+    def test_herald_modes_must_match_the_signal(self, herald_doc, modes):
+        """The signal (2,) lays out one herald mode: any other modes field is
+        an input error, not a document that verifies."""
+        herald_doc["herald"]["modes"] = modes
+        with pytest.raises(DocumentError) as err:
+            synthesis_from_doc(herald_doc)
+        assert err.value.field == "herald.modes"
+
+    def test_herald_modes_may_be_left_out(self, herald_doc):
+        del herald_doc["herald"]["modes"]
+        assert synthesis_from_doc(herald_doc)["herald"].herald_modes == 1
+
+    def test_herald_modes_of_the_empty_signal(self):
+        state = normalize(np.diag([1.0, 1.0, 0.0]).astype(complex))
+        doc = synthesis_to_doc(synthesize_herald(state, 2), "herald", state.S, photons=2)
+        assert doc["herald"] == {"modes": 0, "signal": []}
+        assert synthesis_from_doc(doc)["herald"].signal == ()
+        doc["herald"]["modes"] = 1
+        with pytest.raises(DocumentError, match="herald.modes"):
+            synthesis_from_doc(doc)
+
     @pytest.mark.parametrize("value", [True, 1])
     def test_cnz_rejects_n(self, cnz_doc, value):
         cnz_doc["n"] = value

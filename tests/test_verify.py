@@ -7,6 +7,7 @@ from photonprep import (
     DimensionMismatch,
     QuditTarget,
     SignalMismatch,
+    TooLarge,
     TwoPhotonState,
     VerificationFailure,
     amplitude,
@@ -17,6 +18,8 @@ from photonprep import (
     synthesize_herald,
     synthesize_postselect,
 )
+from photonprep import herald as herald_module
+from photonprep import verify as verify_module
 from photonprep.fock import permanent_naive
 from photonprep.random_states import (
     random_complex_symmetric,
@@ -266,3 +269,59 @@ class TestExtractHeralded:
             and sum(k[4:]) == 0
         )
         assert herald_mass == pytest.approx(result.success_probability, abs=1e-10)
+
+
+class TestHeraldedTables:
+    """extract_heralded's size-only tables and the herald form F are built
+    once per size and shared by every later call."""
+
+    def test_tables_are_read_only(self):
+        tables = verify_module._heralded_outputs(9, 4, 4, (2,))
+        assert verify_module._heralded_outputs(9, 4, 4, (2,)) is tables
+        assert all(not table.flags.writeable for table in tables)
+        with pytest.raises(ValueError, match="read-only"):
+            tables[2][0, 0] = 5
+        F = herald_module.herald_bilinear_matrix(4)
+        assert herald_module.herald_bilinear_matrix(4) is F
+        assert not F.flags.writeable
+
+    def test_layout_of_the_tables(self):
+        """Payload pairs i <= j over 3 modes, each with the signal (2,) on
+        mode 3; input photons in the first 4 of 9 modes."""
+        i, j, k_out, ell_in, divisors = verify_module._heralded_outputs(9, 4, 3, (2,))
+        assert list(zip(i, j)) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+        assert k_out[1].tolist() == [1, 1, 0, 2, 0, 0, 0, 0, 0]
+        assert k_out[3].tolist() == [0, 2, 0, 2, 0, 0, 0, 0, 0]
+        assert ell_in.tolist() == [1, 1, 1, 1, 0, 0, 0, 0, 0]
+        assert divisors.tolist() == [np.sqrt(2.0), 2.0, 2.0, np.sqrt(2.0), 2.0, np.sqrt(2.0)]
+
+    def test_photons_beyond_the_permanent_limit(self):
+        """Refused before any table is built for them."""
+        with pytest.raises(TooLarge):
+            extract_heralded(np.eye(40, dtype=complex), 15, HeraldPattern(signal=(13,)), 4)
+
+    def test_cached_reports_equal_fresh_ones(self, rng):
+        """n = 2 (empty signal), 3 and 4, each at two payload sizes, run
+        interleaved in one process, give the circuits and reports that runs
+        with both caches cleared give, to the bit."""
+        cases = [
+            (n, random_state_of_rank(rng, m, min(n, m)))
+            for n in (2, 3, 4)
+            for m in (n, n + 2)
+        ]
+
+        def run(n, target):
+            result = synthesize_herald(target, n)
+            report = extract_heralded(result.unitary, n, result.herald, target.modes, target=target.S)
+            return result, report
+
+        warm = [run(n, target) for _ in range(2) for n, target in cases][len(cases):]
+        for (n, target), (result, report) in zip(cases, warm):
+            verify_module._heralded_outputs.cache_clear()
+            herald_module.herald_bilinear_matrix.cache_clear()
+            fresh_result, fresh_report = run(n, target)
+            assert np.array_equal(result.unitary, fresh_result.unitary)
+            assert result.success_probability == fresh_result.success_probability
+            for a, b in ((report, fresh_report), (result.report, fresh_result.report)):
+                assert np.array_equal(a.extracted, b.extracted)
+                assert (a.probability, a.fidelity_vs_target) == (b.probability, b.fidelity_vs_target)
