@@ -1,5 +1,6 @@
 import math
 import os
+from fractions import Fraction
 import subprocess
 import sys
 import tracemalloc
@@ -337,6 +338,112 @@ class TestIndexGather:
         k = np.array([[1, 0, 0], [1, 1, 0]])
         ell = np.zeros((0, 1, 3), dtype=int)
         assert amplitude(np.eye(3), k, ell).shape == (0, 2)
+
+
+class TestLayoutMemo:
+    """`amplitude` keeps the checked layout of a pair of stacks, keyed on
+    their exact bytes; a hit and a miss run the same evaluation."""
+
+    @staticmethod
+    def _herald_layout(rng, n):
+        from photonprep.verify import _heralded_outputs
+
+        m = n + 1
+        signal = () if n == 2 else (n - 2,)
+        N = m + len(signal) + m
+        _, _, k_out, ell_in, _ = _heralded_outputs(N, n, m, signal)
+        return random_unitary(rng, N), k_out, ell_in
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_hit_equals_miss_on_herald_layouts(self, rng, n):
+        U, k_out, ell_in = self._herald_layout(rng, n)
+        fock._cached_layout.cache_clear()
+        miss = amplitude(U, k_out, ell_in)
+        hits = [amplitude(U, k_out, ell_in) for _ in range(2)]
+        info = fock._cached_layout.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        fock._cached_layout.cache_clear()
+        assert all(np.array_equal(miss, hit) for hit in hits)
+        assert np.array_equal(miss, amplitude(U, k_out, ell_in))
+
+    def test_integer_dtypes_give_identical_amplitudes(self, rng):
+        """Each dtype is its own key; the layouts they give are the same."""
+        U, k_out, ell_in = self._herald_layout(rng, 4)
+        fock._cached_layout.cache_clear()
+        tables = [
+            amplitude(U, k_out.astype(dtype), ell_in.astype(dtype))
+            for dtype in (np.int8, np.int64, float)
+            for _ in range(2)
+        ]
+        assert fock._cached_layout.cache_info().currsize == 3
+        assert all(np.array_equal(tables[0], table) for table in tables)
+
+    def test_mutating_a_stack_in_place_changes_the_result(self, rng):
+        U = random_unitary(rng, 4)
+        k = np.array([[2, 0, 0, 0], [1, 1, 0, 0]])
+        ell = np.array([1, 0, 1, 0])
+        before = amplitude(U, k, ell)
+        k[0] = (0, 0, 1, 1)
+        after = amplitude(U, k, ell)
+        assert after[0] != before[0] and after[1] == before[1]
+        assert after[0] == amplitude(U, (0, 0, 1, 1), ell)
+
+    @pytest.mark.parametrize(
+        "k, ell, error, match",
+        [
+            ((1.5, 0, 0), (1, 0, 0), ValueError, "occupations must be integers"),
+            ((np.inf, 0, 0), (1, 0, 0), ValueError, "occupations must be integers"),
+            ([(1, 0, 0), (np.nan, 0, 0)], (1, 0, 0), ValueError, "occupations must be integers"),
+            ((Fraction(1), 0, 0), (1, 0, 0), ValueError, "occupations must be integers"),
+            ((2, 1, -1), (0, 1, 1), ValueError, "occupations must be nonnegative"),
+            ((1, 0, 0), (1, 1, 0), PhotonNumberMismatch, "1 output photons vs 2 input"),
+            ([(1, 0, 0), (1, 1, 0)], [(0, 1, 0), (0, 2, 0)], PhotonNumberMismatch, "mixes photon numbers"),
+            ((1, 0), (1, 0, 0), DimensionMismatch, "must match the unitary dimension"),
+            ((5, 5, 5), (5, 5, 5), TooLarge, "photon number 15 beyond the permanent limit"),
+        ],
+    )
+    def test_refusals_repeat_and_are_not_kept(self, k, ell, error, match):
+        fock._cached_layout.cache_clear()
+        for _ in range(2):
+            with pytest.raises(error, match=match):
+                amplitude(np.eye(3), k, ell)
+        assert fock._cached_layout.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("entries", [(2**62, 2**62), (2**63 - 1, 1)])
+    def test_entries_beyond_the_limit_refused_before_their_sum_wraps(self, entries):
+        """Both sum past 2^63 in int64 and once wrapped to a negative photon
+        number, which passed the limit and failed inside numpy."""
+        for _ in range(2):
+            with pytest.raises(TooLarge, match=f"occupation {max(entries)} beyond the permanent limit"):
+                amplitude(np.eye(2), entries, entries)
+
+    def test_memoized_arrays_are_read_only(self, rng, monkeypatch):
+        U, k_out, ell_in = self._herald_layout(rng, 3)
+        seen = []
+        evaluate = fock._evaluate
+
+        def recording(U, layout):
+            seen.append(layout)
+            return evaluate(U, layout)
+
+        monkeypatch.setattr(fock, "_evaluate", recording)
+        fock._cached_layout.cache_clear()
+        amplitude(U, k_out, ell_in)
+        amplitude(U, k_out, ell_in)
+        miss, hit = seen
+        assert miss is hit
+        # the single input's factorial product is a numpy scalar, immutable
+        arrays = [x for x in miss[2:] if not isinstance(x, np.generic)]
+        assert len(arrays) == 3
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_layout_above_the_budget_is_not_kept(self):
+        """One photon in one mode: a stack of `entries` rows, plus the input."""
+        fock._cached_layout.cache_clear()
+        for entries in (fock._LAYOUT_ENTRIES - 1, fock._LAYOUT_ENTRIES):
+            assert amplitude(np.eye(1), np.ones((entries, 1), dtype=int), (1,)).shape == (entries,)
+        info = fock._cached_layout.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
 
 class TestAmplitude:

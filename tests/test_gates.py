@@ -13,7 +13,7 @@ from photonprep import (
     unitary_extension,
     verify_cnz,
 )
-from photonprep.gates import _sigma_max, cnz_alpha, logical_occupation
+from photonprep.gates import _dual_rail_basis, _sigma_max, cnz_alpha, logical_occupation
 from photonprep.verify import SynthesisResult
 
 # phases outside (0, 2 pi), far outside it, and near its multiples
@@ -159,6 +159,42 @@ class TestBuildAndVerify:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+
+class TestCachedTruthTable:
+    """verify_cnz reads its basis from a read-only cache per (n, modes), and
+    fock.amplitude keeps the checked layout of the table's stacks."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_layout_hit_equals_miss(self, n):
+        result, _ = build_cnz(n, 1.0)
+        U = result.unitary
+        occ = _dual_rail_basis(n, len(U))
+        fock._cached_layout.cache_clear()
+        miss = fock.amplitude(U, occ[:, None, :], occ[None, :, :])
+        hit = fock.amplitude(U, occ[:, None, :], occ[None, :, :])
+        assert fock._cached_layout.cache_info().hits == 1
+        assert np.array_equal(miss, hit)
+        fock._cached_layout.cache_clear()
+        assert verify_cnz(result, n, 1.0) and verify_cnz(result, n, 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_basis_is_the_listed_one_read_only(self, n):
+        occ = _dual_rail_basis(n, 4 * n)
+        bits = list(itertools.product((0, 1), repeat=n))
+        assert np.array_equal(occ, logical_occupation(bits, n, 4 * n))
+        assert not occ.flags.writeable
+        assert _dual_rail_basis(n, 4 * n) is occ
+
+    @pytest.mark.parametrize("n, error", [(5, DimensionMismatch), (3, DimensionMismatch), (15, TooLarge)])
+    def test_refused_before_the_basis_is_read(self, n, error, monkeypatch):
+        def unread(n, total_modes):
+            raise AssertionError("basis read")
+
+        monkeypatch.setattr("photonprep.gates._dual_rail_basis", unread)
+        result, _ = build_cnz(2, np.pi)
+        with pytest.raises(error):
+            verify_cnz(result, n, np.pi)
 
 
 class TestClosedFormDilation:
