@@ -96,8 +96,7 @@ def cmd_gate_cnz(args) -> int:
     result, _ = gates.build_cnz(args.n, args.phi)
     if not gates.verify_cnz(result, args.n, args.phi):
         raise VerificationFailure("constructed gate failed the oracle check")
-    target = np.eye(2**args.n, dtype=complex)
-    target[-1, -1] = np.exp(1j * args.phi)
+    target = gates._ideal_table(args.n, args.phi)
     doc = io.synthesis_to_doc(result, "cnz", target, n=args.n, phi=args.phi)
     io.dump_json(doc, args.output)
     return EXIT_OK
@@ -107,7 +106,6 @@ def cmd_verify(args) -> int:
     decoded = io.synthesis_from_doc(io.load_json(args.input))
     kind = decoded["kind"]
     U = decoded["unitary"]
-    target = decoded["target"]
     out = {"kind": kind}
     if kind == "cnz":
         p = decoded["success_probability"]
@@ -117,6 +115,7 @@ def cmd_verify(args) -> int:
         ok = gates.verify_cnz(result, decoded["n"], decoded["phi"])
         out.update(verified=ok, success_probability=p)
     else:
+        target = decoded["target"]
         if kind == "postselect":
             d1, d2 = target.shape
             state_in = normalize(decoded["input_state"])

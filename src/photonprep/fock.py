@@ -119,8 +119,11 @@ def permanent_naive(M: np.ndarray) -> complex:
 def _occupations(x) -> np.ndarray:
     """x as an integer array. Integral floats are accepted; a fractional,
     non-finite or non-numeric entry raises ValueError instead of being
-    truncated."""
+    truncated. An unsigned entry beyond the permanent limit is TooLarge
+    before the cast, which would wrap 2^63 and above negative."""
     a = np.asarray(x)
+    if a.dtype.kind == "u" and a.max(initial=0) > PERMANENT_LIMIT:
+        raise TooLarge(f"occupation {a.max()} beyond the permanent limit")
     if a.dtype.kind in "biu":
         return a.astype(int, copy=False)
     if a.dtype.kind != "f":

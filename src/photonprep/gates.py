@@ -119,6 +119,14 @@ def _dual_rail_basis(n: int, total_modes: int) -> np.ndarray:
     return occ
 
 
+def _ideal_table(n: int, phi: float) -> np.ndarray:
+    """The gate's 2^n x 2^n truth table diag(1, ..., 1, e^{i phi}), in the
+    order of itertools.product."""
+    table = np.eye(2**n, dtype=complex)
+    table[-1, -1] = np.exp(1j * phi)
+    return table
+
+
 def verify_cnz(result: SynthesisResult, n: int, phi: float) -> bool:
     """Oracle check of the gate action on the full computational basis.
 
@@ -142,6 +150,5 @@ def verify_cnz(result: SynthesisResult, n: int, phi: float) -> bool:
         )
     occ = _dual_rail_basis(n, U.shape[0])
     table = fock.amplitude(U, occ[:, None, :], occ[None, :, :])
-    expected = np.sqrt(result.success_probability) * np.eye(2**n, dtype=complex)
-    expected[-1, -1] *= np.exp(1j * phi)
+    expected = np.sqrt(result.success_probability) * _ideal_table(n, phi)
     return bool(np.all(np.abs(table - expected) <= CNZ_AMPLITUDE_TOL))

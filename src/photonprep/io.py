@@ -2,7 +2,9 @@
 
 Complex entries are serialized as two-element [re, im] arrays, row-major.
 A synthesis document bundles the unitary with enough context to re-verify
-it from scratch: the target, the kind, and kind-specific fields.
+it from scratch: the kind, kind-specific fields and, for the synthesizers,
+the target. A cnz document records n and phi, which fix its gate, instead
+of the gate's 2^n x 2^n table; the `target` of an older one is not read.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from typing import Any
 import numpy as np
 
 from .exceptions import DocumentError
+from .gates import _ideal_table
 from .linalg import _gram_defect
 from .verify import HeraldPattern, SynthesisResult, _aux_modes
-from .tolerances import DOCUMENT_UNITARITY_TOL
+from .tolerances import CNZ_AMPLITUDE_TOL, DOCUMENT_UNITARITY_TOL
 
 KINDS = ("postselect", "herald", "cnz")
 
@@ -100,23 +103,50 @@ def matrix_from_doc(doc: Any, field: str = "matrix") -> np.ndarray:
     return M
 
 
+def _check_cnz_target(target: Any, extras: dict[str, Any]) -> None:
+    """Raise ValueError unless `target` is, entry by entry within
+    CNZ_AMPLITUDE_TOL, the table of the gate that extras' n and phi fix."""
+    if "n" not in extras or "phi" not in extras:
+        raise ValueError("a cnz document needs n and phi")
+    n, phi = extras["n"], extras["phi"]
+    if not _is_int_at_least(n, 2):
+        raise ValueError(f"n: expected an integer >= 2, got {n!r}")
+    if not np.isfinite(phi):
+        raise ValueError(f"phi: expected a finite number, got {phi!r}")
+    target = np.asarray(target, dtype=complex)
+    if target.shape != (2**n, 2**n):
+        raise ValueError(f"target: expected the {2**n} x {2**n} gate of n = {n}, got shape {target.shape}")
+    # NaN fails the comparison, so a NaN entry is off too
+    off = ~(np.abs(target - _ideal_table(n, phi)) <= CNZ_AMPLITUDE_TOL)
+    if off.any():
+        i, j = np.argwhere(off)[0]
+        gate = f"the gate of n = {n}, phi = {phi}"
+        raise ValueError(f"target: entry ({i}, {j}) is {target[i, j]}, not that of {gate}")
+
+
 def synthesis_to_doc(
     result: SynthesisResult, kind: str, target: np.ndarray, **extras: Any
 ) -> dict[str, Any]:
+    """The synthesis document of `result`. A cnz document records extras'
+    n and phi instead of `target`, which must be the table of the gate they
+    fix (ValueError otherwise)."""
     if kind not in KINDS:
         raise ValueError(f"unknown synthesis kind {kind!r}")
+    if kind == "cnz":
+        _check_cnz_target(target, extras)
     doc: dict[str, Any] = {
         "kind": kind,
         "unitary": matrix_to_doc(result.unitary),
         "aux_modes": result.aux_modes,
         "success_probability": float(result.success_probability),
-        "target": matrix_to_doc(target),
-        "herald": (
-            {"modes": result.herald.herald_modes, "signal": list(result.herald.signal)}
-            if result.herald is not None
-            else None
-        ),
     }
+    if kind != "cnz":
+        doc["target"] = matrix_to_doc(target)
+    doc["herald"] = (
+        {"modes": result.herald.herald_modes, "signal": list(result.herald.signal)}
+        if result.herald is not None
+        else None
+    )
     doc.update(extras)
     return doc
 
@@ -138,8 +168,9 @@ def synthesis_from_doc(doc: Any) -> dict[str, Any]:
         "unitary": unitary,
         "aux_modes": _int_from_doc(doc.get("aux_modes", 0), "aux_modes", 0),
         "success_probability": _probability_from_doc(doc.get("success_probability")),
-        "target": matrix_from_doc(doc.get("target"), "target"),
     }
+    if kind != "cnz":  # n and phi fix a cnz gate; an older document's table is not read
+        out["target"] = matrix_from_doc(doc.get("target"), "target")
     herald = doc.get("herald")
     if herald is not None:
         if not isinstance(herald, dict) or "signal" not in herald:

@@ -43,6 +43,9 @@ VERIFY_TOL                 1e-9   absolute           ExtractionReport.verified: 
                                                      synthesizers, CLI verify, selftest)
 CNZ_AMPLITUDE_TOL          1e-9   absolute           verify_cnz: every truth-table amplitude
                                                      within it of the ideal gate's
+                                                     (times sqrt(p_s)); io: every entry of
+                                                     the table given to encode a cnz
+                                                     document within it of the gate of n, phi
 CNZ_ZERO_BASE              1e-12  absolute           cnz_alpha: |e^{i phi} - 1| below it means
                                                      phi = 0 (mod 2 pi) within roundoff
 DOCUMENT_UNITARITY_TOL     1e-8   absolute           unitary_extension: factor-width bound

@@ -132,6 +132,16 @@ class TestGateCnz:
         assert main(["verify", "--input", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
 
+    @pytest.mark.parametrize("phi", [0.0, np.pi, -1.0, 2 * np.pi], ids=["0", "pi", "-1", "2pi"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_written_document_verifies(self, tmp_path, capsys, n, phi):
+        out = tmp_path / "cnz.json"
+        assert main(["gate-cnz", "--n", str(n), "--phi", repr(phi), "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert "target" not in doc and (doc["n"], doc["phi"]) == (n, phi)
+        assert main(["verify", "--input", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
     def test_non_finite_phase_is_an_input_error(self, capsys):
         assert main(["gate-cnz", "--n", "2", "--phi", "nan"]) == 2
         assert "phi must be finite" in capsys.readouterr().err
@@ -203,6 +213,24 @@ class TestVerifyPhi:
         cz_doc.write_text(json.dumps(doc))
         assert main(["verify", "--input", str(cz_doc)]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+class TestVerifyLegacyTarget:
+    """Documents written while cnz documents still carried the gate's table
+    as `target` verify as before: the table was never part of the verdict."""
+
+    @pytest.mark.parametrize(
+        "target",
+        [matrix_to_doc(np.diag([1, 1, 1, -1])), matrix_to_doc(np.array([[5.0]]))],
+        ids=["gate", "1x1"],
+    )
+    @pytest.mark.parametrize("phi, code", [(np.pi, 0), (1.0, 3)], ids=["as-written", "other-phase"])
+    def test_same_verdict_as_without_it(self, cz_doc, capsys, target, phi, code):
+        doc = json.loads(cz_doc.read_text())
+        doc.update(target=target, phi=phi)
+        cz_doc.write_text(json.dumps(doc))
+        assert main(["verify", "--input", str(cz_doc)]) == code
+        assert json.loads(capsys.readouterr().out)["verified"] is (code == 0)
 
 
 def test_verify_rejects_a_unitary_with_a_nan_defect(cz_doc, capsys):

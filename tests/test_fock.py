@@ -417,6 +417,17 @@ class TestLayoutMemo:
             with pytest.raises(TooLarge, match=f"occupation {max(entries)} beyond the permanent limit"):
                 amplitude(np.eye(2), entries, entries)
 
+    @pytest.mark.parametrize(
+        "dtype, entry", [(np.uint8, 255), (np.uint64, 2**63), (np.uint64, 2**64 - 1)]
+    )
+    def test_unsigned_entries_beyond_the_limit_are_too_large(self, dtype, entry):
+        """uint64 entries of 2^63 and above wrapped negative in the cast to
+        int64 and were refused as negative occupations."""
+        occ = np.array([entry], dtype=dtype)
+        for _ in range(2):
+            with pytest.raises(TooLarge, match=f"occupation {entry} beyond the permanent limit"):
+                amplitude(np.eye(1), occ, occ)
+
     def test_memoized_arrays_are_read_only(self, rng, monkeypatch):
         U, k_out, ell_in = self._herald_layout(rng, 3)
         seen = []

@@ -13,7 +13,7 @@ from photonprep import (
     unitary_extension,
     verify_cnz,
 )
-from photonprep.gates import _dual_rail_basis, _sigma_max, cnz_alpha, logical_occupation
+from photonprep.gates import _dual_rail_basis, _ideal_table, _sigma_max, cnz_alpha, logical_occupation
 from photonprep.verify import SynthesisResult
 
 # phases outside (0, 2 pi), far outside it, and near its multiples
@@ -270,6 +270,13 @@ def _gate_table(p_s, n, phi):
     expected = np.sqrt(p_s) * np.eye(2**n, dtype=complex)
     expected[-1, -1] *= np.exp(1j * phi)
     return expected
+
+
+@pytest.mark.parametrize("phi", [0.0, np.pi, -1.0, 2 * np.pi, 1e17])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_ideal_table_is_the_gate(n, phi):
+    """The one table that verify_cnz, gate-cnz and io's encoding check read."""
+    assert np.array_equal(_ideal_table(n, phi), _gate_table(1.0, n, phi))
 
 
 class TestOracleIndependence:

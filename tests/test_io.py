@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from photonprep.exceptions import DocumentError
-from photonprep import build_cnz, normalize, synthesize_herald
+from photonprep import build_cnz, gates, normalize, synthesize_herald
 from photonprep.io import matrix_from_doc, matrix_to_doc, synthesis_from_doc, synthesis_to_doc
+
+# the truth table of the CZ gate, n = 2 and phi = pi
+CZ = np.diag([1, 1, 1, -1]).astype(complex)
 
 
 def _doc(data, rows=1, cols=2):
@@ -113,7 +116,7 @@ class TestSuccessProbability:
     @pytest.fixture
     def doc(self):
         result, _ = build_cnz(2, np.pi)
-        return synthesis_to_doc(result, "cnz", np.eye(4), n=2, phi=np.pi)
+        return synthesis_to_doc(result, "cnz", CZ, n=2, phi=np.pi)
 
     @pytest.mark.parametrize(
         "value", ["0.111", None, True, False, [0.1], float("nan"), float("inf"), 1.5, -0.1, 10**400]
@@ -146,7 +149,7 @@ class TestIntegerFields:
     @pytest.fixture
     def cnz_doc(self):
         result, _ = build_cnz(2, np.pi)
-        return synthesis_to_doc(result, "cnz", np.eye(4), n=2, phi=np.pi)
+        return synthesis_to_doc(result, "cnz", CZ, n=2, phi=np.pi)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -227,7 +230,7 @@ class TestPhi:
     @pytest.fixture
     def doc(self):
         result, _ = build_cnz(2, np.pi)
-        return synthesis_to_doc(result, "cnz", np.eye(4), n=2, phi=np.pi)
+        return synthesis_to_doc(result, "cnz", CZ, n=2, phi=np.pi)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400, True, False, "3.14", None])
     def test_rejects(self, doc, value):
@@ -249,7 +252,7 @@ class TestPhi:
 
 def test_non_square_unitary_is_a_document_error():
     result, _ = build_cnz(2, np.pi)
-    doc = synthesis_to_doc(result, "cnz", np.eye(4), n=2, phi=np.pi)
+    doc = synthesis_to_doc(result, "cnz", CZ, n=2, phi=np.pi)
     doc["unitary"] = matrix_to_doc(result.unitary[:-1])
     with pytest.raises(DocumentError, match="expected a square matrix") as err:
         synthesis_from_doc(doc)
@@ -260,10 +263,92 @@ def test_unitary_with_a_nan_defect_is_a_document_error():
     """An overflowing block makes ||U^† U - I||_F NaN, which no gate may
     read as within tolerance."""
     result, _ = build_cnz(2, np.pi)
-    doc = synthesis_to_doc(result, "cnz", np.eye(4), n=2, phi=np.pi)
+    doc = synthesis_to_doc(result, "cnz", CZ, n=2, phi=np.pi)
     U = result.unitary.copy()
     U[:2, :2] = [[1e308, 1e308], [1e308, -1e308]]
     doc["unitary"] = matrix_to_doc(U)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DocumentError, match="not unitary") as err:
         synthesis_from_doc(doc)
     assert err.value.field == "unitary"
+
+
+class TestCnzDocument:
+    """A cnz document records n and phi, which fix its gate; the table
+    passed to the encoder is checked against that gate, not written."""
+
+    @pytest.fixture
+    def result(self):
+        return build_cnz(2, np.pi)[0]
+
+    @pytest.mark.parametrize(
+        "target, match",
+        [
+            pytest.param(np.eye(4), r"entry \(3, 3\) is \(1\+0j\)", id="identity"),
+            pytest.param(np.eye(8), r"4 x 4 gate of n = 2, got shape \(8, 8\)", id="wider"),
+            pytest.param(np.array([[5.0]]), r"got shape \(1, 1\)", id="1x1"),
+            pytest.param(CZ[0], r"got shape \(4,\)", id="vector"),
+            pytest.param(np.where(np.eye(4, k=1) == 1, np.nan, CZ), r"entry \(0, 1\) is \(nan", id="nan"),
+            pytest.param(CZ + 2e-9, r"entry \(0, 0\)", id="beyond-tolerance"),
+        ],
+    )
+    def test_refuses_a_table_that_is_not_the_gate(self, result, target, match):
+        with pytest.raises(ValueError, match=match):
+            synthesis_to_doc(result, "cnz", target, n=2, phi=np.pi)
+
+    def test_accepts_the_table_within_tolerance(self, result):
+        doc = synthesis_to_doc(result, "cnz", CZ + 5e-10, n=2, phi=np.pi)
+        assert (doc["n"], doc["phi"]) == (2, np.pi)
+
+    @pytest.mark.parametrize("missing", ["n", "phi"])
+    def test_refuses_a_call_without_n_or_phi(self, result, missing):
+        extras = {"n": 2, "phi": np.pi}
+        del extras[missing]
+        with pytest.raises(ValueError, match="needs n and phi"):
+            synthesis_to_doc(result, "cnz", CZ, **extras)
+
+    @pytest.mark.parametrize(
+        "extras, match",
+        [
+            ({"n": 1, "phi": np.pi}, "n: expected an integer >= 2"),
+            ({"n": 2.0, "phi": np.pi}, "n: expected an integer >= 2"),
+            ({"n": 2, "phi": np.inf}, "phi: expected a finite number"),
+            ({"n": 2, "phi": np.nan}, "phi: expected a finite number"),
+        ],
+    )
+    def test_refuses_n_or_phi_that_fix_no_gate(self, result, extras, match):
+        with pytest.raises(ValueError, match=match):
+            synthesis_to_doc(result, "cnz", CZ, **extras)
+
+    def test_written_document_has_no_target(self, result):
+        doc = json.loads(json.dumps(synthesis_to_doc(result, "cnz", CZ, n=2, phi=np.pi)))
+        assert "target" not in doc
+        decoded = synthesis_from_doc(doc)
+        assert "target" not in decoded
+        assert np.array_equal(decoded["unitary"], result.unitary)
+        assert (decoded["n"], decoded["phi"]) == (2, np.pi)
+
+    @pytest.mark.parametrize(
+        "target",
+        [matrix_to_doc(CZ), matrix_to_doc(np.array([[5.0]])), None, 3, {"rows": 0}],
+        ids=["gate", "1x1", "null", "number", "malformed"],
+    )
+    def test_legacy_target_is_not_read(self, result, target):
+        """A document written before the table was dropped decodes as one
+        without it, whatever it holds."""
+        doc = synthesis_to_doc(result, "cnz", CZ, n=2, phi=np.pi)
+        legacy = {**doc, "target": target}
+        decoded, expected = synthesis_from_doc(legacy), synthesis_from_doc(doc)
+        assert decoded.keys() == expected.keys()
+        assert np.array_equal(decoded["unitary"], expected["unitary"])
+
+    def test_ten_qubit_document_is_small(self):
+        """The 2^10 x 2^10 table alone took 44 MB of JSON."""
+        result, _ = build_cnz(10, 1.0)
+        text = json.dumps(synthesis_to_doc(result, "cnz", gates._ideal_table(10, 1.0), n=10, phi=1.0))
+        assert len(text) < 100_000
+
+    def test_synthesizer_documents_keep_their_target(self):
+        state = normalize(np.diag([1.0, 1.0, 0.0]).astype(complex))
+        doc = synthesis_to_doc(synthesize_herald(state, 2), "herald", state.S, photons=2)
+        assert list(doc)[:6] == ["kind", "unitary", "aux_modes", "success_probability", "target", "herald"]
+        assert np.array_equal(synthesis_from_doc(doc)["target"], state.S)
