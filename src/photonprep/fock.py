@@ -4,15 +4,19 @@ The transition amplitude between Fock states under a mode unitary is the
 permanent of a row/column-repeated submatrix, normalized by the square
 roots of the occupation factorials. The permanent itself is Glynn's
 formula evaluated for all sign vectors at once, as one matrix product
-with a cached sign table. `permanent` takes a single matrix or a stack
-of same-size matrices, and `amplitude` broadcasts over stacks of
-occupation vectors, so a whole truth table or heralded output space is one
-call. It turns each stack, as given, into the mode index of each photon and
-broadcasts only those n-wide index arrays, never the m-wide occupations.
-What the checks yield, the layout (index arrays and factorial norms), is
-kept per distinct pair of stacks, keyed on their exact bytes, for pairs of
-up to _LAYOUT_ENTRIES entries: an oracle that asks for the same table on
-every op checks it once. Larger layouts are checked on every call.
+with a cached sign table, its rows ordered photon-major (row i of every
+matrix, then row i + 1), so the product over photons runs over contiguous
+slabs. `permanent` takes a single matrix or a stack of same-size
+matrices, and `amplitude` broadcasts over stacks of occupation vectors, so
+a whole truth table or heralded output space is one call. It turns each
+stack, as given, into the mode index of each photon and broadcasts only
+those n-wide index arrays, never the m-wide occupations; a table of
+several chunks gathers each chunk's indices from the broadcast views, so
+no (size, n) copy of them is made. What the checks yield, the layout
+(index arrays and factorial norms), is kept per distinct pair of stacks,
+keyed on their exact bytes, for pairs of up to _LAYOUT_ENTRIES entries: an
+oracle that asks for the same table on every op checks it once. Larger
+layouts are checked on every call.
 An O(n!) expansion is kept as an independent test oracle.
 """
 
@@ -36,10 +40,15 @@ OCCUPATION_LIMIT = 1 << 26
 
 _FACTORIALS = np.array([math.factorial(i) for i in range(PERMANENT_LIMIT + 1)], dtype=float)
 
-# Complex elements of Glynn's (matrices * n) x 2^(n-1) row-sum table
-# evaluated at once (4 MB); longer stacks are split along their leading axis.
-# Larger budgets ran no faster, since the table then falls out of cache.
-_CHUNK_ELEMENTS = 1 << 18
+# Complex elements of Glynn's (n * matrices) x 2^(n-1) row-sum table
+# evaluated at once (2 MB); longer stacks are split along their leading axis.
+# The chunk's photon-major copy of its matrices and its gathered indices are
+# smaller still. This is the largest power of two under which the 8-qubit
+# CZ truth table's peak (row sums, output table, one chunk's gathers) stays
+# below one 4.2 MB (entries, 8) int64 index array; at 4 MB the row sums alone
+# reach that. The price: stacks at n >= 12 run up to ~10% slower than at
+# 4 MB, and the 10-qubit truth table pays twice the per-chunk overhead.
+_CHUNK_ELEMENTS = 1 << 17
 
 # Entries of a pair of occupation stacks whose checked layout `amplitude`
 # keeps, and how many such layouts it keeps. The checks cost ~18 us plus
@@ -78,12 +87,15 @@ def permanent(M: np.ndarray) -> complex | np.ndarray:
 
     Per(M) = 2^(1-n) sum_delta (prod_k delta_k) prod_i sum_j delta_j M_ij
     over sign vectors delta in {+1, -1}^n with delta_0 = +1. The signed row
-    sums of every matrix in the stack are one product of its rows with the
-    sign table. Its terms are bounded by the product of the row 1-norms over
-    2^(n-1), which keeps the cancellation far smaller than in Ryser's
-    subset sum on flat matrices: the all-flat 14 x 14 permanent comes out to
-    ~1e-13 relative, against ~1e-9 for Ryser. A 2-D input returns a complex
-    number, a stack an array of its leading shape.
+    sums of every matrix in a chunk of the stack are one product of its rows
+    with the sign table, the rows taken photon-major: row 0 of every matrix,
+    then row 1, and so on. The product over i then multiplies n contiguous
+    (matrices, 2^(n-1)) slabs, where a matrix-major layout would reduce over
+    a strided middle axis. Its terms are bounded by the product of the row
+    1-norms over 2^(n-1), which keeps the cancellation far smaller than in
+    Ryser's subset sum on flat matrices: the all-flat 14 x 14 permanent comes
+    out to ~1e-13 relative, against ~1e-9 for Ryser. A 2-D input returns a
+    complex number, a stack an array of its leading shape.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
@@ -96,8 +108,9 @@ def permanent(M: np.ndarray) -> complex | np.ndarray:
         deltas, weights = _glynn_tables(n)
         flat, per = M.reshape(-1, n, n), out.reshape(-1)
         for part in _chunks(len(flat), n):
-            sums = (flat[part].reshape(-1, n) @ deltas).reshape(-1, n, 1 << (n - 1))
-            per[part] = sums.prod(axis=1) @ weights
+            rows = flat[part].transpose(1, 0, 2).reshape(-1, n)
+            sums = (rows @ deltas).reshape(n, -1, 1 << (n - 1))
+            per[part] = sums.prod(axis=0) @ weights
     return complex(out) if out.ndim == 0 else out
 
 
@@ -204,14 +217,18 @@ def _evaluate(U: np.ndarray, layout: tuple) -> complex | np.ndarray:
     size = math.prod(shape)
     if not size:
         return np.empty(shape, dtype=complex)
-    rows = np.broadcast_to(k_modes, shape + (n,)).reshape(size, n)
-    cols = np.broadcast_to(ell_modes, shape + (n,)).reshape(size, n)
-    out = np.empty(size, dtype=complex)
-    for part in _chunks(size, n):
-        out[part] = permanent(U[rows[part, :, None], cols[part, None, :]])
-    # freed first, so the norms' two table-sized temporaries stay off the
-    # peak of a large table
-    del rows, cols
+    rows = np.broadcast_to(k_modes, shape + (n,))
+    cols = np.broadcast_to(ell_modes, shape + (n,))
+    parts = list(_chunks(size, n))
+    if len(parts) == 1:
+        # the (size, n) copies of the views are this one chunk's indices
+        r, c = rows.reshape(size, n), cols.reshape(size, n)
+        out = permanent(U[r[:, :, None], c[:, None, :]])
+    else:
+        out = np.empty(size, dtype=complex)
+        for part in parts:
+            entries = np.unravel_index(np.arange(part.start, min(part.stop, size)), shape)
+            out[part] = permanent(U[rows[entries][:, :, None], cols[entries][:, None, :]])
     out = out.reshape(shape)
     out /= np.sqrt(k_factorials * ell_factorials)
     return complex(out) if out.ndim == 0 else out

@@ -96,15 +96,21 @@ def synthesize_herald(state_out: TwoPhotonState, n: int) -> SynthesisResult:
     The returned unitary acts on m payload + h herald + n auxiliary modes,
     with the photons entering the first n modes. The herald is the flat
     witness: h = 1 mode with signal (n - 2,), none for n = 2. Raises
-    InfeasibleRank when n < rank(S_out).
+    InfeasibleRank when n < rank(S_out), stating the fidelity ceiling
+    sqrt(sum_{i<=n} d_i^2 / sum d_i^2) of a rank-n state with the target.
     """
     if n < 2:
         raise ValueError("at least two photons are required")
     # one Takagi factorization of the target gives its rank and its weights
     fac_out = takagi(state_out.S)
     rank = fac_out.rank
+    d = fac_out.diagonal
     if n < rank:
-        raise InfeasibleRank(f"{n} photons cannot prepare a rank-{rank} state")
+        ceiling = np.sqrt(np.sum(d[:n] ** 2) / np.sum(d**2))
+        raise InfeasibleRank(
+            f"{n} photons cannot prepare a rank-{rank} state; "
+            f"the fidelity ceiling at rank {n} is {ceiling:.15g}"
+        )
 
     # F's Takagi factors are closed-form, but F itself is built by Glynn's
     # formula, so the identity gate below checks one against the other
@@ -113,7 +119,6 @@ def synthesize_herald(state_out: TwoPhotonState, n: int) -> SynthesisResult:
     pattern = HeraldPattern(signal=(n - 2,) if n > 2 else ())
     h = pattern.herald_modes
     m = state_out.modes
-    d = fac_out.diagonal
     scale = math.sqrt(2.0 * math.factorial(n - 2))
 
     # rows diagonalizing the permanent form, scaled to the target weights:

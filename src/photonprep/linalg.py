@@ -119,10 +119,13 @@ def _embedded_takagi(S: np.ndarray) -> TakagiFactorization:
     singular values of S. An eigenvector [x; y] of E for +sigma gives
     u = x + iy with S conj(u) = sigma u, and the +sigma and -sigma eigenspaces
     are orthogonal, so the top half of E's spectrum yields orthonormal Takagi
-    vectors even inside degenerate clusters. Near sigma = 0 the two halves
-    mix: vectors whose sigma is at or below the cut TAKAGI_CUT k sigma_1 of
-    the k x k S are dropped (their diagonal entry set to 0) and replaced by a
-    QR completion of the kept ones. A coupled block of a larger matrix is cut
+    vectors even inside degenerate clusters. With no value cut, the vectors
+    are returned as eigh gives them when they pass checked_svd's rule,
+    ||u^† u - I||_F <= TAKAGI_CUT k. Near sigma = 0 the two halves mix:
+    vectors whose sigma is at or below the cut TAKAGI_CUT k sigma_1 of the
+    k x k S are dropped (their diagonal entry set to 0) and replaced by a QR
+    completion of the kept ones, which also reorthonormalizes vectors that
+    fail that rule with nothing cut. A coupled block of a larger matrix is cut
     the same way: an entry |P_ij| above the larger matrix's cut bounds
     sigma_i and, to rounding, sigma_j from below, so the block's values lie
     above that cut. The diagonal is sorted descending. No gate is applied
@@ -142,6 +145,8 @@ def _embedded_takagi(S: np.ndarray) -> TakagiFactorization:
     u = top[:k] + 1j * top[k:]
     cut = TAKAGI_CUT * k * sigma[0]
     kept = int(np.count_nonzero(sigma > cut))
+    if kept == k and _gram_defect(u) <= TAKAGI_CUT * k:
+        return TakagiFactorization(V=u.conj(), diagonal=sigma.copy())
     q, r = np.linalg.qr(u[:, :kept], mode="complete")
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     q[:, :kept] *= phases

@@ -68,8 +68,10 @@ def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> veri
 
     Returns a circuit over m_in + d1 + d2 modes whose post-selected
     computational block is proportional to C. Raises InfeasibleRank when
-    the rank rule forbids the preparation. The rescaled mode map is not
-    gated on its own: the verdict is the independent oracle's,
+    the rank rule forbids the preparation, stating the fidelity ceiling
+    sqrt(sum_{i<=r} sigma_i^2 / sum sigma_i^2) of a rank-r block with C,
+    r = rank(S_in), read off build_sps's diagonal. The rescaled mode map is
+    not gated on its own: the verdict is the independent oracle's,
     extract_postselected on U, through verify._verified_result
     (VerificationFailure unless it verifies with p > 0).
     """
@@ -78,7 +80,12 @@ def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> veri
     _, fac_ps = build_sps(target)
     rank_in, rank_c = fac_in.rank, fac_ps.rank
     if rank_c > rank_in:
-        raise InfeasibleRank(f"rank(C) = {rank_c} exceeds rank(S_in) = {rank_in}")
+        d = fac_ps.diagonal
+        ceiling = np.sqrt(np.sum(d[:rank_in] ** 2) / np.sum(d**2))
+        raise InfeasibleRank(
+            f"rank(C) = {rank_c} exceeds rank(S_in) = {rank_in}; "
+            f"the fidelity ceiling at rank {rank_in} is {ceiling:.15g}"
+        )
     d1, d2 = target.d1, target.d2
 
     # both diagonals descend and rank(C) <= rank_in, so the first k values

@@ -20,15 +20,21 @@ TAKAGI_CUT                 8 eps  x m sigma_1        takagi: values at or below 
                                                      Also the coupling threshold: indices with
                                                      an off-diagonal entry of U^† S conj(U)
                                                      (S = U Sigma W^†) above it are embedded
-                                                     together, and the QR completion happens
-                                                     only inside that embedded cluster.
+                                                     together. Inside an embedded cluster
+                                                     the Takagi vectors are completed by QR
+                                                     only where a value is cut or they fail
+                                                     the 8 eps x k Gram rule below.
                                                      build_sps: singular values of C at or
                                                      below the cut of S_ps (m = d1 + d2) are
                                                      set to 0, as takagi would
                            8 eps  x k                checked_svd: ||X^† X - I||_F of a k x k
                                                      factor (u or vh) above it is a
                                                      ConvergenceFailure; takagi then embeds
-                                                     S whole in the real embedding
+                                                     S whole in the real embedding.
+                                                     _embedded_takagi: a k x k cluster with no
+                                                     value cut keeps eigh's vectors when their
+                                                     ||u^† u - I||_F is within it, and
+                                                     completes them by QR otherwise
 STATE_SYMMETRY_TOL         1e-8   x ||S||_F          TwoPhotonState: ||S - S^T||_F within it,
                                                      else NotSymmetric
 NORMALIZATION_TOL          1e-8   absolute           TwoPhotonState: |2 Tr(S^† S) - 1| within it

@@ -218,6 +218,20 @@ class TestSynthesize:
         with pytest.raises(InfeasibleRank):
             synthesize_herald(random_state_of_rank(rng, 4, 3), 2)
 
+    @pytest.mark.parametrize("m, rank", [(4, 3), (6, 5), (8, 8)])
+    def test_infeasible_states_the_fidelity_ceiling(self, rng, m, rank):
+        """The refusal states sqrt(sum_{i<=n} sigma_i^2 / sum sigma_i^2), the
+        best fidelity of a rank-n state with the target, for each n < rank."""
+        target = random_state_of_rank(rng, m, rank)
+        sigma = np.linalg.svd(target.S, compute_uv=False)
+        for n in range(2, rank):
+            with pytest.raises(InfeasibleRank, match=f"fidelity ceiling at rank {n} is ") as info:
+                synthesize_herald(target, n)
+            stated = float(str(info.value).rsplit(" ", 1)[1])
+            formula = math.sqrt(np.sum(sigma[:n] ** 2) / np.sum(sigma**2))
+            assert abs(stated - formula) <= 1e-12
+            assert stated < 1.0
+
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_random_targets_at_threshold(self, rng, rank):
         for _ in range(3):

@@ -26,8 +26,10 @@ from photonprep.random_states import (
     random_target_of_rank,
     random_unitary,
 )
-from photonprep.states import from_qudit_target, normalize, single_photons_state
-from photonprep.tolerances import DOCUMENT_UNITARITY_TOL, RANK_TOL, TAKAGI_CUT
+from photonprep.states import QuditTarget, from_qudit_target, normalize, single_photons_state
+from photonprep.tolerances import (
+    DOCUMENT_UNITARITY_TOL, RANK_TOL, TAKAGI_CUT, TAKAGI_RECONSTRUCTION_TOL
+)
 
 PACKAGE = Path(photonprep.__file__).parent
 
@@ -334,6 +336,75 @@ def _contraction(A):
 
 def _is_unitary(U, tol=1e-10):
     return np.linalg.norm(U.conj().T @ U - np.eye(len(U))) <= tol
+
+
+class TestEmbeddedTakagiCompletion:
+    """_embedded_takagi completes its vectors by QR only where a value is cut
+    or they fail checked_svd's Gram rule; each branch returns a unitary V that
+    reconstructs S within takagi's gate."""
+
+    @staticmethod
+    def qr_calls(monkeypatch):
+        calls, qr = [], np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        return calls
+
+    @staticmethod
+    def check(S, fac):
+        k = len(S)
+        assert np.linalg.norm(fac.V.conj().T @ fac.V - np.eye(k)) <= 1e-10
+        residual = np.linalg.norm(fac.V.T @ S @ fac.V - fac.D)
+        assert residual <= TAKAGI_RECONSTRUCTION_TOL * fac.diagonal[0]
+        assert np.all(fac.diagonal >= 0) and np.all(np.diff(fac.diagonal) <= 0)
+
+    @staticmethod
+    def top_half(S):
+        """The +sigma eigenvectors of the embedding, descending, as x + iy."""
+        k = len(S)
+        E = np.block([[S.real, S.imag], [S.imag, -S.real]])
+        vectors = np.linalg.eigh(E)[1][:, ::-1][:, :k]
+        return vectors[:k] + 1j * vectors[k:]
+
+    def test_nothing_cut_keeps_the_eigenvectors(self, rng, monkeypatch):
+        """The paired values of a two-qudit state, all kept: no QR, and V is
+        conj of the embedding's top half as eigh returned it."""
+        C = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        S = from_qudit_target(QuditTarget(C / np.linalg.norm(C))).S
+        S = (S + S.T) / 2.0
+        calls = self.qr_calls(monkeypatch)
+        fac = _embedded_takagi(S)
+        assert calls == []
+        assert np.array_equal(fac.V, self.top_half(S).conj())
+        assert np.count_nonzero(fac.diagonal) == len(S)
+        self.check(S, fac)
+
+    def test_a_cut_value_takes_the_completion(self, rng, monkeypatch):
+        """A rank-2 block of size 3: its third value is cut, and QR completes
+        the two kept vectors."""
+        V = random_unitary(rng, 3)
+        S = (V * [1.0, 0.5, 0.0]) @ V.T
+        S = (S + S.T) / 2.0
+        calls = self.qr_calls(monkeypatch)
+        fac = _embedded_takagi(S)
+        assert calls == [(3, 2)]
+        assert fac.diagonal[2] == 0.0
+        self.check(S, fac)
+
+    def test_gram_defect_above_the_rule_takes_the_completion(self, monkeypatch):
+        """Nothing cut, but vectors read as off orthonormality: QR completes
+        all four."""
+        S = _with_spectrum(9, np.array([1.0, 0.7, 0.7, 0.2]))
+        calls = self.qr_calls(monkeypatch)
+        monkeypatch.setattr(linalg_module, "_gram_defect", lambda X: 2.0 * TAKAGI_CUT * len(X))
+        fac = _embedded_takagi(S)
+        assert calls == [(4, 4)]
+        assert np.count_nonzero(fac.diagonal) == 4
+        self.check(S, fac)
 
 
 class TestUnitaryExtension:

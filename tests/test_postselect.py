@@ -181,6 +181,24 @@ class TestSynthesize:
         with pytest.raises(InfeasibleRank):
             synthesize_postselect(single_photons_state(6), bell_target(3))
 
+    @pytest.mark.parametrize(
+        "m, rank_in, d1, d2, rank_c", [(4, 1, 2, 2, 2), (6, 2, 4, 3, 3), (5, 3, 5, 5, 5)]
+    )
+    def test_infeasible_states_the_fidelity_ceiling(self, rng, m, rank_in, d1, d2, rank_c):
+        """The refusal states sqrt(sum_{i<=r} sigma_i^2 / sum sigma_i^2) over
+        C's singular values, r = rank(S_in): the best fidelity of a rank-r
+        block with C."""
+        state = random_state_of_rank(rng, m, rank_in)
+        target = random_target_of_rank(rng, d1, d2, rank_c)
+        sigma = np.linalg.svd(target.C, compute_uv=False)
+        stated_at = f"fidelity ceiling at rank {rank_in} is "
+        with pytest.raises(InfeasibleRank, match=stated_at) as info:
+            synthesize_postselect(state, target)
+        stated = float(str(info.value).rsplit(" ", 1)[1])
+        formula = np.sqrt(np.sum(sigma[:rank_in] ** 2) / np.sum(sigma**2))
+        assert abs(stated - formula) <= 1e-12
+        assert stated < 1.0
+
     def test_unitary_and_mode_budget(self, rng):
         target = random_target_of_rank(rng, 3, 3, 2)
         state = random_state_of_rank(rng, 4, 2)
