@@ -96,7 +96,7 @@ def cmd_gate_cnz(args) -> int:
     result, _ = gates.build_cnz(args.n, args.phi)
     if not gates.verify_cnz(result, args.n, args.phi):
         raise VerificationFailure("constructed gate failed the oracle check")
-    target = gates._ideal_table(args.n, args.phi)
+    target = np.diag(gates._gate_phases(args.n, args.phi))
     doc = io.synthesis_to_doc(result, "cnz", target, n=args.n, phi=args.phi)
     io.dump_json(doc, args.output)
     return EXIT_OK

@@ -34,8 +34,8 @@ PERMANENT_LIMIT = 14
 
 # Entries of the table that one `amplitude` call spans, its broadcast leading
 # shape times the m modes: the 2^10 x 2^10 truth table of a 10-qubit gate
-# over 40 modes fits, the 2^11 x 2^11 one over 44 modes does not. No stack of
-# that size is built: each of the two photon index arrays is n / m of it.
+# over its 20 dual rails fits, the 2^11 x 2^11 one over 22 does not. No stack
+# of that size is built: each of the two photon index arrays is n / m of it.
 OCCUPATION_LIMIT = 1 << 26
 
 _FACTORIALS = np.array([math.factorial(i) for i in range(PERMANENT_LIMIT + 1)], dtype=float)
@@ -51,9 +51,9 @@ _FACTORIALS = np.array([math.factorial(i) for i in range(PERMANENT_LIMIT + 1)], 
 _CHUNK_ELEMENTS = 1 << 17
 
 # Entries of a pair of occupation stacks whose checked layout `amplitude`
-# keeps, and how many such layouts it keeps. The checks cost ~18 us plus
-# ~6 ns per entry (1 BLAS thread): 58% of the 2-qubit CZ truth table's
-# amplitudes, 2% at 6 qubits (3072 entries), 0.4% at 7 (7168). Beyond this
+# keeps, and how many such layouts it keeps. The checks cost ~20 us plus
+# ~7 ns per entry (1 BLAS thread): 1.5x the 2-qubit CZ truth table's
+# amplitudes, 2% at 6 qubits (1536 entries), 0.4% at 7 (3584). Beyond this
 # budget the permanents dwarf them, so larger layouts are checked anew. A
 # kept layout holds at most ~0.5 MB (its key bytes and index arrays).
 _LAYOUT_ENTRIES = 1 << 12
@@ -160,7 +160,7 @@ def _layout(U_shape: tuple[int, ...], k, ell) -> tuple:
     the photon number n, the (..., n) photon mode indices of each stack and
     the factorial product of each of its entries, unbroadcast and read-only."""
     k, ell = _occupations(k), _occupations(ell)
-    m = U_shape[0]
+    m = U_shape[0] if len(U_shape) == 2 else None
     if U_shape != (m, m) or k.shape[-1:] != (m,) or ell.shape[-1:] != (m,):
         raise DimensionMismatch("occupation vectors must match the unitary dimension")
     try:

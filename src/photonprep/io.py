@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .exceptions import DocumentError
-from .gates import _ideal_table
+from .gates import _deviation, _gate_phases
 from .linalg import _gram_defect
 from .verify import HeraldPattern, SynthesisResult, _aux_modes
 from .tolerances import CNZ_AMPLITUDE_TOL, DOCUMENT_UNITARITY_TOL
@@ -117,7 +117,7 @@ def _check_cnz_target(target: Any, extras: dict[str, Any]) -> None:
     if target.shape != (2**n, 2**n):
         raise ValueError(f"target: expected the {2**n} x {2**n} gate of n = {n}, got shape {target.shape}")
     # NaN fails the comparison, so a NaN entry is off too
-    off = ~(np.abs(target - _ideal_table(n, phi)) <= CNZ_AMPLITUDE_TOL)
+    off = ~(_deviation(target.copy(), _gate_phases(n, phi)) <= CNZ_AMPLITUDE_TOL)
     if off.any():
         i, j = np.argwhere(off)[0]
         gate = f"the gate of n = {n}, phi = {phi}"
@@ -214,6 +214,10 @@ def synthesis_from_doc(doc: Any) -> dict[str, Any]:
         shape = out["target"].shape
         payload = out.setdefault("payload_modes", shape[0]) if kind == "herald" else sum(shape)
         rows, aux = len(unitary), _aux_modes(len(unitary), payload, out["herald"])
+        if aux < 0:  # the payload does not fit: its own field is at fault, not aux_modes
+            field = "payload_modes" if kind == "herald" else "target"
+            message = f"payload and herald need {rows - aux} modes, but the unitary has {rows} rows"
+            raise DocumentError(f"{field}: {message}", field)
         if out["aux_modes"] != aux:
             message = f"{out['aux_modes']}, but {rows} rows leave {aux} past payload and herald"
             raise DocumentError(f"aux_modes: {message}", "aux_modes")

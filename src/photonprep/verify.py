@@ -89,6 +89,14 @@ def _aux_modes(modes: int, payload: int, herald: HeraldPattern | None) -> int:
     return modes - payload - (herald.herald_modes if herald is not None else 0)
 
 
+def _square(U) -> np.ndarray:
+    """U as a complex array; DimensionMismatch unless it is a square matrix."""
+    U = np.asarray(U, dtype=complex)
+    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+        raise DimensionMismatch(f"expected a square unitary, got shape {U.shape}")
+    return U
+
+
 def _verified_result(
     U: np.ndarray, scale_alpha: float, report: ExtractionReport, payload: int,
     herald: HeraldPattern | None,
@@ -133,9 +141,7 @@ def extract_postselected(
     contribute nothing, so only the first d1 + d2 rows and the first
     state_in.modes columns of U enter the evolution.
     """
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise DimensionMismatch(f"expected a square unitary, got shape {U.shape}")
+    U = _square(U)
     if U.shape[0] < d1 + d2:
         raise DimensionMismatch("unitary smaller than the computational registers")
     if state_in.modes > U.shape[0]:
@@ -150,21 +156,20 @@ def extract_postselected(
 
 @functools.lru_cache(maxsize=16)
 def _heralded_outputs(
-    N: int, n: int, m: int, signal: tuple[int, ...]
+    n: int, m: int, signal: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Size-only tables of extract_heralded's projection, built once per
     layout and returned read-only: the payload pairs (i, j), i <= j, the output
     occupation of each pair, the input occupation and the divisor of each
     pair's amplitude. |1_i 1_j> carries 2 T_ij, |2_i> carries sqrt(2) T_ii.
-    Occupations are int8, which holds any within the permanent limit, so a
-    cached table holds an eighth of the bytes of an int one."""
-    ell_in = np.zeros(N, dtype=np.int8)
-    ell_in[:n] = 1
-    base_out = np.zeros(N, dtype=np.int8)
-    base_out[m : m + len(signal)] = signal
+    Occupations span the M = max(m + h, n) modes that photons enter or leave
+    by, and are int8, which holds any within the permanent limit."""
+    M = max(m + len(signal), n)
+    ell_in = (np.arange(M) < n).astype(np.int8)
+    unit = np.eye(m, M, dtype=np.int8)
     i, j = np.triu_indices(m)
-    unit = np.eye(m, N, dtype=np.int8)
-    k_out = base_out + unit[i] + unit[j]
+    k_out = unit[i] + unit[j]
+    k_out[:, m : m + len(signal)] = signal
     divisors = np.where(i == j, np.sqrt(2.0), 2.0)
     tables = (i, j, k_out, ell_in, divisors)
     for table in tables:
@@ -181,24 +186,22 @@ def extract_heralded(
 ) -> ExtractionReport:
     """Project the evolved n-photon input onto the herald signal.
 
-    Input: one photon in each of the first n modes. Output projection:
-    the given signal on the h herald modes (m..m+h-1), vacuum on
-    auxiliaries, two photons anywhere in the first m payload modes.
-    Returns the projected payload block T, unnormalized, and its weight, the
-    herald probability 2 Tr(T^† T).
+    Input: one photon in each of the first n modes. Output projection: the
+    signal on the h herald modes (m..m+h-1), vacuum on auxiliaries, two
+    photons anywhere in the m payload modes; only U[:M, :M], M = max(m + h,
+    n), enters. Returns the projected payload block T, unnormalized, and its
+    weight, the herald probability 2 Tr(T^† T).
     """
-    U = np.asarray(U, dtype=complex)
-    N = U.shape[0]
-    h = pattern.herald_modes
-    if N < m + h or N < n:
+    U, h = _square(U), pattern.herald_modes
+    if len(U) < m + h or len(U) < n:
         raise DimensionMismatch("unitary too small for payload, heralds and photons")
     if pattern.total != n - 2:
         raise SignalMismatch(f"signal sums to {pattern.total}, expected {n - 2}")
     if n > fock.PERMANENT_LIMIT:
         raise TooLarge(f"photon number {n} beyond the permanent limit")
 
-    i, j, k_out, ell_in, divisors = _heralded_outputs(N, n, m, pattern.signal)
-    amps = fock.amplitude(U, k_out, ell_in) / divisors
+    i, j, k_out, ell_in, divisors = _heralded_outputs(n, m, pattern.signal)
+    amps = fock.amplitude(U[: len(ell_in), : len(ell_in)], k_out, ell_in) / divisors
     T = np.zeros((m, m), dtype=complex)
     T[i, j] = T[j, i] = amps
 

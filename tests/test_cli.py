@@ -142,6 +142,13 @@ class TestGateCnz:
         assert main(["verify", "--input", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
 
+    def test_gate_the_oracle_refuses_is_not_written(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("photonprep.gates.verify_cnz", lambda result, n, phi: False)
+        out = tmp_path / "cnz.json"
+        assert main(["gate-cnz", "--n", "2", "--phi", "1.0", "--output", str(out)]) == 3
+        assert "verification failed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_phase_is_an_input_error(self, capsys):
         assert main(["gate-cnz", "--n", "2", "--phi", "nan"]) == 2
         assert "phi must be finite" in capsys.readouterr().err
@@ -303,6 +310,8 @@ class TestVerifyRejectsMalformedHeraldDocument:
             ("payload_modes", "4"),
             ("payload_modes", 4.5),
             ("payload_modes", True),
+            # more payload modes than the unitary's 9 rows
+            ("payload_modes", 99),
             # 4 payload + 1 herald + 4 auxiliary modes
             ("aux_modes", 0),
             ("aux_modes", 42),

@@ -399,9 +399,8 @@ class TestLayoutMemo:
 
         m = n + 1
         signal = () if n == 2 else (n - 2,)
-        N = m + len(signal) + m
-        _, _, k_out, ell_in, _ = _heralded_outputs(N, n, m, signal)
-        return random_unitary(rng, N), k_out, ell_in
+        _, _, k_out, ell_in, _ = _heralded_outputs(n, m, signal)
+        return random_unitary(rng, len(ell_in)), k_out, ell_in
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_hit_equals_miss_on_herald_layouts(self, rng, n):
@@ -523,6 +522,10 @@ class TestAmplitude:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             amplitude(np.eye(2), (1, 1, 0), (1, 1))
+        # a unitary that is not a matrix, a 0-d one included
+        for U in (1.0, np.ones(1), np.ones((1, 1, 1))):
+            with pytest.raises(DimensionMismatch):
+                amplitude(U, [1], [1])
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("n", [2, 3])

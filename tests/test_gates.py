@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -13,7 +14,7 @@ from photonprep import (
     unitary_extension,
     verify_cnz,
 )
-from photonprep.gates import _dual_rail_basis, _ideal_table, _sigma_max, cnz_alpha, logical_occupation
+from photonprep.gates import _dual_rail_basis, _gate_phases, _sigma_max, cnz_alpha
 from photonprep.verify import SynthesisResult
 
 # phases outside (0, 2 pi), far outside it, and near its multiples
@@ -21,6 +22,12 @@ ANY_PHASE = [-1.0, -np.pi / 2, -2 * np.pi + 0.1, 2 * np.pi + 1, 7.0, 100.0, 1e6,
 
 
 class TestSuccessProbability:
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_fewer_than_two_qubits_rejected(self, n):
+        for call in (cnz_alpha, cnz_success_probability, build_cnz):
+            with pytest.raises(ValueError, match="at least two qubits"):
+                call(n, np.pi)
+
     def test_cz_is_one_ninth(self):
         assert cnz_success_probability(2, np.pi) == pytest.approx(1 / 9, abs=1e-12)
 
@@ -103,8 +110,8 @@ class TestBuildAndVerify:
 
     def test_oversized_truth_table_refused_before_the_broadcast(self):
         """At n = 11 the table's occupation stacks would broadcast to
-        (2048, 2048, 44) integers, beyond fock.OCCUPATION_LIMIT; n = 13 would
-        have asked for 26 GiB."""
+        (2048, 2048, 22) integers over its dual rails, beyond
+        fock.OCCUPATION_LIMIT; n = 13 would have asked for 26 GiB."""
         result, _ = build_cnz(11, 1.0)
         tracemalloc.start()
         try:
@@ -141,6 +148,39 @@ class TestBuildAndVerify:
         )
         assert not verify_cnz(tampered, 2, np.pi)
 
+    @pytest.mark.parametrize("tamper", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_reads_only_the_dual_rail_block(self, n, tamper):
+        """Every entry of U outside U[:2n, :2n] set to NaN leaves the table
+        and the verdict as they were, to the bit."""
+        result, _ = build_cnz(n, 1.0)
+        U = result.unitary.copy()
+        if tamper:
+            U[n, 0] += 1e-4
+        blocked = U.copy()
+        blocked[2 * n :, :] = blocked[:, 2 * n :] = np.nan
+        tables = []
+        exact = fock.amplitude
+
+        def kept(U, k, ell):
+            tables.append(exact(U, k, ell))
+            return tables[-1].copy()
+
+        verdicts = []
+        for unitary in (U, blocked):
+            circuit = dataclasses.replace(result, unitary=unitary)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fock, "amplitude", kept)
+                verdicts.append(verify_cnz(circuit, n, 1.0))
+        assert verdicts == [not tamper] * 2
+        assert np.array_equal(tables[0], tables[1])
+
+    def test_non_square_unitary_refused(self):
+        result, _ = build_cnz(2, np.pi)
+        circuit = dataclasses.replace(result, unitary=result.unitary[:, :-1])
+        with pytest.raises(DimensionMismatch, match="square"):
+            verify_cnz(circuit, 2, np.pi)
+
     @pytest.mark.parametrize("n", [3, 4, 5, 14])
     def test_qubit_count_beyond_the_unitary_refused_before_enumeration(self, n):
         """A CZ unitary has 8 modes, too few for the 2n dual rails of n = 5;
@@ -162,14 +202,14 @@ class TestBuildAndVerify:
 
 
 class TestCachedTruthTable:
-    """verify_cnz reads its basis from a read-only cache per (n, modes), and
+    """verify_cnz reads its basis from a read-only cache per n, and
     fock.amplitude keeps the checked layout of the table's stacks."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_layout_hit_equals_miss(self, n):
         result, _ = build_cnz(n, 1.0)
-        U = result.unitary
-        occ = _dual_rail_basis(n, len(U))
+        U = result.unitary[: 2 * n, : 2 * n]
+        occ = _dual_rail_basis(n)
         fock._cached_layout.cache_clear()
         miss = fock.amplitude(U, occ[:, None, :], occ[None, :, :])
         hit = fock.amplitude(U, occ[:, None, :], occ[None, :, :])
@@ -180,15 +220,18 @@ class TestCachedTruthTable:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_basis_is_the_listed_one_read_only(self, n):
-        occ = _dual_rail_basis(n, 4 * n)
-        bits = list(itertools.product((0, 1), repeat=n))
-        assert np.array_equal(occ, logical_occupation(bits, n, 4 * n))
+        """Row x puts qubit i's photon on rail i if bit i of x is 1, else on
+        rail n + i, in the order of itertools.product."""
+        occ = _dual_rail_basis(n)
+        bits = np.array(list(itertools.product((0, 1), repeat=n)))
+        assert occ.dtype == np.int8 and occ.shape == (2**n, 2 * n)
+        assert np.array_equal(occ, np.hstack((bits, 1 - bits)))
         assert not occ.flags.writeable
-        assert _dual_rail_basis(n, 4 * n) is occ
+        assert _dual_rail_basis(n) is occ
 
     @pytest.mark.parametrize("n, error", [(5, DimensionMismatch), (3, DimensionMismatch), (15, TooLarge)])
     def test_refused_before_the_basis_is_read(self, n, error, monkeypatch):
-        def unread(n, total_modes):
+        def unread(n):
             raise AssertionError("basis read")
 
         monkeypatch.setattr("photonprep.gates._dual_rail_basis", unread)
@@ -274,9 +317,10 @@ def _gate_table(p_s, n, phi):
 
 @pytest.mark.parametrize("phi", [0.0, np.pi, -1.0, 2 * np.pi, 1e17])
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_ideal_table_is_the_gate(n, phi):
-    """The one table that verify_cnz, gate-cnz and io's encoding check read."""
-    assert np.array_equal(_ideal_table(n, phi), _gate_table(1.0, n, phi))
+def test_gate_phases_are_the_gate(n, phi):
+    """The one statement of the gate that verify_cnz, gate-cnz and io's
+    encoding check read: its truth table's diagonal."""
+    assert np.array_equal(np.diag(_gate_phases(n, phi)), _gate_table(1.0, n, phi))
 
 
 class TestOracleIndependence:
@@ -311,9 +355,8 @@ class TestOracleIndependence:
             return table
 
         monkeypatch.setattr(fock, "amplitude", leaky)
-        bits = list(itertools.product((0, 1), repeat=n))
-        occ = logical_occupation(bits, n, result.unitary.shape[0])
-        table = leaky(result.unitary, occ[:, None], occ[None])
+        occ = _dual_rail_basis(n)
+        table = leaky(result.unitary[: 2 * n, : 2 * n], occ[:, None], occ[None])
         expected = _gate_table(result.success_probability, n, phi)
         assert np.max(np.abs(np.diag(table) - np.diag(expected))) <= 1e-9
         assert not verify_cnz(result, n, phi)

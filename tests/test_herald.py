@@ -152,6 +152,12 @@ class TestBilinearMatrix:
 
 
 class TestFeasibility:
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_fewer_than_two_photons_rejected(self, n):
+        for decide in (feasible_herald, synthesize_herald):
+            with pytest.raises(ValueError, match="at least two photons"):
+                decide(BELL, n)
+
     def test_bell_needs_four_photons(self):
         assert feasible_herald(BELL, 4)
         assert not feasible_herald(BELL, 3)

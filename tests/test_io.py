@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from photonprep.exceptions import DocumentError
-from photonprep import build_cnz, gates, normalize, synthesize_herald
-from photonprep.io import matrix_from_doc, matrix_to_doc, synthesis_from_doc, synthesis_to_doc
+from photonprep import QuditTarget, build_cnz, gates, normalize, synthesize_herald, synthesize_postselect
+from photonprep.io import load_json, matrix_from_doc, matrix_to_doc, synthesis_from_doc, synthesis_to_doc
 
 # the truth table of the CZ gate, n = 2 and phi = pi
 CZ = np.diag([1, 1, 1, -1]).astype(complex)
@@ -170,6 +170,14 @@ class TestIntegerFields:
             synthesis_from_doc(herald_doc)
         assert err.value.field == "aux_modes"
 
+    def test_payload_beyond_the_rows_names_the_payload(self, herald_doc):
+        """A payload that the unitary's 9 rows cannot hold is refused as
+        such, not as an aux_modes count of -91."""
+        herald_doc["payload_modes"] = 99
+        with pytest.raises(DocumentError, match="payload_modes: payload and herald need 100 modes, but") as err:
+            synthesis_from_doc(herald_doc)
+        assert err.value.field == "payload_modes"
+
     def test_herald_document_without_a_herald_has_the_empty_signal(self):
         """Two photons need no herald mode: a null herald decodes as the
         empty signal, and the 3 + 0 + 2 layout holds."""
@@ -224,6 +232,48 @@ class TestIntegerFields:
         assert (decoded["photons"], decoded["payload_modes"]) == (4, 4)
         assert decoded["herald"].signal == (2,)
         assert synthesis_from_doc(cnz_doc)["n"] == 2
+
+
+class TestSynthesisDocumentRefusals:
+    @pytest.fixture
+    def docs(self):
+        state = normalize(np.eye(4, dtype=complex))
+        herald = synthesis_to_doc(synthesize_herald(state, 4), "herald", state.S, photons=4)
+        state_in, target = normalize(np.eye(3, dtype=complex)), QuditTarget(np.eye(2) / np.sqrt(2))
+        postselect = synthesis_to_doc(
+            synthesize_postselect(state_in, target), "postselect", target.C,
+            input_state=matrix_to_doc(state_in.S),
+        )
+        return {"herald": herald, "postselect": postselect}
+
+    @pytest.mark.parametrize(
+        "kind, edit, field",
+        [
+            ("herald", lambda doc: [doc], "document"),
+            ("herald", lambda doc: {**doc, "kind": "hom"}, "kind"),
+            ("herald", lambda doc: {**doc, "herald": {"modes": 1}}, "herald.signal"),
+            ("herald", lambda doc: {**doc, "herald": [2]}, "herald.signal"),
+            ("herald", lambda doc: {k: v for k, v in doc.items() if k != "photons"}, "photons"),
+            ("postselect", lambda doc: {k: v for k, v in doc.items() if k != "input_state"}, "input_state"),
+            ("postselect", lambda doc: {**doc, "input_state": None}, "input_state"),
+            # a 9 x 9 target needs 18 payload modes of the 7-mode circuit
+            ("postselect", lambda doc: {**doc, "target": matrix_to_doc(np.eye(9))}, "target"),
+        ],
+    )
+    def test_field_is_named(self, docs, kind, edit, field):
+        with pytest.raises(DocumentError) as err:
+            synthesis_from_doc(edit(docs[kind]))
+        assert err.value.field == field and str(err.value).startswith(field)
+
+    def test_unknown_kind_is_not_written(self):
+        with pytest.raises(ValueError, match="unknown synthesis kind 'hom'"):
+            synthesis_to_doc(build_cnz(2, np.pi)[0], "hom", CZ)
+
+    def test_unreadable_path(self, tmp_path):
+        with pytest.raises(DocumentError, match="cannot read"):
+            load_json(str(tmp_path / "missing.json"))
+        with pytest.raises(DocumentError, match="cannot read"):
+            load_json(str(tmp_path))
 
 
 class TestPhi:
@@ -296,8 +346,10 @@ class TestCnzDocument:
             synthesis_to_doc(result, "cnz", target, n=2, phi=np.pi)
 
     def test_accepts_the_table_within_tolerance(self, result):
-        doc = synthesis_to_doc(result, "cnz", CZ + 5e-10, n=2, phi=np.pi)
+        target = CZ + 5e-10
+        doc = synthesis_to_doc(result, "cnz", target, n=2, phi=np.pi)
         assert (doc["n"], doc["phi"]) == (2, np.pi)
+        assert np.array_equal(target, CZ + 5e-10)  # compared on a copy
 
     @pytest.mark.parametrize("missing", ["n", "phi"])
     def test_refuses_a_call_without_n_or_phi(self, result, missing):
@@ -344,7 +396,7 @@ class TestCnzDocument:
     def test_ten_qubit_document_is_small(self):
         """The 2^10 x 2^10 table alone took 44 MB of JSON."""
         result, _ = build_cnz(10, 1.0)
-        text = json.dumps(synthesis_to_doc(result, "cnz", gates._ideal_table(10, 1.0), n=10, phi=1.0))
+        text = json.dumps(synthesis_to_doc(result, "cnz", np.diag(gates._gate_phases(10, 1.0)), n=10, phi=1.0))
         assert len(text) < 100_000
 
     def test_synthesizer_documents_keep_their_target(self):

@@ -84,6 +84,11 @@ class TestTakagi:
         with pytest.raises(ValueError):
             takagi(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            takagi(np.ones(shape))
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             takagi(np.array([[np.nan]]))

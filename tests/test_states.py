@@ -163,6 +163,23 @@ class TestNonFinite:
             normalize(np.array([[bad, 0], [0, 1]], dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "make, matrix, error, match",
+    [
+        (TwoPhotonState, np.ones((2, 3)), ValueError, "must be square"),
+        (TwoPhotonState, np.ones(4) / np.sqrt(8), ValueError, "must be square"),
+        (TwoPhotonState, [[0.5, 0.5], [0.0, 0.0]], NotSymmetric, "not symmetric"),
+        (TwoPhotonState, np.eye(2), ValueError, "not normalized"),
+        (QuditTarget, np.zeros((0, 2)), ValueError, "nonempty"),
+        (QuditTarget, np.ones(2) / np.sqrt(2), ValueError, "nonempty"),
+        (QuditTarget, np.eye(2), ValueError, "unit Frobenius norm"),
+    ],
+)
+def test_constructors_refuse(make, matrix, error, match):
+    with pytest.raises(error, match=match):
+        make(np.asarray(matrix, dtype=complex))
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2)])
 def test_normalize_rejects_non_square(shape):
     """The shape is checked before S is symmetrized, so a 2 x 3 matrix is

@@ -188,6 +188,11 @@ class TestExtractPostselectedDefinition:
         with pytest.raises(DimensionMismatch):
             extract_postselected(random_unitary(rng, 6)[:4], state, 2, 2)
 
+    def test_rejects_unitary_smaller_than_the_registers(self, rng):
+        state = normalize(random_complex_symmetric(rng, 3))
+        with pytest.raises(DimensionMismatch, match="smaller than the computational registers"):
+            extract_postselected(random_unitary(rng, 4), state, 2, 3)
+
 
 class TestExtractHeralded:
     @pytest.mark.parametrize("circuit", ["synthesized", "random"])
@@ -235,6 +240,37 @@ class TestExtractHeralded:
                 np.eye(2, dtype=complex), 2, HeraldPattern(signal=()), 2, target=np.eye(4)
             )
 
+    @pytest.mark.parametrize(
+        "N, n, signal, m",
+        [(4, 4, (2,), 5), (4, 4, (1, 1), 3), (3, 4, (2,), 1)],
+        ids=["payload", "heralds", "photons"],
+    )
+    def test_rejects_unitary_too_small(self, rng, N, n, signal, m):
+        with pytest.raises(DimensionMismatch, match="too small"):
+            extract_heralded(random_unitary(rng, N), n, HeraldPattern(signal=signal), m)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (5, 4), (1, 5, 5)])
+    def test_rejects_non_square_unitary(self, shape):
+        with pytest.raises(DimensionMismatch, match="square"):
+            extract_heralded(np.ones(shape), 3, HeraldPattern(signal=(1,)), 2)
+
+    @pytest.mark.parametrize(
+        "n, m", [(2, 3), (4, 3), (4, 4), (6, 2)], ids=["no-herald", "herald", "bell", "photons-beyond"]
+    )
+    def test_reads_only_the_block_of_its_photons(self, rng, n, m):
+        """Every entry of U outside U[:M, :M], M = max(m + h, n), set to NaN
+        leaves the report as it was, to the bit."""
+        pattern = HeraldPattern(signal=(n - 2,) if n > 2 else ())
+        M = max(m + pattern.herald_modes, n)
+        U = random_unitary(rng, M + 3)
+        blocked = U.copy()
+        blocked[M:, :] = blocked[:, M:] = np.nan
+        target = random_complex_symmetric(rng, m)
+        report, kept = (extract_heralded(u, n, pattern, m, target=target) for u in (U, blocked))
+        assert np.array_equal(report.extracted, kept.extracted)
+        assert (report.probability, report.fidelity_vs_target) == (kept.probability, kept.fidelity_vs_target)
+        assert np.all(np.isfinite(report.extracted)) and report.probability > 0.0
+
     def test_signal_must_sum_to_n_minus_2(self):
         """4 photons need a signal of 2 heralded photons; a signal of 1 is a
         SignalMismatch, not an extraction."""
@@ -276,8 +312,8 @@ class TestHeraldedTables:
     once per size and shared by every later call."""
 
     def test_tables_are_read_only(self):
-        tables = verify_module._heralded_outputs(9, 4, 4, (2,))
-        assert verify_module._heralded_outputs(9, 4, 4, (2,)) is tables
+        tables = verify_module._heralded_outputs(4, 4, (2,))
+        assert verify_module._heralded_outputs(4, 4, (2,)) is tables
         assert all(not table.flags.writeable for table in tables)
         with pytest.raises(ValueError, match="read-only"):
             tables[2][0, 0] = 5
@@ -287,13 +323,20 @@ class TestHeraldedTables:
 
     def test_layout_of_the_tables(self):
         """Payload pairs i <= j over 3 modes, each with the signal (2,) on
-        mode 3; input photons in the first 4 of 9 modes."""
-        i, j, k_out, ell_in, divisors = verify_module._heralded_outputs(9, 4, 3, (2,))
+        mode 3; input photons in the first 4 modes, all the tables span."""
+        i, j, k_out, ell_in, divisors = verify_module._heralded_outputs(4, 3, (2,))
         assert list(zip(i, j)) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-        assert k_out[1].tolist() == [1, 1, 0, 2, 0, 0, 0, 0, 0]
-        assert k_out[3].tolist() == [0, 2, 0, 2, 0, 0, 0, 0, 0]
-        assert ell_in.tolist() == [1, 1, 1, 1, 0, 0, 0, 0, 0]
+        assert k_out[1].tolist() == [1, 1, 0, 2]
+        assert k_out[3].tolist() == [0, 2, 0, 2]
+        assert ell_in.tolist() == [1, 1, 1, 1]
         assert divisors.tolist() == [np.sqrt(2.0), 2.0, 2.0, np.sqrt(2.0), 2.0, np.sqrt(2.0)]
+
+    def test_tables_span_the_photons(self):
+        """Six photons, two payload modes and one herald mode: the tables
+        span the 6 input modes, of which 3 to 5 are vacuum on output."""
+        _, _, k_out, ell_in, _ = verify_module._heralded_outputs(6, 2, (4,))
+        assert ell_in.tolist() == [1] * 6
+        assert k_out.tolist() == [[2, 0, 4, 0, 0, 0], [1, 1, 4, 0, 0, 0], [0, 2, 4, 0, 0, 0]]
 
     def test_photons_beyond_the_permanent_limit(self):
         """Refused before any table is built for them."""
