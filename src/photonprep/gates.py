@@ -128,6 +128,9 @@ def verify_cnz(result: SynthesisResult, n: int, phi: float) -> bool:
     permanent limit, and DimensionMismatch when U has fewer rows than the
     2n dual rails, when its rows beyond them are not the circuit's
     aux_modes (both before the basis is enumerated) or when U is not square.
+    Only U[:2n, :2n] is read, and U's unitarity is not checked:
+    `unitary_extension` gates every construction and `io` every document,
+    so a U built by hand is judged on that block alone.
     """
     _check_table_size(n)
     U = result.unitary

@@ -1,6 +1,10 @@
 """JSON documents for matrices and synthesis artifacts.
 
-Complex entries are serialized as two-element [re, im] arrays, row-major.
+A matrix is written as {"rows", "cols", "base64"}: the base64 text of its
+row-major little-endian complex128 bytes, exact to the bit and read back by
+np.frombuffer(base64.b64decode(s), "<c16").reshape(rows, cols). A matrix
+whose "data" holds [re, im] pairs, row-major, is read too: hand-written
+inputs and documents written before base64 carry their entries that way.
 A synthesis document bundles the unitary with enough context to re-verify
 it from scratch: the kind, kind-specific fields and, for the synthesizers,
 the target. A cnz document records n and phi, which fix its gate, instead
@@ -9,6 +13,7 @@ of the gate's 2^n x 2^n table; the `target` of an older one is not read.
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import sys
@@ -27,11 +32,8 @@ KINDS = ("postselect", "herald", "cnz")
 
 def matrix_to_doc(M: np.ndarray) -> dict[str, Any]:
     M = np.atleast_2d(np.asarray(M, dtype=complex))
-    return {
-        "rows": M.shape[0],
-        "cols": M.shape[1],
-        "data": np.stack([M.real, M.imag], -1).reshape(-1, 2).tolist(),
-    }
+    raw = np.ascontiguousarray(M, dtype="<c16").tobytes()
+    return {"rows": M.shape[0], "cols": M.shape[1], "base64": base64.b64encode(raw).decode("ascii")}
 
 
 def _is_number_type(t: type) -> bool:
@@ -73,16 +75,31 @@ def _probability_from_doc(value: Any) -> float:
     return float(value)
 
 
-def matrix_from_doc(doc: Any, field: str = "matrix") -> np.ndarray:
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{field}: expected an object", field)
-    for key in ("rows", "cols", "data"):
-        if key not in doc:
-            raise DocumentError(f"{field}.{key}: missing", f"{field}.{key}")
-    rows, cols = doc["rows"], doc["cols"]
-    if not (_is_int_at_least(rows, 1) and _is_int_at_least(cols, 1)):
-        raise DocumentError(f"{field}.rows/cols: must be positive integers", field)
-    data = doc["data"]
+def _entries_from_base64(text: Any, rows: int, cols: int, field: str) -> np.ndarray:
+    """The rows x cols complex entries that `text` encodes as base64 of
+    row-major little-endian complex128 bytes."""
+    nbytes = 16 * rows * cols
+    length = 4 * -(-nbytes // 3)
+    # sized before decoding: a short string that claims a huge matrix allocates nothing
+    if not isinstance(text, str) or len(text) != length:
+        got = f"{len(text)} characters" if isinstance(text, str) else type(text).__name__
+        raise DocumentError(
+            f"{field}.base64: expected a string of {length} characters for {rows} x {cols} entries, got {got}",
+            f"{field}.base64",
+        )
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise DocumentError(f"{field}.base64: invalid base64: {exc}", f"{field}.base64") from exc
+    if len(raw) != nbytes:  # padding in place of data, or data in place of padding
+        raise DocumentError(
+            f"{field}.base64: decodes to {len(raw)} bytes, expected {nbytes}", f"{field}.base64"
+        )
+    return np.frombuffer(raw, "<c16").astype(complex).reshape(rows, cols)
+
+
+def _entries_from_pairs(data: Any, rows: int, cols: int, field: str) -> np.ndarray:
+    """The rows x cols complex entries of `data`, a row-major list of [re, im]."""
     if not isinstance(data, list) or len(data) != rows * cols:
         raise DocumentError(
             f"{field}.data: expected {rows * cols} entries", f"{field}.data"
@@ -95,11 +112,31 @@ def matrix_from_doc(doc: Any, field: str = "matrix") -> np.ndarray:
         idx = next(i for i, pair in enumerate(data) if not _is_pair(pair))
         raise DocumentError(f"{field}.data[{idx}]: expected [re, im]", f"{field}.data")
     try:
-        M = np.array(values, dtype=float).view(complex).reshape(rows, cols)
+        return np.array(values, dtype=float).view(complex).reshape(rows, cols)
     except OverflowError:  # a JSON integer beyond the float range
-        M = None
-    if M is None or not np.all(np.isfinite(M)):
-        raise DocumentError(f"{field}.data: non-finite entry", f"{field}.data")
+        raise DocumentError(f"{field}.data: non-finite entry", f"{field}.data") from None
+
+
+def matrix_from_doc(doc: Any, field: str = "matrix") -> np.ndarray:
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{field}: expected an object", field)
+    for key in ("rows", "cols"):
+        if key not in doc:
+            raise DocumentError(f"{field}.{key}: missing", f"{field}.{key}")
+    rows, cols = doc["rows"], doc["cols"]
+    if not (_is_int_at_least(rows, 1) and _is_int_at_least(cols, 1)):
+        raise DocumentError(f"{field}.rows/cols: must be positive integers", field)
+    if ("base64" in doc) == ("data" in doc):
+        problem = "both base64 and data" if "base64" in doc else "missing"
+        raise DocumentError(
+            f"{field}.base64: {problem}; a matrix carries its entries as base64 or as [re, im] data pairs",
+            f"{field}.base64",
+        )
+    key = "base64" if "base64" in doc else "data"
+    read = _entries_from_base64 if key == "base64" else _entries_from_pairs
+    M = read(doc[key], rows, cols, field)
+    if not np.all(np.isfinite(M)):
+        raise DocumentError(f"{field}.{key}: non-finite entry", f"{field}.{key}")
     return M
 
 

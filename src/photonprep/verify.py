@@ -189,8 +189,10 @@ def extract_heralded(
     Input: one photon in each of the first n modes. Output projection: the
     signal on the h herald modes (m..m+h-1), vacuum on auxiliaries, two
     photons anywhere in the m payload modes; only U[:M, :M], M = max(m + h,
-    n), enters. Returns the projected payload block T, unnormalized, and its
-    weight, the herald probability 2 Tr(T^† T).
+    n), enters, and U's unitarity is not checked: `unitary_extension` gates
+    every construction and `io` every document, so a U built by hand is
+    judged on that block alone. Returns the projected payload block T,
+    unnormalized, and its weight, the herald probability 2 Tr(T^† T).
     """
     U, h = _square(U), pattern.herald_modes
     if len(U) < m + h or len(U) < n:

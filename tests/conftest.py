@@ -1,9 +1,11 @@
+import base64
 import math
 
 import numpy as np
 import pytest
 
 from photonprep.fock import permanent_naive
+from photonprep.io import matrix_to_doc
 from photonprep.tolerances import RANK_TOL
 
 
@@ -37,6 +39,29 @@ def _definition_rank(M) -> int:
     times the largest, by an SVD independent of any Takagi factorization."""
     sigma = np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
     return int(np.count_nonzero(sigma > RANK_TOL * np.max(sigma, initial=0.0)))
+
+
+def _decode_matrix(field) -> np.ndarray:
+    """The entries of a written matrix field, read from its base64 text as
+    row-major little-endian complex128 without the reader under test."""
+    raw = base64.b64decode(field["base64"], validate=True)
+    return np.frombuffer(raw, "<c16").reshape(field["rows"], field["cols"]).copy()
+
+
+def _edit_matrix(field, edit):
+    """A written matrix field decoded, passed through `edit` (a function of
+    its complex array) and encoded again as documents are written."""
+    return matrix_to_doc(edit(_decode_matrix(field)))
+
+
+@pytest.fixture
+def decode_matrix():
+    return _decode_matrix
+
+
+@pytest.fixture
+def edit_matrix():
+    return _edit_matrix
 
 
 @pytest.fixture

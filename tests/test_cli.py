@@ -90,13 +90,13 @@ def test_non_square_state_is_an_input_error(tmp_path, capsys, verb):
 
 
 class TestTakagi:
-    def test_factorization_output(self, tmp_path, capsys):
+    def test_factorization_output(self, tmp_path, capsys, decode_matrix):
         path = write_matrix(tmp_path / "s.json", np.array([[0, 0.5], [0.5, 0]]))
         assert main(["takagi", "--input", path]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["D"]["rows"] == 2
-        d00 = doc["D"]["data"][0]
-        assert d00[0] == pytest.approx(0.5)
+        d00 = decode_matrix(doc["D"])[0, 0]
+        assert d00.real == pytest.approx(0.5)
 
     def test_small_asymmetric_matrix_is_not_factorized(self, tmp_path, capsys):
         """The symmetry gate is relative: [[0, 1e-20], [0, 0]] is as far from
@@ -240,14 +240,16 @@ class TestVerifyLegacyTarget:
         assert json.loads(capsys.readouterr().out)["verified"] is (code == 0)
 
 
-def test_verify_rejects_a_unitary_with_a_nan_defect(cz_doc, capsys):
+def test_verify_rejects_a_unitary_with_a_nan_defect(cz_doc, capsys, edit_matrix):
     """Entries +-1e308 overflow the Gram: the defect reads NaN and exits 2,
     with no RuntimeWarning leaking out, even one raised as an error."""
     doc = json.loads(cz_doc.read_text())
-    unitary = doc["unitary"]
-    cols = unitary["cols"]
-    for i, j, value in ((0, 0, 1e308), (0, 1, 1e308), (1, 0, 1e308), (1, 1, -1e308)):
-        unitary["data"][i * cols + j] = [value, 0.0]
+
+    def overflow(U):
+        U[:2, :2] = [[1e308, 1e308], [1e308, -1e308]]
+        return U
+
+    doc["unitary"] = edit_matrix(doc["unitary"], overflow)
     cz_doc.write_text(json.dumps(doc))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -255,13 +257,35 @@ def test_verify_rejects_a_unitary_with_a_nan_defect(cz_doc, capsys):
     assert "unitary: matrix is not unitary" in capsys.readouterr().err
 
 
-def test_verify_rejects_a_non_square_unitary(cz_doc, capsys):
+def test_verify_rejects_a_non_square_unitary(cz_doc, capsys, edit_matrix):
     doc = json.loads(cz_doc.read_text())
-    unitary = doc["unitary"]
-    doc["unitary"] = {**unitary, "rows": unitary["rows"] - 1, "data": unitary["data"][: -unitary["cols"]]}
+    doc["unitary"] = edit_matrix(doc["unitary"], lambda U: U[:-1])
     cz_doc.write_text(json.dumps(doc))
     assert main(["verify", "--input", str(cz_doc)]) == 2
     assert "unitary: expected a square matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda u: {**u, "base64": 42},
+        lambda u: {**u, "base64": u["base64"][:-4]},
+        lambda u: {**u, "rows": 10**9, "base64": u["base64"][:24]},
+        lambda u: {**u, "base64": "*" + u["base64"][1:]},
+        lambda u: {**u, "base64": u["base64"][:-4] + "===="},
+        lambda u: matrix_to_doc(np.full((u["rows"], u["cols"]), np.nan)),
+        lambda u: {**u, "data": [[1.0, 0.0]] * (u["rows"] * u["cols"])},
+        lambda u: {k: v for k, v in u.items() if k != "base64"},
+    ],
+    ids=["non-string", "short", "huge-claim", "alphabet", "padding", "nan", "both", "neither"],
+)
+def test_verify_refuses_a_malformed_base64_unitary(cz_doc, capsys, edit):
+    doc = json.loads(cz_doc.read_text())
+    doc["unitary"] = edit(doc["unitary"])
+    cz_doc.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(cz_doc)]) == 2
+    captured = capsys.readouterr()
+    assert "unitary.base64: " in captured.err and captured.out == ""
 
 
 class TestSynthHerald:
@@ -406,7 +430,7 @@ class TestSynthPostselect:
         assert main(["synth-postselect", "--state", str(state), "--target", target]) == 1
 
     @pytest.mark.parametrize("scale", [1e-200, 3.0, 1e200])
-    def test_verify_of_a_scaled_target(self, tmp_path, capsys, scale):
+    def test_verify_of_a_scaled_target(self, tmp_path, capsys, edit_matrix, scale):
         """The document's target enters the verdict only up to scale: the
         input 0.5 I_4 onto the target I_2 verifies with its target scaled by
         any finite factor, including where its norm would under- or overflow."""
@@ -416,7 +440,7 @@ class TestSynthPostselect:
         assert main(["synth-postselect", "--state", state, "--target", target,
                      "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
-        doc["target"]["data"] = [[scale * re, scale * im] for re, im in doc["target"]["data"]]
+        doc["target"] = edit_matrix(doc["target"], lambda C: (C.view(float) * scale).view(complex))
         out.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", "--input", str(out)]) == 0
@@ -432,7 +456,7 @@ class TestSynthPostselect:
         assert main(["synth-postselect", "--state", state, "--target", target,
                      "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["target"]["data"] == matrix_to_doc(np.eye(2) / np.sqrt(2))["data"]
+        assert doc["target"] == matrix_to_doc(np.eye(2) / np.sqrt(2))
         assert main(["verify", "--input", str(out)]) == 0
 
     def test_zero_target_is_an_input_error(self, tmp_path, capsys):

@@ -1,19 +1,33 @@
+import base64
+import dataclasses
 import json
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from photonprep.exceptions import DocumentError
-from photonprep import QuditTarget, build_cnz, gates, normalize, synthesize_herald, synthesize_postselect
+from photonprep import (
+    QuditTarget, build_cnz, extract_heralded, from_qudit_target, gates, normalize, synthesize_herald,
+    synthesize_postselect,
+)
 from photonprep.io import load_json, matrix_from_doc, matrix_to_doc, synthesis_from_doc, synthesis_to_doc
 
 # the truth table of the CZ gate, n = 2 and phi = pi
 CZ = np.diag([1, 1, 1, -1]).astype(complex)
+# how a matrix with both entry fields, or neither, is refused
+ENTRIES = "a matrix carries its entries as base64 or as [re, im] data pairs"
 
 
 def _doc(data, rows=1, cols=2):
     return {"rows": rows, "cols": cols, "data": data}
+
+
+def _b64(*parts):
+    """base64 of the given floats as little-endian float64, in order."""
+    return base64.b64encode(struct.pack(f"<{len(parts)}d", *parts)).decode("ascii")
 
 
 def _rejects(doc, message, field, name="m"):
@@ -28,11 +42,19 @@ class TestRejections:
     def test_non_object(self, doc):
         _rejects(doc, "m: expected an object", "m")
 
-    @pytest.mark.parametrize("key", ["rows", "cols", "data"])
-    def test_missing_key(self, key):
+    @pytest.mark.parametrize(
+        "key, message, field",
+        [
+            ("rows", "m.rows: missing", "m.rows"),
+            ("cols", "m.cols: missing", "m.cols"),
+            ("data", f"m.base64: missing; {ENTRIES}", "m.base64"),
+        ],
+        ids=["rows", "cols", "data"],
+    )
+    def test_missing_key(self, key, message, field):
         doc = _doc([[1.0, 0.0], [0.0, 1.0]])
         del doc[key]
-        _rejects(doc, f"m.{key}: missing", f"m.{key}")
+        _rejects(doc, message, field)
 
     @pytest.mark.parametrize(
         "rows, cols", [(0, 2), (1, 0), (-1, 2), (1.0, 2), ("1", 2), (True, 2), (1, True)]
@@ -99,17 +121,175 @@ class TestRoundTrip:
         assert back.view(float).tobytes() == M.view(float).tobytes()
 
     def test_data_layout_is_row_major_pairs(self):
+        """The base64 text holds (re, im) pairs of little-endian float64,
+        row-major; -4j has the real part -0.0."""
         doc = matrix_to_doc(np.array([[1 + 2j, 3.0], [-4j, 0.5]]))
-        assert doc["data"] == [[1.0, 2.0], [3.0, 0.0], [0.0, -4.0], [0.5, 0.0]]
-        assert all(type(v) is float for pair in doc["data"] for v in pair)
+        assert set(doc) == {"rows", "cols", "base64"} and type(doc["base64"]) is str
+        assert base64.b64decode(doc["base64"]) == struct.pack("<8d", 1.0, 2.0, 3.0, 0.0, -0.0, -4.0, 0.5, 0.0)
 
     def test_vector_and_scalar_become_rows(self):
-        assert matrix_to_doc(np.array([1.0, 2.0]))["rows"] == 1
-        assert matrix_to_doc(2.0)["data"] == [[2.0, 0.0]]
+        assert matrix_to_doc(np.array([1.0, 2.0])) == {
+            "rows": 1, "cols": 2, "base64": _b64(1.0, 0.0, 2.0, 0.0)
+        }
+        assert matrix_to_doc(2.0) == {"rows": 1, "cols": 1, "base64": _b64(2.0, 0.0)}
 
     def test_integer_components(self):
         back = matrix_from_doc(_doc([[1, 0], [0, -2]]))
         assert back.tolist() == [[1 + 0j, -2j]]
+
+
+def _b64_doc(text, rows=1, cols=2):
+    return {"rows": rows, "cols": cols, "base64": text}
+
+
+def _pairs(field):
+    """A written matrix field restated as a row-major list of [re, im]
+    pairs, the layout documents were written in before base64."""
+    return {
+        "rows": field["rows"],
+        "cols": field["cols"],
+        "data": matrix_from_doc(field).view(float).reshape(-1, 2).tolist(),
+    }
+
+
+class TestBase64:
+    """A written matrix is the base64 text of its row-major little-endian
+    complex128 bytes: exact to the bit, and refused before decoding when its
+    length does not fit rows x cols."""
+
+    TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            np.array([[complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)]]),
+            np.array([[complex(TINY, -TINY)], [complex(-1e-310, 2.2250738585072014e-308)]]),
+            np.array([[1.7e308 - 1.7e308j, -1.7e308 + 1.7e308j], [1.7976931348623157e308, -1.7976931348623157e308j]]),
+            np.array([[1 / 3 + 2j / 7]]),
+            np.arange(5) * (1 - 0.5j),
+            (np.arange(5) * (1 - 0.5j)).reshape(5, 1),
+        ],
+        ids=["signed-zeros", "subnormals", "extremes", "1x1", "1xn", "nx1"],
+    )
+    def test_round_trip_is_bit_exact(self, M):
+        doc = json.loads(json.dumps(matrix_to_doc(M)))
+        back = matrix_from_doc(doc)
+        M = np.atleast_2d(M)
+        assert back.dtype == complex and back.shape == M.shape
+        assert np.array_equal(back, M)
+        assert np.array_equal(np.signbit(back.view(float)), np.signbit(M.view(float)))
+
+    def test_decoded_matrix_is_writable(self):
+        back = matrix_from_doc(matrix_to_doc(np.eye(2)))
+        back[0, 0] = 2.0
+        assert back.flags.writeable and back[0, 0] == 2.0
+
+    @pytest.mark.parametrize("text", [None, 5, 1.5, True, ["AAAA"], {"0": "AAAA"}], ids=repr)
+    def test_non_string(self, text):
+        _rejects(
+            _b64_doc(text),
+            f"m.base64: expected a string of 44 characters for 1 x 2 entries, got {type(text).__name__}",
+            "m.base64",
+        )
+
+    @pytest.mark.parametrize(
+        "text, rows, cols",
+        [
+            (_b64(1.0, 0.0), 1, 2),  # one entry where two are declared
+            (_b64(1.0, 0.0, 2.0, 0.0, 3.0, 0.0), 1, 2),  # three
+            (_b64(1.0, 0.0, 2.0, 0.0) + "AAAA", 1, 2),
+            ("", 1, 2),
+            # a 24-character string that claims 10^9 x 2 entries: no 32 GB buffer is made
+            (_b64(1.0, 0.0), 10**9, 2),
+        ],
+        ids=["short", "long", "trailing", "empty", "huge-claim"],
+    )
+    def test_length_that_does_not_fit_rows_and_cols(self, text, rows, cols):
+        expected = 4 * -(-16 * rows * cols // 3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DocumentError) as err:
+                matrix_from_doc(_b64_doc(text, rows, cols), "m")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (
+            f"m.base64: expected a string of {expected} characters for {rows} x {cols} entries, "
+            f"got {len(text)} characters"
+        )
+        assert err.value.field == "m.base64"
+        assert peak < 100_000
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t: "*" + t[1:],  # outside the alphabet
+            lambda t: "-" + t[1:],  # the URL-safe alphabet's 62
+            lambda t: "\u00e9" + t[1:],  # outside ASCII
+            lambda t: " " + t[1:],
+            lambda t: t[:20] + "\n" + t[21:],
+            lambda t: t[:-3] + "A=A",  # padding before data
+            lambda t: t[:-4] + "====",  # padding in place of data
+        ],
+        ids=["star", "dash", "non-ascii", "space", "newline", "inner-padding", "all-padding"],
+    )
+    def test_invalid_base64(self, edit):
+        text = _b64(1.0, 0.0, 2.0, 0.0)
+        with pytest.raises(DocumentError, match=r"^m\.base64: ") as err:
+            matrix_from_doc(_b64_doc(edit(text)), "m")
+        assert err.value.field == "m.base64"
+
+    def test_data_in_place_of_padding(self):
+        """44 characters whose last two are data decode to 33 bytes, not 32."""
+        text = _b64(1.0, 0.0, 2.0, 0.0)
+        assert text.endswith("=")
+        _rejects(_b64_doc(text.rstrip("=") + "A" * (44 - len(text.rstrip("=")))),
+                 "m.base64: decodes to 33 bytes, expected 32", "m.base64")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("part", [0, 3])
+    def test_non_finite_bytes(self, value, part):
+        parts = [1.0, 0.0, 2.0, 0.0]
+        parts[part] = value
+        _rejects(_b64_doc(_b64(*parts)), "m.base64: non-finite entry", "m.base64")
+
+    def test_both_data_and_base64(self):
+        doc = {**_doc([[1.0, 0.0], [2.0, 0.0]]), "base64": _b64(1.0, 0.0, 2.0, 0.0)}
+        _rejects(doc, f"m.base64: both base64 and data; {ENTRIES}", "m.base64")
+
+    def test_neither_data_nor_base64(self):
+        _rejects({"rows": 1, "cols": 2}, f"m.base64: missing; {ENTRIES}", "m.base64")
+
+
+class TestDocumentsWrittenAsPairs:
+    """Documents written before base64 carry each matrix as [re, im] pairs;
+    they decode to the same matrices, bit for bit, and still verify."""
+
+    def test_cnz_document(self):
+        result, _ = build_cnz(2, np.pi)
+        doc = json.loads(json.dumps(synthesis_to_doc(result, "cnz", CZ, n=2, phi=np.pi)))
+        legacy = json.loads(json.dumps({**doc, "unitary": _pairs(doc["unitary"])}))
+        assert "base64" not in legacy["unitary"]
+        decoded, expected = synthesis_from_doc(legacy), synthesis_from_doc(doc)
+        assert decoded["unitary"].view(float).tobytes() == expected["unitary"].view(float).tobytes()
+        assert np.array_equal(decoded["unitary"], result.unitary)
+        assert gates.verify_cnz(dataclasses.replace(result, unitary=decoded["unitary"]), 2, np.pi)
+
+    def test_herald_bell_pair_document(self):
+        state = from_qudit_target(QuditTarget(np.eye(2) / np.sqrt(2)))
+        result = synthesize_herald(state, 4)
+        doc = synthesis_to_doc(result, "herald", state.S, photons=4, payload_modes=state.modes)
+        doc = json.loads(json.dumps(doc))
+        legacy = {**doc, "unitary": _pairs(doc["unitary"]), "target": _pairs(doc["target"])}
+        legacy = json.loads(json.dumps(legacy))
+        decoded, expected = synthesis_from_doc(legacy), synthesis_from_doc(doc)
+        for key in ("unitary", "target"):
+            assert decoded[key].view(float).tobytes() == expected[key].view(float).tobytes()
+        assert np.array_equal(decoded["unitary"], result.unitary)
+        report = extract_heralded(
+            decoded["unitary"], 4, decoded["herald"], decoded["payload_modes"], target=decoded["target"]
+        )
+        assert report.verified
 
 
 class TestSuccessProbability:
