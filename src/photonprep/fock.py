@@ -10,13 +10,16 @@ slabs. `permanent` takes a single matrix or a stack of same-size
 matrices, and `amplitude` broadcasts over stacks of occupation vectors, so
 a whole truth table or heralded output space is one call. It turns each
 stack, as given, into the mode index of each photon and broadcasts only
-those n-wide index arrays, never the m-wide occupations; a table of
-several chunks gathers each chunk's indices from the broadcast views, so
-no (size, n) copy of them is made. What the checks yield, the layout
-(index arrays and factorial norms), is kept per distinct pair of stacks,
-keyed on their exact bytes, for pairs of up to _LAYOUT_ENTRIES entries: an
-oracle that asks for the same table on every op checks it once. Larger
-layouts are checked on every call.
+those n-wide index arrays, never the m-wide occupations. A table that fits
+one chunk of `permanent` is read through one flat gather index into U,
+rows * m + cols per submatrix, built with its norms when the table is
+checked; a table of several chunks gathers each chunk's indices from the
+broadcast views, so no (size, n) copy of them is made. What the checks
+yield, the layout (gather and norms, or index arrays and factorial
+products), is kept per distinct pair of stacks, keyed on their exact bytes,
+for pairs of up to _LAYOUT_ENTRIES entries: an oracle that asks for the
+same table on every op checks it once. Larger layouts are checked on every
+call.
 An O(n!) expansion is kept as an independent test oracle.
 """
 
@@ -55,15 +58,26 @@ _CHUNK_ELEMENTS = 1 << 17
 # ~7 ns per entry (1 BLAS thread): 1.5x the 2-qubit CZ truth table's
 # amplitudes, 2% at 6 qubits (1536 entries), 0.4% at 7 (3584). Beyond this
 # budget the permanents dwarf them, so larger layouts are checked anew. A
-# kept layout holds at most ~0.5 MB (its key bytes and index arrays).
+# kept layout holds its key bytes (at most 32 KiB) and either a one-chunk
+# table's gather (size n^2 int64) and norms (size float64), each at most
+# 1 MiB as size n^2 <= size n 2^(n-1) <= _CHUNK_ELEMENTS, so 2 MiB in all at
+# one photon; or a larger table's photon indices and factorial products,
+# ~0.5 MB at most (14 photons in one mode). The memo thus stays below ~33 MB;
+# the 4-qubit CZ truth table keeps 34 KiB, the 6-photon heralded oracle's 36
+# entries 10 KiB.
 _LAYOUT_ENTRIES = 1 << 12
 _LAYOUTS = 16
 
 
+def _chunk_size(n: int) -> int:
+    """How many n x n matrices one chunk holds: as many as keep their row-sum
+    table within _CHUNK_ELEMENTS, and at least one."""
+    return max(1, _CHUNK_ELEMENTS // (max(n, 1) << max(n - 1, 0)))
+
+
 def _chunks(count: int, n: int):
-    """Slices of a stack of `count` n x n matrices, each small enough that
-    its row-sum table stays within _CHUNK_ELEMENTS."""
-    step = max(1, _CHUNK_ELEMENTS // (max(n, 1) << max(n - 1, 0)))
+    """Slices of a stack of `count` n x n matrices, one chunk each."""
+    step = _chunk_size(n)
     return (slice(start, start + step) for start in range(0, count, step))
 
 
@@ -156,9 +170,12 @@ def _photon_modes(occupations: np.ndarray, n: int) -> np.ndarray:
 
 def _layout(U_shape: tuple[int, ...], k, ell) -> tuple:
     """Every check of `amplitude` on U's shape and the occupation stacks, in
-    order, and what its evaluation reads of them: the broadcast leading shape,
-    the photon number n, the (..., n) photon mode indices of each stack and
-    the factorial product of each of its entries, unbroadcast and read-only."""
+    order, and what its evaluation reads of them, read-only: the broadcast
+    leading shape and the photon number n, then, for a table that fits one
+    chunk, the (size, n, n) flat index rows * m + cols of each submatrix
+    entry in U and the (size,) norms sqrt(prod k_i! ell_j!); for a larger
+    one, the (..., n) photon mode indices of each stack and the factorial
+    product of each of its entries, unbroadcast."""
     k, ell = _occupations(k), _occupations(ell)
     m = U_shape[0] if len(U_shape) == 2 else None
     if U_shape != (m, m) or k.shape[-1:] != (m,) or ell.shape[-1:] != (m,):
@@ -185,18 +202,21 @@ def _layout(U_shape: tuple[int, ...], k, ell) -> tuple:
         i = np.argmax(k_photons != ell_photons)
         raise PhotonNumberMismatch(f"{k_photons.flat[i]} output photons vs {ell_photons.flat[i]} input")
     if not size:
-        return shape, 0, None, None, None, None
+        return shape, 0, np.empty((0, 0, 0), dtype=np.intp), np.empty(0)
     # a nonempty broadcast reaches every entry of each stack, and the entries
     # of ell match those of k, so k alone tells whether the photon number is one
     n = int(np.ravel(k_photons)[0])
     if np.any(k_photons != n):
         raise PhotonNumberMismatch(f"a batch mixes photon numbers {np.unique(k_photons).tolist()}")
-    layout = (
-        _photon_modes(k, n),
-        _photon_modes(ell, n),
-        _FACTORIALS[k].prod(axis=-1),
-        _FACTORIALS[ell].prod(axis=-1),
-    )
+    k_modes, ell_modes = _photon_modes(k, n), _photon_modes(ell, n)
+    k_factorials, ell_factorials = _FACTORIALS[k].prod(axis=-1), _FACTORIALS[ell].prod(axis=-1)
+    if size <= _chunk_size(n):
+        rows = np.broadcast_to(k_modes, shape + (n,)).reshape(size, n, 1)
+        cols = np.broadcast_to(ell_modes, shape + (n,)).reshape(size, 1, n)
+        norms = np.sqrt(k_factorials * ell_factorials).reshape(size)
+        layout = (rows * m + cols, norms)
+    else:
+        layout = (k_modes, ell_modes, k_factorials, ell_factorials)
     for table in layout:
         table.setflags(write=False)
     return (shape, n) + layout
@@ -211,26 +231,24 @@ def _cached_layout(U_shape, k_dtype, k_shape, k_bytes, ell_dtype, ell_shape, ell
 
 
 def _evaluate(U: np.ndarray, layout: tuple) -> complex | np.ndarray:
-    """The amplitudes of a checked layout: its submatrices gathered from the
-    photon mode indices, chunk by chunk, and their permanents over the norms."""
-    shape, n, k_modes, ell_modes, k_factorials, ell_factorials = layout
-    size = math.prod(shape)
-    if not size:
-        return np.empty(shape, dtype=complex)
-    rows = np.broadcast_to(k_modes, shape + (n,))
-    cols = np.broadcast_to(ell_modes, shape + (n,))
-    parts = list(_chunks(size, n))
-    if len(parts) == 1:
-        # the (size, n) copies of the views are this one chunk's indices
-        r, c = rows.reshape(size, n), cols.reshape(size, n)
-        out = permanent(U[r[:, :, None], c[:, None, :]])
+    """The amplitudes of a checked layout, their permanents over the norms:
+    one chunk's submatrices taken from U through its flat gather, or a larger
+    table's gathered from the photon mode indices, chunk by chunk."""
+    shape, n, *tables = layout
+    if len(tables) == 2:
+        gather, norms = tables
+        out = (permanent(np.take(U, gather)) / norms).reshape(shape)
     else:
+        k_modes, ell_modes, k_factorials, ell_factorials = tables
+        size = math.prod(shape)
+        rows = np.broadcast_to(k_modes, shape + (n,))
+        cols = np.broadcast_to(ell_modes, shape + (n,))
         out = np.empty(size, dtype=complex)
-        for part in parts:
+        for part in _chunks(size, n):
             entries = np.unravel_index(np.arange(part.start, min(part.stop, size)), shape)
             out[part] = permanent(U[rows[entries][:, :, None], cols[entries][:, None, :]])
-    out = out.reshape(shape)
-    out /= np.sqrt(k_factorials * ell_factorials)
+        out = out.reshape(shape)
+        out /= np.sqrt(k_factorials * ell_factorials)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -245,10 +263,11 @@ def amplitude(U: np.ndarray, k, ell) -> complex | np.ndarray:
     complex number. Entries must be integers (ValueError otherwise).
 
     Every check and the factorial norms read the stacks as given. Only the
-    photon mode indices, n per entry, are broadcast; the submatrices are
-    gathered from them chunk by chunk. The checked layout of a pair of
-    numeric stacks with up to 4096 entries between them is kept, keyed on
-    their exact bytes, so a repeated pair is checked once.
+    photon mode indices, n per entry, are broadcast: a table that fits one
+    chunk of `permanent` turns them into one flat gather index into U, a
+    larger one gathers its submatrices from them chunk by chunk. The checked
+    layout of a pair of numeric stacks with up to 4096 entries between them
+    is kept, keyed on their exact bytes, so a repeated pair is checked once.
     """
     U = np.asarray(U, dtype=complex)
     k, ell = np.asarray(k), np.asarray(ell)

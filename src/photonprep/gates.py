@@ -10,6 +10,7 @@ in a unitary. Success probability is sigma_max^(-2n).
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,28 +32,52 @@ class CnZSpec:
     p_s: float
 
 
-def cnz_alpha(n: int, phi: float) -> complex:
-    """The n-th root of z = e^{i phi} - 1 with argument (arg z mod 2 pi) / n,
-    for any finite phi; z = 2i sin(phi / 2) e^{i phi / 2} keeps its relative
-    accuracy near phi = 0 (mod 2 pi)."""
+def _check_gate(n: int, phi: float) -> None:
+    """Refuse, as ValueError, a qubit count n that is not an integer >= 2 or
+    a phase phi that is not finite."""
+    try:
+        operator.index(n)
+    except TypeError:
+        raise ValueError(f"the qubit count must be an integer, got {n!r}") from None
     if n < 2:
         raise ValueError("need at least two qubits")
     if not np.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
+
+
+def cnz_alpha(n: int, phi: float) -> complex:
+    """The n-th root of z = e^{i phi} - 1 with argument (arg z mod 2 pi) / n,
+    for any integer n >= 2 and finite phi (ValueError otherwise);
+    z = 2i sin(phi / 2) e^{i phi / 2} keeps its relative accuracy near
+    phi = 0 (mod 2 pi)."""
+    _check_gate(n, phi)
     z = 2j * np.sin(phi / 2.0) * np.exp(0.5j * phi)
     if abs(z) < CNZ_ZERO_BASE:  # phi at (or within roundoff of) a multiple of 2*pi
         return 0.0 + 0.0j
     return complex(abs(z) ** (1.0 / n) * np.exp(1j * (np.angle(z) % (2.0 * np.pi)) / n))
 
 
-def _eigenvalues(n: int, alpha: complex) -> np.ndarray:
-    """lambda_k = 1 + alpha omega^k, omega = e^{2 pi i / n}: the eigenvalues of
-    I + alpha J on the DFT columns."""
-    return 1.0 + alpha * np.exp(2j * np.pi * np.arange(n) / n)
-
-
 def _sigma_max(n: int, alpha: complex) -> float:
-    return float(max(1.0, np.max(np.abs(_eigenvalues(n, alpha)))))
+    """The largest singular value of diag(I + alpha J, I): 1 or the largest
+    |lambda_k|, lambda_k = 1 + alpha omega^k, omega = e^{2 pi i / n}, the
+    eigenvalues of I + alpha J on the DFT columns."""
+    return float(max(1.0, np.max(np.abs(1.0 + alpha * np.exp(2j * np.pi * np.arange(n) / n)))))
+
+
+@functools.lru_cache(maxsize=fock.PERMANENT_LIMIT)
+def _dft_factors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What `build_cnz` reads of n alone: the DFT F[j, k] = omega^(jk) / sqrt(n),
+    v2h = diag(F^†, I) on the 2n rails, and the n-th roots of unity omega^k,
+    omega = e^{2 pi i / n}, as `_sigma_max` forms them. Read-only, and built
+    once per n up to the permanent limit."""
+    k = np.arange(n)
+    dft = np.exp(2j * np.pi * (np.outer(k, k) % n) / n) / np.sqrt(n)
+    v2h = np.eye(2 * n, dtype=complex)
+    v2h[:n, :n] = dft.conj()
+    roots = np.exp(2j * np.pi * k / n)
+    for table in (dft, v2h, roots):
+        table.setflags(write=False)
+    return dft, v2h, roots
 
 
 def _check_table_size(n: int) -> None:
@@ -76,20 +101,19 @@ def build_cnz(n: int, phi: float) -> tuple[SynthesisResult, CnZSpec]:
     verify_cnz, which the CLI and selftest run on every gate they report.
     """
     alpha = cnz_alpha(n, phi)
-    sigma = _sigma_max(n, alpha)
-    p_s = sigma ** (-2 * n)
-
     # the mode map diag(I + alpha J, I), J the cyclic shift i -> i+1 mod n, has
     # largest singular value sigma. With the DFT F[j, k] = omega^(jk) / sqrt(n),
     # I + alpha J = F diag(lam) F^†, so map / sigma is dilated from those factors
-    lam = _eigenvalues(n, alpha)
-    k = np.arange(n)
-    dft = np.exp(2j * np.pi * (np.outer(k, k) % n) / n) / np.sqrt(n)
+    # a gate too large to verify builds its factors anew, so the cache stays small
+    factors = _dft_factors if n <= fock.PERMANENT_LIMIT else _dft_factors.__wrapped__
+    dft, v2h, roots = factors(n)
+    lam = 1.0 + alpha * roots
+    modulus = np.abs(lam)
+    sigma = float(max(1.0, np.max(modulus)))
+    p_s = sigma ** (-2 * n)
     v1 = np.eye(2 * n, dtype=complex)
-    v2h = np.eye(2 * n, dtype=complex)
     v1[:n, :n] = dft * np.exp(1j * np.angle(lam))
-    v2h[:n, :n] = dft.conj()
-    U = unitary_extension(v1, np.r_[np.abs(lam), np.ones(n)] / sigma, v2h)
+    U = unitary_extension(v1, np.concatenate((modulus, np.ones(n))) / sigma, v2h)
     spec = CnZSpec(n=n, phi=float(phi), alpha=alpha, p_s=p_s)
     result = SynthesisResult(
         unitary=U, aux_modes=len(U) - 2 * n, scale_alpha=1.0 / sigma, success_probability=p_s
@@ -128,10 +152,13 @@ def verify_cnz(result: SynthesisResult, n: int, phi: float) -> bool:
     permanent limit, and DimensionMismatch when U has fewer rows than the
     2n dual rails, when its rows beyond them are not the circuit's
     aux_modes (both before the basis is enumerated) or when U is not square.
+    An n that is not an integer >= 2, or a non-finite phi, is a ValueError
+    before anything else is checked or built.
     Only U[:2n, :2n] is read, and U's unitarity is not checked:
     `unitary_extension` gates every construction and `io` every document,
     so a U built by hand is judged on that block alone.
     """
+    _check_gate(n, phi)
     _check_table_size(n)
     U = result.unitary
     if 2 * n > len(U):

@@ -337,23 +337,65 @@ class TestOccupationEntries:
         assert np.array_equal(amplitude(U, k, ell), amplitude(U, k.astype(int), ell.astype(int)))
 
 
+def _herald_layout(rng, n):
+    """A random unitary over the heralded oracle's modes at n photons, with
+    the oracle's output stack and its one input."""
+    from photonprep.verify import _heralded_outputs
+
+    m = n + 1
+    signal = () if n == 2 else (n - 2,)
+    _, _, k_out, ell_in, _ = _heralded_outputs(n, m, signal)
+    return random_unitary(rng, len(ell_in)), k_out, ell_in
+
+
+def _cnz_table(rng, n):
+    """A random unitary over 2n dual rails, with the n-qubit basis as rows and columns."""
+    from photonprep.gates import _dual_rail_basis
+
+    occ = _dual_rail_basis(n)
+    return random_unitary(rng, 2 * n), occ[:, None, :], occ[None, :, :]
+
+
 class TestIndexGather:
-    def test_matches_the_broadcast_occupation_reference(self, rng, occupation_basis):
-        """The photon index gather against the m-wide broadcast it replaced:
-        the same submatrices in the same batches, so equal to the bit."""
-        m, n = 5, 3
-        U = random_unitary(rng, m)
-        basis = np.array(list(occupation_basis(m, n)))
-        k, ell = basis[:, None, :], basis[None, ::3, :]
+    @staticmethod
+    def _broadcast_reference(U, k, ell):
+        """The amplitudes through m-wide broadcast occupations, every
+        submatrix gathered by row and column index arrays in one batch."""
+        k, ell = np.asarray(k), np.asarray(ell)
+        m = len(U)
         shape = np.broadcast_shapes(k.shape[:-1], ell.shape[:-1])
-        kb = np.broadcast_to(k, shape + (m,)).reshape(-1, m)
-        lb = np.broadcast_to(ell, shape + (m,)).reshape(-1, m)
+        kb = np.broadcast_to(k, shape + (m,)).reshape(-1, m).astype(int)
+        lb = np.broadcast_to(ell, shape + (m,)).reshape(-1, m).astype(int)
+        n = int(kb[0].sum())
         modes = np.tile(np.arange(m), len(kb))
         rows = np.repeat(modes, kb.reshape(-1)).reshape(-1, n, 1)
         cols = np.repeat(modes, lb.reshape(-1)).reshape(-1, 1, n)
         norms = np.sqrt(fock._FACTORIALS[kb].prod(axis=1) * fock._FACTORIALS[lb].prod(axis=1))
-        reference = (permanent(U[rows, cols]) / norms).reshape(shape)
-        assert np.array_equal(amplitude(U, k, ell), reference)
+        return (permanent(U[rows, cols]) / norms).reshape(shape)
+
+    @staticmethod
+    def _cases(rng, occupation_basis):
+        basis = np.array(list(occupation_basis(5, 3)))
+        U = random_unitary(rng, 5)
+        yield "a stack against every third entry", U, basis[:, None, :], basis[None, ::3, :]
+        yield "a one-chunk (a, 1, m) x (1, b, m) broadcast", U, basis[:7, None, :], basis[None, 3:12, :]
+        yield "a 0-d pair", U, basis[4], basis[9]
+        for n in range(2, 7):
+            yield f"the herald layout at n = {n}", *_herald_layout(rng, n)
+        yield "the 6-qubit truth table, several chunks", *_cnz_table(rng, 6)
+
+    def test_matches_the_broadcast_occupation_reference(self, rng, occupation_basis):
+        """The photon index gather, through one chunk's flat index or chunk by
+        chunk, against the m-wide broadcast it replaced: the same submatrices
+        in the same batches, so equal to the bit, on a miss and on a hit."""
+        for name, U, k, ell in self._cases(rng, occupation_basis):
+            reference = self._broadcast_reference(U, k, ell)
+            fock._cached_layout.cache_clear()
+            miss, hit = amplitude(U, k, ell), amplitude(U, k, ell)
+            assert fock._cached_layout.cache_info().hits == 1, name
+            assert np.array_equal(miss, reference), name
+            assert np.array_equal(hit, reference), name
+            assert np.shape(miss) == reference.shape, name
 
     def test_peak_memory_below_one_broadcast_occupation_stack(self):
         """The 8-qubit CZ truth table spans 256 x 256 entries of 8 photons: one
@@ -393,18 +435,9 @@ class TestLayoutMemo:
     """`amplitude` keeps the checked layout of a pair of stacks, keyed on
     their exact bytes; a hit and a miss run the same evaluation."""
 
-    @staticmethod
-    def _herald_layout(rng, n):
-        from photonprep.verify import _heralded_outputs
-
-        m = n + 1
-        signal = () if n == 2 else (n - 2,)
-        _, _, k_out, ell_in, _ = _heralded_outputs(n, m, signal)
-        return random_unitary(rng, len(ell_in)), k_out, ell_in
-
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_hit_equals_miss_on_herald_layouts(self, rng, n):
-        U, k_out, ell_in = self._herald_layout(rng, n)
+        U, k_out, ell_in = _herald_layout(rng, n)
         fock._cached_layout.cache_clear()
         miss = amplitude(U, k_out, ell_in)
         hits = [amplitude(U, k_out, ell_in) for _ in range(2)]
@@ -416,7 +449,7 @@ class TestLayoutMemo:
 
     def test_integer_dtypes_give_identical_amplitudes(self, rng):
         """Each dtype is its own key; the layouts they give are the same."""
-        U, k_out, ell_in = self._herald_layout(rng, 4)
+        U, k_out, ell_in = _herald_layout(rng, 4)
         fock._cached_layout.cache_clear()
         tables = [
             amplitude(U, k_out.astype(dtype), ell_in.astype(dtype))
@@ -476,8 +509,19 @@ class TestLayoutMemo:
             with pytest.raises(TooLarge, match=f"occupation {entry} beyond the permanent limit"):
                 amplitude(np.eye(1), occ, occ)
 
-    def test_memoized_arrays_are_read_only(self, rng, monkeypatch):
-        U, k_out, ell_in = self._herald_layout(rng, 3)
+    @pytest.mark.parametrize(
+        "table, arrays",
+        [
+            # one chunk: the flat gather and the norms
+            (lambda rng: _herald_layout(rng, 3), 2),
+            (lambda rng: _cnz_table(rng, 4), 2),
+            # several chunks: both stacks' photon modes and factorial products
+            (lambda rng: _cnz_table(rng, 7), 4),
+        ],
+        ids=["herald-3-photons", "truth-table-4-qubits", "truth-table-7-qubits"],
+    )
+    def test_memoized_arrays_are_read_only(self, rng, monkeypatch, table, arrays):
+        U, k, ell = table(rng)
         seen = []
         evaluate = fock._evaluate
 
@@ -487,14 +531,37 @@ class TestLayoutMemo:
 
         monkeypatch.setattr(fock, "_evaluate", recording)
         fock._cached_layout.cache_clear()
-        amplitude(U, k_out, ell_in)
-        amplitude(U, k_out, ell_in)
+        amplitude(U, k, ell)
+        amplitude(U, k, ell)
         miss, hit = seen
         assert miss is hit
-        # the single input's factorial product is a numpy scalar, immutable
-        arrays = [x for x in miss[2:] if not isinstance(x, np.generic)]
-        assert len(arrays) == 3
-        assert not any(a.flags.writeable for a in arrays)
+        assert len(miss[2:]) == arrays
+        assert all(isinstance(a, np.ndarray) and not a.flags.writeable for a in miss[2:])
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_largest_one_chunk_layout_kept(self, n):
+        """n photons in one mode, a stack of a rows against one of b: the
+        memo keeps the layout while a + b fit its budget. A one-chunk table
+        spans size <= _chunk_size(n) entries, so its gather (size n^2 int64,
+        and n^2 <= n 2^(n-1)) and its norms (size float64) hold at most
+        8 * _CHUNK_ELEMENTS bytes each. n = 1 reaches the bound: 2 MiB."""
+        size = fock._chunk_size(n)
+        a = 128
+        b = size // a
+        k, ell = np.full((a, 1, 1), n), np.full((1, b, 1), n)
+        assert a + b <= fock._LAYOUT_ENTRIES
+        fock._cached_layout.cache_clear()
+        for _ in range(2):
+            assert np.array_equal(amplitude(np.eye(1), k, ell), np.ones((a, b)))
+        assert fock._cached_layout.cache_info().hits == 1
+        layout = fock._layout((1, 1), k, ell)
+        assert len(layout) == 4  # one chunk
+        held = sum(table.nbytes for table in layout[2:])
+        assert held <= 16 * fock._CHUNK_ELEMENTS
+        if n == 1:
+            assert held == 16 * fock._CHUNK_ELEMENTS == 2 * 1024**2
+        # one entry more spans two chunks and holds the unbroadcast indices
+        assert len(fock._layout((1, 1), np.full((size + 1, 1), n), (n,))) == 6
 
     def test_layout_above_the_budget_is_not_kept(self):
         """One photon in one mode: a stack of `entries` rows, plus the input."""

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from photonprep import (
     unitary_extension,
     verify_cnz,
 )
-from photonprep.gates import _dual_rail_basis, _gate_phases, _sigma_max, cnz_alpha
+from photonprep.gates import _dft_factors, _dual_rail_basis, _gate_phases, _sigma_max, cnz_alpha
 from photonprep.verify import SynthesisResult
 
 # phases outside (0, 2 pi), far outside it, and near its multiples
@@ -75,6 +76,47 @@ class TestSuccessProbability:
         for n in (2, 3):
             assert cnz_success_probability(n, 0.0) == pytest.approx(1.0, abs=1e-6)
             assert cnz_success_probability(n, 2 * np.pi) == pytest.approx(1.0, abs=1e-6)
+
+
+class TestArgumentRefusals:
+    """verify_cnz refuses an n that is not an integer >= 2, and a non-finite
+    phi, as build_cnz does: a ValueError, with no warning, before the basis
+    or any table is built."""
+
+    @staticmethod
+    def _refused(monkeypatch, n, phi, match):
+        def unread(n):
+            raise AssertionError("basis read")
+
+        def no_table(*args):
+            raise AssertionError("table built")
+
+        result, _ = build_cnz(2, np.pi)
+        monkeypatch.setattr("photonprep.gates._dual_rail_basis", unread)
+        monkeypatch.setattr(fock, "amplitude", no_table)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                verify_cnz(result, n, phi)
+            with pytest.raises(ValueError, match=match):
+                build_cnz(n, phi)
+
+    @pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+    def test_non_finite_phase(self, monkeypatch, phi):
+        self._refused(monkeypatch, 2, phi, "phi must be finite")
+
+    @pytest.mark.parametrize("n", [-1, 0, 1, True, np.int64(1)])
+    def test_fewer_than_two_qubits(self, monkeypatch, n):
+        self._refused(monkeypatch, n, np.pi, "at least two qubits")
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, np.float64(3.0), "2", None])
+    def test_non_integer_qubit_count(self, monkeypatch, n):
+        self._refused(monkeypatch, n, np.pi, "qubit count must be an integer")
+
+    def test_numpy_integer_qubit_count_verifies(self):
+        result, _ = build_cnz(np.int64(3), 1.0)
+        assert verify_cnz(result, np.int64(3), np.float64(1.0))
+        assert verify_cnz(result, 3, 1.0)
 
 
 class TestBuildAndVerify:
@@ -283,6 +325,54 @@ class TestClosedFormDilation:
         sigma1 = np.linalg.svd(M[:n, :n], compute_uv=False)[0]
         assert spec.p_s == pytest.approx(max(1.0, sigma1) ** (-2 * n), rel=1e-12)
         assert verify_cnz(result, n, phi)
+
+    @staticmethod
+    def _former_construction(n, phi):
+        """build_cnz as it was before its DFT factors were cached: U, p_s and
+        the scale, every factor built anew."""
+        alpha = cnz_alpha(n, phi)
+        lam = 1.0 + alpha * np.exp(2j * np.pi * np.arange(n) / n)
+        sigma = float(max(1.0, np.max(np.abs(lam))))
+        p_s = sigma ** (-2 * n)
+        k = np.arange(n)
+        dft = np.exp(2j * np.pi * (np.outer(k, k) % n) / n) / np.sqrt(n)
+        v1 = np.eye(2 * n, dtype=complex)
+        v2h = np.eye(2 * n, dtype=complex)
+        v1[:n, :n] = dft * np.exp(1j * np.angle(lam))
+        v2h[:n, :n] = dft.conj()
+        U = unitary_extension(v1, np.r_[np.abs(lam), np.ones(n)] / sigma, v2h)
+        return U, p_s, 1.0 / sigma
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_bit_identical_to_the_former_construction(self, rng, n):
+        for phi in [0.0, np.pi, 2 * np.pi, -1e-13, 1e300, *rng.uniform(-20.0, 20.0, 6)]:
+            result, spec = build_cnz(n, phi)
+            U, p_s, scale = self._former_construction(n, phi)
+            assert np.array_equal(result.unitary, U), phi
+            assert result.success_probability == spec.p_s == p_s
+            assert result.scale_alpha == scale
+
+    def test_dft_factors_read_only_and_built_once_per_size(self):
+        _dft_factors.cache_clear()
+        for _ in range(3):
+            for n in range(2, 9):
+                build_cnz(n, 1.0)
+        info = _dft_factors.cache_info()
+        assert (info.misses, info.hits) == (7, 14)
+        for n in range(2, 9):
+            dft, v2h, roots = _dft_factors(n)
+            assert not any(table.flags.writeable for table in (dft, v2h, roots))
+            assert np.allclose(dft @ dft.conj().T, np.eye(n), atol=1e-14)
+            assert np.array_equal(v2h[:n, :n], dft.conj()) and np.array_equal(v2h[n:, n:], np.eye(n))
+            assert not v2h[:n, n:].any() and not v2h[n:, :n].any()
+            assert np.allclose(roots**n, 1.0, atol=1e-13)
+            assert np.allclose(roots[1] ** np.arange(n), roots, atol=1e-14)
+
+    def test_gates_too_large_to_verify_are_not_cached(self):
+        _dft_factors.cache_clear()
+        result, _ = build_cnz(fock.PERMANENT_LIMIT + 1, 1.0)
+        assert _dft_factors.cache_info().currsize == 0
+        assert len(result.unitary) == 4 * (fock.PERMANENT_LIMIT + 1)
 
     def test_no_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
