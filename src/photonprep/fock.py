@@ -196,7 +196,7 @@ def _layout(U_shape: tuple[int, ...], k, ell) -> tuple:
         raise TooLarge(f"photon number {photons} beyond the permanent limit")
     size = math.prod(shape)
     if size * m > OCCUPATION_LIMIT:
-        raise TooLarge(f"occupation stack {shape + (m,)} beyond {OCCUPATION_LIMIT} entries")
+        raise TooLarge(f"table of shape {shape} over {m} modes beyond {OCCUPATION_LIMIT} entries")
     if np.any(k_photons != ell_photons):
         k_photons, ell_photons = np.broadcast_arrays(k_photons, ell_photons)
         i = np.argmax(k_photons != ell_photons)

@@ -81,10 +81,10 @@ def _dft_factors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _check_table_size(n: int) -> None:
-    """Refuse, before anything of size 2^n is built, a truth table whose
-    amplitudes are permanents beyond the permanent limit."""
-    if n > fock.PERMANENT_LIMIT:
-        raise TooLarge(f"{n}-qubit truth table needs permanents beyond {fock.PERMANENT_LIMIT}")
+    """Refuse, before anything of size 2^n is built, a truth table that fock.amplitude
+    would refuse: permanents past its limit, or 4^n amplitudes times 2n modes (n > 10)."""
+    if n > fock.PERMANENT_LIMIT or 4**n * 2 * n > fock.OCCUPATION_LIMIT:
+        raise TooLarge(f"{n}-qubit truth table: {n}-photon permanents over {2 * n} modes, beyond fock.amplitude")
 
 
 def cnz_success_probability(n: int, phi: float) -> float:
@@ -125,7 +125,7 @@ def build_cnz(n: int, phi: float) -> tuple[SynthesisResult, CnZSpec]:
 def _dual_rail_basis(n: int) -> np.ndarray:
     """(2^n, 2n) occupations of the basis |x>, x's n bits most significant
     first: qubit i's photon is on its |1> rail i or its |0> rail n + i. Built
-    once per n and read-only; int8 keeps the 14-qubit basis under 0.5 MB."""
+    once per n and read-only; int8 keeps the 10-qubit basis at 20 KiB."""
     bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     occ = np.hstack((bits, 1 - bits)).astype(np.int8)
     occ.setflags(write=False)
@@ -148,9 +148,9 @@ def verify_cnz(result: SynthesisResult, n: int, phi: float) -> bool:
 
     The 2^n x 2^n table of amplitudes <y| U |x>, read on U[:2n, :2n], must
     equal sqrt(p_s) times the gate's phases on the diagonal and vanish off
-    it, each to CNZ_AMPLITUDE_TOL. Raises TooLarge for n beyond the
-    permanent limit, and DimensionMismatch when U has fewer rows than the
-    2n dual rails, when its rows beyond them are not the circuit's
+    it, each to CNZ_AMPLITUDE_TOL. Raises TooLarge for n > 10, whose table
+    fock.amplitude refuses, and DimensionMismatch when U has fewer rows than
+    the 2n dual rails, when its rows beyond them are not the circuit's
     aux_modes (both before the basis is enumerated) or when U is not square.
     An n that is not an integer >= 2, or a non-finite phi, is a ValueError
     before anything else is checked or built.

@@ -28,6 +28,9 @@ from .verify import HeraldPattern, SynthesisResult, _aux_modes
 from .tolerances import CNZ_AMPLITUDE_TOL, DOCUMENT_UNITARITY_TOL
 
 KINDS = ("postselect", "herald", "cnz")
+# the scalar fields a synthesis document may carry beside aux_modes and
+# success_probability: each integer's least value, or None for a finite number
+_SCALAR_FIELDS = (("n", 2), ("photons", 2), ("payload_modes", 1), ("phi", None))
 
 
 def matrix_to_doc(M: np.ndarray) -> dict[str, Any]:
@@ -62,6 +65,16 @@ def _int_from_doc(value: Any, field: str, minimum: int) -> int:
     """An integer field: a JSON integer (not a boolean) of at least `minimum`."""
     if not _is_int_at_least(value, minimum):
         raise DocumentError(f"{field}: expected an integer >= {minimum}, got {value!r}", field)
+    return value
+
+
+def _scalar_from_doc(value: Any, field: str, minimum: int | None) -> Any:
+    """A field of _SCALAR_FIELDS: an integer of at least `minimum`, or, with
+    no minimum, a finite JSON number (not a boolean)."""
+    if minimum is not None:
+        return _int_from_doc(value, field, minimum)
+    if not _is_finite_number(value):
+        raise DocumentError(f"{field}: expected a finite number, got {value!r}", field)
     return value
 
 
@@ -146,10 +159,6 @@ def _check_cnz_target(target: Any, extras: dict[str, Any]) -> None:
     if "n" not in extras or "phi" not in extras:
         raise ValueError("a cnz document needs n and phi")
     n, phi = extras["n"], extras["phi"]
-    if not _is_int_at_least(n, 2):
-        raise ValueError(f"n: expected an integer >= 2, got {n!r}")
-    if not np.isfinite(phi):
-        raise ValueError(f"phi: expected a finite number, got {phi!r}")
     target = np.asarray(target, dtype=complex)
     if target.shape != (2**n, 2**n):
         raise ValueError(f"target: expected the {2**n} x {2**n} gate of n = {n}, got shape {target.shape}")
@@ -164,11 +173,18 @@ def _check_cnz_target(target: Any, extras: dict[str, Any]) -> None:
 def synthesis_to_doc(
     result: SynthesisResult, kind: str, target: np.ndarray, **extras: Any
 ) -> dict[str, Any]:
-    """The synthesis document of `result`. A cnz document records extras'
-    n and phi instead of `target`, which must be the table of the gate they
-    fix (ValueError otherwise)."""
+    """The synthesis document of `result`. Extras' n, photons, payload_modes
+    and phi must be what synthesis_from_doc reads, and a cnz document
+    records n and phi instead of `target`, which must be the table of the
+    gate they fix (ValueError otherwise)."""
     if kind not in KINDS:
         raise ValueError(f"unknown synthesis kind {kind!r}")
+    try:
+        for key, minimum in _SCALAR_FIELDS:
+            if key in extras:
+                _scalar_from_doc(extras[key], key, minimum)
+    except DocumentError as exc:  # the reader's rule and words, as the writer's ValueError
+        raise ValueError(str(exc)) from None
     if kind == "cnz":
         _check_cnz_target(target, extras)
     doc: dict[str, Any] = {
@@ -232,14 +248,9 @@ def synthesis_from_doc(doc: Any) -> dict[str, Any]:
         out["herald"] = HeraldPattern(signal=()) if kind == "herald" else None
     if doc.get("input_state") is not None:
         out["input_state"] = matrix_from_doc(doc["input_state"], "input_state")
-    for key, minimum in (("n", 2), ("photons", 2), ("payload_modes", 1)):
+    for key, minimum in _SCALAR_FIELDS:
         if key in doc:
-            out[key] = _int_from_doc(doc[key], key, minimum)
-    if "phi" in doc:
-        phi = doc["phi"]
-        if not _is_finite_number(phi):
-            raise DocumentError(f"phi: expected a finite number, got {phi!r}", "phi")
-        out["phi"] = phi
+            out[key] = _scalar_from_doc(doc[key], key, minimum)
     if kind == "postselect" and "input_state" not in out:
         raise DocumentError("input_state: required for postselect documents", "input_state")
     if kind == "herald" and "photons" not in out:

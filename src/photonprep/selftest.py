@@ -5,8 +5,9 @@ and the family for n = 3, 4), both rank rules, each in both directions, and
 heralding's permanent identity. Every gate is read from
 :mod:`photonprep.tolerances`, and each criterion that reads one reports its
 margin. Each criterion returns (passed, detail); ``run_all`` drives them in
-order. The CLI ``selftest`` subcommand and the pytest acceptance module both
-call into here, so there is a single source of truth.
+order and scores a criterion that raises a PhotonPrepError as a failed row.
+The CLI ``selftest`` subcommand and the pytest acceptance module both call
+into here, so there is a single source of truth.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import math
 import numpy as np
 
 from . import fock, gates, herald, postselect
-from .exceptions import InfeasibleRank, VerificationFailure
+from .exceptions import InfeasibleRank, PhotonPrepError
 from .random_states import random_state_of_rank, random_target_of_rank
-from .states import normalize
+from .states import QuditTarget, from_qudit_target
 from .tolerances import IDENTITY_TOL, VERIFY_TOL
 from .verify import SynthesisResult
 
@@ -61,12 +62,30 @@ def criterion_cnz_family(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     return not failures, "; ".join(failures) or "6 gates verified"
 
 
-def criterion_theorem1_iff(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
-    """Post-selected synthesis succeeds exactly when rank(C) <= rank(S_in).
+def _verdict(failures: list[str], case: str, feasible: bool, synthesize, *args):
+    """The circuit synthesize(*args) returns for a feasible case, else None.
+    An infeasible case must raise InfeasibleRank; any other outcome, any
+    other PhotonPrepError included, appends the case and its reason to
+    `failures`."""
+    try:
+        result = synthesize(*args)
+    except InfeasibleRank as exc:
+        if feasible:
+            failures.append(f"{case}: feasible case rejected: {exc}")
+        return None
+    except PhotonPrepError as exc:
+        failures.append(f"{case}: {type(exc).__name__}: {exc}")
+        return None
+    if not feasible:
+        failures.append(f"{case}: infeasible case accepted")
+        return None
+    return result
 
-    Every circuit returned passed the synthesizers' verdict (fidelity above
-    1 - VERIFY_TOL, p > 0); VerificationFailure otherwise.
-    """
+
+def criterion_theorem1_iff(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
+    """Post-selected synthesis succeeds exactly when rank(C) <= rank(S_in),
+    each trial scored by _verdict. Every circuit returned passed the
+    synthesizers' verdict (fidelity above 1 - VERIFY_TOL, p > 0)."""
     rng = np.random.default_rng(seed)
     failures = []
     worst = 0.0
@@ -78,27 +97,18 @@ def criterion_theorem1_iff(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
         rank_c = int(rng.integers(1, min(d1, d2) + 1))
         state_in = random_state_of_rank(rng, m, rank_in)
         target = random_target_of_rank(rng, d1, d2, rank_c)
-        feasible = rank_c <= rank_in
-        try:
-            result = postselect.synthesize_postselect(state_in, target)
-        except InfeasibleRank:
-            if feasible:
-                failures.append(f"trial {trial}: feasible case rejected")
-            continue
-        except VerificationFailure as exc:
-            failures.append(f"trial {trial}: {exc}")
-            continue
-        if not feasible:
-            failures.append(f"trial {trial}: infeasible case accepted")
-            continue
-        worst = max(worst, 1.0 - result.report.fidelity_vs_target)
+        result = _verdict(
+            failures, f"trial {trial}", rank_c <= rank_in, postselect.synthesize_postselect, state_in, target
+        )
+        if result is not None:
+            worst = max(worst, 1.0 - result.report.fidelity_vs_target)
     detail = "; ".join(failures[:5]) or f"{THEOREM1_TRIALS} trials consistent"
     return not failures, f"{detail}; {_within('worst 1 - F', worst, VERIFY_TOL)}"
 
 
 def criterion_theorem2_iff(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Heralded synthesis succeeds at n = rank and fails at n = rank - 1,
-    with the same verdict as criterion_theorem1_iff."""
+    each case scored by _verdict, and every rank-4 circuit heralds (2)."""
     rng = np.random.default_rng(seed + 1)
     failures = []
     cases = []
@@ -106,33 +116,16 @@ def criterion_theorem2_iff(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
         for _ in range(8):
             m = int(rng.integers(rank, 7))
             cases.append((random_state_of_rank(rng, m, rank), rank))
-    # the qubit Bell pair: rank 4, herald signal (2)
-    bell = normalize(np.array(
-        [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex
-    ))
-    cases.append((bell, 4))
-
+    cases.append((from_qudit_target(QuditTarget(np.eye(2) / np.sqrt(2))), 4))  # the qubit Bell pair
     worst = 0.0
     for idx, (state, rank) in enumerate(cases):
-        try:
-            result = herald.synthesize_herald(state, rank)
-        except InfeasibleRank:
-            failures.append(f"case {idx}: feasible case rejected")
-            continue
-        except VerificationFailure as exc:
-            failures.append(f"case {idx}: {exc}")
-            continue
-        worst = max(worst, 1.0 - result.report.fidelity_vs_target)
-        if rank == 4 and result.herald.signal != (2,):
-            failures.append(f"case {idx}: unexpected signal {result.herald.signal}")
+        result = _verdict(failures, f"case {idx}", True, herald.synthesize_herald, state, rank)
+        if result is not None:
+            worst = max(worst, 1.0 - result.report.fidelity_vs_target)
+            if rank == 4 and result.herald.signal != (2,):
+                failures.append(f"case {idx}: unexpected signal {result.herald.signal}")
         if rank > 2:
-            try:
-                herald.synthesize_herald(state, rank - 1)
-            except InfeasibleRank:
-                continue
-            except VerificationFailure:
-                pass
-            failures.append(f"case {idx}: n = rank - 1 not refused as infeasible")
+            _verdict(failures, f"case {idx} at n = rank - 1", False, herald.synthesize_herald, state, rank - 1)
     detail = "; ".join(failures[:5]) or f"{len(cases)} cases consistent"
     return not failures, f"{detail}; {_within('worst 1 - F', worst, VERIFY_TOL)}"
 
@@ -180,4 +173,10 @@ CRITERIA = [
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[tuple[str, bool, str]]:
-    return [(name, *func(seed)) for name, func in CRITERIA]
+    rows = []
+    for name, func in CRITERIA:
+        try:
+            rows.append((name, *func(seed)))
+        except PhotonPrepError as exc:  # any other exception is a bug in the suite
+            rows.append((name, False, f"{type(exc).__name__}: {exc}"))
+    return rows

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import photonprep
 from photonprep import QuditTarget, from_qudit_target, normalize, state_rank
 from photonprep.cli import main
 from photonprep.io import matrix_to_doc
@@ -155,7 +160,30 @@ class TestGateCnz:
 
     def test_oversized_gate_is_an_input_error(self, capsys):
         assert main(["gate-cnz", "--n", "13", "--phi", "1.0"]) == 2
-        assert "occupation stack" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "13-qubit truth table: 13-photon permanents over 26 modes, beyond fock.amplitude" in err
+
+    def test_module_entry_point_exits_with_the_code(self):
+        """`python -m photonprep.cli` exits with main's code: 11 qubits is the
+        smallest gate refused."""
+        env = {**os.environ, "PYTHONPATH": str(Path(photonprep.__file__).parents[1])}
+        argv = [sys.executable, "-m", "photonprep.cli", "gate-cnz", "--n", "11", "--phi", "1.0"]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert out.returncode == 2 and out.stdout == ""
+        assert "11-qubit truth table" in out.stderr
+
+    @pytest.mark.parametrize("n", [11, 12, 13, 14])
+    def test_gate_beyond_the_occupation_limit_is_refused_before_it_is_built(self, capsys, monkeypatch, n):
+        """Within the permanent limit, but 4^n amplitudes over 2n modes exceed
+        fock.OCCUPATION_LIMIT: neither the gate, nor the basis, nor the table
+        is made."""
+        def unbuilt(*args):
+            raise AssertionError("built past the size check")
+
+        for name in ("photonprep.gates.build_cnz", "photonprep.gates._dual_rail_basis", "photonprep.fock.amplitude"):
+            monkeypatch.setattr(name, unbuilt)
+        assert main(["gate-cnz", "--n", str(n), "--phi", "1.0"]) == 2
+        assert f"{n}-qubit truth table" in capsys.readouterr().err
 
     def test_gate_beyond_the_permanent_limit_is_an_input_error(self, capsys):
         assert main(["gate-cnz", "--n", "24", "--phi", "1.0"]) == 2
@@ -168,10 +196,11 @@ class TestGateCnz:
         assert main(["verify", "--input", str(cz_doc)]) == 2
         assert "permanent" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 14])
+    @pytest.mark.parametrize("n", [3, 4, 5, 10])
     def test_verify_of_a_qubit_count_beyond_the_unitary_is_an_input_error(self, cz_doc, capsys, n):
         """The CZ unitary has 8 modes, too few for the 2n dual rails of n = 5
-        and 14; those of n = 3 and 4 fit, but contradict its 4 auxiliaries."""
+        and 10, the largest verified size; those of n = 3 and 4 fit, but
+        contradict its 4 auxiliaries."""
         doc = json.loads(cz_doc.read_text())
         doc["n"] = n
         cz_doc.write_text(json.dumps(doc))

@@ -313,6 +313,21 @@ class TestBatchedAmplitude:
             tracemalloc.stop()
         assert peak < 5e6
 
+    def test_table_beyond_the_occupation_limit(self):
+        """The 11-qubit truth table, 2^11 x 2^11 amplitudes over 22 modes, is
+        beyond OCCUPATION_LIMIT entries: refused, naming the table's shape and
+        modes, before its photon indices are built."""
+        k = np.zeros((2048, 1, 22), dtype=np.int8)
+        k[..., :11] = 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match=r"table of shape \(2048, 2048\) over 22 modes beyond 67108864"):
+                amplitude(np.eye(22), k, k.reshape(1, 2048, 22))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
 
 class TestOccupationEntries:
     @pytest.mark.parametrize("k", [(1.7, 0, 0), (1, 0.5, -0.5), ("1", 0, 0), ("x", 0, 0), (np.nan, 0, 0), (np.inf, 0, 0)])

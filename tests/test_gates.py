@@ -153,7 +153,8 @@ class TestBuildAndVerify:
     def test_oversized_truth_table_refused_before_the_broadcast(self):
         """At n = 11 the table's occupation stacks would broadcast to
         (2048, 2048, 22) integers over its dual rails, beyond
-        fock.OCCUPATION_LIMIT; n = 13 would have asked for 26 GiB."""
+        fock.OCCUPATION_LIMIT; n = 13 would have asked for 26 GiB. The size
+        check refuses it before the basis is built."""
         result, _ = build_cnz(11, 1.0)
         tracemalloc.start()
         try:
@@ -223,11 +224,12 @@ class TestBuildAndVerify:
         with pytest.raises(DimensionMismatch, match="square"):
             verify_cnz(circuit, 2, np.pi)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 14])
+    @pytest.mark.parametrize("n", [3, 4, 5, 10])
     def test_qubit_count_beyond_the_unitary_refused_before_enumeration(self, n):
         """A CZ unitary has 8 modes, too few for the 2n dual rails of n = 5;
-        n = 14 would first list its 16384 basis states. The rails of n = 3, 4
-        fit, but leave 2 and 0 modes where the circuit has 4 auxiliaries."""
+        n = 10, the largest verified size, would first list its 1024 basis
+        states. The rails of n = 3, 4 fit, but leave 2 and 0 modes where the
+        circuit has 4 auxiliaries."""
         result, _ = build_cnz(2, np.pi)
         if 2 * n <= len(result.unitary):
             match = f"n = {n} leaves {8 - 2 * n} auxiliary modes.* 8 rows.* has 4"
@@ -271,12 +273,20 @@ class TestCachedTruthTable:
         assert not occ.flags.writeable
         assert _dual_rail_basis(n) is occ
 
-    @pytest.mark.parametrize("n, error", [(5, DimensionMismatch), (3, DimensionMismatch), (15, TooLarge)])
+    @pytest.mark.parametrize(
+        "n, error",
+        [(5, DimensionMismatch), (3, DimensionMismatch), (11, TooLarge), (12, TooLarge), (13, TooLarge),
+         (14, TooLarge), (15, TooLarge)],
+    )
     def test_refused_before_the_basis_is_read(self, n, error, monkeypatch):
-        def unread(n):
-            raise AssertionError("basis read")
+        """n = 11 to 14 are within the permanent limit, but their tables
+        exceed fock.OCCUPATION_LIMIT: TooLarge precedes the 8-mode CZ
+        unitary's DimensionMismatch, as it does past the permanent limit."""
+        def unread(*args):
+            raise AssertionError("basis or table read")
 
         monkeypatch.setattr("photonprep.gates._dual_rail_basis", unread)
+        monkeypatch.setattr("photonprep.fock.amplitude", unread)
         result, _ = build_cnz(2, np.pi)
         with pytest.raises(error):
             verify_cnz(result, n, np.pi)

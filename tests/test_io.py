@@ -584,3 +584,61 @@ class TestCnzDocument:
         doc = synthesis_to_doc(synthesize_herald(state, 2), "herald", state.S, photons=2)
         assert list(doc)[:6] == ["kind", "unitary", "aux_modes", "success_probability", "target", "herald"]
         assert np.array_equal(synthesis_from_doc(doc)["target"], state.S)
+
+
+class TestWriterFields:
+    """synthesis_to_doc writes n, photons, payload_modes and phi only as
+    synthesis_from_doc reads them: what the reader refuses, the writer
+    refuses first, as ValueError with the reader's words."""
+
+    VALID = {"cnz": {"n": 2, "phi": np.pi}, "herald": {"photons": 4, "payload_modes": 4}}
+
+    @pytest.fixture(scope="class")
+    def herald(self):
+        state = normalize(np.eye(4, dtype=complex))
+        return synthesize_herald(state, 4), state.S
+
+    @pytest.fixture(scope="class")
+    def cnz(self):
+        return build_cnz(2, np.pi)[0], CZ
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("cnz", "phi", True),
+            ("cnz", "phi", "1.0"),
+            ("cnz", "n", True),
+            ("herald", "photons", 4.0),
+            ("herald", "photons", True),
+            ("herald", "payload_modes", 4.0),
+            ("herald", "payload_modes", 0),
+        ],
+    )
+    def test_refuses_what_the_reader_refuses(self, request, kind, field, value):
+        result, target = request.getfixturevalue(kind)
+        with pytest.raises(ValueError) as written:
+            synthesis_to_doc(result, kind, target, **{**self.VALID[kind], field: value})
+        doc = json.loads(json.dumps(synthesis_to_doc(result, kind, target, **self.VALID[kind])))
+        doc[field] = value
+        with pytest.raises(DocumentError) as read:
+            synthesis_from_doc(doc)
+        assert str(written.value) == str(read.value) and read.value.field == field
+
+    @pytest.mark.parametrize(
+        "kind, extras",
+        [
+            ("cnz", {"n": 2, "phi": np.pi}),
+            ("cnz", {"n": 2, "phi": 3}),
+            ("cnz", {"n": 2, "phi": -1e308}),
+            ("herald", {"photons": 4}),
+            ("herald", {"photons": 4, "payload_modes": 4}),
+        ],
+    )
+    def test_accepted_calls_round_trip(self, request, kind, extras):
+        result, target = request.getfixturevalue(kind)
+        if kind == "cnz":
+            target = np.diag(gates._gate_phases(extras["n"], extras["phi"]))
+        doc = synthesis_to_doc(result, kind, target, **extras)
+        decoded = synthesis_from_doc(json.loads(json.dumps(doc)))
+        assert {key: decoded[key] for key in extras} == extras
+        assert np.array_equal(decoded["unitary"], result.unitary)

@@ -292,6 +292,21 @@ class TestTakagiAgainstEmbedding:
         assert np.array_equal(fac.V, reference.V)
         assert np.linalg.norm(fac.V.T @ S @ fac.V - fac.D) <= 1e-10
 
+    def test_embedding_failure_is_a_convergence_failure(self, monkeypatch):
+        """With the SVD refused as well, the embedding's eigh is the last
+        resort: its LinAlgError reaches the caller as ConvergenceFailure."""
+        def refused(a):
+            raise ConvergenceFailure("SVD refused")
+
+        def failing_eigh(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(linalg_module, "checked_svd", refused)
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(ConvergenceFailure, match="Eigenvalues did not converge") as err:
+            takagi(random_complex_symmetric(np.random.default_rng(0), 4))
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
     def test_non_unitary_singular_vectors_fall_back(self, monkeypatch):
         """Columns of U off unit norm by 1e-9 leave P diagonal, so every
         index looks isolated, and pass the reconstruction gate; only a check

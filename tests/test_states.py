@@ -18,6 +18,7 @@ from photonprep import (
 from photonprep.random_states import (
     random_complex_symmetric,
     random_state_of_rank,
+    random_target_of_rank,
     random_unitary,
 )
 from photonprep.tolerances import ZERO_WEIGHT
@@ -199,6 +200,22 @@ class TestStateRank:
             U = random_unitary(rng, 5)
             evolved = normalize(evolve_two_photon(U, state.S))
             assert state_rank(evolved) == 3
+
+    @pytest.mark.parametrize("rank", [0, 6])
+    def test_state_rank_outside_one_to_m_refused(self, rng, rank):
+        with pytest.raises(ValueError, match=r"rank must be in 1\.\.5"):
+            random_state_of_rank(rng, 5, rank)
+
+    @pytest.mark.parametrize("rank", [0, 3])
+    def test_target_rank_outside_one_to_min_d_refused(self, rng, rank):
+        with pytest.raises(ValueError, match=r"rank must be in 1\.\.2"):
+            random_target_of_rank(rng, 2, 4, rank)
+
+    @pytest.mark.parametrize("d1, d2", [(2, 4), (3, 3), (4, 1)])
+    def test_target_rank_at_min_d(self, rng, d1, d2):
+        rank = min(d1, d2)
+        C = random_target_of_rank(rng, d1, d2, rank).C
+        assert C.shape == (d1, d2) and np.linalg.matrix_rank(C) == rank
 
     def test_padding_preserves_rank(self, rng):
         state = random_state_of_rank(rng, 4, 2)
