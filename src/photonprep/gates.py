@@ -10,7 +10,6 @@ in a unitary. Success probability is sigma_max^(-2n).
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from . import fock
 from .exceptions import DimensionMismatch, TooLarge
 from .linalg import unitary_extension
-from .verify import SynthesisResult, _aux_modes, _square
+from .verify import SynthesisResult, _aux_modes, _count, _square
 from .tolerances import CNZ_AMPLITUDE_TOL, CNZ_ZERO_BASE
 
 
@@ -35,12 +34,7 @@ class CnZSpec:
 def _check_gate(n: int, phi: float) -> None:
     """Refuse, as ValueError, a qubit count n that is not an integer >= 2 or
     a phase phi that is not finite."""
-    try:
-        operator.index(n)
-    except TypeError:
-        raise ValueError(f"the qubit count must be an integer, got {n!r}") from None
-    if n < 2:
-        raise ValueError("need at least two qubits")
+    _count(n, 2, "qubit")
     if not np.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
 

@@ -29,17 +29,18 @@ from .exceptions import InfeasibleRank, TooLarge, VerificationFailure
 from .linalg import TakagiFactorization, takagi, unitary_extension
 from .states import TwoPhotonState, state_rank
 from .tolerances import IDENTITY_TOL
-from .verify import HeraldPattern, SynthesisResult
+from .verify import HeraldPattern, SynthesisResult, _count
 
 
 def feasible_herald(state_out: TwoPhotonState, n: int) -> bool:
-    """Rank rule: n single photons suffice iff n >= rank(S_out)."""
-    if n < 2:
-        raise ValueError("at least two photons are required")
+    """Rank rule: n single photons suffice iff n >= rank(S_out); n is an
+    integer >= 2 (ValueError otherwise)."""
+    n = _count(n, 2, "photon")
     return n >= state_rank(state_out)
 
 
-@functools.lru_cache(maxsize=fock.PERMANENT_LIMIT)
+# typed, so that a float n misses the cache and meets the count check
+@functools.lru_cache(maxsize=fock.PERMANENT_LIMIT, typed=True)
 def herald_bilinear_matrix(n: int) -> np.ndarray:
     """Matrix F of the bilinear form (x, y) -> Per(x, y, H) = x^T F y of the
     flat witness, where H repeats the flat row (1, ..., 1) / sqrt(n - 2)
@@ -51,12 +52,11 @@ def herald_bilinear_matrix(n: int) -> np.ndarray:
     So F = Delta diag(w * prod_i (H Delta)_i) Delta^T for the sign table
     Delta, with prod_i (H Delta)_i = (sum_k delta_k / sqrt(n - 2))^(n - 2);
     n = 2 gives F = J - I. F_aa = 0 exactly, since no permutation picks
-    column a twice. Raises TooLarge beyond the permanent limit, before any
-    sign table is built. F depends on n only, so it is built once per n and
+    column a twice. Raises ValueError unless n is an integer >= 2, and
+    TooLarge beyond the permanent limit, before any sign table is built. F depends on n only, so it is built once per n and
     returned read-only, as _flat_takagi's factors are.
     """
-    if n < 2:
-        raise ValueError("at least two photons are required")
+    n = _count(n, 2, "photon")
     if n > fock.PERMANENT_LIMIT:
         raise TooLarge(f"herald form limited to {fock.PERMANENT_LIMIT} photons, got {n}")
     deltas, weights = fock._glynn_tables(n)
@@ -97,10 +97,10 @@ def synthesize_herald(state_out: TwoPhotonState, n: int) -> SynthesisResult:
     with the photons entering the first n modes. The herald is the flat
     witness: h = 1 mode with signal (n - 2,), none for n = 2. Raises
     InfeasibleRank when n < rank(S_out), stating the fidelity ceiling
-    sqrt(sum_{i<=n} d_i^2 / sum d_i^2) of a rank-n state with the target.
+    sqrt(sum_{i<=n} d_i^2 / sum d_i^2) of a rank-n state with the target,
+    and ValueError, before anything is factorized, unless n is an integer >= 2.
     """
-    if n < 2:
-        raise ValueError("at least two photons are required")
+    n = _count(n, 2, "photon")
     # one Takagi factorization of the target gives its rank and its weights
     fac_out = takagi(state_out.S)
     rank = fac_out.rank

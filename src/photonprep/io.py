@@ -9,6 +9,8 @@ A synthesis document bundles the unitary with enough context to re-verify
 it from scratch: the kind, kind-specific fields and, for the synthesizers,
 the target. A cnz document records n and phi, which fix its gate, instead
 of the gate's 2^n x 2^n table; the `target` of an older one is not read.
+One rule states a synthesis document's fields other than its matrices, and
+the writer runs it on what it returns as the reader runs it on what it reads.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ KINDS = ("postselect", "herald", "cnz")
 # the scalar fields a synthesis document may carry beside aux_modes and
 # success_probability: each integer's least value, or None for a finite number
 _SCALAR_FIELDS = (("n", 2), ("photons", 2), ("payload_modes", 1), ("phi", None))
+# the fields each kind of document must carry
+_REQUIRED = {"postselect": ("input_state",), "herald": ("photons",), "cnz": ("n", "phi")}
+# the fields synthesis_to_doc takes as extras; it fills in every other field itself
+_EXTRAS = frozenset(dict(_SCALAR_FIELDS)) | {"input_state"}
 
 
 def matrix_to_doc(M: np.ndarray) -> dict[str, Any]:
@@ -153,15 +159,12 @@ def matrix_from_doc(doc: Any, field: str = "matrix") -> np.ndarray:
     return M
 
 
-def _check_cnz_target(target: Any, extras: dict[str, Any]) -> None:
+def _check_cnz_target(target: Any, n: int, phi: float) -> None:
     """Raise ValueError unless `target` is, entry by entry within
-    CNZ_AMPLITUDE_TOL, the table of the gate that extras' n and phi fix."""
-    if "n" not in extras or "phi" not in extras:
-        raise ValueError("a cnz document needs n and phi")
-    n, phi = extras["n"], extras["phi"]
+    CNZ_AMPLITUDE_TOL, the table of the gate that n and phi fix."""
     target = np.asarray(target, dtype=complex)
-    if target.shape != (2**n, 2**n):
-        raise ValueError(f"target: expected the {2**n} x {2**n} gate of n = {n}, got shape {target.shape}")
+    if target.shape != (2**n, 2**n):  # the size is stated as 2^n: n may have thousands of digits
+        raise ValueError(f"target: expected the 2^{n} x 2^{n} gate of n = {n}, got shape {target.shape}")
     # NaN fails the comparison, so a NaN entry is off too
     off = ~(_deviation(target.copy(), _gate_phases(n, phi)) <= CNZ_AMPLITUDE_TOL)
     if off.any():
@@ -170,23 +173,72 @@ def _check_cnz_target(target: Any, extras: dict[str, Any]) -> None:
         raise ValueError(f"target: entry ({i}, {j}) is {target[i, j]}, not that of {gate}")
 
 
+def _fields(doc: dict[str, Any]) -> dict[str, Any]:
+    """The decoded non-matrix fields of synthesis document `doc`, by the one
+    rule that synthesis_to_doc and synthesis_from_doc hold documents to;
+    DocumentError names the first field at fault. `doc`'s kind is known and
+    its unitary and target (but for cnz) are well-formed matrix documents,
+    so their rows and cols are read as given."""
+    kind = doc["kind"]
+    out: dict[str, Any] = {
+        "aux_modes": _int_from_doc(doc.get("aux_modes", 0), "aux_modes", 0),
+        "success_probability": _probability_from_doc(doc.get("success_probability")),
+        # a herald document without one has the empty signal of two photons
+        "herald": HeraldPattern(signal=()) if kind == "herald" else None,
+    }
+    herald = doc.get("herald")
+    if herald is not None:
+        if not isinstance(herald, dict) or "signal" not in herald:
+            raise DocumentError("herald.signal: missing", "herald.signal")
+        signal = herald["signal"]
+        try:  # a list of positive integers, empty for two photons, which need no herald
+            if not isinstance(signal, list):
+                raise ValueError(signal)
+            out["herald"] = HeraldPattern(signal=tuple(signal))
+        except ValueError:
+            raise DocumentError(
+                f"herald.signal: expected a list of positive integers, got {signal!r}", "herald.signal"
+            ) from None
+        # the layout rule: one herald mode per signal entry
+        modes = herald.get("modes", len(signal))
+        if not (_is_int_at_least(modes, 0) and modes == len(signal)):
+            message = f"expected {len(signal)}, one per signal entry, got {modes!r}"
+            raise DocumentError(f"herald.modes: {message}", "herald.modes")
+    for key, minimum in _SCALAR_FIELDS:
+        if key in doc:
+            out[key] = _scalar_from_doc(doc[key], key, minimum)
+    required = _REQUIRED[kind]
+    if any(doc.get(key) is None for key in required):  # by identity: a field may hold an array
+        raise DocumentError(f"{'/'.join(required)}: required for {kind} documents", required[0])
+    if kind != "cnz":  # the synthesizers' layout; verify_cnz checks the cnz one
+        shape = doc["target"]["rows"], doc["target"]["cols"]
+        payload = out.setdefault("payload_modes", shape[0]) if kind == "herald" else sum(shape)
+        rows = doc["unitary"]["rows"]
+        aux = _aux_modes(rows, payload, out["herald"])
+        if aux < 0:  # the payload does not fit: its own field is at fault, not aux_modes
+            field = "payload_modes" if kind == "herald" else "target"
+            message = f"payload and herald need {rows - aux} modes, but the unitary has {rows} rows"
+            raise DocumentError(f"{field}: {message}", field)
+        if out["aux_modes"] != aux:
+            message = f"{out['aux_modes']}, but {rows} rows leave {aux} past payload and herald"
+            raise DocumentError(f"aux_modes: {message}", "aux_modes")
+    return out
+
+
 def synthesis_to_doc(
     result: SynthesisResult, kind: str, target: np.ndarray, **extras: Any
 ) -> dict[str, Any]:
-    """The synthesis document of `result`. Extras' n, photons, payload_modes
-    and phi must be what synthesis_from_doc reads, and a cnz document
-    records n and phi instead of `target`, which must be the table of the
-    gate they fix (ValueError otherwise)."""
+    """The synthesis document of `result`, which synthesis_from_doc reads
+    back. The extras are n, photons, payload_modes, phi and input_state (a
+    matrix document); the document's fields are held to the reader's rule,
+    as ValueError with the reader's words, and its matrices are checked on
+    read. A cnz document records n and phi instead of `target`, which must
+    be the table of the gate they fix (ValueError otherwise)."""
     if kind not in KINDS:
         raise ValueError(f"unknown synthesis kind {kind!r}")
-    try:
-        for key, minimum in _SCALAR_FIELDS:
-            if key in extras:
-                _scalar_from_doc(extras[key], key, minimum)
-    except DocumentError as exc:  # the reader's rule and words, as the writer's ValueError
-        raise ValueError(str(exc)) from None
-    if kind == "cnz":
-        _check_cnz_target(target, extras)
+    if not extras.keys() <= _EXTRAS:
+        unknown = ", ".join(sorted(extras.keys() - _EXTRAS))
+        raise ValueError(f"{unknown}: not among the extras {', '.join(sorted(_EXTRAS))}")
     doc: dict[str, Any] = {
         "kind": kind,
         "unitary": matrix_to_doc(result.unitary),
@@ -201,6 +253,12 @@ def synthesis_to_doc(
         else None
     )
     doc.update(extras)
+    try:
+        _fields(doc)
+    except DocumentError as exc:  # the reader's rule and words, as the writer's ValueError
+        raise ValueError(str(exc)) from None
+    if kind == "cnz":
+        _check_cnz_target(target, doc["n"], doc["phi"])
     return doc
 
 
@@ -216,59 +274,12 @@ def synthesis_from_doc(doc: Any) -> dict[str, Any]:
         raise DocumentError(f"unitary: expected a square matrix, got {unitary.shape}", "unitary")
     if not _gram_defect(unitary) <= DOCUMENT_UNITARITY_TOL:
         raise DocumentError("unitary: matrix is not unitary", "unitary")
-    out: dict[str, Any] = {
-        "kind": kind,
-        "unitary": unitary,
-        "aux_modes": _int_from_doc(doc.get("aux_modes", 0), "aux_modes", 0),
-        "success_probability": _probability_from_doc(doc.get("success_probability")),
-    }
+    out: dict[str, Any] = {"kind": kind, "unitary": unitary}
     if kind != "cnz":  # n and phi fix a cnz gate; an older document's table is not read
         out["target"] = matrix_from_doc(doc.get("target"), "target")
-    herald = doc.get("herald")
-    if herald is not None:
-        if not isinstance(herald, dict) or "signal" not in herald:
-            raise DocumentError("herald.signal: missing", "herald.signal")
-        signal = herald["signal"]
-        # empty for two photons, which need no herald
-        if not (isinstance(signal, list) and all(_is_int_at_least(s, 1) for s in signal)):
-            raise DocumentError(
-                f"herald.signal: expected a list of positive integers, got {signal!r}",
-                "herald.signal",
-            )
-        # the layout rule: one herald mode per signal entry
-        if "modes" in herald and not (
-            _is_int_at_least(herald["modes"], 0) and herald["modes"] == len(signal)
-        ):
-            raise DocumentError(
-                f"herald.modes: expected {len(signal)}, one per signal entry, got {herald['modes']!r}",
-                "herald.modes",
-            )
-        out["herald"] = HeraldPattern(signal=tuple(signal))
-    else:  # a herald document without one has the empty signal of two photons
-        out["herald"] = HeraldPattern(signal=()) if kind == "herald" else None
     if doc.get("input_state") is not None:
         out["input_state"] = matrix_from_doc(doc["input_state"], "input_state")
-    for key, minimum in _SCALAR_FIELDS:
-        if key in doc:
-            out[key] = _scalar_from_doc(doc[key], key, minimum)
-    if kind == "postselect" and "input_state" not in out:
-        raise DocumentError("input_state: required for postselect documents", "input_state")
-    if kind == "herald" and "photons" not in out:
-        raise DocumentError("photons: required for herald documents", "photons")
-    if kind == "cnz":
-        if "n" not in out or "phi" not in out:
-            raise DocumentError("n/phi: required for cnz documents", "n")
-    else:  # the synthesizers' layout; verify_cnz checks the cnz one
-        shape = out["target"].shape
-        payload = out.setdefault("payload_modes", shape[0]) if kind == "herald" else sum(shape)
-        rows, aux = len(unitary), _aux_modes(len(unitary), payload, out["herald"])
-        if aux < 0:  # the payload does not fit: its own field is at fault, not aux_modes
-            field = "payload_modes" if kind == "herald" else "target"
-            message = f"payload and herald need {rows - aux} modes, but the unitary has {rows} rows"
-            raise DocumentError(f"{field}: {message}", field)
-        if out["aux_modes"] != aux:
-            message = f"{out['aux_modes']}, but {rows} rows leave {aux} past payload and herald"
-            raise DocumentError(f"aux_modes: {message}", "aux_modes")
+    out.update(_fields(doc))
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,19 @@ def _aux_modes(modes: int, payload: int, herald: HeraldPattern | None) -> int:
     return modes - payload - (herald.herald_modes if herald is not None else 0)
 
 
+def _count(value, least: int, noun: str) -> int:
+    """`value` as an int, the count of `noun`s: ValueError, before anything is
+    sliced, built or cached, unless it is an integer (a numpy one too) of at
+    least `least`."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"the {noun} count must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValueError(f"the {noun} count must be at least {least}, got {count}")
+    return count
+
+
 def _square(U) -> np.ndarray:
     """U as a complex array; DimensionMismatch unless it is a square matrix."""
     U = np.asarray(U, dtype=complex)
@@ -139,9 +153,10 @@ def extract_postselected(
     weight of all outcomes with one photon in each computational register.
     An input over fewer modes than U is zero-padded, and zero-padded modes
     contribute nothing, so only the first d1 + d2 rows and the first
-    state_in.modes columns of U enter the evolution.
+    state_in.modes columns of U enter the evolution. Each register holds at
+    least one mode: d1 and d2 are integers >= 1 (ValueError otherwise).
     """
-    U = _square(U)
+    d1, d2, U = _count(d1, 1, "d1 mode"), _count(d2, 1, "d2 mode"), _square(U)
     if U.shape[0] < d1 + d2:
         raise DimensionMismatch("unitary smaller than the computational registers")
     if state_in.modes > U.shape[0]:
@@ -192,8 +207,11 @@ def extract_heralded(
     n), enters, and U's unitarity is not checked: `unitary_extension` gates
     every construction and `io` every document, so a U built by hand is
     judged on that block alone. Returns the projected payload block T,
-    unnormalized, and its weight, the herald probability 2 Tr(T^† T).
+    unnormalized, and its weight, the herald probability 2 Tr(T^† T). The
+    photon count n is an integer >= 2 and the payload m one >= 1 (ValueError
+    otherwise).
     """
+    n, m = _count(n, 2, "photon"), _count(m, 1, "payload mode")
     U, h = _square(U), pattern.herald_modes
     if len(U) < m + h or len(U) < n:
         raise DimensionMismatch("unitary too small for payload, heralds and photons")

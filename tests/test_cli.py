@@ -11,7 +11,8 @@ import pytest
 import photonprep
 from photonprep import QuditTarget, from_qudit_target, normalize, state_rank
 from photonprep.cli import main
-from photonprep.io import matrix_to_doc
+from photonprep.io import load_json, matrix_from_doc, matrix_to_doc, synthesis_from_doc
+from photonprep.verify import HeraldPattern
 from photonprep.random_states import random_state_of_rank
 
 
@@ -551,3 +552,27 @@ def test_no_verb_takes_a_tolerance(argv, capsys):
         main(argv + ["--tol", "1e-9"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["gate-cnz", "synth-herald", "synth-postselect"])
+def test_synthesis_documents_read_back(bell_state_file, tmp_path, verb):
+    """Each document a synthesis verb writes is one synthesis_from_doc reads,
+    and it decodes to what was written."""
+    pair = write_matrix(tmp_path / "pair.json", np.eye(2) / np.sqrt(2))
+    single_photons = write_matrix(tmp_path / "in.json", normalize(np.eye(3, dtype=complex)).S)
+    argv = {
+        "gate-cnz": ["gate-cnz", "--n", "3", "--phi", "1.0"],
+        "synth-herald": ["synth-herald", "--target", bell_state_file, "--photons", "4"],
+        "synth-postselect": ["synth-postselect", "--state", single_photons, "--target", pair],
+    }[verb]
+    out = tmp_path / "doc.json"
+    assert main([*argv, "--output", str(out)]) == 0
+    doc = load_json(str(out))
+    decoded = synthesis_from_doc(doc)
+    for key, value in doc.items():
+        if isinstance(value, dict) and key != "herald":
+            assert np.array_equal(decoded[key], matrix_from_doc(value, key)), key
+        elif key != "herald":
+            assert decoded[key] == value, key
+    herald = doc["herald"] and HeraldPattern(tuple(doc["herald"]["signal"]))
+    assert decoded["herald"] == herald and (herald is None) == (verb != "synth-herald")

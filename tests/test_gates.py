@@ -26,7 +26,7 @@ class TestSuccessProbability:
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_fewer_than_two_qubits_rejected(self, n):
         for call in (cnz_alpha, cnz_success_probability, build_cnz):
-            with pytest.raises(ValueError, match="at least two qubits"):
+            with pytest.raises(ValueError, match="qubit count must be at least 2"):
                 call(n, np.pi)
 
     def test_cz_is_one_ninth(self):
@@ -107,7 +107,7 @@ class TestArgumentRefusals:
 
     @pytest.mark.parametrize("n", [-1, 0, 1, True, np.int64(1)])
     def test_fewer_than_two_qubits(self, monkeypatch, n):
-        self._refused(monkeypatch, n, np.pi, "at least two qubits")
+        self._refused(monkeypatch, n, np.pi, "qubit count must be at least 2")
 
     @pytest.mark.parametrize("n", [2.0, 2.5, np.float64(3.0), "2", None])
     def test_non_integer_qubit_count(self, monkeypatch, n):

@@ -29,6 +29,7 @@ from photonprep import gates as gates_module
 from photonprep import herald as herald_module
 from photonprep import linalg as linalg_module
 from photonprep import postselect as postselect_module
+from photonprep import verify as verify_module
 from photonprep.fock import permanent_naive
 from photonprep.linalg import TakagiFactorization
 from photonprep.random_states import random_state_of_rank, random_target_of_rank, random_unitary
@@ -94,7 +95,7 @@ class TestBilinearMatrix:
 
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_fewer_than_two_photons_rejected(self, n):
-        with pytest.raises(ValueError, match="at least two photons"):
+        with pytest.raises(ValueError, match="photon count must be at least 2"):
             herald_bilinear_matrix(n)
 
     def test_single_flat_row(self):
@@ -155,7 +156,7 @@ class TestFeasibility:
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_fewer_than_two_photons_rejected(self, n):
         for decide in (feasible_herald, synthesize_herald):
-            with pytest.raises(ValueError, match="at least two photons"):
+            with pytest.raises(ValueError, match="photon count must be at least 2"):
                 decide(BELL, n)
 
     def test_bell_needs_four_photons(self):
@@ -181,6 +182,57 @@ class TestFeasibility:
             else:
                 with pytest.raises(InfeasibleRank):
                     synthesize_herald(target, 3)
+
+
+class TestPhotonCount:
+    """The photon count is an integer >= 2, by the rule build_cnz holds the
+    qubit count to: anything else is a ValueError before a Takagi
+    factorization, a sign table, a layout table or the cached form F is read."""
+
+    @pytest.fixture
+    def untouched(self, monkeypatch):
+        herald_bilinear_matrix(4)  # a cached F that 4.0, equal to 4, must not reach
+
+        def reached(*args):
+            raise AssertionError("a table or a factorization was reached")
+
+        for module, name in [
+            (fock, "_glynn_tables"), (herald_module, "takagi"), (herald_module, "state_rank"),
+            (verify_module, "_heralded_outputs"),
+        ]:
+            monkeypatch.setattr(module, name, reached)
+
+    @pytest.mark.parametrize(
+        "n, match",
+        [
+            (4.0, "photon count must be an integer, got 4.0"),
+            (np.float64(4), "photon count must be an integer"),
+            (2.5, "photon count must be an integer"),
+            ("4", "photon count must be an integer"),
+            (None, "photon count must be an integer"),
+            (1, "photon count must be at least 2, got 1"),
+            (True, "photon count must be at least 2, got 1"),
+            (np.int64(-3), "photon count must be at least 2, got -3"),
+        ],
+    )
+    def test_refused_before_any_table(self, untouched, n, match):
+        calls = [
+            lambda: feasible_herald(BELL, n),
+            lambda: synthesize_herald(BELL, n),
+            lambda: herald_bilinear_matrix(n),
+            lambda: extract_heralded(np.eye(9, dtype=complex), n, HeraldPattern(signal=(2,)), 4),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=match):
+                call()
+
+    def test_numpy_integer_count(self):
+        result = synthesize_herald(BELL, np.int64(4))
+        assert np.array_equal(result.unitary, synthesize_herald(BELL, 4).unitary)
+        assert feasible_herald(BELL, np.int64(4)) and not feasible_herald(BELL, np.int64(3))
+        assert np.array_equal(herald_bilinear_matrix(np.int64(4)), herald_bilinear_matrix(4))
+        report = extract_heralded(result.unitary, np.int64(4), result.herald, np.int64(4), target=BELL.S)
+        assert report.verified
 
 
 class TestSynthesize:

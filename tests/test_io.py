@@ -514,7 +514,7 @@ class TestCnzDocument:
         "target, match",
         [
             pytest.param(np.eye(4), r"entry \(3, 3\) is \(1\+0j\)", id="identity"),
-            pytest.param(np.eye(8), r"4 x 4 gate of n = 2, got shape \(8, 8\)", id="wider"),
+            pytest.param(np.eye(8), r"2\^2 x 2\^2 gate of n = 2, got shape \(8, 8\)", id="wider"),
             pytest.param(np.array([[5.0]]), r"got shape \(1, 1\)", id="1x1"),
             pytest.param(CZ[0], r"got shape \(4,\)", id="vector"),
             pytest.param(np.where(np.eye(4, k=1) == 1, np.nan, CZ), r"entry \(0, 1\) is \(nan", id="nan"),
@@ -535,7 +535,7 @@ class TestCnzDocument:
     def test_refuses_a_call_without_n_or_phi(self, result, missing):
         extras = {"n": 2, "phi": np.pi}
         del extras[missing]
-        with pytest.raises(ValueError, match="needs n and phi"):
+        with pytest.raises(ValueError, match="^n/phi: required for cnz documents$"):
             synthesis_to_doc(result, "cnz", CZ, **extras)
 
     @pytest.mark.parametrize(
@@ -587,42 +587,97 @@ class TestCnzDocument:
 
 
 class TestWriterFields:
-    """synthesis_to_doc writes n, photons, payload_modes and phi only as
-    synthesis_from_doc reads them: what the reader refuses, the writer
-    refuses first, as ValueError with the reader's words."""
+    """synthesis_to_doc holds the document it returns to the rule that
+    synthesis_from_doc reads documents by: what the reader refuses, the
+    writer refuses first, as ValueError with the reader's words, and every
+    document it returns reads back."""
 
-    VALID = {"cnz": {"n": 2, "phi": np.pi}, "herald": {"photons": 4, "payload_modes": 4}}
+    BELL = from_qudit_target(QuditTarget(np.eye(2) / np.sqrt(2)))
+    STATE_IN = normalize(np.eye(3, dtype=complex))
+    PAIR = QuditTarget(np.eye(2) / np.sqrt(2))
+    VALID = {
+        "cnz": {"n": 2, "phi": np.pi},
+        "herald": {"photons": 4, "payload_modes": 4},
+        "postselect": {"input_state": matrix_to_doc(STATE_IN.S)},
+    }
 
     @pytest.fixture(scope="class")
     def herald(self):
-        state = normalize(np.eye(4, dtype=complex))
-        return synthesize_herald(state, 4), state.S
+        return synthesize_herald(self.BELL, 4), self.BELL.S
 
     @pytest.fixture(scope="class")
     def cnz(self):
         return build_cnz(2, np.pi)[0], CZ
 
+    @pytest.fixture(scope="class")
+    def postselect(self):
+        return synthesize_postselect(self.STATE_IN, self.PAIR), self.PAIR.C
+
     @pytest.mark.parametrize(
-        "kind, field, value",
+        "kind, field, value, named",
         [
-            ("cnz", "phi", True),
-            ("cnz", "phi", "1.0"),
-            ("cnz", "n", True),
-            ("herald", "photons", 4.0),
-            ("herald", "photons", True),
-            ("herald", "payload_modes", 4.0),
-            ("herald", "payload_modes", 0),
+            ("cnz", "phi", True, "phi"),
+            ("cnz", "phi", "1.0", "phi"),
+            ("cnz", "n", True, "n"),
+            ("cnz", "n", None, "n"),
+            ("cnz", "phi", None, "n"),
+            ("herald", "photons", 4.0, "photons"),
+            ("herald", "photons", True, "photons"),
+            ("herald", "payload_modes", 4.0, "payload_modes"),
+            ("herald", "payload_modes", 0, "payload_modes"),
+            ("herald", "photons", None, "photons"),
+            ("postselect", "input_state", None, "input_state"),
+            # the 4-mode Bell target laid out on 3 payload modes leaves 5, not 4, auxiliaries
+            ("herald", "payload_modes", 3, "aux_modes"),
+            ("herald", "payload_modes", 99, "payload_modes"),
+            ("herald", "success_probability", float("nan"), "success_probability"),
+            ("herald", "success_probability", 1.5, "success_probability"),
+            ("postselect", "success_probability", -0.5, "success_probability"),
+            ("cnz", "success_probability", float("inf"), "success_probability"),
+            ("herald", "aux_modes", -1, "aux_modes"),
+            ("herald", "aux_modes", 3, "aux_modes"),
+            ("postselect", "aux_modes", 0, "aux_modes"),
+            ("cnz", "aux_modes", -1, "aux_modes"),
         ],
     )
-    def test_refuses_what_the_reader_refuses(self, request, kind, field, value):
-        result, target = request.getfixturevalue(kind)
+    def test_refuses_what_the_reader_refuses(self, request, kind, field, value, named):
+        """A field of the result is written as the result holds it, an
+        extra as given; None stands for an extra left out."""
+        valid, target = request.getfixturevalue(kind)
+        result, extras = valid, {key: v for key, v in self.VALID[kind].items() if key != field}
+        if field in ("aux_modes", "success_probability"):
+            result = dataclasses.replace(valid, **{field: value})
+        elif value is not None:
+            extras[field] = value
         with pytest.raises(ValueError) as written:
-            synthesis_to_doc(result, kind, target, **{**self.VALID[kind], field: value})
-        doc = json.loads(json.dumps(synthesis_to_doc(result, kind, target, **self.VALID[kind])))
-        doc[field] = value
+            synthesis_to_doc(result, kind, target, **extras)
+        doc = synthesis_to_doc(valid, kind, target, **self.VALID[kind])
+        doc.pop(field)
+        if value is not None:
+            doc[field] = value
         with pytest.raises(DocumentError) as read:
-            synthesis_from_doc(doc)
-        assert str(written.value) == str(read.value) and read.value.field == field
+            synthesis_from_doc(json.loads(json.dumps(doc)))
+        assert str(written.value) == str(read.value) and read.value.field == named
+
+    @pytest.mark.parametrize(
+        "key", ["alpha", "unitary", "aux_modes", "success_probability", "herald", "input"]
+    )
+    def test_refuses_an_extra_it_does_not_take(self, cnz, key):
+        """An extra named after a field the writer fills in would overwrite
+        it: a CZ document with an I_8 unitary extra would read back and fail
+        verify_cnz."""
+        result, target = cnz
+        value = matrix_to_doc(np.eye(8)) if key == "unitary" else 0
+        message = f"^{key}: not among the extras input_state, n, payload_modes, phi, photons$"
+        with pytest.raises(ValueError, match=message):
+            synthesis_to_doc(result, "cnz", target, n=2, phi=np.pi, **{key: value})
+
+    @pytest.mark.parametrize("n", [60, 20000])
+    def test_table_size_is_stated_as_a_power_of_two(self, cnz, n):
+        """2^20000 has more digits than Python converts to text."""
+        message = f"^target: expected the 2\\^{n} x 2\\^{n} gate of n = {n}, got shape \\(4, 4\\)$"
+        with pytest.raises(ValueError, match=message):
+            synthesis_to_doc(cnz[0], "cnz", CZ, n=n, phi=1.0)
 
     @pytest.mark.parametrize(
         "kind, extras",
@@ -632,6 +687,7 @@ class TestWriterFields:
             ("cnz", {"n": 2, "phi": -1e308}),
             ("herald", {"photons": 4}),
             ("herald", {"photons": 4, "payload_modes": 4}),
+            ("postselect", VALID["postselect"]),
         ],
     )
     def test_accepted_calls_round_trip(self, request, kind, extras):
@@ -640,5 +696,10 @@ class TestWriterFields:
             target = np.diag(gates._gate_phases(extras["n"], extras["phi"]))
         doc = synthesis_to_doc(result, kind, target, **extras)
         decoded = synthesis_from_doc(json.loads(json.dumps(doc)))
-        assert {key: decoded[key] for key in extras} == extras
+        if kind == "postselect":
+            assert np.array_equal(decoded["input_state"], self.STATE_IN.S)
+        else:
+            assert {key: decoded[key] for key in extras} == extras
         assert np.array_equal(decoded["unitary"], result.unitary)
+        assert decoded["aux_modes"] == result.aux_modes
+        assert decoded["success_probability"] == result.success_probability

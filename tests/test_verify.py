@@ -194,6 +194,54 @@ class TestExtractPostselectedDefinition:
             extract_postselected(random_unitary(rng, 4), state, 2, 3)
 
 
+class TestRegisterCounts:
+    """Each oracle register holds at least one mode: an empty, negative or
+    fractional register is a ValueError before U is sliced, a state evolved
+    or a layout table built."""
+
+    @pytest.fixture
+    def unread(self, monkeypatch):
+        def reached(*args):
+            raise AssertionError("U was read")
+
+        monkeypatch.setattr(verify_module.fock, "evolve_two_photon", reached)
+        monkeypatch.setattr(verify_module, "_heralded_outputs", reached)
+
+    @pytest.mark.parametrize(
+        "d1, d2, match",
+        [
+            (-1, 2, "d1 mode count must be at least 1, got -1"),
+            (2, -1, "d2 mode count must be at least 1, got -1"),
+            (0, 2, "d1 mode count must be at least 1, got 0"),
+            (2, 0, "d2 mode count must be at least 1, got 0"),
+            (2.0, 2, "d1 mode count must be an integer, got 2.0"),
+            (2, None, "d2 mode count must be an integer, got None"),
+        ],
+    )
+    def test_postselected(self, unread, d1, d2, match):
+        state = normalize(np.eye(3, dtype=complex))
+        with pytest.raises(ValueError, match=match):
+            extract_postselected(np.eye(6, dtype=complex), state, d1, d2)
+
+    @pytest.mark.parametrize(
+        "m, match",
+        [
+            (0, "payload mode count must be at least 1, got 0"),
+            (-1, "payload mode count must be at least 1, got -1"),
+            (2.0, "payload mode count must be an integer, got 2.0"),
+        ],
+    )
+    def test_heralded(self, unread, m, match):
+        with pytest.raises(ValueError, match=match):
+            extract_heralded(np.eye(9, dtype=complex), 4, HeraldPattern(signal=(2,)), m)
+
+    def test_numpy_integer_registers(self):
+        state = normalize(np.eye(4, dtype=complex))
+        U = random_unitary(np.random.default_rng(7), 6)
+        numpy_counts = extract_postselected(U, state, np.int64(2), np.int64(3))
+        assert np.array_equal(numpy_counts.extracted, extract_postselected(U, state, 2, 3).extracted)
+
+
 class TestExtractHeralded:
     @pytest.mark.parametrize("circuit", ["synthesized", "random"])
     def test_agrees_with_definition(self, rng, circuit, definition_amplitude):
