@@ -67,12 +67,7 @@ def cmd_synth_postselect(args) -> int:
     state_in = _load_state(args.state)
     target = _load_target(args.target)
     result = postselect.synthesize_postselect(state_in, target)
-    doc = io.synthesis_to_doc(
-        result,
-        "postselect",
-        target.C,
-        input_state=io.matrix_to_doc(state_in.S),
-    )
+    doc = io.synthesis_to_doc(result, "postselect", target.C, input_state=state_in.S)
     io.dump_json(doc, args.output)
     return EXIT_OK
 

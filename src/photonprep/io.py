@@ -1,10 +1,10 @@
 """JSON documents for matrices and synthesis artifacts.
 
-A matrix is written as {"rows", "cols", "base64"}: the base64 text of its
-row-major little-endian complex128 bytes, exact to the bit and read back by
-np.frombuffer(base64.b64decode(s), "<c16").reshape(rows, cols). A matrix
-whose "data" holds [re, im] pairs, row-major, is read too: hand-written
-inputs and documents written before base64 carry their entries that way.
+A matrix is written as {"rows", "cols", "base64"}, its one encoding: the
+base64 text of its row-major little-endian complex128 bytes, exact to the
+bit and read back by np.frombuffer(base64.b64decode(s), "<c16").reshape(rows,
+cols). matrix_to_doc writes every matrix of every document, and refuses, as
+ValueError, each matrix that matrix_from_doc would refuse on read.
 A synthesis document bundles the unitary with enough context to re-verify
 it from scratch: the kind, kind-specific fields and, for the synthesizers,
 the target. A cnz document records n and phi, which fix its gate, instead
@@ -16,7 +16,6 @@ the writer runs it on what it returns as the reader runs it on what it reads.
 from __future__ import annotations
 
 import base64
-import itertools
 import json
 import sys
 from typing import Any
@@ -39,28 +38,26 @@ _REQUIRED = {"postselect": ("input_state",), "herald": ("photons",), "cnz": ("n"
 _EXTRAS = frozenset(dict(_SCALAR_FIELDS)) | {"input_state"}
 
 
-def matrix_to_doc(M: np.ndarray) -> dict[str, Any]:
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
+def matrix_to_doc(M: Any) -> dict[str, Any]:
+    """The document of M, a scalar, vector (both as one row) or matrix of
+    finite complex entries; ValueError for anything else."""
+    try:  # numpy holds text, None, a dict or an integer beyond int64 as other than numbers
+        M = np.atleast_2d(np.asarray(M).astype(complex, casting="same_kind", copy=False))
+    except (TypeError, ValueError):  # ValueError: a ragged list
+        raise ValueError(f"matrix: expected complex entries, got {type(M).__name__}") from None
+    if M.ndim > 2 or M.size == 0:
+        raise ValueError(f"matrix: expected a nonempty matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix: non-finite entry")
     raw = np.ascontiguousarray(M, dtype="<c16").tobytes()
     return {"rows": M.shape[0], "cols": M.shape[1], "base64": base64.b64encode(raw).decode("ascii")}
 
 
-def _is_number_type(t: type) -> bool:
-    # JSON true/false decode to bool, a subclass of int; they are not numbers here
-    return issubclass(t, (int, float)) and not issubclass(t, bool)
-
-
 def _is_finite_number(value: Any) -> bool:
+    # JSON true/false decode to bool, a subclass of int; they are not numbers here.
     # int-float comparison is exact, so NaN, infinities and integers beyond the float range fail
-    return _is_number_type(type(value)) and abs(value) <= sys.float_info.max
-
-
-def _is_pair(pair: Any) -> bool:
-    return (
-        isinstance(pair, list)
-        and len(pair) == 2
-        and all(_is_number_type(type(v)) for v in pair)
-    )
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
 
 
 def _is_int_at_least(value: Any, minimum: int) -> bool:
@@ -117,25 +114,6 @@ def _entries_from_base64(text: Any, rows: int, cols: int, field: str) -> np.ndar
     return np.frombuffer(raw, "<c16").astype(complex).reshape(rows, cols)
 
 
-def _entries_from_pairs(data: Any, rows: int, cols: int, field: str) -> np.ndarray:
-    """The rows x cols complex entries of `data`, a row-major list of [re, im]."""
-    if not isinstance(data, list) or len(data) != rows * cols:
-        raise DocumentError(
-            f"{field}.data: expected {rows * cols} entries", f"{field}.data"
-        )
-    # each distinct type is checked once; only a malformed document is
-    # scanned entry by entry, to name its first bad entry
-    pairs = all(issubclass(t, list) for t in set(map(type, data))) and set(map(len, data)) == {2}
-    values = list(itertools.chain.from_iterable(data)) if pairs else []
-    if not (pairs and all(map(_is_number_type, set(map(type, values))))):
-        idx = next(i for i, pair in enumerate(data) if not _is_pair(pair))
-        raise DocumentError(f"{field}.data[{idx}]: expected [re, im]", f"{field}.data")
-    try:
-        return np.array(values, dtype=float).view(complex).reshape(rows, cols)
-    except OverflowError:  # a JSON integer beyond the float range
-        raise DocumentError(f"{field}.data: non-finite entry", f"{field}.data") from None
-
-
 def matrix_from_doc(doc: Any, field: str = "matrix") -> np.ndarray:
     if not isinstance(doc, dict):
         raise DocumentError(f"{field}: expected an object", field)
@@ -145,17 +123,12 @@ def matrix_from_doc(doc: Any, field: str = "matrix") -> np.ndarray:
     rows, cols = doc["rows"], doc["cols"]
     if not (_is_int_at_least(rows, 1) and _is_int_at_least(cols, 1)):
         raise DocumentError(f"{field}.rows/cols: must be positive integers", field)
-    if ("base64" in doc) == ("data" in doc):
-        problem = "both base64 and data" if "base64" in doc else "missing"
-        raise DocumentError(
-            f"{field}.base64: {problem}; a matrix carries its entries as base64 or as [re, im] data pairs",
-            f"{field}.base64",
-        )
-    key = "base64" if "base64" in doc else "data"
-    read = _entries_from_base64 if key == "base64" else _entries_from_pairs
-    M = read(doc[key], rows, cols, field)
-    if not np.all(np.isfinite(M)):
-        raise DocumentError(f"{field}.{key}: non-finite entry", f"{field}.{key}")
+    if "base64" not in doc:
+        message = "a matrix carries its entries as one base64 string of row-major little-endian complex128"
+        raise DocumentError(f"{field}.base64: missing; {message}", f"{field}.base64")
+    M = _entries_from_base64(doc["base64"], rows, cols, field)
+    if not np.isfinite(M).all():
+        raise DocumentError(f"{field}.base64: non-finite entry", f"{field}.base64")
     return M
 
 
@@ -212,13 +185,19 @@ def _fields(doc: dict[str, Any]) -> dict[str, Any]:
         raise DocumentError(f"{'/'.join(required)}: required for {kind} documents", required[0])
     if kind != "cnz":  # the synthesizers' layout; verify_cnz checks the cnz one
         shape = doc["target"]["rows"], doc["target"]["cols"]
-        payload = out.setdefault("payload_modes", shape[0]) if kind == "herald" else sum(shape)
+        if kind == "herald":  # the signal fixes the photons, the target the payload modes
+            photons, total = out["photons"], out["herald"].total
+            if photons != total + 2:
+                message = f"expected {total + 2}, as the herald signal sums to {total}, got {photons}"
+                raise DocumentError(f"photons: {message}", "photons")
+            if out.setdefault("payload_modes", shape[0]) != shape[0]:
+                message = f"expected {shape[0]}, the target's rows, got {out['payload_modes']}"
+                raise DocumentError(f"payload_modes: {message}", "payload_modes")
         rows = doc["unitary"]["rows"]
-        aux = _aux_modes(rows, payload, out["herald"])
-        if aux < 0:  # the payload does not fit: its own field is at fault, not aux_modes
-            field = "payload_modes" if kind == "herald" else "target"
+        aux = _aux_modes(rows, shape[0] if kind == "herald" else sum(shape), out["herald"])
+        if aux < 0:  # the target does not fit: it is at fault, not aux_modes
             message = f"payload and herald need {rows - aux} modes, but the unitary has {rows} rows"
-            raise DocumentError(f"{field}: {message}", field)
+            raise DocumentError(f"target: {message}", "target")
         if out["aux_modes"] != aux:
             message = f"{out['aux_modes']}, but {rows} rows leave {aux} past payload and herald"
             raise DocumentError(f"aux_modes: {message}", "aux_modes")
@@ -230,10 +209,10 @@ def synthesis_to_doc(
 ) -> dict[str, Any]:
     """The synthesis document of `result`, which synthesis_from_doc reads
     back. The extras are n, photons, payload_modes, phi and input_state (a
-    matrix document); the document's fields are held to the reader's rule,
-    as ValueError with the reader's words, and its matrices are checked on
-    read. A cnz document records n and phi instead of `target`, which must
-    be the table of the gate they fix (ValueError otherwise)."""
+    matrix); the document's fields are held to the reader's rule, as
+    ValueError with the reader's words, and its matrices to matrix_to_doc's.
+    A cnz document records n and phi instead of `target`, which must be the
+    table of the gate they fix (ValueError otherwise)."""
     if kind not in KINDS:
         raise ValueError(f"unknown synthesis kind {kind!r}")
     if not extras.keys() <= _EXTRAS:
@@ -253,6 +232,8 @@ def synthesis_to_doc(
         else None
     )
     doc.update(extras)
+    if doc.get("input_state") is not None:  # by identity: a matrix has no truth value
+        doc["input_state"] = matrix_to_doc(doc["input_state"])
     try:
         _fields(doc)
     except DocumentError as exc:  # the reader's rule and words, as the writer's ValueError
@@ -285,9 +266,9 @@ def synthesis_from_doc(doc: Any) -> dict[str, Any]:
 
 def load_json(path: str) -> Any:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
@@ -297,6 +278,9 @@ def dump_json(doc: Any, path: str | None) -> None:
     text = json.dumps(doc, indent=2)
     if path is None:
         print(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from exc

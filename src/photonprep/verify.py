@@ -92,12 +92,14 @@ def _aux_modes(modes: int, payload: int, herald: HeraldPattern | None) -> int:
 
 def _count(value, least: int, noun: str) -> int:
     """`value` as an int, the count of `noun`s: ValueError, before anything is
-    sliced, built or cached, unless it is an integer (a numpy one too) of at
-    least `least`."""
+    sliced, built or cached, unless it is an integer (a numpy one too, not a
+    boolean) of at least `least`."""
     try:
         count = operator.index(value)
     except TypeError:
-        raise ValueError(f"the {noun} count must be an integer, got {value!r}") from None
+        count = None
+    if count is None or isinstance(value, bool):
+        raise ValueError(f"the {noun} count must be an integer, got {value!r}")
     if count < least:
         raise ValueError(f"the {noun} count must be at least {least}, got {count}")
     return count

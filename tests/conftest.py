@@ -48,6 +48,13 @@ def _decode_matrix(field) -> np.ndarray:
     return np.frombuffer(raw, "<c16").reshape(field["rows"], field["cols"]).copy()
 
 
+def _encode_matrix(M) -> dict:
+    """A 2-D array as a matrix field, encoded without the writer under test
+    and its checks: a NaN or infinite entry is written as it is."""
+    M = np.asarray(M, dtype="<c16")
+    return {"rows": M.shape[0], "cols": M.shape[1], "base64": base64.b64encode(M.tobytes()).decode("ascii")}
+
+
 def _edit_matrix(field, edit):
     """A written matrix field decoded, passed through `edit` (a function of
     its complex array) and encoded again as documents are written."""
@@ -57,6 +64,11 @@ def _edit_matrix(field, edit):
 @pytest.fixture
 def decode_matrix():
     return _decode_matrix
+
+
+@pytest.fixture
+def encode_matrix():
+    return _encode_matrix
 
 
 @pytest.fixture

@@ -42,7 +42,7 @@ class TestRank:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"rows": 2, "cols": 2}))
         assert main(["rank", "--state", str(bad)]) == 2
-        assert "data" in capsys.readouterr().err
+        assert "state.base64: missing" in capsys.readouterr().err
 
     def test_rank_of_the_symmetrized_state(self, tmp_path, capsys):
         """rank reads the state as the synth-* verbs do: M = e0 e1^T + e2 e3^T
@@ -71,14 +71,6 @@ class TestRank:
         assert main(["rank", "--state", path]) == 0
         assert capsys.readouterr().out.strip() == "1"
 
-    def test_integer_beyond_the_float_range_is_an_input_error(self, tmp_path, capsys):
-        """10**400 in a state document is exit 2 with the document's message,
-        not an OverflowError traceback (exit 1, the infeasible code)."""
-        path = tmp_path / "big.json"
-        path.write_text(json.dumps({"rows": 1, "cols": 1, "data": [[10**400, 0]]}))
-        assert main(["rank", "--state", str(path)]) == 2
-        assert "non-finite entry" in capsys.readouterr().err
-
 
 @pytest.mark.parametrize("verb", ["rank", "synth-postselect", "synth-herald"])
 def test_non_square_state_is_an_input_error(tmp_path, capsys, verb):
@@ -103,6 +95,16 @@ class TestTakagi:
         assert doc["D"]["rows"] == 2
         d00 = decode_matrix(doc["D"])[0, 0]
         assert d00.real == pytest.approx(0.5)
+
+    def test_factors_read_back(self, tmp_path):
+        """V and D are matrices that matrix_from_doc reads back, and
+        V^T S V = D."""
+        S = np.array([[0.3, 0.5j], [0.5j, -1.0]])
+        out = tmp_path / "takagi.json"
+        assert main(["takagi", "--input", write_matrix(tmp_path / "s.json", S), "--output", str(out)]) == 0
+        doc = load_json(str(out))
+        V, D = (matrix_from_doc(doc[key], key) for key in ("V", "D"))
+        assert np.allclose(V.T @ S @ V, D, atol=1e-12)
 
     def test_small_asymmetric_matrix_is_not_factorized(self, tmp_path, capsys):
         """The symmetry gate is relative: [[0, 1e-20], [0, 0]] is as far from
@@ -298,20 +300,20 @@ def test_verify_rejects_a_non_square_unitary(cz_doc, capsys, edit_matrix):
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda u: {**u, "base64": 42},
-        lambda u: {**u, "base64": u["base64"][:-4]},
-        lambda u: {**u, "rows": 10**9, "base64": u["base64"][:24]},
-        lambda u: {**u, "base64": "*" + u["base64"][1:]},
-        lambda u: {**u, "base64": u["base64"][:-4] + "===="},
-        lambda u: matrix_to_doc(np.full((u["rows"], u["cols"]), np.nan)),
-        lambda u: {**u, "data": [[1.0, 0.0]] * (u["rows"] * u["cols"])},
-        lambda u: {k: v for k, v in u.items() if k != "base64"},
+        lambda u, _: {**u, "base64": 42},
+        lambda u, _: {**u, "base64": u["base64"][:-4]},
+        lambda u, _: {**u, "rows": 10**9, "base64": u["base64"][:24]},
+        lambda u, _: {**u, "base64": "*" + u["base64"][1:]},
+        lambda u, _: {**u, "base64": u["base64"][:-4] + "===="},
+        lambda u, encode: encode(np.full((u["rows"], u["cols"]), np.nan)),
+        lambda u, _: {"rows": u["rows"], "cols": u["cols"], "data": [[1.0, 0.0]] * (u["rows"] * u["cols"])},
+        lambda u, _: {k: v for k, v in u.items() if k != "base64"},
     ],
-    ids=["non-string", "short", "huge-claim", "alphabet", "padding", "nan", "both", "neither"],
+    ids=["non-string", "short", "huge-claim", "alphabet", "padding", "nan", "pairs", "neither"],
 )
-def test_verify_refuses_a_malformed_base64_unitary(cz_doc, capsys, edit):
+def test_verify_refuses_a_malformed_base64_unitary(cz_doc, capsys, encode_matrix, edit):
     doc = json.loads(cz_doc.read_text())
-    doc["unitary"] = edit(doc["unitary"])
+    doc["unitary"] = edit(doc["unitary"], encode_matrix)
     cz_doc.write_text(json.dumps(doc))
     assert main(["verify", "--input", str(cz_doc)]) == 2
     captured = capsys.readouterr()
@@ -576,3 +578,30 @@ def test_synthesis_documents_read_back(bell_state_file, tmp_path, verb):
             assert decoded[key] == value, key
     herald = doc["herald"] and HeraldPattern(tuple(doc["herald"]["signal"]))
     assert decoded["herald"] == herald and (herald is None) == (verb != "synth-herald")
+
+
+class TestDocumentFiles:
+    """A document file that cannot be read or written is an input error
+    (exit 2) that names its path, not a traceback."""
+
+    @pytest.mark.parametrize("verb", ["gate-cnz", "takagi", "verify"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output(self, tmp_path, capsys, verb, where):
+        cz = tmp_path / "cz.json"
+        assert main(["gate-cnz", "--n", "2", "--phi", "1.0", "--output", str(cz)]) == 0
+        argv = {
+            "gate-cnz": ["gate-cnz", "--n", "2", "--phi", "1.0"],
+            "takagi": ["takagi", "--input", write_matrix(tmp_path / "s.json", np.eye(2))],
+            "verify": ["verify", "--input", str(cz)],
+        }[verb]
+        out = tmp_path / "no" / "such" / "cz.json" if where == "missing-directory" else tmp_path
+        capsys.readouterr()
+        assert main([*argv, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ") and captured.out == ""
+
+    def test_input_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"rows": 1, "cols": 1, "base64": "\xff"}')
+        assert main(["rank", "--state", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")

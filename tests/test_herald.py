@@ -211,8 +211,9 @@ class TestPhotonCount:
             ("4", "photon count must be an integer"),
             (None, "photon count must be an integer"),
             (1, "photon count must be at least 2, got 1"),
-            (True, "photon count must be at least 2, got 1"),
+            (True, "photon count must be an integer, got True"),
             (np.int64(-3), "photon count must be at least 2, got -3"),
+            (False, "photon count must be an integer, got False"),
         ],
     )
     def test_refused_before_any_table(self, untouched, n, match):

@@ -10,19 +10,15 @@ import pytest
 
 from photonprep.exceptions import DocumentError
 from photonprep import (
-    QuditTarget, build_cnz, extract_heralded, from_qudit_target, gates, normalize, synthesize_herald,
+    QuditTarget, build_cnz, from_qudit_target, gates, normalize, synthesize_herald,
     synthesize_postselect,
 )
 from photonprep.io import load_json, matrix_from_doc, matrix_to_doc, synthesis_from_doc, synthesis_to_doc
 
 # the truth table of the CZ gate, n = 2 and phi = pi
 CZ = np.diag([1, 1, 1, -1]).astype(complex)
-# how a matrix with both entry fields, or neither, is refused
-ENTRIES = "a matrix carries its entries as base64 or as [re, im] data pairs"
-
-
-def _doc(data, rows=1, cols=2):
-    return {"rows": rows, "cols": cols, "data": data}
+# how a matrix without base64 is refused
+ENTRIES = "a matrix carries its entries as one base64 string of row-major little-endian complex128"
 
 
 def _b64(*parts):
@@ -43,61 +39,28 @@ class TestRejections:
         _rejects(doc, "m: expected an object", "m")
 
     @pytest.mark.parametrize(
-        "key, message, field",
+        "key, stray, message, field",
         [
-            ("rows", "m.rows: missing", "m.rows"),
-            ("cols", "m.cols: missing", "m.cols"),
-            ("data", f"m.base64: missing; {ENTRIES}", "m.base64"),
+            ("rows", {}, "m.rows: missing", "m.rows"),
+            ("cols", {}, "m.cols: missing", "m.cols"),
+            ("base64", {}, f"m.base64: missing; {ENTRIES}", "m.base64"),
+            # base64 is the one encoding: the [re, im] pairs of documents written before it are not read
+            ("base64", {"data": [[1.0, 0.0], [0.0, 1.0]]},
+             f"m.base64: missing; {ENTRIES}", "m.base64"),
         ],
-        ids=["rows", "cols", "data"],
+        ids=["rows", "cols", "base64", "pairs"],
     )
-    def test_missing_key(self, key, message, field):
-        doc = _doc([[1.0, 0.0], [0.0, 1.0]])
+    def test_missing_key(self, key, stray, message, field):
+        doc = _b64_doc(_b64(1.0, 0.0, 0.0, 1.0))
         del doc[key]
+        doc.update(stray)
         _rejects(doc, message, field)
 
     @pytest.mark.parametrize(
         "rows, cols", [(0, 2), (1, 0), (-1, 2), (1.0, 2), ("1", 2), (True, 2), (1, True)]
     )
     def test_rows_cols_not_positive_integers(self, rows, cols):
-        _rejects(_doc([[1.0, 0.0], [0.0, 1.0]], rows, cols), "m.rows/cols: must be positive integers", "m")
-
-    @pytest.mark.parametrize("data", [[[1.0, 0.0]], [[1.0, 0.0]] * 3, [], {"0": [1, 0]}])
-    def test_wrong_entry_count(self, data):
-        _rejects(_doc(data), "m.data: expected 2 entries", "m.data")
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            (1.0, 0.0),  # not a list (a tuple never comes out of JSON)
-            "10",
-            {"re": 1.0, "im": 0.0},
-            1.0,
-            [1.0, 0.0, 0.0],
-            [1.0],
-            [],
-            ["1.0", 0.0],
-            [1.0, None],
-            [True, False],
-            [1.0, False],
-            [[1.0], 0.0],
-        ],
-    )
-    def test_malformed_pair_names_first_bad_index(self, bad):
-        _rejects(_doc([[1.0, 0.0], bad]), "m.data[1]: expected [re, im]", "m.data")
-        _rejects(_doc([bad, bad]), "m.data[0]: expected [re, im]", "m.data")
-
-    # a JSON integer beyond the float range has no float: not an OverflowError
-    @pytest.mark.parametrize(
-        "value",
-        [math.nan, math.inf, -math.inf, pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400")],
-    )
-    def test_non_finite(self, value):
-        _rejects(_doc([[1.0, 0.0], [0.0, value]]), "m.data: non-finite entry", "m.data")
-
-    def test_non_finite_from_json_text(self):
-        doc = json.loads('{"rows": 1, "cols": 1, "data": [[NaN, 0]]}')
-        _rejects(doc, "m.data: non-finite entry", "m.data")
+        _rejects(_b64_doc(_b64(1.0, 0.0, 0.0, 1.0), rows, cols), "m.rows/cols: must be positive integers", "m")
 
 
 class TestRoundTrip:
@@ -133,23 +96,33 @@ class TestRoundTrip:
         }
         assert matrix_to_doc(2.0) == {"rows": 1, "cols": 1, "base64": _b64(2.0, 0.0)}
 
-    def test_integer_components(self):
-        back = matrix_from_doc(_doc([[1, 0], [0, -2]]))
-        assert back.tolist() == [[1 + 0j, -2j]]
+    @pytest.mark.parametrize(
+        "M, match",
+        [
+            (np.array([[1.0, np.nan]]), "non-finite entry"),
+            (np.array([np.inf, 1.0]), "non-finite entry"),
+            (complex(0.0, -np.inf), "non-finite entry"),
+            (None, "expected complex entries, got NoneType"),
+            (np.zeros((2, 2, 2)), r"expected a nonempty matrix, got shape \(2, 2, 2\)"),
+            (np.zeros((0, 3)), r"expected a nonempty matrix, got shape \(0, 3\)"),
+            ([], r"expected a nonempty matrix, got shape \(1, 0\)"),
+            ({"rows": 1, "cols": 1, "base64": _b64(1.0, 0.0)}, "expected complex entries, got dict"),
+            (10**400, "expected complex entries, got int"),
+            ([2**70, 1], "expected complex entries, got list"),  # beyond int64: numpy holds it as an object
+            ("1+", "expected complex entries, got str"),
+            ("1+2j", "expected complex entries, got str"),  # text, though numpy would parse it
+            ([[1.0, 2.0], [3.0]], "expected complex entries, got list"),
+        ],
+        ids=["nan", "inf", "-inf-imag", "none", "3d", "no-rows", "empty", "dict", "1e400", "2^70", "string",
+             "number-string", "ragged"],
+    )
+    def test_writer_refuses_what_is_not_a_finite_matrix(self, M, match):
+        with pytest.raises(ValueError, match=match):
+            matrix_to_doc(M)
 
 
 def _b64_doc(text, rows=1, cols=2):
     return {"rows": rows, "cols": cols, "base64": text}
-
-
-def _pairs(field):
-    """A written matrix field restated as a row-major list of [re, im]
-    pairs, the layout documents were written in before base64."""
-    return {
-        "rows": field["rows"],
-        "cols": field["cols"],
-        "data": matrix_from_doc(field).view(float).reshape(-1, 2).tolist(),
-    }
 
 
 class TestBase64:
@@ -253,44 +226,6 @@ class TestBase64:
         parts[part] = value
         _rejects(_b64_doc(_b64(*parts)), "m.base64: non-finite entry", "m.base64")
 
-    def test_both_data_and_base64(self):
-        doc = {**_doc([[1.0, 0.0], [2.0, 0.0]]), "base64": _b64(1.0, 0.0, 2.0, 0.0)}
-        _rejects(doc, f"m.base64: both base64 and data; {ENTRIES}", "m.base64")
-
-    def test_neither_data_nor_base64(self):
-        _rejects({"rows": 1, "cols": 2}, f"m.base64: missing; {ENTRIES}", "m.base64")
-
-
-class TestDocumentsWrittenAsPairs:
-    """Documents written before base64 carry each matrix as [re, im] pairs;
-    they decode to the same matrices, bit for bit, and still verify."""
-
-    def test_cnz_document(self):
-        result, _ = build_cnz(2, np.pi)
-        doc = json.loads(json.dumps(synthesis_to_doc(result, "cnz", CZ, n=2, phi=np.pi)))
-        legacy = json.loads(json.dumps({**doc, "unitary": _pairs(doc["unitary"])}))
-        assert "base64" not in legacy["unitary"]
-        decoded, expected = synthesis_from_doc(legacy), synthesis_from_doc(doc)
-        assert decoded["unitary"].view(float).tobytes() == expected["unitary"].view(float).tobytes()
-        assert np.array_equal(decoded["unitary"], result.unitary)
-        assert gates.verify_cnz(dataclasses.replace(result, unitary=decoded["unitary"]), 2, np.pi)
-
-    def test_herald_bell_pair_document(self):
-        state = from_qudit_target(QuditTarget(np.eye(2) / np.sqrt(2)))
-        result = synthesize_herald(state, 4)
-        doc = synthesis_to_doc(result, "herald", state.S, photons=4, payload_modes=state.modes)
-        doc = json.loads(json.dumps(doc))
-        legacy = {**doc, "unitary": _pairs(doc["unitary"]), "target": _pairs(doc["target"])}
-        legacy = json.loads(json.dumps(legacy))
-        decoded, expected = synthesis_from_doc(legacy), synthesis_from_doc(doc)
-        for key in ("unitary", "target"):
-            assert decoded[key].view(float).tobytes() == expected[key].view(float).tobytes()
-        assert np.array_equal(decoded["unitary"], result.unitary)
-        report = extract_heralded(
-            decoded["unitary"], 4, decoded["herald"], decoded["payload_modes"], target=decoded["target"]
-        )
-        assert report.verified
-
 
 class TestSuccessProbability:
     @pytest.fixture
@@ -351,10 +286,10 @@ class TestIntegerFields:
         assert err.value.field == "aux_modes"
 
     def test_payload_beyond_the_rows_names_the_payload(self, herald_doc):
-        """A payload that the unitary's 9 rows cannot hold is refused as
-        such, not as an aux_modes count of -91."""
+        """The payload is the 4 x 4 target's modes: 99 is refused as such,
+        not as an aux_modes count of -91."""
         herald_doc["payload_modes"] = 99
-        with pytest.raises(DocumentError, match="payload_modes: payload and herald need 100 modes, but") as err:
+        with pytest.raises(DocumentError, match="^payload_modes: expected 4, the target's rows, got 99$") as err:
             synthesis_from_doc(herald_doc)
         assert err.value.field == "payload_modes"
 
@@ -422,7 +357,7 @@ class TestSynthesisDocumentRefusals:
         state_in, target = normalize(np.eye(3, dtype=complex)), QuditTarget(np.eye(2) / np.sqrt(2))
         postselect = synthesis_to_doc(
             synthesize_postselect(state_in, target), "postselect", target.C,
-            input_state=matrix_to_doc(state_in.S),
+            input_state=state_in.S,
         )
         return {"herald": herald, "postselect": postselect}
 
@@ -438,6 +373,8 @@ class TestSynthesisDocumentRefusals:
             ("postselect", lambda doc: {**doc, "input_state": None}, "input_state"),
             # a 9 x 9 target needs 18 payload modes of the 7-mode circuit
             ("postselect", lambda doc: {**doc, "target": matrix_to_doc(np.eye(9))}, "target"),
+            # and 9 payload modes beside the herald mode of the 9-mode circuit
+            ("herald", lambda doc: {**doc, "target": matrix_to_doc(np.eye(9))}, "target"),
         ],
     )
     def test_field_is_named(self, docs, kind, edit, field):
@@ -598,7 +535,7 @@ class TestWriterFields:
     VALID = {
         "cnz": {"n": 2, "phi": np.pi},
         "herald": {"photons": 4, "payload_modes": 4},
-        "postselect": {"input_state": matrix_to_doc(STATE_IN.S)},
+        "postselect": {"input_state": STATE_IN.S},
     }
 
     @pytest.fixture(scope="class")
@@ -627,9 +564,11 @@ class TestWriterFields:
             ("herald", "payload_modes", 0, "payload_modes"),
             ("herald", "photons", None, "photons"),
             ("postselect", "input_state", None, "input_state"),
-            # the 4-mode Bell target laid out on 3 payload modes leaves 5, not 4, auxiliaries
-            ("herald", "payload_modes", 3, "aux_modes"),
+            # the payload is the 4-mode Bell target's, and the signal (2,) fixes 4 photons
+            ("herald", "payload_modes", 3, "payload_modes"),
             ("herald", "payload_modes", 99, "payload_modes"),
+            ("herald", "photons", 5, "photons"),
+            ("herald", "photons", 3, "photons"),
             ("herald", "success_probability", float("nan"), "success_probability"),
             ("herald", "success_probability", 1.5, "success_probability"),
             ("postselect", "success_probability", -0.5, "success_probability"),
@@ -671,6 +610,22 @@ class TestWriterFields:
         message = f"^{key}: not among the extras input_state, n, payload_modes, phi, photons$"
         with pytest.raises(ValueError, match=message):
             synthesis_to_doc(result, "cnz", target, n=2, phi=np.pi, **{key: value})
+
+    @pytest.mark.parametrize(
+        "state, match",
+        [
+            (np.full((3, 3), np.nan), "non-finite entry"),
+            (np.eye(3)[None], "got shape"),
+            (matrix_to_doc(STATE_IN.S), "expected complex entries, got dict"),
+        ],
+        ids=["nan", "3d", "matrix-document"],
+    )
+    def test_refuses_an_input_state_it_cannot_encode(self, postselect, state, match):
+        """input_state is a matrix that the writer encodes, held to the rule
+        of every other matrix it writes."""
+        result, target = postselect
+        with pytest.raises(ValueError, match=match):
+            synthesis_to_doc(result, "postselect", target, input_state=state)
 
     @pytest.mark.parametrize("n", [60, 20000])
     def test_table_size_is_stated_as_a_power_of_two(self, cnz, n):

@@ -216,6 +216,8 @@ class TestRegisterCounts:
             (2, 0, "d2 mode count must be at least 1, got 0"),
             (2.0, 2, "d1 mode count must be an integer, got 2.0"),
             (2, None, "d2 mode count must be an integer, got None"),
+            (True, True, "d1 mode count must be an integer, got True"),
+            (2, False, "d2 mode count must be an integer, got False"),
         ],
     )
     def test_postselected(self, unread, d1, d2, match):
@@ -229,6 +231,8 @@ class TestRegisterCounts:
             (0, "payload mode count must be at least 1, got 0"),
             (-1, "payload mode count must be at least 1, got -1"),
             (2.0, "payload mode count must be an integer, got 2.0"),
+            (True, "payload mode count must be an integer, got True"),
+            (False, "payload mode count must be an integer, got False"),
         ],
     )
     def test_heralded(self, unread, m, match):
