@@ -50,7 +50,7 @@ def _load_target(path: str) -> QuditTarget:
 
 def cmd_rank(args) -> int:
     # the rank of the normalized (symmetrized) state, as every synth-* verb sees it
-    print(state_rank(_load_state(args.state)))
+    io.dump_json(state_rank(_load_state(args.state)), args.output)
     return EXIT_OK
 
 

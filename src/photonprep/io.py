@@ -153,6 +153,10 @@ def _fields(doc: dict[str, Any]) -> dict[str, Any]:
     its unitary and target (but for cnz) are well-formed matrix documents,
     so their rows and cols are read as given."""
     kind = doc["kind"]
+    # a null input_state counts as absent
+    if kind != "postselect" and doc.get("input_state") is not None:
+        message = f"only postselect documents carry one, not {kind} documents"
+        raise DocumentError(f"input_state: {message}", "input_state")
     out: dict[str, Any] = {
         "aux_modes": _int_from_doc(doc.get("aux_modes", 0), "aux_modes", 0),
         "success_probability": _probability_from_doc(doc.get("success_probability")),
@@ -209,10 +213,10 @@ def synthesis_to_doc(
 ) -> dict[str, Any]:
     """The synthesis document of `result`, which synthesis_from_doc reads
     back. The extras are n, photons, payload_modes, phi and input_state (a
-    matrix); the document's fields are held to the reader's rule, as
-    ValueError with the reader's words, and its matrices to matrix_to_doc's.
-    A cnz document records n and phi instead of `target`, which must be the
-    table of the gate they fix (ValueError otherwise)."""
+    matrix, for post-selection only); the document's fields are held to the
+    reader's rule, as ValueError with the reader's words, and its matrices to
+    matrix_to_doc's. A cnz document records n and phi instead of `target`,
+    which must be the table of the gate they fix (ValueError otherwise)."""
     if kind not in KINDS:
         raise ValueError(f"unknown synthesis kind {kind!r}")
     if not extras.keys() <= _EXTRAS:

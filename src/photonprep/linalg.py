@@ -18,6 +18,18 @@ from .tolerances import (
 )
 
 
+# takagi embeds S whole up to this many modes and takes its SVD above. CPU µs
+# per takagi call, 1 BLAS thread, AMD EPYC (SVD route -> whole embedding),
+# median over 8 generic S and 3 d-rail states (every value twice) per m:
+#   m         8         10         11         12         16         20
+#   generic   95 -> 83  105 -> 103 110 -> 111 114 -> 120 148 -> 161 185 -> 220
+#   d-rail    164 -> 77 187 -> 92  191 -> 124 210 -> 112 281 -> 142 390 -> 197
+# The cut sits at the generic break-even, m = 10: above it the embedding is
+# slower on most generic S (6 of 8 at m = 11 and 12), though still 1.5-2x
+# faster on d-rail states.
+EMBEDDED_TAKAGI_MODES = 10
+
+
 @dataclass(frozen=True)
 class TakagiFactorization:
     """Factorization ``V.T @ S @ V = diag(diagonal)`` of a complex symmetric S."""
@@ -40,12 +52,17 @@ class TakagiFactorization:
 def takagi(S: np.ndarray) -> TakagiFactorization:
     """Takagi (Autonne) factorization of a complex symmetric matrix.
 
-    Every cut and gate reads one copy, S / peak symmetrized (see _peak_scaled),
-    factorized from one SVD (see _svd_takagi), or from its whole real embedding
-    (see _embedded_takagi) when checked_svd raises ConvergenceFailure. Values at
-    or below the cut TAKAGI_CUT m sigma_1 are set to 0 and the diagonal is sorted
-    descending; it is multiplied by peak on return, and a sigma_1 that then
-    overflows raises ConvergenceFailure. S and 2^k S share V.
+    Every cut and gate reads one copy, S / peak symmetrized (see _peak_scaled).
+    An m x m copy with m <= EMBEDDED_TAKAGI_MODES is factorized from its whole
+    real embedding (see _embedded_takagi), one eigh of size 2m; a larger one
+    from one SVD (see _svd_takagi), or from its whole embedding when
+    checked_svd raises ConvergenceFailure. The size rule reads m alone; the
+    timings it rests on are kept with EMBEDDED_TAKAGI_MODES. Values at or
+    below the cut TAKAGI_CUT m sigma_1 are set to 0 and the diagonal is sorted
+    descending; ||V^T S V - D||_F of the copy must lie within
+    TAKAGI_RECONSTRUCTION_TOL sigma_1 on either route. The diagonal is
+    multiplied by peak on return, and a sigma_1 that then overflows raises
+    ConvergenceFailure. S and 2^k S share V.
     """
     S = np.asarray(S, dtype=complex)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -60,10 +77,13 @@ def takagi(S: np.ndarray) -> TakagiFactorization:
         raise NotSymmetric(f"||S - S^T||_F/||S||_F = {asymmetry / norm:.3e} exceeds {SYMMETRY_TOL}")
     scaled = (scaled + scaled.T) / 2.0
 
-    try:
-        factor = _svd_takagi(scaled)
-    except ConvergenceFailure:
+    if len(scaled) <= EMBEDDED_TAKAGI_MODES:
         factor = _embedded_takagi(scaled)
+    else:
+        try:
+            factor = _svd_takagi(scaled)
+        except ConvergenceFailure:
+            factor = _embedded_takagi(scaled)
     residual = factor.V.T @ scaled @ factor.V
     residual.flat[:: len(residual) + 1] -= factor.diagonal
     if not np.linalg.norm(residual) <= TAKAGI_RECONSTRUCTION_TOL * factor.diagonal[0]:
@@ -76,7 +96,8 @@ def takagi(S: np.ndarray) -> TakagiFactorization:
 
 
 def _svd_takagi(S: np.ndarray) -> TakagiFactorization:
-    """Takagi factors of a complex symmetric S from its checked SVD.
+    """Takagi factors of a complex symmetric S from its checked SVD, takagi's
+    route above EMBEDDED_TAKAGI_MODES modes.
 
     With S = U Sigma W^†, symmetry makes P = U^† S conj(U) = Sigma W^† conj(U)
     symmetric and block diagonal across distinct singular values. An index
@@ -113,7 +134,9 @@ def _svd_takagi(S: np.ndarray) -> TakagiFactorization:
 
 def _embedded_takagi(S: np.ndarray) -> TakagiFactorization:
     """Takagi factors of a complex symmetric S from its real symmetric
-    embedding, the definition-level reference.
+    embedding, the definition-level reference: takagi's route for a whole S of
+    up to EMBEDDED_TAKAGI_MODES modes, and above that for the coupled block or
+    a refused SVD.
 
     With S = A + iB, E = [[A, B], [B, -A]] has eigenvalues +-sigma_i, the
     singular values of S. An eigenvector [x; y] of E for +sigma gives

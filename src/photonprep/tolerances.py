@@ -17,10 +17,13 @@ TAKAGI_RECONSTRUCTION_TOL  1e-8   x sigma_1          takagi: ||V^T S V - D||_F o
                                                      within it, else ConvergenceFailure
 TAKAGI_CUT                 8 eps  x m sigma_1        takagi: values at or below the cut (m the
                                                      matrix size) are rounding noise, set to 0.
-                                                     Also the coupling threshold: indices with
-                                                     an off-diagonal entry of U^† S conj(U)
+                                                     Above linalg.EMBEDDED_TAKAGI_MODES modes,
+                                                     where takagi takes an SVD, also the
+                                                     coupling threshold: indices with an
+                                                     off-diagonal entry of U^† S conj(U)
                                                      (S = U Sigma W^†) above it are embedded
-                                                     together. Inside an embedded cluster
+                                                     together; up to it, S is embedded whole.
+                                                     Inside an embedded cluster
                                                      the Takagi vectors are completed by QR
                                                      only where a value is cut or they fail
                                                      the 8 eps x k Gram rule below.
@@ -30,7 +33,8 @@ TAKAGI_CUT                 8 eps  x m sigma_1        takagi: values at or below 
                            8 eps  x k                checked_svd: ||X^† X - I||_F of a k x k
                                                      factor (u or vh) above it is a
                                                      ConvergenceFailure; takagi then embeds
-                                                     S whole in the real embedding.
+                                                     S whole in the real embedding, as it
+                                                     always does up to EMBEDDED_TAKAGI_MODES.
                                                      _embedded_takagi: a k x k cluster with no
                                                      value cut keeps eigh's vectors when their
                                                      ||u^† u - I||_F is within it, and

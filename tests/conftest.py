@@ -80,7 +80,7 @@ def edit_matrix():
 def svds_outside_takagi(monkeypatch):
     """``record(module)`` returns a list that collects the shape of every
     ``np.linalg.svd`` argument, except while ``module.takagi`` runs: the
-    Takagi factorization takes one SVD of its own input."""
+    Takagi factorization of a large input takes one SVD of it."""
     shapes = []
     inside = []
     svd = np.linalg.svd

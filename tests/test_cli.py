@@ -32,6 +32,12 @@ class TestRank:
         assert main(["rank", "--state", bell_state_file]) == 0
         assert capsys.readouterr().out.strip() == "4"
 
+    def test_output_writes_the_rank(self, bell_state_file, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["rank", "--state", bell_state_file, "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text()) == 4
+
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

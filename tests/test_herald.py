@@ -260,18 +260,26 @@ class TestSynthesize:
         assert 0.5 * (2 + math.sqrt(2) / 6) ** -4 == pytest.approx(0.0200130896446016, rel=1e-15)
         assert result.success_probability == pytest.approx(0.0200130896446016, rel=1e-12)
 
-    def test_failing_svd_leaves_heralding_verified(self, rng, monkeypatch):
-        """takagi embeds the target when its SVD fails, and heralding takes
-        no other SVD, so it still returns a verified circuit."""
+    @pytest.mark.parametrize("make_target, svds", [
+        (lambda rng: random_state_of_rank(rng, 4, 3), 0),
+        (lambda rng: from_qudit_target(random_target_of_rank(rng, 9, 9, 2)), 1),
+    ], ids=["4-modes", "18-modes"])
+    def test_failing_svd_leaves_heralding_verified(self, rng, monkeypatch, make_target, svds):
+        """takagi embeds a target of up to EMBEDDED_TAKAGI_MODES modes with no
+        SVD, and a larger one when its one SVD fails; heralding takes no other
+        SVD, so it still returns a verified circuit. Both targets have rank 4."""
+        calls = []
 
         def failing_svd(a, *args, **kwargs):
+            calls.append(a.shape)
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        target = random_state_of_rank(rng, 4, 3)
+        target = make_target(rng)
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
         result = synthesize_herald(target, 4)
         assert result.report.verified
         assert result.herald.signal == (2,)
+        assert len(calls) == svds
 
     def test_rank_three_infeasible_with_two(self, rng):
         with pytest.raises(InfeasibleRank):

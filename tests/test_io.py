@@ -598,6 +598,20 @@ class TestWriterFields:
             synthesis_from_doc(json.loads(json.dumps(doc)))
         assert str(written.value) == str(read.value) and read.value.field == named
 
+    @pytest.mark.parametrize("kind", ["herald", "cnz"])
+    def test_refuses_an_input_state_outside_post_selection(self, request, kind):
+        """Only a post-selected circuit acts on an input state: a herald or
+        cnz document that carries one is refused, on write as on read."""
+        valid, target = request.getfixturevalue(kind)
+        with pytest.raises(ValueError) as written:
+            synthesis_to_doc(valid, kind, target, **self.VALID[kind], input_state=self.STATE_IN.S)
+        doc = synthesis_to_doc(valid, kind, target, **self.VALID[kind])
+        doc["input_state"] = matrix_to_doc(self.STATE_IN.S)
+        with pytest.raises(DocumentError) as read:
+            synthesis_from_doc(json.loads(json.dumps(doc)))
+        assert str(written.value) == str(read.value) and read.value.field == "input_state"
+        assert str(read.value) == f"input_state: only postselect documents carry one, not {kind} documents"
+
     @pytest.mark.parametrize(
         "key", ["alpha", "unitary", "aux_modes", "success_probability", "herald", "input"]
     )

@@ -20,7 +20,14 @@ from photonprep import (
 )
 from photonprep.herald import herald_bilinear_matrix
 from photonprep import linalg as linalg_module
-from photonprep.linalg import TakagiFactorization, _embedded_takagi, _peak_scaled, checked_svd
+from photonprep.linalg import (
+    EMBEDDED_TAKAGI_MODES,
+    TakagiFactorization,
+    _embedded_takagi,
+    _peak_scaled,
+    _svd_takagi,
+    checked_svd,
+)
 from photonprep.random_states import (
     random_complex_symmetric,
     random_target_of_rank,
@@ -56,6 +63,10 @@ def adversarial_spectra(draw, max_m=16):
 def _with_spectrum(seed, sigma):
     U = random_unitary(np.random.default_rng(seed), len(sigma))
     return U @ np.diag(sigma) @ U.T
+
+
+# takagi's two routes, each with a size that takes it
+ROUTES = (("_embedded_takagi", 2), ("_svd_takagi", EMBEDDED_TAKAGI_MODES + 1))
 
 
 class TestTakagi:
@@ -100,10 +111,12 @@ class TestTakagi:
             takagi(np.full((2, 2), 1e308))
 
     def test_reconstruction_gate_refuses_nan(self, monkeypatch):
-        nan_factor = TakagiFactorization(V=np.full((2, 2), np.nan + 0j), diagonal=np.ones(2))
-        monkeypatch.setattr(linalg_module, "_svd_takagi", lambda S: nan_factor)
-        with pytest.raises(ConvergenceFailure, match="reconstruct"):
-            takagi(np.eye(2))
+        """On either route, a factorization with NaN vectors is refused."""
+        for route, m in ROUTES:
+            nan_factor = TakagiFactorization(V=np.full((m, m), np.nan + 0j), diagonal=np.ones(m))
+            monkeypatch.setattr(linalg_module, route, lambda S: nan_factor)
+            with pytest.raises(ConvergenceFailure, match="reconstruct"):
+                takagi(np.eye(m))
 
     def test_antidiagonal_half(self):
         S = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
@@ -144,15 +157,17 @@ class TestTakagi:
     def test_reconstruction_gate_is_relative(self, monkeypatch, c):
         """A diagonal off by 1e-6 sigma_1 misses TAKAGI_RECONSTRUCTION_TOL
         sigma_1 at every scale, also where the residual's squares would
-        underflow or overflow at the scale of c I."""
+        underflow or overflow at the scale of c I, on either route."""
 
         def wrong(S):
-            diagonal = S.diagonal().real * [1 + 1e-6, 1]
-            return TakagiFactorization(V=np.eye(2, dtype=complex), diagonal=diagonal)
+            diagonal = S.diagonal().real.copy()
+            diagonal[0] *= 1 + 1e-6
+            return TakagiFactorization(V=np.eye(len(S), dtype=complex), diagonal=diagonal)
 
-        monkeypatch.setattr(linalg_module, "_svd_takagi", wrong)
-        with pytest.raises(ConvergenceFailure, match="reconstruct"):
-            takagi(c * np.eye(2))
+        for route, m in ROUTES:
+            monkeypatch.setattr(linalg_module, route, wrong)
+            with pytest.raises(ConvergenceFailure, match="reconstruct"):
+                takagi(c * np.eye(m))
 
     @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
     def test_exactly_covariant_under_powers_of_two(self, k):
@@ -172,10 +187,10 @@ class TestTakagi:
         assert np.allclose(fac.diagonal / c, takagi(A).diagonal, rtol=1e-12, atol=0)
 
     def test_coupled_indices_are_embedded_as_one_block(self, monkeypatch):
-        """from_qudit_target of a rank-3 4 x 4 target: the 8 x 8 S has three
-        twofold nonzero values, so six of its eight indices couple, and only
-        those six are embedded, as one 6 x 6 block."""
-        S = from_qudit_target(random_target_of_rank(np.random.default_rng(37), 4, 4, 3)).S
+        """from_qudit_target of a rank-9 12 x 12 target: the 24 x 24 S takes
+        the SVD route and has nine twofold nonzero values, so 18 of its 24
+        indices couple, and only those 18 are embedded, as one 18 x 18 block."""
+        S = from_qudit_target(random_target_of_rank(np.random.default_rng(37), 12, 12, 9)).S
         embedded, sizes = _embedded_takagi, []
 
         def recording(block):
@@ -183,8 +198,25 @@ class TestTakagi:
             return embedded(block)
 
         monkeypatch.setattr(linalg_module, "_embedded_takagi", recording)
-        assert takagi(S).rank == 6
-        assert sizes == [(6, 6)]
+        assert takagi(S).rank == 18
+        assert sizes == [(18, 18)]
+
+    @pytest.mark.parametrize("m, route", [
+        (EMBEDDED_TAKAGI_MODES, "_embedded_takagi"), (EMBEDDED_TAKAGI_MODES + 1, "_svd_takagi")
+    ])
+    def test_size_picks_the_route(self, monkeypatch, m, route):
+        """Up to EMBEDDED_TAKAGI_MODES modes the whole matrix is embedded;
+        above, one SVD factorizes it (a diagonal S of distinct values couples
+        no indices)."""
+        calls = []
+        for name in ("_embedded_takagi", "_svd_takagi"):
+            def recording(S, name=name, inner=getattr(linalg_module, name)):
+                calls.append((name, S.shape))
+                return inner(S)
+
+            monkeypatch.setattr(linalg_module, name, recording)
+        takagi(np.diag(np.linspace(1.0, 0.1, m)))
+        assert calls == [(route, (m, m))]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8))
@@ -198,7 +230,7 @@ class TestTakagi:
         assert np.all(np.diff(fac.diagonal) <= 1e-12)
 
     @settings(max_examples=200, deadline=None)
-    @given(case=adversarial_spectra())
+    @given(case=adversarial_spectra(max_m=2 * EMBEDDED_TAKAGI_MODES))
     def test_adversarial_spectra_meet_gates(self, case):
         seed, sigma = case
         m = len(sigma)
@@ -245,20 +277,33 @@ def _coupled_families():
 COUPLED = _coupled_families()
 
 
+def _svd_route(S):
+    """takagi's SVD route without its gates, at any size: _svd_takagi of the
+    symmetrized peak-scaled copy, its diagonal times the peak."""
+    scaled, peak = _peak_scaled(S)
+    factor = _svd_takagi((scaled + scaled.T) / 2.0)
+    return TakagiFactorization(V=factor.V, diagonal=factor.diagonal * peak)
+
+
 class TestTakagiAgainstEmbedding:
     """takagi against the real symmetric embedding of the whole matrix, the
-    definition-level reference it falls back to on coupled clusters: equal
-    diagonals, and both factorizations meet the reconstruction and
-    unitarity gates of test_adversarial_spectra_meet_gates."""
+    definition-level reference it falls back to, and, up to
+    EMBEDDED_TAKAGI_MODES, where takagi is that embedding, against the SVD
+    route too: equal diagonals, and every factorization meets the
+    reconstruction and unitarity gates of
+    test_adversarial_spectra_meet_gates."""
 
     def check(self, S):
         m = len(S)
         sigma1 = np.linalg.svd(S, compute_uv=False)[0]
         gate = 1e-10 * max(1.0, sigma1)
         fac = takagi(S)
-        reference = _embedded_takagi(S)
-        assert np.allclose(fac.diagonal, reference.diagonal, rtol=0, atol=1e-12 * max(1.0, sigma1))
-        for f in (fac, reference):
+        references = [_embedded_takagi(S)]
+        if m <= EMBEDDED_TAKAGI_MODES:
+            references.append(_svd_route(S))
+        for reference in references:
+            assert np.allclose(fac.diagonal, reference.diagonal, rtol=0, atol=1e-12 * max(1.0, sigma1))
+        for f in (fac, *references):
             assert np.linalg.norm(f.V.T @ S @ f.V - f.D) <= gate
             assert np.linalg.norm(f.V.conj().T @ f.V - np.eye(m)) <= 1e-10
             assert np.all(f.diagonal >= 0) and np.all(np.diff(f.diagonal) <= 0)
@@ -277,9 +322,11 @@ class TestTakagiAgainstEmbedding:
 
     def test_svd_failure_falls_back_to_the_embedding(self, monkeypatch):
         """Divide and conquer can fail to converge where the embedding's
-        eigensolver does not; takagi then embeds its peak-scaled copy of S
-        whole, and multiplies the diagonal by the peak."""
-        S = _with_spectrum(7, np.array([1.0, 0.8, 0.5, 0.5, 1e-11, 0.0]))
+        eigensolver does not; above EMBEDDED_TAKAGI_MODES, takagi then embeds
+        its peak-scaled copy of S whole, and multiplies the diagonal by the
+        peak. 18 modes: threefold clusters, exact zeros and a value near
+        rounding."""
+        S = _with_spectrum(7, np.repeat([1.0, 0.8, 0.5, 0.2, 1e-11, 0.0], 3))
 
         def failing_svd(a, *args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -293,8 +340,9 @@ class TestTakagiAgainstEmbedding:
         assert np.linalg.norm(fac.V.T @ S @ fac.V - fac.D) <= 1e-10
 
     def test_embedding_failure_is_a_convergence_failure(self, monkeypatch):
-        """With the SVD refused as well, the embedding's eigh is the last
-        resort: its LinAlgError reaches the caller as ConvergenceFailure."""
+        """The embedding's eigh is the route up to EMBEDDED_TAKAGI_MODES and,
+        with the SVD refused, the last resort above: on both, its LinAlgError
+        reaches the caller as ConvergenceFailure."""
         def refused(a):
             raise ConvergenceFailure("SVD refused")
 
@@ -303,16 +351,17 @@ class TestTakagiAgainstEmbedding:
 
         monkeypatch.setattr(linalg_module, "checked_svd", refused)
         monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-        with pytest.raises(ConvergenceFailure, match="Eigenvalues did not converge") as err:
-            takagi(random_complex_symmetric(np.random.default_rng(0), 4))
-        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+        for _, m in ROUTES:
+            with pytest.raises(ConvergenceFailure, match="Eigenvalues did not converge") as err:
+                takagi(random_complex_symmetric(np.random.default_rng(0), m))
+            assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
     def test_non_unitary_singular_vectors_fall_back(self, monkeypatch):
         """Columns of U off unit norm by 1e-9 leave P diagonal, so every
         index looks isolated, and pass the reconstruction gate; only a check
         of U itself keeps V unitary. Divide and conquer can lose 1e-6 of
         orthogonality inside large clusters."""
-        S = _with_spectrum(8, np.array([1.0, 0.9, 0.7, 0.4, 0.2, 0.0]))
+        S = _with_spectrum(8, np.linspace(1.0, 0.0, EMBEDDED_TAKAGI_MODES + 2))
         svd = np.linalg.svd
 
         def skewed_svd(a, *args, **kwargs):
@@ -321,14 +370,14 @@ class TestTakagiAgainstEmbedding:
 
         monkeypatch.setattr(np.linalg, "svd", skewed_svd)
         fac = takagi(S)
-        assert np.linalg.norm(fac.V.conj().T @ fac.V - np.eye(6)) <= 1e-10
+        assert np.linalg.norm(fac.V.conj().T @ fac.V - np.eye(len(S))) <= 1e-10
         assert np.linalg.norm(fac.V.T @ S @ fac.V - fac.D) <= 1e-10
 
     def test_non_unitary_right_singular_vectors_fall_back(self, monkeypatch):
         """P = Sigma W^† conj(U) reads W^† too: a row of W^† leaning 1e-9 on
         the next one leaks into P's diagonal phases and costs V^T S V - D
         ~7e-10, which a check of U alone lets through."""
-        S = _with_spectrum(8, np.array([1.0, 0.9, 0.7, 0.4, 0.2, 0.0]))
+        S = _with_spectrum(8, np.linspace(1.0, 0.0, EMBEDDED_TAKAGI_MODES + 2))
         svd = np.linalg.svd
 
         def skewed_svd(a, *args, **kwargs):
