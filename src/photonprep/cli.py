@@ -75,13 +75,7 @@ def cmd_synth_postselect(args) -> int:
 def cmd_synth_herald(args) -> int:
     state_out = _load_state(args.target)
     result = herald.synthesize_herald(state_out, args.photons)
-    doc = io.synthesis_to_doc(
-        result,
-        "herald",
-        state_out.S,
-        photons=args.photons,
-        payload_modes=state_out.modes,
-    )
+    doc = io.synthesis_to_doc(result, "herald", state_out.S)
     io.dump_json(doc, args.output)
     return EXIT_OK
 
@@ -115,9 +109,9 @@ def cmd_verify(args) -> int:
             d1, d2 = target.shape
             state_in = normalize(decoded["input_state"])
             report = verify.extract_postselected(U, state_in, d1, d2, target=target)
-        else:  # herald
-            n, m = decoded["photons"], decoded["payload_modes"]
-            report = verify.extract_heralded(U, n, decoded["herald"], m, target=target)
+        else:  # herald: the signal fixes the photons, the target the payload modes
+            pattern, m = decoded["herald"], target.shape[0]
+            report = verify.extract_heralded(U, pattern.total + 2, pattern, m, target=target)
         ok = report.verified
         out.update(verified=ok, success_probability=report.probability)
         out["fidelity"] = report.fidelity_vs_target

@@ -10,6 +10,7 @@ in a unitary. Success probability is sigma_max^(-2n).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +34,14 @@ class CnZSpec:
 
 def _check_gate(n: int, phi: float) -> None:
     """Refuse, as ValueError, a qubit count n that is not an integer >= 2 or
-    a phase phi that is not finite."""
+    a phase phi that is not a finite float; an integer beyond the float
+    range is not one."""
     _count(n, 2, "qubit")
-    if not np.isfinite(phi):
+    try:
+        finite = math.isfinite(phi)
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    if not finite:
         raise ValueError(f"phi must be finite, got {phi}")
 
 

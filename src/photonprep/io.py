@@ -7,8 +7,13 @@ cols). matrix_to_doc writes every matrix of every document, and refuses, as
 ValueError, each matrix that matrix_from_doc would refuse on read.
 A synthesis document bundles the unitary with enough context to re-verify
 it from scratch: the kind, kind-specific fields and, for the synthesizers,
-the target. A cnz document records n and phi, which fix its gate, instead
-of the gate's 2^n x 2^n table; the `target` of an older one is not read.
+the target. A herald document states each layout fact once: its herald
+signal fixes the photons (its total + 2) and the herald modes (one per
+entry), its target the payload modes (its rows). A cnz document records n
+and phi, which fix its gate, instead of the gate's 2^n x 2^n table. Fields
+the reader does not know are not read: the `target` of an older cnz
+document, or the `photons`, `payload_modes` and `herald.modes` of an older
+herald one.
 One rule states a synthesis document's fields other than its matrices, and
 the writer runs it on what it returns as the reader runs it on what it reads.
 """
@@ -31,11 +36,11 @@ from .tolerances import CNZ_AMPLITUDE_TOL, DOCUMENT_UNITARITY_TOL
 KINDS = ("postselect", "herald", "cnz")
 # the scalar fields a synthesis document may carry beside aux_modes and
 # success_probability: each integer's least value, or None for a finite number
-_SCALAR_FIELDS = (("n", 2), ("photons", 2), ("payload_modes", 1), ("phi", None))
-# the fields each kind of document must carry
-_REQUIRED = {"postselect": ("input_state",), "herald": ("photons",), "cnz": ("n", "phi")}
+_SCALAR_FIELDS = (("n", 2), ("phi", None))
+# the fields each kind of document must carry beside those of every document
+_REQUIRED = {"postselect": ("input_state",), "herald": (), "cnz": ("n", "phi")}
 # the fields synthesis_to_doc takes as extras; it fills in every other field itself
-_EXTRAS = frozenset(dict(_SCALAR_FIELDS)) | {"input_state"}
+_EXTRAS = frozenset().union(*_REQUIRED.values())
 
 
 def matrix_to_doc(M: Any) -> dict[str, Any]:
@@ -136,7 +141,9 @@ def _check_cnz_target(target: Any, n: int, phi: float) -> None:
     """Raise ValueError unless `target` is, entry by entry within
     CNZ_AMPLITUDE_TOL, the table of the gate that n and phi fix."""
     target = np.asarray(target, dtype=complex)
-    if target.shape != (2**n, 2**n):  # the size is stated as 2^n: n may have thousands of digits
+    side = target.shape[0] if target.ndim == 2 and target.shape[0] == target.shape[1] else 0
+    # 2^n, a power of two of n + 1 bits, is neither formed nor printed: n may have thousands of digits
+    if side & (side - 1) or side.bit_length() != n + 1:
         raise ValueError(f"target: expected the 2^{n} x 2^{n} gate of n = {n}, got shape {target.shape}")
     # NaN fails the comparison, so a NaN entry is off too
     off = ~(_deviation(target.copy(), _gate_phases(n, phi)) <= CNZ_AMPLITUDE_TOL)
@@ -176,11 +183,6 @@ def _fields(doc: dict[str, Any]) -> dict[str, Any]:
             raise DocumentError(
                 f"herald.signal: expected a list of positive integers, got {signal!r}", "herald.signal"
             ) from None
-        # the layout rule: one herald mode per signal entry
-        modes = herald.get("modes", len(signal))
-        if not (_is_int_at_least(modes, 0) and modes == len(signal)):
-            message = f"expected {len(signal)}, one per signal entry, got {modes!r}"
-            raise DocumentError(f"herald.modes: {message}", "herald.modes")
     for key, minimum in _SCALAR_FIELDS:
         if key in doc:
             out[key] = _scalar_from_doc(doc[key], key, minimum)
@@ -189,14 +191,6 @@ def _fields(doc: dict[str, Any]) -> dict[str, Any]:
         raise DocumentError(f"{'/'.join(required)}: required for {kind} documents", required[0])
     if kind != "cnz":  # the synthesizers' layout; verify_cnz checks the cnz one
         shape = doc["target"]["rows"], doc["target"]["cols"]
-        if kind == "herald":  # the signal fixes the photons, the target the payload modes
-            photons, total = out["photons"], out["herald"].total
-            if photons != total + 2:
-                message = f"expected {total + 2}, as the herald signal sums to {total}, got {photons}"
-                raise DocumentError(f"photons: {message}", "photons")
-            if out.setdefault("payload_modes", shape[0]) != shape[0]:
-                message = f"expected {shape[0]}, the target's rows, got {out['payload_modes']}"
-                raise DocumentError(f"payload_modes: {message}", "payload_modes")
         rows = doc["unitary"]["rows"]
         aux = _aux_modes(rows, shape[0] if kind == "herald" else sum(shape), out["herald"])
         if aux < 0:  # the target does not fit: it is at fault, not aux_modes
@@ -212,11 +206,13 @@ def synthesis_to_doc(
     result: SynthesisResult, kind: str, target: np.ndarray, **extras: Any
 ) -> dict[str, Any]:
     """The synthesis document of `result`, which synthesis_from_doc reads
-    back. The extras are n, photons, payload_modes, phi and input_state (a
-    matrix, for post-selection only); the document's fields are held to the
-    reader's rule, as ValueError with the reader's words, and its matrices to
-    matrix_to_doc's. A cnz document records n and phi instead of `target`,
-    which must be the table of the gate they fix (ValueError otherwise)."""
+    back. The extras are n and phi, which a cnz document carries, and
+    input_state (a matrix, for post-selection only); a herald document takes
+    none, as its signal and target fix its layout. The document's fields are
+    held to the reader's rule, as ValueError with the reader's words, and its
+    matrices to matrix_to_doc's. A cnz document records n and phi instead of
+    `target`, which must be the table of the gate they fix (ValueError
+    otherwise)."""
     if kind not in KINDS:
         raise ValueError(f"unknown synthesis kind {kind!r}")
     if not extras.keys() <= _EXTRAS:
@@ -230,11 +226,7 @@ def synthesis_to_doc(
     }
     if kind != "cnz":
         doc["target"] = matrix_to_doc(target)
-    doc["herald"] = (
-        {"modes": result.herald.herald_modes, "signal": list(result.herald.signal)}
-        if result.herald is not None
-        else None
-    )
+    doc["herald"] = {"signal": list(result.herald.signal)} if result.herald is not None else None
     doc.update(extras)
     if doc.get("input_state") is not None:  # by identity: a matrix has no truth value
         doc["input_state"] = matrix_to_doc(doc["input_state"])

@@ -250,6 +250,16 @@ class TestVerifyPhi:
         assert main(["verify", "--input", str(cz_doc)]) == 2
         assert "phi" in capsys.readouterr().err
 
+    def test_integer_beyond_int64_is_a_failed_verification(self, cz_doc, capsys):
+        """phi = 10^30 is a finite JSON number that numpy holds only as an
+        object: the CZ circuit is not its gate (exit 3), and no traceback."""
+        doc = json.loads(cz_doc.read_text())
+        doc["phi"] = 10**30
+        cz_doc.write_text(json.dumps(doc))
+        assert main(["verify", "--input", str(cz_doc)]) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["verified"] is False and captured.err == ""
+
     def test_document_with_legacy_alpha_verifies(self, cz_doc, capsys):
         """Documents written before the alpha field was dropped still verify."""
         doc = json.loads(cz_doc.read_text())
@@ -350,15 +360,16 @@ class TestSynthHerald:
         )
 
 
-class TestVerifyRejectsMalformedHeraldDocument:
-    @pytest.fixture
-    def bell_doc(self, bell_state_file, tmp_path, capsys):
-        out = tmp_path / "herald.json"
-        args = ["synth-herald", "--target", bell_state_file, "--photons", "4", "--output", str(out)]
-        assert main(args) == 0
-        capsys.readouterr()
-        return out
+@pytest.fixture
+def bell_doc(bell_state_file, tmp_path, capsys):
+    out = tmp_path / "herald.json"
+    args = ["synth-herald", "--target", bell_state_file, "--photons", "4", "--output", str(out)]
+    assert main(args) == 0
+    capsys.readouterr()
+    return out
 
+
+class TestVerifyRejectsMalformedHeraldDocument:
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -366,14 +377,6 @@ class TestVerifyRejectsMalformedHeraldDocument:
             ("signal", "2"),
             ("signal", [True, True]),
             ("signal", 5),
-            # one herald mode per signal entry
-            ("modes", 7),
-            ("modes", "x"),
-            ("payload_modes", "4"),
-            ("payload_modes", 4.5),
-            ("payload_modes", True),
-            # more payload modes than the unitary's 9 rows
-            ("payload_modes", 99),
             # 4 payload + 1 herald + 4 auxiliary modes
             ("aux_modes", 0),
             ("aux_modes", 42),
@@ -381,7 +384,7 @@ class TestVerifyRejectsMalformedHeraldDocument:
     )
     def test_malformed_input_exit_code(self, bell_doc, capsys, field, value):
         doc = json.loads(bell_doc.read_text())
-        if field in ("signal", "modes"):
+        if field == "signal":
             doc["herald"][field] = value
         else:
             doc[field] = value
@@ -390,13 +393,26 @@ class TestVerifyRejectsMalformedHeraldDocument:
         assert field in capsys.readouterr().err
 
     def test_signal_not_summing_to_n_minus_2(self, bell_doc, capsys):
-        """The Bell circuit's 4 photons need a signal of 2: a signal of 1 is a
-        SignalMismatch, an input error (exit 2)."""
+        """The signal fixes the photons: a signal of 1 describes 3 photons,
+        whose heralded state through the Bell circuit is not the Bell pair.
+        The oracle refuses it (exit 3), with no error."""
         doc = json.loads(bell_doc.read_text())
         doc["herald"]["signal"] = [1]
         bell_doc.write_text(json.dumps(doc))
+        assert main(["verify", "--input", str(bell_doc)]) == 3
+        captured = capsys.readouterr()
+        verdict = json.loads(captured.out)
+        assert verdict["verified"] is False and verdict["fidelity"] < 0.6
+        assert captured.err == ""
+
+    def test_document_without_a_herald_is_refused_by_aux_modes(self, bell_doc, capsys):
+        """Without its signal (2,), the 9 rows leave 5 auxiliary modes past the
+        4-mode payload, not the document's 4."""
+        doc = json.loads(bell_doc.read_text())
+        del doc["herald"]
+        bell_doc.write_text(json.dumps(doc))
         assert main(["verify", "--input", str(bell_doc)]) == 2
-        assert "signal sums to 1" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: aux_modes: ")
 
     def test_two_photon_document_has_empty_signal(self, tmp_path, capsys):
         state = random_state_of_rank(np.random.default_rng(3), 3, 2)
@@ -405,6 +421,51 @@ class TestVerifyRejectsMalformedHeraldDocument:
         assert main(["synth-herald", "--target", path, "--photons", "2", "--output", str(out)]) == 0
         assert json.loads(out.read_text())["herald"]["signal"] == []
         assert main(["verify", "--input", str(out)]) == 0
+
+
+class TestHeraldDocumentFormat:
+    """A herald document states each layout fact once: its signal fixes the
+    photons and the herald modes, its target the payload modes."""
+
+    def test_written_keys(self, bell_doc):
+        doc = json.loads(bell_doc.read_text())
+        assert list(doc) == ["kind", "unitary", "aux_modes", "success_probability", "target", "herald"]
+        assert doc["herald"] == {"signal": [2]}
+
+    @pytest.mark.parametrize(
+        "photons, payload_modes, modes",
+        [(4, 4, 1), (7, 99, 3)],
+        ids=["as-written-before", "contradicting"],
+    )
+    def test_retired_keys_leave_the_verdict_as_it_is(self, bell_doc, capsys, photons, payload_modes, modes):
+        """A document written while herald documents carried photons,
+        payload_modes and herald.modes verifies with the same output,
+        whatever they hold."""
+        assert main(["verify", "--input", str(bell_doc)]) == 0
+        expected = capsys.readouterr().out
+        doc = json.loads(bell_doc.read_text())
+        doc.update(photons=photons, payload_modes=payload_modes)
+        doc["herald"]["modes"] = modes
+        bell_doc.write_text(json.dumps(doc))
+        assert main(["verify", "--input", str(bell_doc)]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("modes", 7), ("modes", "x"), ("payload_modes", "4"), ("payload_modes", 4.5),
+         ("payload_modes", True), ("payload_modes", 99)],
+    )
+    def test_a_retired_key_verify_once_refused_is_not_read(self, bell_doc, capsys, field, value):
+        """The values verify refused (exit 2) while the format carried
+        herald.modes and payload_modes now leave its output as it is."""
+        assert main(["verify", "--input", str(bell_doc)]) == 0
+        expected = capsys.readouterr().out
+        doc = json.loads(bell_doc.read_text())
+        (doc["herald"] if field == "modes" else doc)[field] = value
+        bell_doc.write_text(json.dumps(doc))
+        assert main(["verify", "--input", str(bell_doc)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected and captured.err == ""
 
 
 class TestSynthPostselect:

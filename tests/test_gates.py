@@ -65,7 +65,9 @@ class TestSuccessProbability:
         )
         assert cnz_success_probability(2, -1.0) < 1.0
 
-    @pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "phi", [float("nan"), float("inf"), -float("inf"), pytest.param(10**400, id="10**400")]
+    )
     def test_non_finite_phase_rejected(self, phi):
         with pytest.raises(ValueError, match="phi"):
             build_cnz(2, phi)
@@ -101,9 +103,21 @@ class TestArgumentRefusals:
             with pytest.raises(ValueError, match=match):
                 build_cnz(n, phi)
 
-    @pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+    @pytest.mark.parametrize(
+        "phi",
+        # 10^400 is an integer beyond the float range: no finite float
+        [float("nan"), float("inf"), -float("inf"), np.float64("nan"), pytest.param(10**400, id="10**400")],
+    )
     def test_non_finite_phase(self, monkeypatch, phi):
         self._refused(monkeypatch, 2, phi, "phi must be finite")
+
+    def test_integer_beyond_int64_builds_and_verifies(self):
+        """numpy holds 10^30 only as an object, but it is the float 1e30:
+        the gate is built, priced and verified as that of phi = 1e30."""
+        result, spec = build_cnz(2, 10**30)
+        assert verify_cnz(result, 2, 10**30)
+        assert np.array_equal(result.unitary, build_cnz(2, 1e30)[0].unitary)
+        assert cnz_success_probability(2, 10**30) == spec.p_s == cnz_success_probability(2, 1e30)
 
     @pytest.mark.parametrize("n", [-1, 0, 1, np.int64(1)])
     def test_fewer_than_two_qubits(self, monkeypatch, n):

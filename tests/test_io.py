@@ -259,7 +259,7 @@ class TestIntegerFields:
     def herald_doc(self):
         state = normalize(np.eye(4, dtype=complex))
         result = synthesize_herald(state, 4)
-        return synthesis_to_doc(result, "herald", state.S, photons=4, payload_modes=4)
+        return synthesis_to_doc(result, "herald", state.S)
 
     @pytest.fixture
     def cnz_doc(self):
@@ -268,8 +268,7 @@ class TestIntegerFields:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("photons", True), ("photons", 1), ("payload_modes", 0), ("aux_modes", -1),
-         ("aux_modes", "0"), ("aux_modes", 1.5)],
+        [("aux_modes", -1), ("aux_modes", "0"), ("aux_modes", 1.5)],
     )
     def test_herald_rejects(self, herald_doc, field, value):
         herald_doc[field] = value
@@ -285,26 +284,15 @@ class TestIntegerFields:
             synthesis_from_doc(herald_doc)
         assert err.value.field == "aux_modes"
 
-    def test_payload_beyond_the_rows_names_the_payload(self, herald_doc):
-        """The payload is the 4 x 4 target's modes: 99 is refused as such,
-        not as an aux_modes count of -91."""
-        herald_doc["payload_modes"] = 99
-        with pytest.raises(DocumentError, match="^payload_modes: expected 4, the target's rows, got 99$") as err:
-            synthesis_from_doc(herald_doc)
-        assert err.value.field == "payload_modes"
-
     def test_herald_document_without_a_herald_has_the_empty_signal(self):
         """Two photons need no herald mode: a null herald decodes as the
         empty signal, and the 3 + 0 + 2 layout holds."""
         state = normalize(np.diag([1.0, 1.0, 0.0]).astype(complex))
-        doc = synthesis_to_doc(synthesize_herald(state, 2), "herald", state.S, photons=2)
+        doc = synthesis_to_doc(synthesize_herald(state, 2), "herald", state.S)
+        assert doc["herald"] == {"signal": []}
         doc["herald"] = None
         decoded = synthesis_from_doc(doc)
-        assert decoded["herald"].signal == () and decoded["payload_modes"] == 3
-
-    def test_payload_modes_default_to_the_target(self, herald_doc):
-        del herald_doc["payload_modes"]
-        assert synthesis_from_doc(herald_doc)["payload_modes"] == 4
+        assert decoded["herald"].signal == () and decoded["target"].shape == (3, 3)
 
     @pytest.mark.parametrize("signal", [[0], [2, -1], None])
     def test_signal_rejects(self, herald_doc, signal):
@@ -312,28 +300,6 @@ class TestIntegerFields:
         with pytest.raises(DocumentError) as err:
             synthesis_from_doc(herald_doc)
         assert err.value.field == "herald.signal"
-
-    @pytest.mark.parametrize("modes", [7, 0, 2, -1, "x", "1", 1.0, True, None])
-    def test_herald_modes_must_match_the_signal(self, herald_doc, modes):
-        """The signal (2,) lays out one herald mode: any other modes field is
-        an input error, not a document that verifies."""
-        herald_doc["herald"]["modes"] = modes
-        with pytest.raises(DocumentError) as err:
-            synthesis_from_doc(herald_doc)
-        assert err.value.field == "herald.modes"
-
-    def test_herald_modes_may_be_left_out(self, herald_doc):
-        del herald_doc["herald"]["modes"]
-        assert synthesis_from_doc(herald_doc)["herald"].herald_modes == 1
-
-    def test_herald_modes_of_the_empty_signal(self):
-        state = normalize(np.diag([1.0, 1.0, 0.0]).astype(complex))
-        doc = synthesis_to_doc(synthesize_herald(state, 2), "herald", state.S, photons=2)
-        assert doc["herald"] == {"modes": 0, "signal": []}
-        assert synthesis_from_doc(doc)["herald"].signal == ()
-        doc["herald"]["modes"] = 1
-        with pytest.raises(DocumentError, match="herald.modes"):
-            synthesis_from_doc(doc)
 
     @pytest.mark.parametrize("value", [True, 1])
     def test_cnz_rejects_n(self, cnz_doc, value):
@@ -344,8 +310,8 @@ class TestIntegerFields:
 
     def test_accepts_written_documents(self, herald_doc, cnz_doc):
         decoded = synthesis_from_doc(herald_doc)
-        assert (decoded["photons"], decoded["payload_modes"]) == (4, 4)
-        assert decoded["herald"].signal == (2,)
+        assert decoded["herald"].signal == (2,) and decoded["target"].shape == (4, 4)
+        assert not {"photons", "payload_modes"} & decoded.keys()
         assert synthesis_from_doc(cnz_doc)["n"] == 2
 
 
@@ -353,7 +319,7 @@ class TestSynthesisDocumentRefusals:
     @pytest.fixture
     def docs(self):
         state = normalize(np.eye(4, dtype=complex))
-        herald = synthesis_to_doc(synthesize_herald(state, 4), "herald", state.S, photons=4)
+        herald = synthesis_to_doc(synthesize_herald(state, 4), "herald", state.S)
         state_in, target = normalize(np.eye(3, dtype=complex)), QuditTarget(np.eye(2) / np.sqrt(2))
         postselect = synthesis_to_doc(
             synthesize_postselect(state_in, target), "postselect", target.C,
@@ -368,7 +334,8 @@ class TestSynthesisDocumentRefusals:
             ("herald", lambda doc: {**doc, "kind": "hom"}, "kind"),
             ("herald", lambda doc: {**doc, "herald": {"modes": 1}}, "herald.signal"),
             ("herald", lambda doc: {**doc, "herald": [2]}, "herald.signal"),
-            ("herald", lambda doc: {k: v for k, v in doc.items() if k != "photons"}, "photons"),
+            # without its signal (2,), the 4 + 0 + 4 layout leaves 5 auxiliaries of the 9 rows, not 4
+            ("herald", lambda doc: {k: v for k, v in doc.items() if k != "herald"}, "aux_modes"),
             ("postselect", lambda doc: {k: v for k, v in doc.items() if k != "input_state"}, "input_state"),
             ("postselect", lambda doc: {**doc, "input_state": None}, "input_state"),
             # a 9 x 9 target needs 18 payload modes of the 7-mode circuit
@@ -391,6 +358,71 @@ class TestSynthesisDocumentRefusals:
             load_json(str(tmp_path / "missing.json"))
         with pytest.raises(DocumentError, match="cannot read"):
             load_json(str(tmp_path))
+
+
+class TestDocumentKeys:
+    """Each kind of document carries its own key set, and a herald document
+    states each layout fact once: its signal fixes the photons (its total +
+    2) and the herald modes (one per entry), its target the payload modes."""
+
+    BELL = from_qudit_target(QuditTarget(np.eye(2) / np.sqrt(2)))
+    COMMON = ["kind", "unitary", "aux_modes", "success_probability"]
+
+    @pytest.fixture
+    def herald_doc(self):
+        return synthesis_to_doc(synthesize_herald(self.BELL, 4), "herald", self.BELL.S)
+
+    def test_each_kind_has_its_keys(self, herald_doc):
+        assert list(herald_doc) == [*self.COMMON, "target", "herald"]
+        assert herald_doc["herald"] == {"signal": [2]}
+        cnz = synthesis_to_doc(build_cnz(2, np.pi)[0], "cnz", CZ, n=2, phi=np.pi)
+        assert list(cnz) == [*self.COMMON, "herald", "n", "phi"] and cnz["herald"] is None
+        state_in, pair = normalize(np.eye(3, dtype=complex)), QuditTarget(np.eye(2) / np.sqrt(2))
+        postselect = synthesis_to_doc(
+            synthesize_postselect(state_in, pair), "postselect", pair.C, input_state=state_in.S
+        )
+        assert list(postselect) == [*self.COMMON, "target", "herald", "input_state"]
+        assert postselect["herald"] is None
+
+    @pytest.mark.parametrize(
+        "photons, payload_modes, modes",
+        [(4, 4, 1), (7, 99, 3), (True, "x", None)],
+        ids=["as-written-before", "contradicting", "malformed"],
+    )
+    def test_retired_keys_are_not_read(self, herald_doc, photons, payload_modes, modes):
+        """A herald document written while it still carried photons,
+        payload_modes and herald.modes decodes as one without them, whatever
+        they hold: its signal and target decide."""
+        legacy = json.loads(json.dumps(herald_doc))
+        legacy.update(photons=photons, payload_modes=payload_modes)
+        legacy["herald"]["modes"] = modes
+        self.assert_decodes_alike(legacy, herald_doc)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            *(("herald.modes", modes) for modes in [-1, 0, 1.0, 1, 2, 7, None, True, "x"]),
+            ("payload_modes", 0),
+            ("photons", 1),
+            ("photons", True),
+        ],
+    )
+    def test_a_retired_key_is_not_read(self, herald_doc, key, value):
+        """Each value the reader once refused or checked against the signal
+        and target, alone, leaves the decoding as it is."""
+        legacy = json.loads(json.dumps(herald_doc))
+        if key == "herald.modes":
+            legacy["herald"]["modes"] = value
+        else:
+            legacy[key] = value
+        self.assert_decodes_alike(legacy, herald_doc)
+
+    @staticmethod
+    def assert_decodes_alike(doc, reference):
+        decoded, expected = synthesis_from_doc(doc), synthesis_from_doc(reference)
+        assert decoded.keys() == expected.keys()
+        for key, value in expected.items():
+            assert np.array_equal(decoded[key], value) if key in ("unitary", "target") else decoded[key] == value
 
 
 class TestPhi:
@@ -454,6 +486,9 @@ class TestCnzDocument:
             pytest.param(np.eye(8), r"2\^2 x 2\^2 gate of n = 2, got shape \(8, 8\)", id="wider"),
             pytest.param(np.array([[5.0]]), r"got shape \(1, 1\)", id="1x1"),
             pytest.param(CZ[0], r"got shape \(4,\)", id="vector"),
+            # 6 has the 3 bits of 2^2, but is no power of two
+            pytest.param(np.eye(6), r"2\^2 x 2\^2 gate of n = 2, got shape \(6, 6\)", id="6x6"),
+            pytest.param(np.eye(4)[:, :2], r"got shape \(4, 2\)", id="non-square"),
             pytest.param(np.where(np.eye(4, k=1) == 1, np.nan, CZ), r"entry \(0, 1\) is \(nan", id="nan"),
             pytest.param(CZ + 2e-9, r"entry \(0, 0\)", id="beyond-tolerance"),
         ],
@@ -518,7 +553,7 @@ class TestCnzDocument:
 
     def test_synthesizer_documents_keep_their_target(self):
         state = normalize(np.diag([1.0, 1.0, 0.0]).astype(complex))
-        doc = synthesis_to_doc(synthesize_herald(state, 2), "herald", state.S, photons=2)
+        doc = synthesis_to_doc(synthesize_herald(state, 2), "herald", state.S)
         assert list(doc)[:6] == ["kind", "unitary", "aux_modes", "success_probability", "target", "herald"]
         assert np.array_equal(synthesis_from_doc(doc)["target"], state.S)
 
@@ -534,7 +569,7 @@ class TestWriterFields:
     PAIR = QuditTarget(np.eye(2) / np.sqrt(2))
     VALID = {
         "cnz": {"n": 2, "phi": np.pi},
-        "herald": {"photons": 4, "payload_modes": 4},
+        "herald": {},
         "postselect": {"input_state": STATE_IN.S},
     }
 
@@ -558,17 +593,7 @@ class TestWriterFields:
             ("cnz", "n", True, "n"),
             ("cnz", "n", None, "n"),
             ("cnz", "phi", None, "n"),
-            ("herald", "photons", 4.0, "photons"),
-            ("herald", "photons", True, "photons"),
-            ("herald", "payload_modes", 4.0, "payload_modes"),
-            ("herald", "payload_modes", 0, "payload_modes"),
-            ("herald", "photons", None, "photons"),
             ("postselect", "input_state", None, "input_state"),
-            # the payload is the 4-mode Bell target's, and the signal (2,) fixes 4 photons
-            ("herald", "payload_modes", 3, "payload_modes"),
-            ("herald", "payload_modes", 99, "payload_modes"),
-            ("herald", "photons", 5, "photons"),
-            ("herald", "photons", 3, "photons"),
             ("herald", "success_probability", float("nan"), "success_probability"),
             ("herald", "success_probability", 1.5, "success_probability"),
             ("postselect", "success_probability", -0.5, "success_probability"),
@@ -613,15 +638,17 @@ class TestWriterFields:
         assert str(read.value) == f"input_state: only postselect documents carry one, not {kind} documents"
 
     @pytest.mark.parametrize(
-        "key", ["alpha", "unitary", "aux_modes", "success_probability", "herald", "input"]
+        "key",
+        ["alpha", "unitary", "aux_modes", "success_probability", "herald", "input", "photons", "payload_modes"],
     )
     def test_refuses_an_extra_it_does_not_take(self, cnz, key):
         """An extra named after a field the writer fills in would overwrite
         it: a CZ document with an I_8 unitary extra would read back and fail
-        verify_cnz."""
+        verify_cnz. photons and payload_modes, which herald documents no
+        longer carry, are refused like any other name."""
         result, target = cnz
         value = matrix_to_doc(np.eye(8)) if key == "unitary" else 0
-        message = f"^{key}: not among the extras input_state, n, payload_modes, phi, photons$"
+        message = f"^{key}: not among the extras input_state, n, phi$"
         with pytest.raises(ValueError, match=message):
             synthesis_to_doc(result, "cnz", target, n=2, phi=np.pi, **{key: value})
 
@@ -648,14 +675,25 @@ class TestWriterFields:
         with pytest.raises(ValueError, match=message):
             synthesis_to_doc(cnz[0], "cnz", CZ, n=n, phi=1.0)
 
+    def test_table_size_is_refused_without_forming_it(self, cnz):
+        """The side 2^n is tested by its bits: n = 10^8 is refused without a
+        number of 10^8 bits, or any table, in memory."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^target: expected the 2\^100000000 x 2\^100000000 gate"):
+                synthesis_to_doc(cnz[0], "cnz", CZ, n=10**8, phi=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize(
         "kind, extras",
         [
             ("cnz", {"n": 2, "phi": np.pi}),
             ("cnz", {"n": 2, "phi": 3}),
             ("cnz", {"n": 2, "phi": -1e308}),
-            ("herald", {"photons": 4}),
-            ("herald", {"photons": 4, "payload_modes": 4}),
+            ("herald", {}),
             ("postselect", VALID["postselect"]),
         ],
     )
