@@ -35,14 +35,15 @@ class CnZSpec:
 def _check_gate(n: int, phi: float) -> None:
     """Refuse, as ValueError, a qubit count n that is not an integer >= 2 or
     a phase phi that is not a finite float; an integer beyond the float
-    range is not one."""
+    range is not one, and its digits are not printed."""
     _count(n, 2, "qubit")
     try:
         finite = math.isfinite(phi)
     except (TypeError, ValueError, OverflowError):
         finite = False
     if not finite:
-        raise ValueError(f"phi must be finite, got {phi}")
+        got = repr(phi) if isinstance(phi, float) else type(phi).__name__
+        raise ValueError(f"phi must be finite, got {got}")
 
 
 def cnz_alpha(n: int, phi: float) -> complex:

@@ -10,10 +10,11 @@ it from scratch: the kind, kind-specific fields and, for the synthesizers,
 the target. A herald document states each layout fact once: its herald
 signal fixes the photons (its total + 2) and the herald modes (one per
 entry), its target the payload modes (its rows). A cnz document records n
-and phi, which fix its gate, instead of the gate's 2^n x 2^n table. Fields
-the reader does not know are not read: the `target` of an older cnz
-document, or the `photons`, `payload_modes` and `herald.modes` of an older
-herald one.
+and phi, which fix its gate, instead of the gate's 2^n x 2^n table. Each
+kind reads only its own fields: n and phi in any other document, or an
+input_state outside post-selection, are refused. Fields the reader does not
+know are not read: the `target` of an older cnz document, or the `photons`,
+`payload_modes` and `herald.modes` of an older herald one.
 One rule states a synthesis document's fields other than its matrices, and
 the writer runs it on what it returns as the reader runs it on what it reads.
 """
@@ -34,10 +35,11 @@ from .verify import HeraldPattern, SynthesisResult, _aux_modes
 from .tolerances import CNZ_AMPLITUDE_TOL, DOCUMENT_UNITARITY_TOL
 
 KINDS = ("postselect", "herald", "cnz")
-# the scalar fields a synthesis document may carry beside aux_modes and
+# the scalar fields a cnz document carries beside aux_modes and
 # success_probability: each integer's least value, or None for a finite number
 _SCALAR_FIELDS = (("n", 2), ("phi", None))
-# the fields each kind of document must carry beside those of every document
+# the fields each kind of document must carry beside those of every document;
+# a document of another kind carries none of them
 _REQUIRED = {"postselect": ("input_state",), "herald": (), "cnz": ("n", "phi")}
 # the fields synthesis_to_doc takes as extras; it fills in every other field itself
 _EXTRAS = frozenset().union(*_REQUIRED.values())
@@ -160,10 +162,12 @@ def _fields(doc: dict[str, Any]) -> dict[str, Any]:
     its unitary and target (but for cnz) are well-formed matrix documents,
     so their rows and cols are read as given."""
     kind = doc["kind"]
-    # a null input_state counts as absent
-    if kind != "postselect" and doc.get("input_state") is not None:
-        message = f"only postselect documents carry one, not {kind} documents"
-        raise DocumentError(f"input_state: {message}", "input_state")
+    required = _REQUIRED[kind]
+    for key in sorted(_EXTRAS):
+        if key not in required and doc.get(key) is not None:  # a null field counts as absent
+            carriers = " and ".join(k for k in KINDS if key in _REQUIRED[k])
+            message = f"only {carriers} documents carry one, not {kind} documents"
+            raise DocumentError(f"{key}: {message}", key)
     out: dict[str, Any] = {
         "aux_modes": _int_from_doc(doc.get("aux_modes", 0), "aux_modes", 0),
         "success_probability": _probability_from_doc(doc.get("success_probability")),
@@ -184,9 +188,8 @@ def _fields(doc: dict[str, Any]) -> dict[str, Any]:
                 f"herald.signal: expected a list of positive integers, got {signal!r}", "herald.signal"
             ) from None
     for key, minimum in _SCALAR_FIELDS:
-        if key in doc:
+        if key in required and key in doc:
             out[key] = _scalar_from_doc(doc[key], key, minimum)
-    required = _REQUIRED[kind]
     if any(doc.get(key) is None for key in required):  # by identity: a field may hold an array
         raise DocumentError(f"{'/'.join(required)}: required for {kind} documents", required[0])
     if kind != "cnz":  # the synthesizers' layout; verify_cnz checks the cnz one
@@ -206,13 +209,13 @@ def synthesis_to_doc(
     result: SynthesisResult, kind: str, target: np.ndarray, **extras: Any
 ) -> dict[str, Any]:
     """The synthesis document of `result`, which synthesis_from_doc reads
-    back. The extras are n and phi, which a cnz document carries, and
-    input_state (a matrix, for post-selection only); a herald document takes
-    none, as its signal and target fix its layout. The document's fields are
-    held to the reader's rule, as ValueError with the reader's words, and its
-    matrices to matrix_to_doc's. A cnz document records n and phi instead of
-    `target`, which must be the table of the gate they fix (ValueError
-    otherwise)."""
+    back. The extras are n and phi, which only a cnz document carries, and
+    input_state (a matrix), which only a post-selection document carries; a
+    herald document takes none, as its signal and target fix its layout. The
+    document's fields are held to the reader's rule, as ValueError with the
+    reader's words, and its matrices to matrix_to_doc's. A cnz document
+    records n and phi instead of `target`, which must be the table of the
+    gate they fix (ValueError otherwise)."""
     if kind not in KINDS:
         raise ValueError(f"unknown synthesis kind {kind!r}")
     if not extras.keys() <= _EXTRAS:

@@ -18,15 +18,14 @@ from .tolerances import (
 )
 
 
-# takagi embeds S whole up to this many modes and takes its SVD above. CPU µs
-# per takagi call, 1 BLAS thread, AMD EPYC (SVD route -> whole embedding),
-# median over 8 generic S and 3 d-rail states (every value twice) per m:
+# takagi embeds an S that is not bipartite whole up to this many modes and
+# takes its SVD above. CPU µs per takagi call, 1 BLAS thread, AMD EPYC (SVD
+# route -> whole embedding), median over 8 generic S per m:
 #   m         8         10         11         12         16         20
 #   generic   95 -> 83  105 -> 103 110 -> 111 114 -> 120 148 -> 161 185 -> 220
-#   d-rail    164 -> 77 187 -> 92  191 -> 124 210 -> 112 281 -> 142 390 -> 197
 # The cut sits at the generic break-even, m = 10: above it the embedding is
-# slower on most generic S (6 of 8 at m = 11 and 12), though still 1.5-2x
-# faster on d-rail states.
+# slower on most generic S (6 of 8 at m = 11 and 12). Bipartite S, the
+# d-rail states among them, take the closed form at every size instead.
 EMBEDDED_TAKAGI_MODES = 10
 
 
@@ -53,14 +52,17 @@ def takagi(S: np.ndarray) -> TakagiFactorization:
     """Takagi (Autonne) factorization of a complex symmetric matrix.
 
     Every cut and gate reads one copy, S / peak symmetrized (see _peak_scaled).
-    An m x m copy with m <= EMBEDDED_TAKAGI_MODES is factorized from its whole
-    real embedding (see _embedded_takagi), one eigh of size 2m; a larger one
-    from one SVD (see _svd_takagi), or from its whole embedding when
-    checked_svd raises ConvergenceFailure. The size rule reads m alone; the
-    timings it rests on are kept with EMBEDDED_TAKAGI_MODES. Values at or
-    below the cut TAKAGI_CUT m sigma_1 are set to 0 and the diagonal is sorted
-    descending; ||V^T S V - D||_F of the copy must lie within
-    TAKAGI_RECONSTRUCTION_TOL sigma_1 on either route. The diagonal is
+    A copy that is bipartite, [[0, B], [B^T, 0]] for the first d1 that fits
+    (see _bipartition), as every from_qudit_target state is, is factorized in
+    closed form from the SVD of B (see _bipartite_takagi), at any size. Any
+    other m x m copy with m <= EMBEDDED_TAKAGI_MODES is factorized from its
+    whole real embedding (see _embedded_takagi), one eigh of size 2m; a larger
+    one from one SVD (see _svd_takagi). Either SVD route takes the whole
+    embedding when checked_svd raises ConvergenceFailure. The size rule reads
+    m alone; the timings it rests on are kept with EMBEDDED_TAKAGI_MODES.
+    Values at or below the cut TAKAGI_CUT m sigma_1 are set to 0 and the
+    diagonal is sorted descending; ||V^T S V - D||_F of the copy must lie
+    within TAKAGI_RECONSTRUCTION_TOL sigma_1 on every route. The diagonal is
     multiplied by peak on return, and a sigma_1 that then overflows raises
     ConvergenceFailure. S and 2^k S share V.
     """
@@ -77,11 +79,12 @@ def takagi(S: np.ndarray) -> TakagiFactorization:
         raise NotSymmetric(f"||S - S^T||_F/||S||_F = {asymmetry / norm:.3e} exceeds {SYMMETRY_TOL}")
     scaled = (scaled + scaled.T) / 2.0
 
-    if len(scaled) <= EMBEDDED_TAKAGI_MODES:
+    d1 = _bipartition(scaled)
+    if len(scaled) <= EMBEDDED_TAKAGI_MODES and not d1:
         factor = _embedded_takagi(scaled)
     else:
         try:
-            factor = _svd_takagi(scaled)
+            factor = _bipartite_takagi(scaled[:d1, d1:]) if d1 else _svd_takagi(scaled)
         except ConvergenceFailure:
             factor = _embedded_takagi(scaled)
     residual = factor.V.T @ scaled @ factor.V
@@ -95,9 +98,55 @@ def takagi(S: np.ndarray) -> TakagiFactorization:
     return TakagiFactorization(V=factor.V, diagonal=diagonal)
 
 
+def _bipartition(S: np.ndarray) -> int:
+    """The first d1 with S[:d1, :d1] = 0 and S[d1:, d1:] = 0 for an m x m S
+    with m >= 2, or 0 when there is none. A nonzero diagonal entry, as a
+    generic S has, rules every d1 out before S is scanned. Otherwise a
+    nonzero S_ij lies in S[d1:, d1:] exactly when d1 <= min(i, j), and in
+    S[:d1, :d1] exactly when d1 > max(i, j), so the first d1 clearing the
+    one block is the only candidate for the other. The zero S gives 1."""
+    if len(S) < 2 or S.diagonal().any():
+        return 0
+    i, j = np.nonzero(S)
+    if not len(i):
+        return 1
+    d1 = int(np.minimum(i, j).max()) + 1
+    return d1 if np.maximum(i, j).min() >= d1 else 0
+
+
+def _bipartite_takagi(B: np.ndarray) -> TakagiFactorization:
+    """Takagi factors of S = [[0, B], [B^T, 0]] for a d1 x d2 B, in closed
+    form from its checked SVD B = U Sigma W^†, as takagi and build_sps read
+    them.
+
+    With p = min(d1, d2), q_i = [u_i; conj(w_i)] / sqrt(2) and
+    q'_i = i [u_i; -conj(w_i)] / sqrt(2) satisfy S conj(q) = sigma_i q, so
+    each sigma_i comes twice, with Takagi vectors conj(q_i) and conj(q'_i);
+    the remaining columns of U and of conj(W), each padded with zeros,
+    complete them with value 0. The pairs are interleaved, so the diagonal
+    descends. Values at or below the cut TAKAGI_CUT (d1 + d2) sigma_1 are set
+    to 0. checked_svd's ConvergenceFailure propagates.
+    """
+    (d1, d2), m = B.shape, sum(B.shape)
+    u, sigma, wh = checked_svd(B)
+    sigma = np.where(sigma > TAKAGI_CUT * m * sigma[0], sigma, 0.0)
+    wc = wh.T  # conj(W)
+    p = len(sigma)
+    q = np.concatenate([u[:, :p], wc[:, :p]]) / np.sqrt(2.0)
+    Q = np.zeros((m, m), dtype=complex)
+    Q[:, : 2 * p : 2] = q
+    Q[:d1, 1 : 2 * p : 2] = 1j * q[:d1]
+    Q[d1:, 1 : 2 * p : 2] = -1j * q[d1:]
+    Q[:d1, 2 * p : d1 + p] = u[:, p:]
+    Q[d1:, d1 + p :] = wc[:, p:]
+    diagonal = np.zeros(m)
+    diagonal[: 2 * p : 2] = diagonal[1 : 2 * p : 2] = sigma
+    return TakagiFactorization(V=Q.conj(), diagonal=diagonal)
+
+
 def _svd_takagi(S: np.ndarray) -> TakagiFactorization:
     """Takagi factors of a complex symmetric S from its checked SVD, takagi's
-    route above EMBEDDED_TAKAGI_MODES modes.
+    route above EMBEDDED_TAKAGI_MODES modes for an S that is not bipartite.
 
     With S = U Sigma W^†, symmetry makes P = U^† S conj(U) = Sigma W^† conj(U)
     symmetric and block diagonal across distinct singular values. An index
@@ -135,8 +184,8 @@ def _svd_takagi(S: np.ndarray) -> TakagiFactorization:
 def _embedded_takagi(S: np.ndarray) -> TakagiFactorization:
     """Takagi factors of a complex symmetric S from its real symmetric
     embedding, the definition-level reference: takagi's route for a whole S of
-    up to EMBEDDED_TAKAGI_MODES modes, and above that for the coupled block or
-    a refused SVD.
+    up to EMBEDDED_TAKAGI_MODES modes that is not bipartite, and otherwise for
+    the coupled block or a refused SVD.
 
     With S = A + iB, E = [[A, B], [B, -A]] has eigenvalues +-sigma_i, the
     singular values of S. An eigenvector [x; y] of E for +sigma gives

@@ -15,9 +15,8 @@ import numpy as np
 
 from . import verify
 from .exceptions import InfeasibleRank
-from .linalg import TakagiFactorization, checked_svd, takagi, unitary_extension
+from .linalg import TakagiFactorization, _bipartite_takagi, takagi, unitary_extension
 from .states import QuditTarget, TwoPhotonState, normalize, state_rank
-from .tolerances import TAKAGI_CUT
 
 
 def feasible_postselect(state_in: TwoPhotonState, target: QuditTarget) -> bool:
@@ -30,37 +29,36 @@ def build_sps(target: QuditTarget) -> tuple[TwoPhotonState, TakagiFactorization]
     """Intermediate state with C off-diagonal and rank equal to rank(C),
     together with its Takagi factorization.
 
-    With the SVD C = V1 Sigma V2^† over the first p = min(d1, d2) columns,
-    W = [V1; conj(V2)] / sqrt(2) has orthonormal columns, and
+    The closed-form Takagi factors of [[0, C], [C^T, 0]] (see
+    linalg._bipartite_takagi) give each singular value sigma_i of
+    C = V1 Sigma V2^† twice, with vectors conj(w_i) and conj(w'_i), where
+    w_i = [V1 e_i; conj(V2) e_i] / sqrt(2) and
+    w'_i = i [V1 e_i; -conj(V2) e_i] / sqrt(2). Over the first
+    p = min(d1, d2) columns, W = [V1; conj(V2)] / sqrt(2) has orthonormal
+    columns, and
 
         S = W diag(2 sigma) W^T = [[V1 Sigma V1^T, C], [C^T, conj(V2) Sigma V2^†]]
 
     is symmetric with no rank beyond C's. Its Takagi vectors are conj(W),
-    completed to a unitary by conj of [V1; -conj(V2)] / sqrt(2) and of the
-    remaining columns of V1 and of conj(V2), each padded with zeros; the
-    completion columns get diagonal 0. No second factorization is needed,
-    and the diagonal, sigma / sqrt(2 sum sigma^2), has the rank of C.
-    Singular values at or below takagi's rounding cut TAKAGI_CUT (d1 + d2)
-    sigma_1 are set to 0, as takagi sets them, so the diagonal is exactly 0
-    beyond the directions C carries.
+    completed to a unitary by the other vectors of those factors, each with
+    diagonal 0. No second factorization is needed, and the diagonal,
+    sigma / sqrt(2 sum sigma^2), has the rank of C. Singular values at or
+    below takagi's rounding cut TAKAGI_CUT (d1 + d2) sigma_1 are 0 there, as
+    takagi sets them, so the diagonal is exactly 0 beyond the directions C
+    carries.
     """
     d1, d2 = target.d1, target.d2
-    v1, sigma, v2h = checked_svd(target.C)
-    sigma = np.where(sigma > TAKAGI_CUT * (d1 + d2) * sigma[0], sigma, 0.0)
-    v2c = v2h.T  # conj(V2)
-    p = len(sigma)
-    Q = np.zeros((d1 + d2, d1 + d2), dtype=complex)
-    Q[:d1, :p] = Q[:d1, p : 2 * p] = v1[:, :p] / np.sqrt(2.0)
-    Q[d1:, :p] = v2c[:, :p] / np.sqrt(2.0)
-    Q[d1:, p : 2 * p] = -Q[d1:, :p]
-    Q[:d1, 2 * p : d1 + p] = v1[:, p:]
-    Q[d1:, d1 + p :] = v2c[:, p:]
-    W = Q[:, :p]
+    pairs = _bipartite_takagi(target.C)
+    p = min(d1, d2)
+    # the w_i first, then the w'_i and the completion
+    V = np.concatenate([pairs.V[:, : 2 * p : 2], pairs.V[:, 1 : 2 * p : 2], pairs.V[:, 2 * p :]], axis=1)
+    sigma = pairs.diagonal[: 2 * p : 2]
+    W = V[:, :p].conj()
     state = normalize((W * (2.0 * sigma)) @ W.T)
     # normalize divides by sqrt(2 ||S||_F^2) = sqrt(8 sum sigma^2)
     diagonal = np.zeros(d1 + d2)
     diagonal[:p] = sigma / np.sqrt(2.0 * np.sum(sigma**2))
-    return state, TakagiFactorization(V=Q.conj(), diagonal=diagonal)
+    return state, TakagiFactorization(V=V, diagonal=diagonal)
 
 
 def synthesize_postselect(state_in: TwoPhotonState, target: QuditTarget) -> verify.SynthesisResult:

@@ -16,25 +16,32 @@ SYMMETRY_TOL               1e-10  x ||S||_F          takagi: ||S - S^T||_F withi
 TAKAGI_RECONSTRUCTION_TOL  1e-8   x sigma_1          takagi: ||V^T S V - D||_F of S / peak
                                                      within it, else ConvergenceFailure
 TAKAGI_CUT                 8 eps  x m sigma_1        takagi: values at or below the cut (m the
-                                                     matrix size) are rounding noise, set to 0.
+                                                     matrix size) are rounding noise, set to 0,
+                                                     on every route; for a bipartite
+                                                     S = [[0, B], [B^T, 0]], sigma_1 and the
+                                                     values are those of B.
                                                      Above linalg.EMBEDDED_TAKAGI_MODES modes,
-                                                     where takagi takes an SVD, also the
+                                                     where takagi takes an SVD of an S that is
+                                                     not bipartite, also the
                                                      coupling threshold: indices with an
                                                      off-diagonal entry of U^† S conj(U)
                                                      (S = U Sigma W^†) above it are embedded
-                                                     together; up to it, S is embedded whole.
+                                                     together; up to it, such an S is embedded
+                                                     whole.
                                                      Inside an embedded cluster
                                                      the Takagi vectors are completed by QR
                                                      only where a value is cut or they fail
                                                      the 8 eps x k Gram rule below.
                                                      build_sps: singular values of C at or
                                                      below the cut of S_ps (m = d1 + d2) are
-                                                     set to 0, as takagi would
+                                                     set to 0, by takagi's own closed form
+                                                     for bipartite S
                            8 eps  x k                checked_svd: ||X^† X - I||_F of a k x k
                                                      factor (u or vh) above it is a
                                                      ConvergenceFailure; takagi then embeds
                                                      S whole in the real embedding, as it
-                                                     always does up to EMBEDDED_TAKAGI_MODES.
+                                                     does up to EMBEDDED_TAKAGI_MODES for an S
+                                                     that is not bipartite.
                                                      _embedded_takagi: a k x k cluster with no
                                                      value cut keeps eigh's vectors when their
                                                      ||u^† u - I||_F is within it, and

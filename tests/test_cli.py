@@ -467,6 +467,18 @@ class TestHeraldDocumentFormat:
         captured = capsys.readouterr()
         assert captured.out == expected and captured.err == ""
 
+    @pytest.mark.parametrize("field, value", [("n", 2), ("n", 1), ("phi", 7.0)])
+    def test_a_cnz_field_is_refused(self, bell_doc, capsys, field, value):
+        """n and phi belong to cnz documents: a herald document carrying
+        either is malformed (exit 2), whatever the value."""
+        doc = json.loads(bell_doc.read_text())
+        doc[field] = value
+        bell_doc.write_text(json.dumps(doc))
+        assert main(["verify", "--input", str(bell_doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}: only cnz documents carry one, not herald documents" in err
+        assert "Traceback" not in err
+
 
 class TestSynthPostselect:
     def test_bell_from_single_photons(self, tmp_path, capsys):

@@ -66,7 +66,9 @@ class TestSuccessProbability:
         assert cnz_success_probability(2, -1.0) < 1.0
 
     @pytest.mark.parametrize(
-        "phi", [float("nan"), float("inf"), -float("inf"), pytest.param(10**400, id="10**400")]
+        "phi",
+        [float("nan"), float("inf"), -float("inf"), pytest.param(10**400, id="10**400"),
+         pytest.param(10**5000, id="10**5000")],
     )
     def test_non_finite_phase_rejected(self, phi):
         with pytest.raises(ValueError, match="phi"):
@@ -105,8 +107,11 @@ class TestArgumentRefusals:
 
     @pytest.mark.parametrize(
         "phi",
-        # 10^400 is an integer beyond the float range: no finite float
-        [float("nan"), float("inf"), -float("inf"), np.float64("nan"), pytest.param(10**400, id="10**400")],
+        # 10^400 is an integer beyond the float range: no finite float; the
+        # message names it by its type, as the interpreter refuses to print
+        # an integer of 10^5000's digits
+        [float("nan"), float("inf"), -float("inf"), np.float64("nan"), pytest.param(10**400, id="10**400"),
+         pytest.param(10**5000, id="10**5000")],
     )
     def test_non_finite_phase(self, monkeypatch, phi):
         self._refused(monkeypatch, 2, phi, "phi must be finite")

@@ -263,11 +263,14 @@ class TestSynthesize:
     @pytest.mark.parametrize("make_target, svds", [
         (lambda rng: random_state_of_rank(rng, 4, 3), 0),
         (lambda rng: from_qudit_target(random_target_of_rank(rng, 9, 9, 2)), 1),
-    ], ids=["4-modes", "18-modes"])
+        (lambda rng: from_qudit_target(random_target_of_rank(rng, 4, 4, 2)), 1),
+    ], ids=["4-modes", "18-modes", "8-modes"])
     def test_failing_svd_leaves_heralding_verified(self, rng, monkeypatch, make_target, svds):
-        """takagi embeds a target of up to EMBEDDED_TAKAGI_MODES modes with no
-        SVD, and a larger one when its one SVD fails; heralding takes no other
-        SVD, so it still returns a verified circuit. Both targets have rank 4."""
+        """takagi embeds a generic target of up to EMBEDDED_TAKAGI_MODES modes
+        with no SVD. A two-qudit target takes one SVD, of its qudit block, at
+        any size, and is embedded whole when it fails; heralding takes no
+        other SVD, so it still returns a verified circuit. The 4-mode target
+        has rank 3, the two-qudit ones rank 4."""
         calls = []
 
         def failing_svd(a, *args, **kwargs):

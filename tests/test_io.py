@@ -637,6 +637,33 @@ class TestWriterFields:
         assert str(written.value) == str(read.value) and read.value.field == "input_state"
         assert str(read.value) == f"input_state: only postselect documents carry one, not {kind} documents"
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("herald", "n", 1), ("herald", "n", 2), ("herald", "n", "x"), ("herald", "phi", 7.0),
+        ("postselect", "n", 3), ("postselect", "phi", 0.0), ("postselect", "phi", float("nan")),
+    ])
+    def test_refuses_a_field_of_another_kind(self, request, kind, key, value):
+        """n and phi fix a cnz gate and nothing else: a herald or
+        post-selection document that carries either, valid or not, is
+        refused, on write as on read, before its value is read."""
+        valid, target = request.getfixturevalue(kind)
+        with pytest.raises(ValueError) as written:
+            synthesis_to_doc(valid, kind, target, **self.VALID[kind], **{key: value})
+        doc = synthesis_to_doc(valid, kind, target, **self.VALID[kind])
+        doc[key] = value
+        with pytest.raises(DocumentError) as read:
+            synthesis_from_doc(json.loads(json.dumps(doc)))
+        assert str(written.value) == str(read.value) and read.value.field == key
+        assert str(read.value) == f"{key}: only cnz documents carry one, not {kind} documents"
+
+    @pytest.mark.parametrize("kind", ["herald", "postselect"])
+    def test_a_null_field_of_another_kind_counts_as_absent(self, request, kind):
+        valid, target = request.getfixturevalue(kind)
+        doc = synthesis_to_doc(valid, kind, target, **self.VALID[kind])
+        expected = synthesis_from_doc(doc)
+        decoded = synthesis_from_doc({**doc, "n": None, "phi": None})
+        assert "n" not in decoded and "phi" not in decoded
+        assert decoded.keys() == expected.keys()
+
     @pytest.mark.parametrize(
         "key",
         ["alpha", "unitary", "aux_modes", "success_probability", "herald", "input", "photons", "payload_modes"],

@@ -23,6 +23,8 @@ from photonprep import linalg as linalg_module
 from photonprep.linalg import (
     EMBEDDED_TAKAGI_MODES,
     TakagiFactorization,
+    _bipartite_takagi,
+    _bipartition,
     _embedded_takagi,
     _peak_scaled,
     _svd_takagi,
@@ -67,6 +69,8 @@ def _with_spectrum(seed, sigma):
 
 # takagi's two routes, each with a size that takes it
 ROUTES = (("_embedded_takagi", 2), ("_svd_takagi", EMBEDDED_TAKAGI_MODES + 1))
+# the modes of a 12 + 12 two-qudit state interleaved, a0, b0, a1, b1, ...
+INTERLEAVED_24 = np.arange(24).reshape(2, 12).T.ravel()
 
 
 class TestTakagi:
@@ -187,10 +191,13 @@ class TestTakagi:
         assert np.allclose(fac.diagonal / c, takagi(A).diagonal, rtol=1e-12, atol=0)
 
     def test_coupled_indices_are_embedded_as_one_block(self, monkeypatch):
-        """from_qudit_target of a rank-9 12 x 12 target: the 24 x 24 S takes
-        the SVD route and has nine twofold nonzero values, so 18 of its 24
-        indices couple, and only those 18 are embedded, as one 18 x 18 block."""
+        """from_qudit_target of a rank-9 12 x 12 target with its modes
+        interleaved (a0, b0, a1, b1, ...), so no d1 splits it: the 24 x 24 S
+        takes the SVD route and has nine twofold nonzero values, so 18 of its
+        24 indices couple, and only those 18 are embedded, as one 18 x 18
+        block."""
         S = from_qudit_target(random_target_of_rank(np.random.default_rng(37), 12, 12, 9)).S
+        S = S[np.ix_(INTERLEAVED_24, INTERLEAVED_24)]
         embedded, sizes = _embedded_takagi, []
 
         def recording(block):
@@ -208,13 +215,7 @@ class TestTakagi:
         """Up to EMBEDDED_TAKAGI_MODES modes the whole matrix is embedded;
         above, one SVD factorizes it (a diagonal S of distinct values couples
         no indices)."""
-        calls = []
-        for name in ("_embedded_takagi", "_svd_takagi"):
-            def recording(S, name=name, inner=getattr(linalg_module, name)):
-                calls.append((name, S.shape))
-                return inner(S)
-
-            monkeypatch.setattr(linalg_module, name, recording)
+        calls = _routes(monkeypatch)
         takagi(np.diag(np.linspace(1.0, 0.1, m)))
         assert calls == [(route, (m, m))]
 
@@ -388,6 +389,187 @@ class TestTakagiAgainstEmbedding:
         monkeypatch.setattr(np.linalg, "svd", skewed_svd)
         fac = takagi(S)
         assert np.linalg.norm(fac.V.T @ S @ fac.V - fac.D) <= 1e-10
+
+
+def _bipartite_targets():
+    """Two-qudit targets C whose states from_qudit_target must send down the
+    closed form, each normalized: full and deficient rank, I / sqrt(d), and C
+    with a zero first row, a zero first column or a zero leading entry, none
+    of which moves the first d1 that splits the state."""
+    rng = np.random.default_rng(20261021)
+    cases = {}
+    for d1, d2 in ((1, 1), (1, 7), (7, 1), (3, 2), (4, 4), (32, 32), (64, 64)):
+        p = min(d1, d2)
+        for rank in sorted({1, max(1, p // 2), p}):
+            cases[f"{d1}x{d2}-rank-{rank}"] = random_target_of_rank(rng, d1, d2, rank).C
+        if d1 == d2:
+            cases[f"{d1}x{d2}-identity"] = np.eye(d1) / np.sqrt(d1)
+        C = random_target_of_rank(rng, d1, d2, p).C
+        for kind, zeroed in (("zero-first-row", np.s_[0, :]), ("zero-first-column", np.s_[:, 0]),
+                             ("zero-leading-entry", np.s_[0, 0])):
+            Z = C.copy()
+            Z[zeroed] = 0.0
+            if np.any(Z):
+                cases[f"{d1}x{d2}-{kind}"] = Z / np.linalg.norm(Z)
+    return cases
+
+
+BIPARTITE = _bipartite_targets()
+
+
+def _routes(monkeypatch):
+    """Record, in call order, each call of takagi's three routes with the
+    shape of the matrix it got."""
+    calls = []
+    for name in ("_bipartite_takagi", "_embedded_takagi", "_svd_takagi"):
+        def recording(M, name=name, inner=getattr(linalg_module, name)):
+            calls.append((name, M.shape))
+            return inner(M)
+
+        monkeypatch.setattr(linalg_module, name, recording)
+    return calls
+
+
+class TestBipartiteTakagi:
+    """takagi factorizes a bipartite S = [[0, B], [B^T, 0]], every
+    from_qudit_target state among them, in closed form from the SVD of B, at
+    any size, and every other S as before."""
+
+    @staticmethod
+    def check(S, fac):
+        m = len(S)
+        sigma1 = np.linalg.svd(S, compute_uv=False)[0]
+        assert np.linalg.norm(fac.V.conj().T @ fac.V - np.eye(m)) <= 1e-10
+        residual = np.linalg.norm(fac.V.T @ S @ fac.V - fac.D)
+        assert residual <= TAKAGI_RECONSTRUCTION_TOL * sigma1
+        assert np.all(fac.diagonal >= 0) and np.all(np.diff(fac.diagonal) <= 0)
+        # against the whole embedding, and the SVD route takagi took above
+        # EMBEDDED_TAKAGI_MODES modes before the closed form
+        for reference in (_embedded_takagi(S), _svd_route(S)):
+            assert np.allclose(fac.diagonal, reference.diagonal, rtol=0, atol=1e-12 * sigma1)
+
+    @pytest.mark.parametrize("case", sorted(BIPARTITE))
+    def test_two_qudit_states_take_the_closed_form(self, monkeypatch, case):
+        """One call of the closed form on the d1 x d2 block, and each singular
+        value of C, halved, twice."""
+        C = BIPARTITE[case]
+        S = from_qudit_target(QuditTarget(C)).S
+        calls = _routes(monkeypatch)
+        fac = takagi(S)
+        assert calls == [("_bipartite_takagi", C.shape)]
+        monkeypatch.undo()
+        sigma = np.linalg.svd(C, compute_uv=False) / 2.0
+        expected = np.zeros(len(S))
+        expected[: 2 * len(sigma)] = np.repeat(sigma, 2)
+        assert np.allclose(fac.diagonal, expected, rtol=0, atol=1e-14)
+        assert fac.rank == 2 * np.linalg.matrix_rank(C)
+        self.check(S, fac)
+
+    @pytest.mark.parametrize("m", [2, 8, 24])
+    def test_the_zero_matrix_is_split_after_its_first_mode(self, monkeypatch, m):
+        calls = _routes(monkeypatch)
+        fac = takagi(np.zeros((m, m)))
+        assert calls == [("_bipartite_takagi", (1, m - 1))]
+        assert np.array_equal(fac.diagonal, np.zeros(m))
+        assert np.linalg.norm(fac.V.conj().T @ fac.V - np.eye(m)) <= 1e-10
+
+    def test_the_first_d1_that_splits_is_taken(self):
+        """A zero last row of C lets a smaller d1 split the state too; the
+        first is taken, and its block factorizes the same S."""
+        C = np.array([[1.0, 2.0j], [0.5, -1.0], [0.0, 0.0]])
+        S = from_qudit_target(QuditTarget(C / np.linalg.norm(C))).S
+        assert _bipartition(S) == 2
+        self.check(S, takagi(S))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), d1=st.integers(1, 10), d2=st.integers(1, 10),
+        zeros=st.floats(0.0, 0.9), scale=st.integers(-8, 3),
+    )
+    def test_any_block_takes_the_closed_form(self, seed, d1, d2, zeros, scale):
+        """S = [[0, B], [B^T, 0]] for a random B at scales 1e-8 ... 1e3, any
+        share of its entries zero (B = 0 included), of full or deficient rank."""
+        gen = np.random.default_rng(seed)
+        rank = int(gen.integers(1, min(d1, d2) + 1))
+        B = (gen.standard_normal((d1, rank)) + 1j * gen.standard_normal((d1, rank))) @ (
+            gen.standard_normal((rank, d2)) + 1j * gen.standard_normal((rank, d2))
+        )
+        B[gen.random(B.shape) < zeros] = 0.0
+        S = 10.0**scale * np.block([[np.zeros((d1, d1)), B], [B.T, np.zeros((d2, d2))]])
+        assert 1 <= _bipartition(_peak_scaled(S)[0]) <= d1
+        fac = takagi(S)
+        if np.any(S):
+            self.check(S, fac)
+
+    @pytest.mark.parametrize("d", [4, 12])
+    @pytest.mark.parametrize("how", ["interleaved", "haar-rotated"])
+    def test_a_state_no_d1_splits_keeps_its_old_route(self, monkeypatch, d, how):
+        """A two-qudit state with its modes interleaved (a0, b0, a1, b1, ...)
+        or under a Haar-random congruence is not bipartite: the whole
+        embedding up to EMBEDDED_TAKAGI_MODES modes, the SVD route above."""
+        rng = np.random.default_rng(d)
+        S = from_qudit_target(random_target_of_rank(rng, d, d, d)).S
+        if how == "interleaved":
+            order = np.arange(2 * d).reshape(2, d).T.ravel()
+            S = S[np.ix_(order, order)]
+        else:
+            u = random_unitary(rng, 2 * d)
+            S = u @ S @ u.T
+        assert _bipartition(_peak_scaled(S)[0]) == 0
+        calls = _routes(monkeypatch)
+        fac = takagi(S)
+        route = "_embedded_takagi" if 2 * d <= EMBEDDED_TAKAGI_MODES else "_svd_takagi"
+        assert calls[0] == (route, (2 * d, 2 * d))
+        assert "_bipartite_takagi" not in {name for name, _ in calls}
+        monkeypatch.undo()
+        self.check(S, fac)
+
+    def test_a_nonzero_diagonal_is_refused_before_the_scan(self, monkeypatch):
+        """A generic S is ruled out at its diagonal: no m x m scan."""
+        triu_calls = []
+        triu = np.triu
+        monkeypatch.setattr(np, "triu", lambda *args, **kw: triu_calls.append(1) or triu(*args, **kw))
+        assert _bipartition(random_complex_symmetric(np.random.default_rng(3), 64)) == 0
+        assert triu_calls == []
+
+    def test_a_herald_qudit_target_takes_one_4x4_svd_and_no_eigh(self, monkeypatch):
+        """The benchmark's 8-mode target, from a rank-3 4 x 4 C."""
+        S = from_qudit_target(random_target_of_rank(np.random.default_rng(6), 4, 4, 3)).S
+        svds, eighs = [], []
+        svd, eigh = np.linalg.svd, np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: svds.append(a.shape) or svd(a, *args, **kw))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: eighs.append(a.shape) or eigh(a, *args, **kw))
+        assert takagi(S).rank == 6
+        assert svds == [(4, 4)] and eighs == []
+
+    def test_a_failing_svd_falls_back_to_the_whole_embedding(self, monkeypatch):
+        """checked_svd's ConvergenceFailure on B sends S, peak-scaled, to the
+        whole embedding, as on the SVD route."""
+        S = 3.0 * from_qudit_target(random_target_of_rank(np.random.default_rng(7), 4, 6, 3)).S
+
+        def failing_svd(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        fac = takagi(S)
+        scaled, peak = _peak_scaled(S)
+        reference = _embedded_takagi(scaled)
+        assert np.array_equal(fac.diagonal, reference.diagonal * peak)
+        assert np.array_equal(fac.V, reference.V)
+        assert np.linalg.norm(fac.V.T @ S @ fac.V - fac.D) <= 1e-10
+
+    def test_closed_form_vectors(self, rng):
+        """_bipartite_takagi's vectors, as its docstring states them, from
+        checked_svd's factors of B."""
+        B = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        u, sigma, wh = checked_svd(B)
+        fac = _bipartite_takagi(B)
+        plus = np.vstack([u, wh.T[:, :3]]) / np.sqrt(2.0)
+        minus = 1j * np.vstack([u, -wh.T[:, :3]]) / np.sqrt(2.0)
+        assert np.allclose(fac.V[:, 0:6:2], plus.conj(), rtol=0, atol=1e-15)
+        assert np.allclose(fac.V[:, 1:6:2], minus.conj(), rtol=0, atol=1e-15)
+        assert np.allclose(fac.V[:, 6:], np.vstack([np.zeros((3, 2)), wh.T[:, 3:]]).conj(), rtol=0, atol=0)
+        assert np.array_equal(fac.diagonal, np.r_[np.repeat(sigma, 2), 0.0, 0.0])
 
 
 def _rounding(r, N):

@@ -21,7 +21,8 @@ from photonprep.cli import main
 from photonprep.exceptions import ConvergenceFailure, VerificationFailure
 from photonprep.io import dump_json, matrix_to_doc
 from photonprep.random_states import random_state_of_rank, random_target_of_rank
-from photonprep.tolerances import RANK_TOL
+from photonprep.linalg import checked_svd
+from photonprep.tolerances import RANK_TOL, TAKAGI_CUT
 
 NEAR = RANK_TOL * (1 + 1e-3)  # just above the rank threshold, relative to sigma_1
 BELOW = RANK_TOL * (1 - 1e-3)  # just below it
@@ -150,6 +151,23 @@ class TestBuildSpsFactorization:
         d1, d2 = (int(x) for x in gen.integers(1, 7, 2))
         rank = int(gen.integers(1, min(d1, d2) + 1))
         self.check(random_target_of_rank(gen, d1, d2, rank))
+
+    @pytest.mark.parametrize("d1, d2, rank", [(1, 1, 1), (2, 5, 2), (6, 3, 2), (32, 32, 17)])
+    def test_reads_the_svd_of_c_exactly(self, d1, d2, rank):
+        """The state and its kept Takagi vectors are, to the bit, those of
+        W = [V1; conj(V2)] / sqrt(2) over the first p = min(d1, d2) columns
+        of C's checked SVD: S = W diag(2 sigma) W^T, V's first p columns
+        conj(W)."""
+        target = random_target_of_rank(np.random.default_rng(d1 + d2), d1, d2, rank)
+        v1, sigma, v2h = checked_svd(target.C)
+        sigma = np.where(sigma > TAKAGI_CUT * (d1 + d2) * sigma[0], sigma, 0.0)
+        p = len(sigma)
+        W = np.vstack([v1[:, :p] / np.sqrt(2.0), v2h.T[:, :p] / np.sqrt(2.0)])
+        state, fac = build_sps(target)
+        assert np.array_equal(state.S, normalize((W * (2.0 * sigma)) @ W.T).S)
+        assert np.array_equal(fac.V[:, :p], W.conj())
+        assert np.array_equal(fac.diagonal[:p], sigma / np.sqrt(2.0 * np.sum(sigma**2)))
+        assert not np.any(fac.diagonal[p:])
 
 
 class TestSynthesize:
