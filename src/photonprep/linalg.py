@@ -18,17 +18,6 @@ from .tolerances import (
 )
 
 
-# takagi embeds an S that is not bipartite whole up to this many modes and
-# takes its SVD above. CPU µs per takagi call, 1 BLAS thread, AMD EPYC (SVD
-# route -> whole embedding), median over 8 generic S per m:
-#   m         8         10         11         12         16         20
-#   generic   95 -> 83  105 -> 103 110 -> 111 114 -> 120 148 -> 161 185 -> 220
-# The cut sits at the generic break-even, m = 10: above it the embedding is
-# slower on most generic S (6 of 8 at m = 11 and 12). Bipartite S, the
-# d-rail states among them, take the closed form at every size instead.
-EMBEDDED_TAKAGI_MODES = 10
-
-
 @dataclass(frozen=True)
 class TakagiFactorization:
     """Factorization ``V.T @ S @ V = diag(diagonal)`` of a complex symmetric S."""
@@ -54,15 +43,13 @@ def takagi(S: np.ndarray) -> TakagiFactorization:
     Every cut and gate reads one copy, S / peak symmetrized (see _peak_scaled).
     A copy that is bipartite, [[0, B], [B^T, 0]] for the first d1 that fits
     (see _bipartition), as every from_qudit_target state is, is factorized in
-    closed form from the SVD of B (see _bipartite_takagi), at any size. Any
-    other m x m copy with m <= EMBEDDED_TAKAGI_MODES is factorized from its
-    whole real embedding (see _embedded_takagi), one eigh of size 2m; a larger
-    one from one SVD (see _svd_takagi). Either SVD route takes the whole
-    embedding when checked_svd raises ConvergenceFailure. The size rule reads
-    m alone; the timings it rests on are kept with EMBEDDED_TAKAGI_MODES.
-    Values at or below the cut TAKAGI_CUT m sigma_1 are set to 0 and the
-    diagonal is sorted descending; ||V^T S V - D||_F of the copy must lie
-    within TAKAGI_RECONSTRUCTION_TOL sigma_1 on every route. The diagonal is
+    closed form from the SVD of B (see _bipartite_takagi); any other copy
+    from one SVD of the whole (see _svd_takagi). Both routes take every size,
+    and both fall back to the whole real embedding (see _embedded_takagi), one
+    eigh of size 2m, when checked_svd raises ConvergenceFailure. Values at or
+    below the cut TAKAGI_CUT m sigma_1 are set to 0 and the diagonal is
+    sorted descending; ||V^T S V - D||_F of the copy must lie within
+    TAKAGI_RECONSTRUCTION_TOL sigma_1 on every route. The diagonal is
     multiplied by peak on return, and a sigma_1 that then overflows raises
     ConvergenceFailure. S and 2^k S share V.
     """
@@ -80,13 +67,10 @@ def takagi(S: np.ndarray) -> TakagiFactorization:
     scaled = (scaled + scaled.T) / 2.0
 
     d1 = _bipartition(scaled)
-    if len(scaled) <= EMBEDDED_TAKAGI_MODES and not d1:
+    try:
+        factor = _bipartite_takagi(scaled[:d1, d1:]) if d1 else _svd_takagi(scaled)
+    except ConvergenceFailure:
         factor = _embedded_takagi(scaled)
-    else:
-        try:
-            factor = _bipartite_takagi(scaled[:d1, d1:]) if d1 else _svd_takagi(scaled)
-        except ConvergenceFailure:
-            factor = _embedded_takagi(scaled)
     residual = factor.V.T @ scaled @ factor.V
     residual.flat[:: len(residual) + 1] -= factor.diagonal
     if not np.linalg.norm(residual) <= TAKAGI_RECONSTRUCTION_TOL * factor.diagonal[0]:
@@ -146,7 +130,7 @@ def _bipartite_takagi(B: np.ndarray) -> TakagiFactorization:
 
 def _svd_takagi(S: np.ndarray) -> TakagiFactorization:
     """Takagi factors of a complex symmetric S from its checked SVD, takagi's
-    route above EMBEDDED_TAKAGI_MODES modes for an S that is not bipartite.
+    route for an S that is not bipartite, at any size.
 
     With S = U Sigma W^†, symmetry makes P = U^† S conj(U) = Sigma W^† conj(U)
     symmetric and block diagonal across distinct singular values. An index
@@ -183,25 +167,22 @@ def _svd_takagi(S: np.ndarray) -> TakagiFactorization:
 
 def _embedded_takagi(S: np.ndarray) -> TakagiFactorization:
     """Takagi factors of a complex symmetric S from its real symmetric
-    embedding, the definition-level reference: takagi's route for a whole S of
-    up to EMBEDDED_TAKAGI_MODES modes that is not bipartite, and otherwise for
-    the coupled block or a refused SVD.
+    embedding, the definition-level reference. It has three readers:
+    _svd_takagi, for its coupled block; takagi, for a whole S whose SVD
+    checked_svd refuses; and the tests, as the reference they compare against.
 
     With S = A + iB, E = [[A, B], [B, -A]] has eigenvalues +-sigma_i, the
     singular values of S. An eigenvector [x; y] of E for +sigma gives
     u = x + iy with S conj(u) = sigma u, and the +sigma and -sigma eigenspaces
     are orthogonal, so the top half of E's spectrum yields orthonormal Takagi
-    vectors even inside degenerate clusters. With no value cut, the vectors
-    are returned as eigh gives them when they pass checked_svd's rule,
-    ||u^† u - I||_F <= TAKAGI_CUT k. Near sigma = 0 the two halves mix:
-    vectors whose sigma is at or below the cut TAKAGI_CUT k sigma_1 of the
-    k x k S are dropped (their diagonal entry set to 0) and replaced by a QR
-    completion of the kept ones, which also reorthonormalizes vectors that
-    fail that rule with nothing cut. A coupled block of a larger matrix is cut
-    the same way: an entry |P_ij| above the larger matrix's cut bounds
-    sigma_i and, to rounding, sigma_j from below, so the block's values lie
-    above that cut. The diagonal is sorted descending. No gate is applied
-    here.
+    vectors even inside degenerate clusters. Near sigma = 0 the two halves
+    mix: vectors whose sigma is at or below the cut TAKAGI_CUT k sigma_1 of
+    the k x k S are dropped (their diagonal entry set to 0), and a QR
+    completion of the kept ones, which also reorthonormalizes them, gives V.
+    A coupled block of a larger matrix is cut the same way: an entry |P_ij|
+    above the larger matrix's cut bounds sigma_i and, to rounding, sigma_j
+    from below, so the block's values lie above that cut. The diagonal is
+    sorted descending. No gate is applied here.
     """
     k = S.shape[0]
     E = np.empty((2 * k, 2 * k))
@@ -217,8 +198,6 @@ def _embedded_takagi(S: np.ndarray) -> TakagiFactorization:
     u = top[:k] + 1j * top[k:]
     cut = TAKAGI_CUT * k * sigma[0]
     kept = int(np.count_nonzero(sigma > cut))
-    if kept == k and _gram_defect(u) <= TAKAGI_CUT * k:
-        return TakagiFactorization(V=u.conj(), diagonal=sigma.copy())
     q, r = np.linalg.qr(u[:, :kept], mode="complete")
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     q[:, :kept] *= phases

@@ -17,35 +17,22 @@ TAKAGI_RECONSTRUCTION_TOL  1e-8   x sigma_1          takagi: ||V^T S V - D||_F o
                                                      within it, else ConvergenceFailure
 TAKAGI_CUT                 8 eps  x m sigma_1        takagi: values at or below the cut (m the
                                                      matrix size) are rounding noise, set to 0,
-                                                     on every route; for a bipartite
-                                                     S = [[0, B], [B^T, 0]], sigma_1 and the
-                                                     values are those of B.
-                                                     Above linalg.EMBEDDED_TAKAGI_MODES modes,
-                                                     where takagi takes an SVD of an S that is
-                                                     not bipartite, also the
-                                                     coupling threshold: indices with an
-                                                     off-diagonal entry of U^† S conj(U)
-                                                     (S = U Sigma W^†) above it are embedded
-                                                     together; up to it, such an S is embedded
-                                                     whole.
-                                                     Inside an embedded cluster
-                                                     the Takagi vectors are completed by QR
-                                                     only where a value is cut or they fail
-                                                     the 8 eps x k Gram rule below.
+                                                     on both routes and the fallback; for a
+                                                     bipartite S = [[0, B], [B^T, 0]], sigma_1
+                                                     and the values are those of B.
+                                                     For an S that is not bipartite, also the
+                                                     coupling threshold of its SVD route:
+                                                     indices with an off-diagonal entry of
+                                                     U^† S conj(U) (S = U Sigma W^†) above it
+                                                     are embedded together.
                                                      build_sps: singular values of C at or
                                                      below the cut of S_ps (m = d1 + d2) are
                                                      set to 0, by takagi's own closed form
                                                      for bipartite S
                            8 eps  x k                checked_svd: ||X^† X - I||_F of a k x k
                                                      factor (u or vh) above it is a
-                                                     ConvergenceFailure; takagi then embeds
-                                                     S whole in the real embedding, as it
-                                                     does up to EMBEDDED_TAKAGI_MODES for an S
-                                                     that is not bipartite.
-                                                     _embedded_takagi: a k x k cluster with no
-                                                     value cut keeps eigh's vectors when their
-                                                     ||u^† u - I||_F is within it, and
-                                                     completes them by QR otherwise
+                                                     ConvergenceFailure; takagi then falls
+                                                     back to the whole real embedding of S
 STATE_SYMMETRY_TOL         1e-8   x ||S||_F          TwoPhotonState: ||S - S^T||_F within it,
                                                      else NotSymmetric
 NORMALIZATION_TOL          1e-8   absolute           TwoPhotonState: |2 Tr(S^† S) - 1| within it

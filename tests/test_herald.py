@@ -260,17 +260,16 @@ class TestSynthesize:
         assert 0.5 * (2 + math.sqrt(2) / 6) ** -4 == pytest.approx(0.0200130896446016, rel=1e-15)
         assert result.success_probability == pytest.approx(0.0200130896446016, rel=1e-12)
 
-    @pytest.mark.parametrize("make_target, svds", [
-        (lambda rng: random_state_of_rank(rng, 4, 3), 0),
-        (lambda rng: from_qudit_target(random_target_of_rank(rng, 9, 9, 2)), 1),
-        (lambda rng: from_qudit_target(random_target_of_rank(rng, 4, 4, 2)), 1),
+    @pytest.mark.parametrize("make_target", [
+        lambda rng: random_state_of_rank(rng, 4, 3),
+        lambda rng: from_qudit_target(random_target_of_rank(rng, 9, 9, 2)),
+        lambda rng: from_qudit_target(random_target_of_rank(rng, 4, 4, 2)),
     ], ids=["4-modes", "18-modes", "8-modes"])
-    def test_failing_svd_leaves_heralding_verified(self, rng, monkeypatch, make_target, svds):
-        """takagi embeds a generic target of up to EMBEDDED_TAKAGI_MODES modes
-        with no SVD. A two-qudit target takes one SVD, of its qudit block, at
-        any size, and is embedded whole when it fails; heralding takes no
-        other SVD, so it still returns a verified circuit. The 4-mode target
-        has rank 3, the two-qudit ones rank 4."""
+    def test_failing_svd_leaves_heralding_verified(self, rng, monkeypatch, make_target):
+        """takagi takes one SVD of a target, of the whole generic target or of
+        a two-qudit target's qudit block, and embeds the target whole when it
+        fails; heralding takes no other SVD, so it still returns a verified
+        circuit. The 4-mode target has rank 3, the two-qudit ones rank 4."""
         calls = []
 
         def failing_svd(a, *args, **kwargs):
@@ -282,7 +281,7 @@ class TestSynthesize:
         result = synthesize_herald(target, 4)
         assert result.report.verified
         assert result.herald.signal == (2,)
-        assert len(calls) == svds
+        assert len(calls) == 1
 
     def test_rank_three_infeasible_with_two(self, rng):
         with pytest.raises(InfeasibleRank):

@@ -21,13 +21,11 @@ from photonprep import (
 from photonprep.herald import herald_bilinear_matrix
 from photonprep import linalg as linalg_module
 from photonprep.linalg import (
-    EMBEDDED_TAKAGI_MODES,
     TakagiFactorization,
     _bipartite_takagi,
     _bipartition,
     _embedded_takagi,
     _peak_scaled,
-    _svd_takagi,
     checked_svd,
 )
 from photonprep.random_states import (
@@ -67,8 +65,9 @@ def _with_spectrum(seed, sigma):
     return U @ np.diag(sigma) @ U.T
 
 
-# takagi's two routes, each with a size that takes it
-ROUTES = (("_embedded_takagi", 2), ("_svd_takagi", EMBEDDED_TAKAGI_MODES + 1))
+# takagi's two routes, each with a unit-scale S that takes it; the bipartite
+# route is handed the block B = S[:1, 1:], not S
+ROUTES = (("_svd_takagi", np.eye(2)), ("_bipartite_takagi", np.array([[0.0, 1.0], [1.0, 0.0]])))
 # the modes of a 12 + 12 two-qudit state interleaved, a0, b0, a1, b1, ...
 INTERLEAVED_24 = np.arange(24).reshape(2, 12).T.ravel()
 
@@ -116,11 +115,12 @@ class TestTakagi:
 
     def test_reconstruction_gate_refuses_nan(self, monkeypatch):
         """On either route, a factorization with NaN vectors is refused."""
-        for route, m in ROUTES:
+        for route, S in ROUTES:
+            m = len(S)
             nan_factor = TakagiFactorization(V=np.full((m, m), np.nan + 0j), diagonal=np.ones(m))
-            monkeypatch.setattr(linalg_module, route, lambda S: nan_factor)
+            monkeypatch.setattr(linalg_module, route, lambda M: nan_factor)
             with pytest.raises(ConvergenceFailure, match="reconstruct"):
-                takagi(np.eye(m))
+                takagi(S)
 
     def test_antidiagonal_half(self):
         S = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
@@ -161,17 +161,18 @@ class TestTakagi:
     def test_reconstruction_gate_is_relative(self, monkeypatch, c):
         """A diagonal off by 1e-6 sigma_1 misses TAKAGI_RECONSTRUCTION_TOL
         sigma_1 at every scale, also where the residual's squares would
-        underflow or overflow at the scale of c I, on either route."""
+        underflow or overflow at the scale of c S, on either route."""
+        for route, S in ROUTES:
 
-        def wrong(S):
-            diagonal = S.diagonal().real.copy()
-            diagonal[0] *= 1 + 1e-6
-            return TakagiFactorization(V=np.eye(len(S), dtype=complex), diagonal=diagonal)
+            def wrong(M, inner=getattr(linalg_module, route)):
+                factor = inner(M)
+                diagonal = factor.diagonal.copy()
+                diagonal[0] *= 1 + 1e-6
+                return TakagiFactorization(V=factor.V, diagonal=diagonal)
 
-        for route, m in ROUTES:
             monkeypatch.setattr(linalg_module, route, wrong)
             with pytest.raises(ConvergenceFailure, match="reconstruct"):
-                takagi(c * np.eye(m))
+                takagi(c * S)
 
     @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
     def test_exactly_covariant_under_powers_of_two(self, k):
@@ -208,16 +209,14 @@ class TestTakagi:
         assert takagi(S).rank == 18
         assert sizes == [(18, 18)]
 
-    @pytest.mark.parametrize("m, route", [
-        (EMBEDDED_TAKAGI_MODES, "_embedded_takagi"), (EMBEDDED_TAKAGI_MODES + 1, "_svd_takagi")
-    ])
-    def test_size_picks_the_route(self, monkeypatch, m, route):
-        """Up to EMBEDDED_TAKAGI_MODES modes the whole matrix is embedded;
-        above, one SVD factorizes it (a diagonal S of distinct values couples
-        no indices)."""
+    @pytest.mark.parametrize("m", [1, 2, 10, 11, 64])
+    def test_any_size_takes_the_svd_route(self, monkeypatch, m):
+        """An S that is not bipartite is factorized by one SVD at every size,
+        with no embedding (a diagonal S of distinct values couples no
+        indices)."""
         calls = _routes(monkeypatch)
         takagi(np.diag(np.linspace(1.0, 0.1, m)))
-        assert calls == [(route, (m, m))]
+        assert calls == [("_svd_takagi", (m, m))]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8))
@@ -231,7 +230,7 @@ class TestTakagi:
         assert np.all(np.diff(fac.diagonal) <= 1e-12)
 
     @settings(max_examples=200, deadline=None)
-    @given(case=adversarial_spectra(max_m=2 * EMBEDDED_TAKAGI_MODES))
+    @given(case=adversarial_spectra(max_m=20))
     def test_adversarial_spectra_meet_gates(self, case):
         seed, sigma = case
         m = len(sigma)
@@ -278,20 +277,10 @@ def _coupled_families():
 COUPLED = _coupled_families()
 
 
-def _svd_route(S):
-    """takagi's SVD route without its gates, at any size: _svd_takagi of the
-    symmetrized peak-scaled copy, its diagonal times the peak."""
-    scaled, peak = _peak_scaled(S)
-    factor = _svd_takagi((scaled + scaled.T) / 2.0)
-    return TakagiFactorization(V=factor.V, diagonal=factor.diagonal * peak)
-
-
 class TestTakagiAgainstEmbedding:
     """takagi against the real symmetric embedding of the whole matrix, the
-    definition-level reference it falls back to, and, up to
-    EMBEDDED_TAKAGI_MODES, where takagi is that embedding, against the SVD
-    route too: equal diagonals, and every factorization meets the
-    reconstruction and unitarity gates of
+    definition-level reference it falls back to: equal diagonals, and both
+    factorizations meet the reconstruction and unitarity gates of
     test_adversarial_spectra_meet_gates."""
 
     def check(self, S):
@@ -299,12 +288,9 @@ class TestTakagiAgainstEmbedding:
         sigma1 = np.linalg.svd(S, compute_uv=False)[0]
         gate = 1e-10 * max(1.0, sigma1)
         fac = takagi(S)
-        references = [_embedded_takagi(S)]
-        if m <= EMBEDDED_TAKAGI_MODES:
-            references.append(_svd_route(S))
-        for reference in references:
-            assert np.allclose(fac.diagonal, reference.diagonal, rtol=0, atol=1e-12 * max(1.0, sigma1))
-        for f in (fac, *references):
+        reference = _embedded_takagi(S)
+        assert np.allclose(fac.diagonal, reference.diagonal, rtol=0, atol=1e-12 * max(1.0, sigma1))
+        for f in (fac, reference):
             assert np.linalg.norm(f.V.T @ S @ f.V - f.D) <= gate
             assert np.linalg.norm(f.V.conj().T @ f.V - np.eye(m)) <= 1e-10
             assert np.all(f.diagonal >= 0) and np.all(np.diff(f.diagonal) <= 0)
@@ -323,10 +309,9 @@ class TestTakagiAgainstEmbedding:
 
     def test_svd_failure_falls_back_to_the_embedding(self, monkeypatch):
         """Divide and conquer can fail to converge where the embedding's
-        eigensolver does not; above EMBEDDED_TAKAGI_MODES, takagi then embeds
-        its peak-scaled copy of S whole, and multiplies the diagonal by the
-        peak. 18 modes: threefold clusters, exact zeros and a value near
-        rounding."""
+        eigensolver does not; takagi then embeds its peak-scaled copy of S
+        whole, and multiplies the diagonal by the peak. 18 modes: threefold
+        clusters, exact zeros and a value near rounding."""
         S = _with_spectrum(7, np.repeat([1.0, 0.8, 0.5, 0.2, 1e-11, 0.0], 3))
 
         def failing_svd(a, *args, **kwargs):
@@ -341,9 +326,9 @@ class TestTakagiAgainstEmbedding:
         assert np.linalg.norm(fac.V.T @ S @ fac.V - fac.D) <= 1e-10
 
     def test_embedding_failure_is_a_convergence_failure(self, monkeypatch):
-        """The embedding's eigh is the route up to EMBEDDED_TAKAGI_MODES and,
-        with the SVD refused, the last resort above: on both, its LinAlgError
-        reaches the caller as ConvergenceFailure."""
+        """With the SVD refused, the embedding's eigh is the last resort of
+        both routes: on both, its LinAlgError reaches the caller as
+        ConvergenceFailure."""
         def refused(a):
             raise ConvergenceFailure("SVD refused")
 
@@ -352,9 +337,9 @@ class TestTakagiAgainstEmbedding:
 
         monkeypatch.setattr(linalg_module, "checked_svd", refused)
         monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-        for _, m in ROUTES:
+        for _, S in ROUTES:
             with pytest.raises(ConvergenceFailure, match="Eigenvalues did not converge") as err:
-                takagi(random_complex_symmetric(np.random.default_rng(0), m))
+                takagi(S)
             assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
     def test_non_unitary_singular_vectors_fall_back(self, monkeypatch):
@@ -362,7 +347,7 @@ class TestTakagiAgainstEmbedding:
         index looks isolated, and pass the reconstruction gate; only a check
         of U itself keeps V unitary. Divide and conquer can lose 1e-6 of
         orthogonality inside large clusters."""
-        S = _with_spectrum(8, np.linspace(1.0, 0.0, EMBEDDED_TAKAGI_MODES + 2))
+        S = _with_spectrum(8, np.linspace(1.0, 0.0, 12))
         svd = np.linalg.svd
 
         def skewed_svd(a, *args, **kwargs):
@@ -378,7 +363,7 @@ class TestTakagiAgainstEmbedding:
         """P = Sigma W^† conj(U) reads W^† too: a row of W^† leaning 1e-9 on
         the next one leaks into P's diagonal phases and costs V^T S V - D
         ~7e-10, which a check of U alone lets through."""
-        S = _with_spectrum(8, np.linspace(1.0, 0.0, EMBEDDED_TAKAGI_MODES + 2))
+        S = _with_spectrum(8, np.linspace(1.0, 0.0, 12))
         svd = np.linalg.svd
 
         def skewed_svd(a, *args, **kwargs):
@@ -418,8 +403,8 @@ BIPARTITE = _bipartite_targets()
 
 
 def _routes(monkeypatch):
-    """Record, in call order, each call of takagi's three routes with the
-    shape of the matrix it got."""
+    """Record, in call order, each call of takagi's two routes and of its
+    fallback with the shape of the matrix it got."""
     calls = []
     for name in ("_bipartite_takagi", "_embedded_takagi", "_svd_takagi"):
         def recording(M, name=name, inner=getattr(linalg_module, name)):
@@ -443,10 +428,8 @@ class TestBipartiteTakagi:
         residual = np.linalg.norm(fac.V.T @ S @ fac.V - fac.D)
         assert residual <= TAKAGI_RECONSTRUCTION_TOL * sigma1
         assert np.all(fac.diagonal >= 0) and np.all(np.diff(fac.diagonal) <= 0)
-        # against the whole embedding, and the SVD route takagi took above
-        # EMBEDDED_TAKAGI_MODES modes before the closed form
-        for reference in (_embedded_takagi(S), _svd_route(S)):
-            assert np.allclose(fac.diagonal, reference.diagonal, rtol=0, atol=1e-12 * sigma1)
+        reference = _embedded_takagi(S)
+        assert np.allclose(fac.diagonal, reference.diagonal, rtol=0, atol=1e-12 * sigma1)
 
     @pytest.mark.parametrize("case", sorted(BIPARTITE))
     def test_two_qudit_states_take_the_closed_form(self, monkeypatch, case):
@@ -505,8 +488,8 @@ class TestBipartiteTakagi:
     @pytest.mark.parametrize("how", ["interleaved", "haar-rotated"])
     def test_a_state_no_d1_splits_keeps_its_old_route(self, monkeypatch, d, how):
         """A two-qudit state with its modes interleaved (a0, b0, a1, b1, ...)
-        or under a Haar-random congruence is not bipartite: the whole
-        embedding up to EMBEDDED_TAKAGI_MODES modes, the SVD route above."""
+        or under a Haar-random congruence is not bipartite: it takes the SVD
+        route at every size."""
         rng = np.random.default_rng(d)
         S = from_qudit_target(random_target_of_rank(rng, d, d, d)).S
         if how == "interleaved":
@@ -518,8 +501,7 @@ class TestBipartiteTakagi:
         assert _bipartition(_peak_scaled(S)[0]) == 0
         calls = _routes(monkeypatch)
         fac = takagi(S)
-        route = "_embedded_takagi" if 2 * d <= EMBEDDED_TAKAGI_MODES else "_svd_takagi"
-        assert calls[0] == (route, (2 * d, 2 * d))
+        assert calls[0] == ("_svd_takagi", (2 * d, 2 * d))
         assert "_bipartite_takagi" not in {name for name, _ in calls}
         monkeypatch.undo()
         self.check(S, fac)
@@ -590,9 +572,9 @@ def _is_unitary(U, tol=1e-10):
 
 
 class TestEmbeddedTakagiCompletion:
-    """_embedded_takagi completes its vectors by QR only where a value is cut
-    or they fail checked_svd's Gram rule; each branch returns a unitary V that
-    reconstructs S within takagi's gate."""
+    """_embedded_takagi completes its vectors by QR whether or not a value is
+    cut; either way it returns a unitary V that reconstructs S within
+    takagi's gate."""
 
     @staticmethod
     def qr_calls(monkeypatch):
@@ -613,27 +595,6 @@ class TestEmbeddedTakagiCompletion:
         assert residual <= TAKAGI_RECONSTRUCTION_TOL * fac.diagonal[0]
         assert np.all(fac.diagonal >= 0) and np.all(np.diff(fac.diagonal) <= 0)
 
-    @staticmethod
-    def top_half(S):
-        """The +sigma eigenvectors of the embedding, descending, as x + iy."""
-        k = len(S)
-        E = np.block([[S.real, S.imag], [S.imag, -S.real]])
-        vectors = np.linalg.eigh(E)[1][:, ::-1][:, :k]
-        return vectors[:k] + 1j * vectors[k:]
-
-    def test_nothing_cut_keeps_the_eigenvectors(self, rng, monkeypatch):
-        """The paired values of a two-qudit state, all kept: no QR, and V is
-        conj of the embedding's top half as eigh returned it."""
-        C = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        S = from_qudit_target(QuditTarget(C / np.linalg.norm(C))).S
-        S = (S + S.T) / 2.0
-        calls = self.qr_calls(monkeypatch)
-        fac = _embedded_takagi(S)
-        assert calls == []
-        assert np.array_equal(fac.V, self.top_half(S).conj())
-        assert np.count_nonzero(fac.diagonal) == len(S)
-        self.check(S, fac)
-
     def test_a_cut_value_takes_the_completion(self, rng, monkeypatch):
         """A rank-2 block of size 3: its third value is cut, and QR completes
         the two kept vectors."""
@@ -646,12 +607,11 @@ class TestEmbeddedTakagiCompletion:
         assert fac.diagonal[2] == 0.0
         self.check(S, fac)
 
-    def test_gram_defect_above_the_rule_takes_the_completion(self, monkeypatch):
-        """Nothing cut, but vectors read as off orthonormality: QR completes
-        all four."""
+    def test_nothing_cut_takes_the_completion(self, monkeypatch):
+        """Nothing cut, a twofold value included: QR still reorthonormalizes
+        all four vectors."""
         S = _with_spectrum(9, np.array([1.0, 0.7, 0.7, 0.2]))
         calls = self.qr_calls(monkeypatch)
-        monkeypatch.setattr(linalg_module, "_gram_defect", lambda X: 2.0 * TAKAGI_CUT * len(X))
         fac = _embedded_takagi(S)
         assert calls == [(4, 4)]
         assert np.count_nonzero(fac.diagonal) == 4
