@@ -294,5 +294,5 @@ def evolve_two_photon(U: np.ndarray, S: np.ndarray) -> np.ndarray:
     if U.ndim != 2 or S.ndim != 2 or S.shape[0] != S.shape[1] or U.shape[1] != S.shape[0]:
         raise DimensionMismatch(f"shapes {U.shape} and {S.shape} are incompatible")
     out = U @ S @ U.T
-    return (out + out.T) / 2.0
+    return np.multiply(out + out.T, 0.5, out=out)
 

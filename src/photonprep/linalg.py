@@ -8,6 +8,7 @@ rescaling can align supports deterministically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +59,15 @@ def takagi(S: np.ndarray) -> TakagiFactorization:
         raise ValueError(f"expected a square matrix, got shape {S.shape}")
     if S.size == 0:
         raise ValueError("empty matrix")
-    if not np.all(np.isfinite(S)):
-        raise ValueError("matrix contains non-finite entries")
     scaled, peak = _peak_scaled(S)
-    norm, asymmetry = np.linalg.norm(scaled), np.linalg.norm(scaled - scaled.T)
+    if not math.isfinite(peak):
+        raise ValueError("matrix contains non-finite entries")
+    skew = scaled - scaled.T
+    norm, asymmetry = _frobenius(scaled), _frobenius(skew)
     if asymmetry > SYMMETRY_TOL * norm:
         raise NotSymmetric(f"||S - S^T||_F/||S||_F = {asymmetry / norm:.3e} exceeds {SYMMETRY_TOL}")
-    scaled = (scaled + scaled.T) / 2.0
+    scaled = np.add(scaled, scaled.T, out=skew)  # the symmetric part, in the skew part's buffer
+    scaled *= 0.5
 
     d1 = _bipartition(scaled)
     try:
@@ -72,14 +75,12 @@ def takagi(S: np.ndarray) -> TakagiFactorization:
     except ConvergenceFailure:
         factor = _embedded_takagi(scaled)
     residual = factor.V.T @ scaled @ factor.V
-    residual.flat[:: len(residual) + 1] -= factor.diagonal
-    if not np.linalg.norm(residual) <= TAKAGI_RECONSTRUCTION_TOL * factor.diagonal[0]:
+    residual.reshape(-1)[:: len(residual) + 1] -= factor.diagonal
+    if not _frobenius(residual) <= TAKAGI_RECONSTRUCTION_TOL * factor.diagonal[0]:
         raise ConvergenceFailure("Takagi factorization failed to reconstruct")
-    with np.errstate(over="ignore"):
-        diagonal = factor.diagonal * peak
-    if not np.isfinite(diagonal[0]):
+    if not float(factor.diagonal[0]) * peak < math.inf:  # Python floats overflow with no warning
         raise ConvergenceFailure(f"Takagi value {factor.diagonal[0]:.3e} x {peak:.3e} overflows")
-    return TakagiFactorization(V=factor.V, diagonal=diagonal)
+    return TakagiFactorization(V=factor.V, diagonal=factor.diagonal * peak)
 
 
 def _bipartition(S: np.ndarray) -> int:
@@ -231,17 +232,26 @@ def _gram_defect(X: np.ndarray) -> float:
     overflows, so every gate reading it is written `not defect <= tol`."""
     with np.errstate(over="ignore", invalid="ignore"):
         gram = X.conj().T @ X
-    gram.flat[:: len(gram) + 1] -= 1.0
-    return float(np.sqrt(np.vdot(gram, gram).real))
+        gram.reshape(-1)[:: len(gram) + 1] -= 1.0
+        return _frobenius(gram)
+
+
+def _frobenius(X: np.ndarray) -> float:
+    """||X||_F from one complex dot (np.linalg.norm takes two strided ones)."""
+    return math.sqrt(np.vdot(X, X).real)
 
 
 def _peak_scaled(M: np.ndarray) -> tuple[np.ndarray, float]:
-    """(M / peak, peak), peak the largest modulus in M; (M, 0) for zero M. The real
-    view is divided: complex division forms 1 / peak, inf for a subnormal peak."""
+    """(M / peak, peak), peak the largest modulus in M or, where that overflows, the
+    largest |re| or |im|; (M, 0) for zero M and (M, inf or NaN) for non-finite M.
+    The real view is divided: complex division forms 1 / peak, inf for a subnormal peak."""
     M = np.ascontiguousarray(M, dtype=complex)
-    peak = float(np.max(np.abs(M), initial=0.0))
-    if peak == 0.0:
-        return M, 0.0
+    with np.errstate(over="ignore"):
+        peak = float(np.max(np.abs(M), initial=0.0))
+    if peak == math.inf:  # an infinite entry, or finite ones whose modulus overflows
+        peak = float(np.max(np.abs(M.view(float))))
+    if not 0.0 < peak < math.inf:
+        return M, peak
     return (M.view(float) / peak).view(complex), peak
 
 
@@ -289,20 +299,20 @@ def unitary_extension(a: np.ndarray, s: np.ndarray, bh: np.ndarray) -> np.ndarra
         raise ValueError("singular values of a contraction must lie in [0, 1]")
     N = m1 + m2
     e = _gram_defect(a) + _gram_defect(bh.conj().T)
-    u, k = np.finfo(float).eps / 2.0, N + 3
-    bound = 2.0 * e * (1.0 + e) + 32 * k * u / (1.0 - k * u) * (r + np.sqrt(N))
+    u, k = 2.0**-53, N + 3  # u = eps / 2
+    bound = 2.0 * e * (1.0 + e) + 32 * k * u / (1.0 - k * u) * (r + math.sqrt(N))
     if not bound <= DOCUMENT_UNITARITY_TOL:
         message = f"factors off orthonormality by {e:.3e} allow a unitarity defect of {bound:.3e}"
         raise VerificationFailure(f"{message} (tolerance {DOCUMENT_UNITARITY_TOL:.0e})")
     g = s**2 / (1.0 + np.sqrt(1.0 - s**2))
 
     U = np.empty((N, N), dtype=complex)
-    B = (a * s) @ bh
-    U[:m1, :m2] = B
-    U[:m1, m2:] = (a * -g) @ a.conj().T
-    U[m1:, :m2] = (bh.conj().T * -g) @ bh
-    U[m1:, m2:] = -B.conj().T
+    B = U[:m1, :m2]
+    np.matmul(a * s, bh, out=B)
+    np.matmul(a * -g, a.conj().T, out=U[:m1, m2:])
+    np.matmul(bh.conj().T * -g, bh, out=U[m1:, :m2])
+    np.negative(np.conjugate(B.T, out=U[m1:, m2:]), out=U[m1:, m2:])
     # add the identity of both defect blocks, entries (i, m2 + i) and (m1 + j, j)
-    U.flat[m2 : m1 * N : N + 1] += 1.0
-    U.flat[m1 * N :: N + 1] += 1.0
+    U.reshape(-1)[m2 : m1 * N : N + 1] += 1.0
+    U.reshape(-1)[m1 * N :: N + 1] += 1.0
     return U

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotSymmetric, ZeroState
-from .linalg import _peak_scaled, takagi
+from .linalg import _frobenius, _peak_scaled, takagi
 from .tolerances import NORMALIZATION_TOL, STATE_SYMMETRY_TOL, TARGET_NORM_TOL, ZERO_WEIGHT
 
 
@@ -26,12 +26,16 @@ class TwoPhotonState:
         S = np.asarray(self.S, dtype=complex)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError(f"state matrix must be square, got {S.shape}")
-        if not np.isfinite(S).all():
+        norm = _frobenius(S)  # finite unless an entry is not, or the norm overflows
+        if not norm < np.inf and not np.isfinite(S).all():
             raise ValueError("state matrix has non-finite entries")
-        if np.linalg.norm(S - S.T) > STATE_SYMMETRY_TOL * np.linalg.norm(S):
-            raise NotSymmetric("state matrix is not symmetric")
-        S = (S + S.T) / 2.0  # kill roundoff drift
-        if abs(2.0 * np.vdot(S, S).real - 1.0) > NORMALIZATION_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # entries near the largest double
+            skew = S - S.T
+            if _frobenius(skew) > STATE_SYMMETRY_TOL * norm:
+                raise NotSymmetric("state matrix is not symmetric")
+            S = np.add(S, S.T, out=skew)  # kill roundoff drift
+            S *= 0.5
+        if not abs(2.0 * np.vdot(S, S).real - 1.0) <= NORMALIZATION_TOL:
             raise ValueError("state is not normalized; use normalize()")
         S.setflags(write=False)
         object.__setattr__(self, "S", S)
@@ -53,7 +57,7 @@ class QuditTarget:
             raise ValueError(f"target must be a nonempty matrix, got {C.shape}")
         if not np.isfinite(C).all():
             raise ValueError("target matrix has non-finite entries")
-        if abs(np.linalg.norm(C) - 1.0) > TARGET_NORM_TOL:
+        if abs(_frobenius(C) - 1.0) > TARGET_NORM_TOL:
             raise ValueError("target state must have unit Frobenius norm")
         C.setflags(write=False)
         object.__setattr__(self, "C", C)
@@ -73,14 +77,15 @@ def normalize(S: np.ndarray) -> TwoPhotonState:
     S = np.asarray(S, dtype=complex)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"state matrix must be square, got {S.shape}")
-    if not np.isfinite(S).all():
+    S, peak = _peak_scaled(S)
+    if not np.isfinite(peak):
         raise ValueError("cannot normalize a matrix with non-finite entries")
-    S = _peak_scaled(S)[0]
-    S = (S + S.T) / 2.0
+    S = S + S.T
+    S *= 0.5
     weight = 2.0 * float(np.vdot(S, S).real)
     if weight <= ZERO_WEIGHT:
         raise ZeroState("cannot normalize a zero state matrix")
-    return TwoPhotonState(S / np.sqrt(weight))
+    return TwoPhotonState(np.divide(S, np.sqrt(weight), out=S))
 
 
 def from_qudit_target(target: QuditTarget) -> TwoPhotonState:

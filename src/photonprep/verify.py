@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fock
 from .exceptions import DimensionMismatch, SignalMismatch, TooLarge, VerificationFailure
-from .linalg import _peak_scaled
+from .linalg import _frobenius, _peak_scaled
 from .states import TwoPhotonState
 from .tolerances import VERIFY_TOL
 
@@ -131,14 +131,12 @@ def fidelity(S1: np.ndarray, S2: np.ndarray) -> float:
     """|<S1, S2>_F| / (||S1||_F ||S2||_F); overlap of the two-photon states,
     0 when either is zero. Each is divided by its largest modulus first, as
     normalize does: the value is scale-free, and no norm over- or underflows."""
-    S1 = np.asarray(S1, dtype=complex)
-    S2 = np.asarray(S2, dtype=complex)
-    if S1.shape != S2.shape:
-        raise DimensionMismatch(f"shapes {S1.shape} vs {S2.shape}")
+    if np.shape(S1) != np.shape(S2):
+        raise DimensionMismatch(f"shapes {np.shape(S1)} vs {np.shape(S2)}")
     (S1, peak1), (S2, peak2) = _peak_scaled(S1), _peak_scaled(S2)
     if peak1 == 0.0 or peak2 == 0.0:
         return 0.0
-    return float(abs(np.vdot(S1, S2)) / (np.linalg.norm(S1) * np.linalg.norm(S2)))
+    return float(abs(np.vdot(S1, S2)) / (_frobenius(S1) * _frobenius(S2)))
 
 
 def extract_postselected(

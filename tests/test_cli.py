@@ -77,6 +77,14 @@ class TestRank:
         assert main(["rank", "--state", path]) == 0
         assert capsys.readouterr().out.strip() == "1"
 
+    def test_rank_of_a_state_whose_modulus_overflows(self, tmp_path, capsys):
+        """Each part of 1.5e308 (1 + i) is finite, its modulus is not: the
+        rank-1 matrix of such entries is read at the scale of its largest
+        part, a rank-1 state, not a zero one."""
+        path = write_matrix(tmp_path / "modulus.json", np.full((3, 3), 1.5e308 + 1.5e308j))
+        assert main(["rank", "--state", path]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
 
 @pytest.mark.parametrize("verb", ["rank", "synth-postselect", "synth-herald"])
 def test_non_square_state_is_an_input_error(tmp_path, capsys, verb):
@@ -121,8 +129,7 @@ class TestTakagi:
 
     def test_overflowing_matrix_is_not_factorized(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "s.json", np.full((2, 2), 1e308))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["takagi", "--input", path]) == 2
+        assert main(["takagi", "--input", path]) == 2
         assert capsys.readouterr().out == ""
 
 

@@ -1,7 +1,9 @@
 import ast
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from photonprep.linalg import (
     _bipartite_takagi,
     _bipartition,
     _embedded_takagi,
+    _gram_defect,
     _peak_scaled,
     checked_svd,
 )
@@ -112,6 +115,15 @@ class TestTakagi:
         ConvergenceFailure, not a factorization with a non-finite V."""
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceFailure):
             takagi(np.full((2, 2), 1e308))
+
+    def test_entries_whose_modulus_overflows_are_a_convergence_failure(self):
+        """1.5e308 (1 + i) is finite, its modulus 2.1e308 is not: S is read
+        at the scale of its largest part, and sigma_1 = 3 |S_ij| overflows
+        only on return, with no RuntimeWarning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceFailure, match="overflows"):
+                takagi(np.full((3, 3), 1.5e308 + 1.5e308j))
 
     def test_reconstruction_gate_refuses_nan(self, monkeypatch):
         """On either route, a factorization with NaN vectors is refused."""
@@ -672,6 +684,24 @@ class TestUnitaryExtension:
         assert _is_unitary(U)
         assert np.array_equal(U[:m1, :m2], (a * s) @ bh)
 
+    @pytest.mark.parametrize("m1, m2, r", [(3, 5, 2), (5, 3, 2), (4, 4, 0), (4, 6, 4), (6, 4, 4)])
+    def test_is_the_halmos_block_formula(self, rng, m1, m2, r):
+        """U against np.block of the docstring's four blocks, B = (a s) b^†,
+        I - a diag(g) a^†, I - b diag(g) b^† and -B^†, with g = 1 - sqrt(1 - s^2)
+        taken as written: B bit for bit, the rest to rounding. The defect
+        blocks are the square roots of I - B B^† and I - B^† B."""
+        a, bh = random_unitary(rng, m1)[:, :r], random_unitary(rng, m2)[:r]
+        s = rng.uniform(0.0, 1.0, r)
+        s[:1] = 1.0
+        U = unitary_extension(a, s, bh)
+        B, b, g = (a * s) @ bh, bh.conj().T, 1.0 - np.sqrt(1.0 - s**2)
+        top = np.eye(m1) - (a * g) @ a.conj().T
+        bottom = np.eye(m2) - (b * g) @ bh
+        assert np.array_equal(U[:m1, :m2], B)
+        assert np.max(np.abs(U - np.block([[B, top], [bottom, -B.conj().T]]))) <= 1e-14
+        assert np.max(np.abs(top @ top - (np.eye(m1) - B @ B.conj().T))) <= 1e-14
+        assert np.max(np.abs(bottom @ bottom - (np.eye(m2) - B.conj().T @ B))) <= 1e-14
+
     @pytest.mark.parametrize(
         "bad", [np.nextafter(1.0, 2.0), 2.0, -np.nextafter(0.0, 1.0), -0.5, np.nan, np.inf, -np.inf]
     )
@@ -869,6 +899,49 @@ class TestPeakScaled:
         scaled, peak = _peak_scaled(np.zeros((2, 3)))
         assert peak == 0.0 and scaled.dtype == complex
         assert np.array_equal(scaled, np.zeros((2, 3)))
+
+    def test_modulus_that_overflows(self):
+        """Where the largest modulus overflows though every part is finite,
+        the peak is the largest |re| or |im|."""
+        M = np.array([[1.5e308 + 1.5e308j, 1e308], [-1.5e308j, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled, peak = _peak_scaled(M)
+        assert peak == 1.5e308
+        assert np.allclose(scaled, M / 1.5e308, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1e308, np.inf), complex(np.nan, 1e308)])
+    def test_non_finite_entry_is_a_non_finite_peak(self, bad):
+        """The peak is every caller's finiteness check: inf or NaN, with M
+        returned undivided and no RuntimeWarning."""
+        M = np.array([[1.5e308 + 1.5e308j, 1.0], [bad, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled, peak = _peak_scaled(M)
+        assert not math.isfinite(peak)
+        assert np.array_equal(scaled, M, equal_nan=True)
+
+
+class TestGramDefect:
+    """||X^† X - I||_F, the orthonormality defect every factor gate reads."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (8, 8), (64, 20)])
+    @pytest.mark.parametrize("spread", [0.0, 1e-9, 1.0])
+    def test_is_the_definition(self, rng, shape, spread):
+        X = random_unitary(rng, shape[0])[:, : shape[1]]
+        X = X + spread * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        reference = np.linalg.norm(X.conj().T @ X - np.eye(shape[1]))
+        assert _gram_defect(X) == pytest.approx(reference, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("entry", [1e308, -1e308j, np.nan, complex(np.nan, 1.0)])
+    def test_non_finite_gram_is_nan(self, entry):
+        """A Gram that overflows, or a factor holding NaN, reads NaN, which
+        every gate refuses, and no RuntimeWarning leaks."""
+        X = np.eye(3, 2, dtype=complex)
+        X[0, 1] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(_gram_defect(X))
 
 
 class TestCheckedSvd:

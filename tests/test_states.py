@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,9 +83,44 @@ class TestNormalize:
         assert np.allclose(state.S, np.diag([0.5, 0.5]))
 
     def test_idempotent(self, rng):
-        state = normalize(random_complex_symmetric(rng, 4))
-        again = normalize(state.S)
-        assert np.allclose(state.S, again.S)
+        """A normalized state comes back to rounding: normalize divides by the
+        peak and then by sqrt(weight), each rounding once, so an entry may
+        move by an ulp of the peak, not by more."""
+        for m in (2, 4, 16, 64):
+            state = normalize(random_complex_symmetric(rng, m))
+            again = normalize(state.S)
+            peak = np.max(np.abs(state.S))
+            assert np.max(np.abs(again.S - state.S)) <= 2 * np.finfo(float).eps * peak
+
+    @pytest.mark.parametrize("scale", [2.0**-1070, 1e-200, 1e200, 1.5e308])
+    def test_equals_the_formula_at_every_scale(self, rng, scale):
+        """normalize(c M) is the formula (M + M^T) / 2 / sqrt(2 ||(M + M^T) / 2||_F^2)
+        evaluated on M at scale 1: for subnormal entries (integers times
+        2^-1070, exact), at 1e+-200, and at 1.5e308 with parts in [0.5, 1],
+        whose largest modulus overflows though every part is finite."""
+        if scale == 2.0**-1070:
+            M = rng.integers(-7, 8, (5, 5)) + 1j * rng.integers(-7, 8, (5, 5))
+        else:
+            M = rng.uniform(0.5, 1.0, (5, 5)) + 1j * rng.uniform(0.5, 1.0, (5, 5))
+        symmetric = (M + M.T) / 2
+        formula = symmetric / np.sqrt(2 * np.vdot(symmetric, symmetric).real)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = normalize(scale * M)
+        assert np.max(np.abs(state.S - formula)) <= 4 * np.finfo(float).eps
+
+    def test_entries_whose_modulus_overflows(self):
+        """1.5e308 (1 + i) has finite parts and a modulus of 2.1e308: the
+        rank-1 matrix of such entries is a rank-1 state, at fidelity 1 with
+        itself, read with no RuntimeWarning."""
+        M = np.full((3, 3), 1.5e308 + 1.5e308j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = normalize(M)
+            assert fidelity(M, M) == pytest.approx(1.0, abs=1e-15)
+            assert fidelity(M, np.ones((3, 3))) == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(state.S, np.full((3, 3), (1 + 1j) / 6), rtol=1e-15, atol=0)
+        assert state_rank(state) == 1
 
     def test_rejects_zero(self):
         with pytest.raises(ZeroState):
@@ -174,11 +211,21 @@ class TestNonFinite:
         (QuditTarget, np.zeros((0, 2)), ValueError, "nonempty"),
         (QuditTarget, np.ones(2) / np.sqrt(2), ValueError, "nonempty"),
         (QuditTarget, np.eye(2), ValueError, "unit Frobenius norm"),
+        (TwoPhotonState, [[np.inf, 0.0], [0.0, 0.5]], ValueError, "non-finite"),
+        (TwoPhotonState, np.full((2, 2), 1e200), ValueError, "not normalized"),
+        (TwoPhotonState, np.full((2, 2), 1e308), ValueError, "not normalized"),
+        (QuditTarget, [[np.inf, 0.0], [0.0, 1.0]], ValueError, "non-finite"),
+        (QuditTarget, np.full((2, 2), 1e200), ValueError, "unit Frobenius norm"),
+        (QuditTarget, np.full((2, 2), 1e308), ValueError, "unit Frobenius norm"),
     ],
 )
 def test_constructors_refuse(make, matrix, error, match):
-    with pytest.raises(error, match=match):
-        make(np.asarray(matrix, dtype=complex))
+    """Each input is refused by its exception alone: a norm or a sum that
+    overflows leaks no RuntimeWarning first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            make(np.asarray(matrix, dtype=complex))
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2)])
