@@ -27,8 +27,12 @@ class TwoPhotonState:
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError(f"state matrix must be square, got {S.shape}")
         norm = _frobenius(S)  # finite unless an entry is not, or the norm overflows
-        if not norm < np.inf and not np.isfinite(S).all():
-            raise ValueError("state matrix has non-finite entries")
+        if not norm < np.inf:
+            if not np.isfinite(S).all():
+                raise ValueError("state matrix has non-finite entries")
+            scaled, _ = _peak_scaled(S)  # the gate below cannot refuse against an infinite norm
+            if _frobenius(scaled - scaled.T) > STATE_SYMMETRY_TOL * _frobenius(scaled):
+                raise NotSymmetric("state matrix is not symmetric")
         with np.errstate(over="ignore", invalid="ignore"):  # entries near the largest double
             skew = S - S.T
             if _frobenius(skew) > STATE_SYMMETRY_TOL * norm:

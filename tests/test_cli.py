@@ -13,12 +13,39 @@ from photonprep import QuditTarget, from_qudit_target, normalize, state_rank
 from photonprep.cli import main
 from photonprep.io import load_json, matrix_from_doc, matrix_to_doc, synthesis_from_doc
 from photonprep.verify import HeraldPattern
-from photonprep.random_states import random_state_of_rank
+from photonprep.random_states import random_complex_symmetric, random_state_of_rank, random_target_of_rank
 
 
 def write_matrix(path, M):
     path.write_text(json.dumps(matrix_to_doc(M)))
     return str(path)
+
+
+def random_symmetric_256():
+    a = np.random.default_rng(0).standard_normal((2, 256, 256))
+    a = a[0] + 1j * a[1]
+    return a + a.T
+
+
+def state_of_a_target_with_zero_leading_entry():
+    """The 128-mode state of a random 64 x 64 target whose C[0, 0] is 0."""
+    C = np.random.default_rng(128).standard_normal((2, 64, 64))
+    C = C[0] + 1j * C[1]
+    C[0, 0] = 0
+    return from_qudit_target(QuditTarget(C / np.linalg.norm(C))).S
+
+
+def state_near_the_rank_threshold():
+    """A Haar-rotated 4-mode input with Takagi values [1, 1.001e-10], just
+    above the rank threshold."""
+    gen = np.random.default_rng(26)
+    q, _ = np.linalg.qr(gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4)))
+    v = q[:, :2]
+    return normalize((v * [1.0, 1.001e-10]) @ v.T).S
+
+
+# a 2 x 2 target as written, not normalized
+TARGET_2 = np.array([[0.8, 0.1], [0.2j, 0.5]])
 
 
 @pytest.fixture
@@ -127,6 +154,45 @@ class TestTakagi:
         assert main(["takagi", "--input", path]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            random_symmetric_256,
+            lambda: np.eye(16),
+            lambda: random_complex_symmetric(np.random.default_rng(6), 6),
+            lambda: np.eye(4),
+            lambda: from_qudit_target(random_target_of_rank(np.random.default_rng(37), 12, 12, 9)).S,
+            state_of_a_target_with_zero_leading_entry,
+        ],
+        ids=["random-256", "eye-16", "random-6", "eye-4", "rank-9-target", "zero-leading-entry"],
+    )
+    def test_factors_reconstruct_at_any_size(self, tmp_path, make):
+        """By one SVD: of random symmetric matrices, and of eye(4) and
+        eye(16), whose equal singular values form one coupled block. In
+        closed form: of the 24-mode state of a rank-9 12 x 12 target, whose
+        nine twofold values come from the SVD of its 12 x 12 block, and of a
+        128-mode state."""
+        S = make()
+        out = tmp_path / "takagi.json"
+        assert main(["takagi", "--input", write_matrix(tmp_path / "s.json", S), "--output", str(out)]) == 0
+        doc = load_json(str(out))
+        V, D = (matrix_from_doc(doc[key], key) for key in ("V", "D"))
+        sigma_1 = np.linalg.svd(S, compute_uv=False)[0]
+        assert np.linalg.norm(V.T @ S @ V - D) <= 1e-8 * max(1.0, sigma_1)
+
+    def test_diagonal_of_a_scaled_matrix(self, tmp_path):
+        """Every cut and gate reads the peak-scaled copy: the random 256-mode
+        matrix times 1e200 factorizes, its diagonal 1e200 times the
+        unscaled one's."""
+        S = random_symmetric_256()
+        diagonals = []
+        for scale in (1.0, 1e200):
+            out = tmp_path / "takagi.json"
+            assert main(["takagi", "--input", write_matrix(tmp_path / "s.json", scale * S), "--output", str(out)]) == 0
+            diagonals.append(matrix_from_doc(load_json(str(out))["D"], "D").diagonal().real)
+        d, huge = diagonals
+        assert np.max(np.abs(huge / 1e200 - d)) / d[0] <= 1e-12
+
     def test_overflowing_matrix_is_not_factorized(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "s.json", np.full((2, 2), 1e308))
         assert main(["takagi", "--input", path]) == 2
@@ -170,6 +236,15 @@ class TestGateCnz:
         assert "verification failed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eight_qubit_document(self, tmp_path, capsys):
+        """Without the 256 x 256 table, and with its 32 x 32 unitary as one
+        base64 string, the 8-qubit document is ~22 KB, and it verifies."""
+        out = tmp_path / "cz8.json"
+        assert main(["gate-cnz", "--n", "8", "--phi", "1.0", "--output", str(out)]) == 0
+        assert out.stat().st_size < 30_000
+        assert main(["verify", "--input", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
     def test_non_finite_phase_is_an_input_error(self, capsys):
         assert main(["gate-cnz", "--n", "2", "--phi", "nan"]) == 2
         assert "phi must be finite" in capsys.readouterr().err
@@ -188,11 +263,11 @@ class TestGateCnz:
         assert out.returncode == 2 and out.stdout == ""
         assert "11-qubit truth table" in out.stderr
 
-    @pytest.mark.parametrize("n", [11, 12, 13, 14])
+    @pytest.mark.parametrize("n", [11, 12, 13, 14, 15])
     def test_gate_beyond_the_occupation_limit_is_refused_before_it_is_built(self, capsys, monkeypatch, n):
-        """Within the permanent limit, but 4^n amplitudes over 2n modes exceed
-        fock.OCCUPATION_LIMIT: neither the gate, nor the basis, nor the table
-        is made."""
+        """4^n amplitudes over 2n modes exceed fock.OCCUPATION_LIMIT, within
+        the permanent limit (n <= 14) or beyond it (15): neither the gate,
+        nor the basis, nor the table is made."""
         def unbuilt(*args):
             raise AssertionError("built past the size check")
 
@@ -343,6 +418,18 @@ def test_verify_refuses_a_malformed_base64_unitary(cz_doc, capsys, encode_matrix
     assert "unitary.base64: " in captured.err and captured.out == ""
 
 
+def test_verify_names_the_missing_base64_of_a_legacy_unitary(cz_doc, capsys, decode_matrix):
+    """base64 is the one matrix encoding: a document written before it, whose
+    unitary carries its [re, im] data pairs, is an input error (exit 2) that
+    names the unitary's missing base64."""
+    doc = json.loads(cz_doc.read_text())
+    U = decode_matrix(doc["unitary"])
+    doc["unitary"] = {"rows": U.shape[0], "cols": U.shape[1], "data": U.view(float).reshape(-1, 2).tolist()}
+    cz_doc.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(cz_doc)]) == 2
+    assert "unitary.base64: missing" in capsys.readouterr().err
+
+
 class TestSynthHerald:
     def test_infeasible_rank_exit_code(self, tmp_path, capsys):
         state = random_state_of_rank(np.random.default_rng(7), 4, 3)
@@ -359,12 +446,57 @@ class TestSynthHerald:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["herald"]["signal"] == [2]
+        # 4 + 1 + 4 modes, p = (2 + sqrt(2)/6)^(-4) / 2
+        assert doc["unitary"]["rows"] == 9
+        assert doc["success_probability"] == pytest.approx(0.0200130896446016, rel=1e-12)
         assert main(["verify", "--input", str(out)]) == 0
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["verified"] is True
         assert verdict["success_probability"] == pytest.approx(
             doc["success_probability"], abs=1e-12
         )
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_signal_of_n_photons(self, tmp_path, n):
+        """Two photons need no herald mode, three need one that sees one
+        photon: the heralded oracle's tables are built per layout."""
+        state = random_state_of_rank(np.random.default_rng(n), 5, n)
+        path = write_matrix(tmp_path / "rank.json", state.S)
+        out = tmp_path / "herald.json"
+        assert main(["synth-herald", "--target", path, "--photons", str(n), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["herald"]["signal"] == [1] * (n - 2)
+        assert main(["verify", "--input", str(out)]) == 0
+
+    def test_rank_12_target_from_12_photons(self, rank12_files, capsys):
+        """Near the permanent limit: the rank rule read off the target's
+        Takagi factors, and the circuit that heralds it verifies."""
+        state, doc = rank12_files
+        assert main(["rank", "--state", state]) == 0
+        assert capsys.readouterr().out.strip() == "12"
+        assert main(["verify", "--input", str(doc)]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
+    @pytest.mark.parametrize("field, value", [("signal", 5), ("aux_modes", 42)])
+    def test_edited_rank_12_document_is_an_input_error(self, rank12_files, tmp_path, capsys, field, value):
+        """A malformed signal, or an aux_modes that contradicts the 12 + 1 + 12
+        rows, is an input error (exit 2), not a traceback (exit 1)."""
+        doc = json.loads(rank12_files[1].read_text())
+        (doc["herald"] if field == "signal" else doc)[field] = value
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--input", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def rank12_files(tmp_path_factory):
+    """A random rank-12 state of 12 modes, and the document of its circuit
+    heralded from 12 photons."""
+    tmp = tmp_path_factory.mktemp("rank12")
+    state = write_matrix(tmp / "rank12.json", random_state_of_rank(np.random.default_rng(0), 12, 12).S)
+    doc = tmp / "herald12.json"
+    assert main(["synth-herald", "--target", state, "--photons", "12", "--output", str(doc)]) == 0
+    return state, doc
 
 
 @pytest.fixture
@@ -537,6 +669,43 @@ class TestSynthPostselect:
         err = capsys.readouterr().err
         assert "aux_modes" in err and "9 rows leave 5 past payload and herald" in err
 
+    @pytest.mark.parametrize(
+        "make_state, target, rows",
+        [
+            (lambda: random_state_of_rank(np.random.default_rng(0), 5, 3).S, TARGET_2, 9),
+            (lambda: random_state_of_rank(np.random.default_rng(0), 5, 3).S, 1e200 * TARGET_2, 9),
+            (lambda: random_state_of_rank(np.random.default_rng(1), 6, 6).S, np.outer([0.6, 0.8j], [0.8, 0.6]), 10),
+            (state_near_the_rank_threshold, TARGET_2, 8),
+        ],
+        ids=["rank-3-input", "huge-target", "rank-1-target", "input-near-the-rank-threshold"],
+    )
+    def test_written_circuit_verifies(self, tmp_path, capsys, make_state, target, rows):
+        """A target is read at any scale. A rank-1 target from a full-rank
+        input has its mode map dilated at width rank(C) = 1 < rank(S_in) = 6.
+        An input just above the rank threshold is rescaled by lam^2 ~ 1e10,
+        and its circuit still verifies."""
+        state = write_matrix(tmp_path / "in.json", make_state())
+        out = tmp_path / "synth.json"
+        assert main(["synth-postselect", "--state", state, "--target", write_matrix(tmp_path / "target.json", target),
+                     "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["unitary"]["rows"] == rows
+        assert main(["verify", "--input", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
+    @pytest.mark.parametrize("field, code", [("target", 0), ("aux_modes", 2)], ids=["target-times-1e200", "aux-modes-3"])
+    def test_edited_rank_3_input_document(self, tmp_path, capsys, edit_matrix, field, code):
+        """The verdict reads the document's target up to scale, also where its
+        norm would overflow: times 1e200, it verifies. An aux_modes of 3, not
+        the 9 - (2 + 2) = 5 rows past the registers, is an input error."""
+        state = write_matrix(tmp_path / "in.json", random_state_of_rank(np.random.default_rng(0), 5, 3).S)
+        out = tmp_path / "synth.json"
+        assert main(["synth-postselect", "--state", state, "--target", write_matrix(tmp_path / "target.json", TARGET_2),
+                     "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc[field] = edit_matrix(doc["target"], lambda C: 1e200 * C) if field == "target" else 3
+        out.write_text(json.dumps(doc))
+        assert main(["verify", "--input", str(out)]) == code
+
     def test_infeasible(self, tmp_path, capsys):
         state = tmp_path / "in.json"
         S = np.zeros((6, 6))
@@ -685,6 +854,12 @@ class TestDocumentFiles:
         assert main([*argv, "--output", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot write {out}: ") and captured.out == ""
+
+    def test_relative_output_is_named_as_given(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gate-cnz", "--n", "2", "--phi", "1.0", "--output", "no/such/dir/cz.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write no/such/dir/cz.json: ") and captured.out == ""
 
     def test_input_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
