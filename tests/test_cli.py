@@ -693,7 +693,7 @@ class TestSynthPostselect:
         assert json.loads(capsys.readouterr().out)["verified"] is True
 
     @pytest.mark.parametrize("field, code", [("target", 0), ("aux_modes", 2)], ids=["target-times-1e200", "aux-modes-3"])
-    def test_edited_rank_3_input_document(self, tmp_path, capsys, edit_matrix, field, code):
+    def test_edited_rank_3_input_document(self, tmp_path, edit_matrix, field, code):
         """The verdict reads the document's target up to scale, also where its
         norm would overflow: times 1e200, it verifies. An aux_modes of 3, not
         the 9 - (2 + 2) = 5 rows past the registers, is an input error."""
