@@ -153,13 +153,17 @@ def verify_cnz(result: SynthesisResult, n: int, phi: float) -> bool:
     fock.amplitude refuses, and DimensionMismatch when U has fewer rows than
     the 2n dual rails, when its rows beyond them are not the circuit's
     aux_modes (both before the basis is enumerated) or when U is not square.
-    An n that is not an integer >= 2, or a non-finite phi, is a ValueError
-    before anything else is checked or built.
+    An n that is not an integer >= 2, a non-finite phi, or a success
+    probability outside [0, 1], is a ValueError before anything else is
+    checked or built.
     Only U[:2n, :2n] is read, and U's unitarity is not checked:
     `unitary_extension` gates every construction and `io` every document,
     so a U built by hand is judged on that block alone.
     """
     _check_gate(n, phi)
+    p = result.success_probability
+    if not 0.0 <= p <= 1.0:  # NaN too
+        raise ValueError(f"success_probability must lie in [0, 1], got {p!r}")
     _check_table_size(n)
     U = result.unitary
     if 2 * n > len(U):
@@ -173,5 +177,5 @@ def verify_cnz(result: SynthesisResult, n: int, phi: float) -> bool:
         )
     occ = _dual_rail_basis(n)
     table = fock.amplitude(_square(U)[: 2 * n, : 2 * n], occ[:, None], occ[None])
-    gate = np.sqrt(result.success_probability) * _gate_phases(n, phi)
+    gate = np.sqrt(p) * _gate_phases(n, phi)
     return bool(np.all(_deviation(table, gate) <= CNZ_AMPLITUDE_TOL))

@@ -169,7 +169,7 @@ def _fields(doc: dict[str, Any]) -> dict[str, Any]:
             message = f"only {carriers} documents carry one, not {kind} documents"
             raise DocumentError(f"{key}: {message}", key)
     out: dict[str, Any] = {
-        "aux_modes": _int_from_doc(doc.get("aux_modes", 0), "aux_modes", 0),
+        "aux_modes": _int_from_doc(doc.get("aux_modes"), "aux_modes", 0),
         "success_probability": _probability_from_doc(doc.get("success_probability")),
         # a herald document without one has the empty signal of two photons
         "herald": HeraldPattern(signal=()) if kind == "herald" else None,

@@ -26,18 +26,13 @@ class TwoPhotonState:
         S = np.asarray(self.S, dtype=complex)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError(f"state matrix must be square, got {S.shape}")
-        norm = _frobenius(S)  # finite unless an entry is not, or the norm overflows
-        if not norm < np.inf:
-            if not np.isfinite(S).all():
-                raise ValueError("state matrix has non-finite entries")
-            scaled, _ = _peak_scaled(S)  # the gate below cannot refuse against an infinite norm
-            if _frobenius(scaled - scaled.T) > STATE_SYMMETRY_TOL * _frobenius(scaled):
-                raise NotSymmetric("state matrix is not symmetric")
+        scaled, peak = _peak_scaled(S)  # read on S / peak, the gate's norms neither overflow nor underflow
+        if not np.isfinite(peak):
+            raise ValueError("state matrix has non-finite entries")
+        if _frobenius(scaled - scaled.T) > STATE_SYMMETRY_TOL * _frobenius(scaled):
+            raise NotSymmetric("state matrix is not symmetric")
         with np.errstate(over="ignore", invalid="ignore"):  # entries near the largest double
-            skew = S - S.T
-            if _frobenius(skew) > STATE_SYMMETRY_TOL * norm:
-                raise NotSymmetric("state matrix is not symmetric")
-            S = np.add(S, S.T, out=skew)  # kill roundoff drift
+            S = S + S.T  # kill roundoff drift
             S *= 0.5
         if not abs(2.0 * np.vdot(S, S).real - 1.0) <= NORMALIZATION_TOL:
             raise ValueError("state is not normalized; use normalize()")

@@ -33,8 +33,8 @@ TAKAGI_CUT                 8 eps  x m sigma_1        takagi: values at or below 
                                                      factor (u or vh) above it is a
                                                      ConvergenceFailure; takagi then falls
                                                      back to the whole real embedding of S
-STATE_SYMMETRY_TOL         1e-8   x ||S||_F          TwoPhotonState: ||S - S^T||_F within it,
-                                                     else NotSymmetric
+STATE_SYMMETRY_TOL         1e-8   x ||S||_F          TwoPhotonState: ||S - S^T||_F of S / peak
+                                                     within it, else NotSymmetric
 NORMALIZATION_TOL          1e-8   absolute           TwoPhotonState: |2 Tr(S^† S) - 1| within it
 TARGET_NORM_TOL            1e-6   absolute           QuditTarget: | ||C||_F - 1 | within it
 ZERO_WEIGHT                1e-28  x peak^2           normalize: a symmetric part of weight

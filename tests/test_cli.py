@@ -287,17 +287,23 @@ class TestGateCnz:
         assert main(["verify", "--input", str(cz_doc)]) == 2
         assert "permanent" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 10])
-    def test_verify_of_a_qubit_count_beyond_the_unitary_is_an_input_error(self, cz_doc, capsys, n):
+    @pytest.mark.parametrize(
+        "n, drop",
+        [(3, None), (4, None), (5, None), (10, None), (4, "aux_modes")],
+        ids=["3", "4", "5", "10", "4-without-aux_modes"],
+    )
+    def test_verify_of_a_qubit_count_beyond_the_unitary_is_an_input_error(self, cz_doc, capsys, n, drop):
         """The CZ unitary has 8 modes, too few for the 2n dual rails of n = 5
         and 10, the largest verified size; those of n = 3 and 4 fit, but
-        contradict its 4 auxiliaries."""
+        contradict its 4 auxiliaries. Without aux_modes the document is
+        refused as it is read, not judged as if it had none, which n = 4 fits."""
         doc = json.loads(cz_doc.read_text())
         doc["n"] = n
+        doc.pop(drop, None)
         cz_doc.write_text(json.dumps(doc))
         assert main(["verify", "--input", str(cz_doc)]) == 2
         err = capsys.readouterr().err
-        assert f"n = {n}" in err and "8 rows" in err
+        assert f"{drop}: " in err if drop else f"n = {n}" in err and "8 rows" in err
 
 
 @pytest.fixture

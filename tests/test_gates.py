@@ -84,8 +84,8 @@ class TestSuccessProbability:
 
 class TestArgumentRefusals:
     """verify_cnz refuses an n that is not an integer >= 2, and a non-finite
-    phi, as build_cnz does: a ValueError, with no warning, before the basis
-    or any table is built."""
+    phi, as build_cnz does, and a success probability outside [0, 1]: a
+    ValueError, with no warning, before the basis or any table is built."""
 
     @staticmethod
     def _refused(monkeypatch, n, phi, match):
@@ -132,6 +132,17 @@ class TestArgumentRefusals:
     def test_non_integer_qubit_count(self, monkeypatch, n):
         self._refused(monkeypatch, n, np.pi, "qubit count must be an integer")
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), -float("inf")])
+    def test_success_probability_outside_the_unit_interval(self, monkeypatch, p):
+        """sqrt(p) of p < 0 would warn, and of NaN fail every amplitude: p is
+        refused, named, before the basis is read."""
+        monkeypatch.setattr("photonprep.gates._dual_rail_basis", None)
+        result = dataclasses.replace(build_cnz(2, np.pi)[0], success_probability=p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="success_probability"):
+                verify_cnz(result, 2, np.pi)
+
     def test_numpy_integer_qubit_count_verifies(self):
         result, _ = build_cnz(np.int64(3), 1.0)
         assert verify_cnz(result, np.int64(3), np.float64(1.0))
@@ -155,7 +166,7 @@ class TestBuildAndVerify:
         assert spec.p_s == pytest.approx(1.0)
         assert verify_cnz(result, 3, 0.0)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
     @pytest.mark.parametrize("phi", [np.pi / 4, np.pi / 2, np.pi, 3 * np.pi / 2, *ANY_PHASE])
     def test_family_verifies(self, n, phi):
         result, spec = build_cnz(n, phi)

@@ -325,7 +325,8 @@ class TestSynthesisDocumentRefusals:
             synthesize_postselect(state_in, target), "postselect", target.C,
             input_state=state_in.S,
         )
-        return {"herald": herald, "postselect": postselect}
+        cnz = synthesis_to_doc(build_cnz(2, np.pi)[0], "cnz", CZ, n=2, phi=np.pi)
+        return {"herald": herald, "postselect": postselect, "cnz": cnz}
 
     @pytest.mark.parametrize(
         "kind, edit, field",
@@ -342,6 +343,8 @@ class TestSynthesisDocumentRefusals:
             ("postselect", lambda doc: {**doc, "target": matrix_to_doc(np.eye(9))}, "target"),
             # and 9 payload modes beside the herald mode of the 9-mode circuit
             ("herald", lambda doc: {**doc, "target": matrix_to_doc(np.eye(9))}, "target"),
+            # read as 0, a missing aux_modes would fit n = 4 on the 8-mode CZ
+            ("cnz", lambda doc: {**{k: v for k, v in doc.items() if k != "aux_modes"}, "n": 4}, "aux_modes"),
         ],
     )
     def test_field_is_named(self, docs, kind, edit, field):

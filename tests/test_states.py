@@ -212,8 +212,10 @@ class TestNonFinite:
         (QuditTarget, np.ones(2) / np.sqrt(2), ValueError, "nonempty"),
         (QuditTarget, np.eye(2), ValueError, "unit Frobenius norm"),
         (TwoPhotonState, [[np.inf, 0.0], [0.0, 0.5]], ValueError, "non-finite"),
-        # ||S||_F overflows, so the gate reads S / peak: it is not diag(0.5, 0.5)
+        # ||S||_F overflows, but S / peak is read: it is not diag(0.5, 0.5)
         (TwoPhotonState, [[0.5, 1e300], [-1e300, 0.5]], NotSymmetric, "not symmetric"),
+        # ||S||_F underflows, so it is S / peak that is read, and found asymmetric
+        (TwoPhotonState, [[0, 1e-310], [0, 0]], NotSymmetric, "not symmetric"),
         (TwoPhotonState, np.full((2, 2), 1e200), ValueError, "not normalized"),
         (TwoPhotonState, np.full((2, 2), 1e308), ValueError, "not normalized"),
         (QuditTarget, [[np.inf, 0.0], [0.0, 1.0]], ValueError, "non-finite"),

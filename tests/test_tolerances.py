@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import photonprep
 from photonprep import tolerances
 
 PACKAGE = Path(photonprep.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 # the policy itself
 EXEMPT = {"tolerances.py"}
 
@@ -34,3 +36,14 @@ def test_no_public_function_takes_a_tolerance():
 
 def test_takagi_cut_is_rounding_level():
     assert tolerances.TAKAGI_CUT == 8 * np.finfo(float).eps
+
+
+def test_readme_table_is_the_module():
+    """The README's "Tolerances" table lists exactly the constants of
+    photonprep.tolerances, each at its value (8ε for TAKAGI_CUT)."""
+    section = README.read_text(encoding="utf-8").split("### Tolerances", 1)[1]
+    rows = re.findall(r"^\| `([A-Z_]+)` \| ([^|]+?) \|", section, re.MULTILINE)
+    eps = np.finfo(float).eps
+    table = [(name, 8 * eps if value == "8ε" else float(value.replace("−", "-"))) for name, value in rows]
+    module = [(name, value) for name, value in vars(tolerances).items() if name.isupper()]
+    assert sorted(table) == sorted(module)
